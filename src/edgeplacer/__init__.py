@@ -7,12 +7,11 @@ predictors), harness (simulation engine, sweeps, CSV), cli (command line).
 """
 
 from .costqueue import (CostQueueState, advance, bound_constant_B,
-                        frame_queue_approximation, lyapunov, update_queue,
-                        update_weight)
+                        update_queue, update_weight)
 from .harness import (BUDGET_PRESETS, ExperimentConfig, RunRecord,
                       generate_scenario, run, simulate, sweep, synthetic_trace)
 from .model import (Placement, Scenario, SlotObservation, migration_cost,
-                    placement_indicator, service_latency, slot_outcome)
+                    service_latency, slot_outcome)
 from .policies import (FrameInput, PolicyConfig, am_decide, brute_force_frame,
                        brute_force_horizon, frame_objective, lm_decide,
                        nm_decide, osp_decide, plm_decide, psp_frame_decide,
@@ -26,9 +25,8 @@ __all__ = [
     "FrameInput", "Placement", "PolicyConfig", "PredictorSpec", "RunRecord",
     "Scenario", "SlotObservation", "advance", "am_decide",
     "bound_constant_B", "brute_force_frame", "brute_force_horizon",
-    "frame_objective", "frame_queue_approximation", "generate_scenario",
-    "lm_decide", "lyapunov", "migration_cost", "nm_decide", "osp_decide",
-    "placement_indicator", "plm_decide", "predict", "psp_frame_decide",
+    "frame_objective", "generate_scenario", "lm_decide", "migration_cost",
+    "nm_decide", "osp_decide", "plm_decide", "predict", "psp_frame_decide",
     "pspwu_frame_decide", "run", "service_latency", "simulate",
     "slot_outcome", "sweep", "synthetic_trace", "update_queue",
     "update_weight",

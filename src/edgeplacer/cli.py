@@ -2,7 +2,7 @@
 
 A thin shell over the harness; every behavior here is reachable through the
 library API. Exit codes: 0 success, 2 configuration problem, 3 trace format
-problem, 4 verification failure.
+problem, 4 verification failure or a run that broke an engine invariant.
 """
 
 import argparse
@@ -132,6 +132,9 @@ def main(argv=None) -> int:
     except harness.TraceFormatError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_TRACE
+    except harness.InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -33,13 +33,6 @@ def update_queue(q: float, e: float, e_avg: float) -> float:
     return max(q + (e - e_avg), 0.0)
 
 
-def lyapunov(q: float) -> float:
-    """Quadratic backlog measure q^2 / 2."""
-    if q < 0:
-        raise ValueError("queue backlog must be >= 0")
-    return 0.5 * q * q
-
-
 def bound_constant_B(e_avg: float, e_max: float) -> float:
     """Constant (e_avg^2 + e_max^2) / 2 appearing in the drift upper bound."""
     if e_avg < 0 or e_max < 0:
@@ -63,12 +56,3 @@ def advance(state: CostQueueState, e: float, e_avg: float) -> CostQueueState:
     q_next = update_queue(state.q, e, e_avg)
     stepped = update_weight(state, q_next - state.q)
     return replace(stepped, q=q_next)
-
-
-def frame_queue_approximation(q_at_frame_start: float, frame_len: int) -> list[float]:
-    """Hold the frame-start backlog constant across the frame's slots."""
-    if q_at_frame_start < 0:
-        raise ValueError("queue backlog must be >= 0")
-    if frame_len < 1:
-        raise ValueError("frame_len must be >= 1")
-    return [q_at_frame_start] * frame_len

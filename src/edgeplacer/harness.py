@@ -12,9 +12,7 @@ configurations replay bit-identically.
 import csv
 import json
 import math
-import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +51,10 @@ class ConfigError(ValueError):
 
 class TraceFormatError(ValueError):
     """Malformed or unusable mobility trace."""
+
+
+class InvariantError(RuntimeError):
+    """A run broke the budget inequality or the backlog deviation bound."""
 
 
 SlotRecord = namedtuple("SlotRecord", "t placement latency cost q w")
@@ -136,17 +138,17 @@ def generate_scenario(seed: int, n_nodes: int = 6, horizon: int = 1400,
     default synthetic trace with the same seed.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    backhaul = np.asarray(backhaul_mbps, dtype=float)
+    if backhaul.ndim == 0:
+        backhaul = np.full((n_nodes, n_nodes), float(backhaul))
+    scn = Scenario(node_count=n_nodes, backhaul_rate=backhaul,
+                   budget_avg=budget_avg, horizon=horizon, frame_len=frame_len)
     if trace is None:
         trace = synthetic_trace(seed, n_nodes, horizon)
     if len(trace) < horizon:
         raise TraceFormatError("trace shorter than horizon")
     if any(not 0 <= r < n_nodes for r in trace[:horizon]):
         raise TraceFormatError("trace region out of range")
-    backhaul = np.asarray(backhaul_mbps, dtype=float)
-    if backhaul.ndim == 0:
-        backhaul = np.full((n_nodes, n_nodes), float(backhaul))
-    scn = Scenario(node_count=n_nodes, backhaul_rate=backhaul,
-                   budget_avg=budget_avg, horizon=horizon, frame_len=frame_len)
     if homogeneous_capacity:
         caps = (float(rng.uniform(*CAPACITY_GHZ)),) * n_nodes
     else:
@@ -177,10 +179,12 @@ def simulate(scn: Scenario, observations, policy: str,
              predictor: PredictorSpec | None = None) -> RunRecord:
     """Execute one policy over the observation stream and collect metrics.
 
-    Frame policies see predicted user locations for future in-frame slots;
-    realized latency/cost and all queue updates use the true observations.
-    The telescoped budget inequality and the frame-approximation error bound
-    are asserted on the fly.
+    The run is a sequence of decision epochs: a frame of frame_len slots for
+    psp/pspwu, one slot otherwise. An epoch's placements are chosen at its
+    first slot from predicted user locations for its later slots (and for
+    the next slot under plm); realized latency/cost and queue updates use the
+    true observations. A broken budget inequality or backlog deviation bound
+    raises InvariantError.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}")
@@ -191,85 +195,75 @@ def simulate(scn: Scenario, observations, policy: str,
     trace = [o.user_node for o in observations]
     if len(observations) < horizon:
         raise TraceFormatError("observation stream shorter than horizon")
-    if (policy in ("psp", "pspwu") and spec.kind == "oracle_noisy"
-            and len(spec.accuracies) < scn.frame_len - 1):
+    framed = policy in ("psp", "pspwu")
+    epoch_len = scn.frame_len if framed else 1
+    lookahead = epoch_len - 1 if framed else int(policy == "plm")
+    if spec.kind == "oracle_noisy" and len(spec.accuracies) < lookahead:
         raise ConfigError("oracle_noisy needs one accuracy per look-ahead "
-                          f"step: frame_len {scn.frame_len} wants "
-                          f"{scn.frame_len - 1}, got {len(spec.accuracies)}")
+                          f"step: {policy} looks {lookahead} ahead, got "
+                          f"{len(spec.accuracies)}")
 
     state = CostQueueState(beta=cfg.beta)
-    prev = observations[0].user_node
-    initial = prev
+    prev = initial = observations[0].user_node
     lm_acc = 0.0
     records = []
     overrun = 0.0  # queue recursion without the clamp, same op order as the queue
     negative_w_frames = 0
+    # Holding the epoch-start backlog fixed is off by at most epoch_len * w_q.
     w_q = max(e_avg, max_slot_migration_cost(observations[:horizon]))
+    dev_bound = epoch_len * w_q
+    dev_limit = dev_bound + 1e-9 * max(1.0, dev_bound)
 
-    if policy in ("psp", "pspwu"):
-        for k, start in enumerate(range(0, horizon, scn.frame_len)):
-            flen = min(scn.frame_len, horizon - start)
+    for k, start in enumerate(range(0, horizon, epoch_len)):
+        obs = observations[start]
+        ahead = min(lookahead, horizon - start - 1)
+        predicted = []
+        if ahead:
+            preds = predict(spec, trace[:start + 1],
+                            trace[start + 1:start + 1 + ahead], ahead,
+                            scn.node_count, salt=k)
+            predicted = [with_user_node(observations[start + 1 + s], node)
+                         for s, node in enumerate(preds)]
+        if policy == "osp":
+            seq = [osp_decide(cfg, state.q, obs, prev, scn)]
+        elif framed:
             anchor = state.q if policy == "psp" else state.w
-            if anchor < 0:
-                negative_w_frames += 1
-            decision_slots = [observations[start]]
-            if flen > 1:
-                preds = predict(spec, trace[:start + 1],
-                                trace[start + 1:start + flen], flen - 1,
-                                scn.node_count, salt=k)
-                decision_slots += [with_user_node(observations[start + 1 + s], preds[s])
-                                   for s in range(flen - 1)]
-            frame = FrameInput(k, decision_slots, anchor, prev)
-            if policy == "psp":
-                seq = psp_frame_decide(cfg, frame, scn, e_avg)
-            else:
-                seq = pspwu_frame_decide(cfg, frame, scn, e_avg)
-            q_start = state.q
-            max_dev = 0.0
-            for p in range(flen):
-                t = start + p
-                obs = observations[t]
-                lat, cost = slot_outcome(scn, obs, prev, seq[p])
-                records.append(SlotRecord(t, seq[p], lat, cost, state.q, state.w))
-                state = advance(state, cost, e_avg)
-                overrun = overrun + (cost - e_avg)
-                prev = seq[p]
-                max_dev = max(max_dev, abs(state.q - q_start))
-            # frozen-backlog approximation error stays within frame_len * w_q
-            bound = scn.frame_len * w_q
-            assert max_dev <= bound + 1e-9 * max(1.0, bound)
-    else:
-        for t in range(horizon):
-            obs = observations[t]
-            if policy == "osp":
-                placement = osp_decide(cfg, state.q, obs, prev, scn)
-            elif policy == "am":
-                placement = am_decide(obs)
-            elif policy == "nm":
-                placement = nm_decide(initial)
-            elif policy == "lm":
-                placement, lm_acc = lm_decide(lm_acc, obs, prev, scn, cfg)
-            else:  # plm
-                predicted_next = None
-                if t + 1 < horizon:
-                    nxt = predict(spec, trace[:t + 1], trace[t + 1:t + 2], 1,
-                                  scn.node_count, salt=t)[0]
-                    predicted_next = with_user_node(observations[t + 1], nxt)
-                placement = plm_decide(obs, predicted_next, prev, scn, cfg)
-            lat, cost = slot_outcome(scn, obs, prev, placement)
+            negative_w_frames += anchor < 0
+            decide = psp_frame_decide if policy == "psp" else pspwu_frame_decide
+            seq = decide(cfg, FrameInput([obs] + predicted, anchor, prev), scn, e_avg)
+        elif policy == "am":
+            seq = [am_decide(obs)]
+        elif policy == "nm":
+            seq = [nm_decide(initial)]
+        elif policy == "lm":
+            placement, lm_acc = lm_decide(lm_acc, obs, prev, scn, cfg)
+            seq = [placement]
+        else:  # plm
+            seq = [plm_decide(obs, predicted[0] if predicted else None, prev, scn, cfg)]
+
+        q_start = state.q
+        for t, placement in enumerate(seq, start):
+            lat, cost = slot_outcome(scn, observations[t], prev, placement)
             records.append(SlotRecord(t, placement, lat, cost, state.q, state.w))
             state = advance(state, cost, e_avg)
             overrun = overrun + (cost - e_avg)
             prev = placement
+            if not abs(state.q - q_start) <= dev_limit:
+                raise InvariantError(
+                    f"slot {t}: backlog {state.q!r} drifted from the epoch "
+                    f"start {q_start!r} beyond {epoch_len} * w_q = {dev_bound!r}")
 
     # Telescoped budget guarantee: the clamp only ever raises the backlog, so
     # q dominates the unclamped overrun sum. Float-exact because both sides
     # apply the identical per-slot addition (rounding is monotone).
-    assert state.q >= overrun
-
+    if not state.q >= overrun:
+        raise InvariantError(f"final backlog {state.q!r} is below the "
+                             f"unclamped overrun {overrun!r}")
     total_cost = math.fsum(r.cost for r in records)
     rhs = horizon * e_avg + state.q
-    assert total_cost <= rhs + 1e-9 * max(1.0, rhs)
+    if not total_cost <= rhs + 1e-9 * max(1.0, rhs):
+        raise InvariantError(f"total cost {total_cost!r} exceeds "
+                             f"H * e_avg + Q(H) = {rhs!r}")
 
     return RunRecord(
         per_slot=records,
@@ -282,20 +276,35 @@ def simulate(scn: Scenario, observations, policy: str,
 
 
 def _materialize(config: ExperimentConfig):
+    """Draw the configured scenario; a value the scenario or the synthetic
+    trace rejects is reported as a ConfigError."""
+    trace = None
     if config.trace_path is not None:
         trace = read_trace_csv(config.trace_path)
         if len(trace) < config.horizon:
             raise TraceFormatError(
                 f"trace has {len(trace)} slots, horizon needs {config.horizon}")
         trace = trace[:config.horizon]
-    else:
-        trace = synthetic_trace(config.trace_seed, config.node_count,
-                                config.horizon, config.trace_stickiness)
-    return generate_scenario(
-        config.scenario_seed, config.node_count, config.horizon,
-        config.frame_len, config.budget_avg, config.backhaul_mbps,
-        trace=trace, homogeneous_capacity=config.homogeneous_capacity,
-        access_rate_scale=config.access_rate_scale)
+        # read_trace_csv holds slot t to line t + 2; a node_count below 1 is
+        # left to the scenario check, which reports it as a config problem
+        for t, region in enumerate(trace):
+            if region >= config.node_count >= 1:
+                raise TraceFormatError(
+                    f"{config.trace_path}:{t + 2}: region {region} out of "
+                    f"range for {config.node_count} nodes")
+    try:
+        if trace is None:
+            trace = synthetic_trace(config.trace_seed, config.node_count,
+                                    config.horizon, config.trace_stickiness)
+        return generate_scenario(
+            config.scenario_seed, config.node_count, config.horizon,
+            config.frame_len, config.budget_avg, config.backhaul_mbps,
+            trace=trace, homogeneous_capacity=config.homogeneous_capacity,
+            access_rate_scale=config.access_rate_scale)
+    except TraceFormatError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run(config: ExperimentConfig) -> RunRecord:
@@ -306,12 +315,9 @@ def run(config: ExperimentConfig) -> RunRecord:
 
 
 def _with_axis_value(config: ExperimentConfig, axis: str, value):
-    if axis == "v":
-        return replace(config, policy_cfg=replace(config.policy_cfg, v=float(value)))
-    if axis == "theta":
-        return replace(config, policy_cfg=replace(config.policy_cfg, theta=float(value)))
-    if axis == "beta":
-        return replace(config, policy_cfg=replace(config.policy_cfg, beta=float(value)))
+    if axis in ("v", "theta", "beta"):
+        return replace(config, policy_cfg=replace(config.policy_cfg,
+                                                  **{axis: float(value)}))
     if axis == "e_avg":
         return replace(config, budget_avg=float(value))
     if axis == "t":
@@ -322,20 +328,12 @@ def _with_axis_value(config: ExperimentConfig, axis: str, value):
 def sweep(config: ExperimentConfig) -> list:
     """One run per sweep value, seeds shared so only the axis varies.
 
-    Returns [(axis_value, RunRecord), ...] in axis order. EDGEPLACER_THREADS
-    caps parallel execution; results are merged by axis order regardless.
+    Returns [(axis_value, RunRecord), ...] in axis order.
     """
     if config.sweep_axis is None:
         raise ConfigError("sweep requires a sweep axis")
-    configs = [_with_axis_value(config, config.sweep_axis, v)
-               for v in config.sweep_values]
-    threads = max(1, int(os.environ.get("EDGEPLACER_THREADS", "1")))
-    if threads == 1 or len(configs) == 1:
-        records = [run(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, configs))
-    return list(zip(config.sweep_values, records))
+    return [(v, run(_with_axis_value(config, config.sweep_axis, v)))
+            for v in config.sweep_values]
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +537,8 @@ def random_frame_instance(rng, anchor_low=0.0, anchor_high=50.0):
         frame_len=length, budget_avg=float(rng.uniform(0.0, 0.5)))
     cfg = PolicyConfig(v=float(rng.uniform(0.0, 100.0)),
                        theta=float(rng.uniform(0.0, 100.0)))
-    frame = FrameInput(frame_index=0, slots=observations,
-                       q_anchor=float(rng.uniform(anchor_low, anchor_high)),
-                       prev_placement=int(rng.integers(n)))
+    frame = FrameInput(observations, float(rng.uniform(anchor_low, anchor_high)),
+                       int(rng.integers(n)))
     return cfg, frame, scn
 
 

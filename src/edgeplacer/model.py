@@ -11,6 +11,7 @@ rates in Mbit/s (1 MB = 8 Mbit), workloads in giga-cycles, capacities in GHz,
 latencies in seconds, migration prices in cost units per GB.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,14 +40,14 @@ class Scenario:
             raise ValueError("horizon must be >= 1")
         if self.frame_len < 1:
             raise ValueError("frame_len must be >= 1")
-        if self.budget_avg < 0:
-            raise ValueError("budget_avg must be >= 0")
+        if not (math.isfinite(self.budget_avg) and self.budget_avg >= 0):
+            raise ValueError("budget_avg must be finite and >= 0")
         rate = np.asarray(self.backhaul_rate, dtype=float)
         if rate.shape != (self.node_count, self.node_count):
             raise ValueError("backhaul_rate must be node_count x node_count")
         off_diag = rate[~np.eye(self.node_count, dtype=bool)]
-        if off_diag.size and not (off_diag > 0).all():
-            raise ValueError("off-diagonal backhaul rates must be positive")
+        if off_diag.size and not ((off_diag > 0) & np.isfinite(off_diag)).all():
+            raise ValueError("off-diagonal backhaul rates must be positive and finite")
         object.__setattr__(self, "backhaul_rate", rate)
 
 
@@ -83,24 +84,6 @@ class SlotObservation:
 def with_user_node(obs: SlotObservation, node: int) -> SlotObservation:
     """Copy of obs with the associated node replaced (prediction substitution)."""
     return replace(obs, user_node=node)
-
-
-def placement_indicator(node: Placement, node_count: int) -> np.ndarray:
-    """One-hot vector for a placement; exactly one node hosts the service."""
-    if not 0 <= node < node_count:
-        raise ValueError("placement out of range")
-    vec = np.zeros(node_count)
-    vec[node] = 1.0
-    return vec
-
-
-def placement_from_indicator(vec) -> Placement:
-    """Inverse of placement_indicator; rejects vectors that are not one-hot."""
-    arr = np.asarray(vec, dtype=float)
-    hot = np.flatnonzero(arr == 1.0)
-    if len(hot) != 1 or arr.sum() != 1.0:
-        raise ValueError("not a one-hot placement vector")
-    return int(hot[0])
 
 
 def service_latency(scn: Scenario, obs: SlotObservation, placed_at: Placement) -> float:

@@ -11,7 +11,7 @@ serve as optimality oracles on small instances.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 from .model import (Placement, Scenario, SlotObservation, migration_cost,
                     service_latency, slot_outcome)
@@ -37,6 +37,8 @@ class PolicyConfig:
     plm_weight: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in astuple(self)):
+            raise ValueError("policy tunables must be finite")
         if self.v < 0:
             raise ValueError("v must be >= 0")
         if self.theta < 0:
@@ -59,8 +61,7 @@ class FrameInput:
     frame began.
     """
 
-    frame_index: int
-    slots: list = field(default_factory=list)
+    slots: list
     q_anchor: float = 0.0
     prev_placement: Placement = 0
 

@@ -1,5 +1,9 @@
 import json
+from dataclasses import replace
 
+import pytest
+
+from edgeplacer import harness
 from edgeplacer.cli import main
 from edgeplacer.harness import read_trace_csv
 
@@ -48,6 +52,29 @@ def test_run_invalid_json_is_config_error(tmp_path, capsys):
 def test_run_requires_output(tmp_path, capsys):
     config = write_config(tmp_path / "c.json")
     assert main(["run", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("override", [
+    "scenario.budget_avg=-1", "scenario.node_count=0", "scenario.frame_len=0",
+    "scenario.budget_avg=NaN", "policy.v=Infinity", "trace.stickiness=2",
+])
+def test_run_bad_value_is_config_error(tmp_path, capsys, override):
+    config = write_config(tmp_path / "c.json")
+    assert main(["run", "--config", str(config), "--out",
+                 str(tmp_path / "o.csv"), "--set", override]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_run_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
+    real = harness.advance
+    monkeypatch.setattr(harness, "advance",
+                        lambda state, e, e_avg: replace(real(state, e, e_avg), q=0.0))
+    config = write_config(tmp_path / "c.json", policy={"name": "am"},
+                          scenario={"budget_avg": 0.0})
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "o.csv")]) == 4
+    assert "invariant violated: " in capsys.readouterr().err
 
 
 def test_run_bad_trace_exit_code(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from edgeplacer.costqueue import (CostQueueState, advance, bound_constant_B,
-                                  frame_queue_approximation, lyapunov,
                                   update_queue, update_weight)
 
 
@@ -24,12 +23,6 @@ def test_update_queue_never_negative_random():
         q = update_queue(float(rng.uniform(0, 10)), float(rng.uniform(0, 2)),
                          float(rng.uniform(0, 2)))
         assert q >= 0.0
-
-
-def test_lyapunov():
-    assert lyapunov(0) == 0.0
-    assert lyapunov(2) == 2.0
-    assert lyapunov(10) == 50.0
 
 
 def test_bound_constant():
@@ -83,16 +76,6 @@ def test_weight_is_not_clamped():
     state = advance(state, 0.0, 1.0)
     assert state.q == 0.0
     assert state.w == -0.8
-
-
-def test_frame_queue_approximation():
-    assert frame_queue_approximation(7.0, 3) == [7.0, 7.0, 7.0]
-    assert frame_queue_approximation(0.0, 1) == [0.0]
-    assert all(x == 2.5 for x in frame_queue_approximation(2.5, 6))
-    with pytest.raises(ValueError):
-        frame_queue_approximation(-1.0, 3)
-    with pytest.raises(ValueError):
-        frame_queue_approximation(1.0, 0)
 
 
 def test_state_validation():

@@ -1,15 +1,21 @@
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from edgeplacer.harness import (ConfigError, ExperimentConfig,
-                                TraceFormatError, apply_overrides,
-                                config_from_dict, generate_scenario,
-                                max_slot_migration_cost, read_trace_csv, run,
-                                simulate, sweep, synthetic_trace,
-                                verify_frame_oracles, verify_horizon_bound,
-                                write_trace_csv)
+from edgeplacer import harness
+from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
+                                InvariantError, TraceFormatError,
+                                apply_overrides, config_from_dict,
+                                generate_scenario, max_slot_migration_cost,
+                                read_trace_csv, run, simulate, sweep,
+                                synthetic_trace, verify_frame_oracles,
+                                verify_horizon_bound, write_trace_csv)
 from edgeplacer.model import service_latency
 from edgeplacer.policies import PolicyConfig
 from edgeplacer.predict import PredictorSpec
@@ -149,17 +155,6 @@ def test_sweep_single_value_equals_run():
     assert value == 0.2 and rec.per_slot == solo.per_slot
 
 
-def test_sweep_parallel_threads_match_sequential(monkeypatch):
-    config = base_config(policy="psp", sweep_axis="t",
-                         sweep_values=(1, 2, 3, 4),
-                         predictor=PredictorSpec(accuracies=(0.9, 0.8, 0.5)))
-    sequential = sweep(config)
-    monkeypatch.setenv("EDGEPLACER_THREADS", "4")
-    parallel = sweep(config)
-    for (v1, r1), (v2, r2) in zip(sequential, parallel):
-        assert v1 == v2 and r1.per_slot == r2.per_slot
-
-
 def test_sweep_requires_axis():
     with pytest.raises(ConfigError):
         sweep(base_config())
@@ -203,10 +198,44 @@ def test_file_trace_feeds_run(tmp_path):
     # too short for the horizon
     with pytest.raises(TraceFormatError):
         run(base_config(policy="am", trace_path=str(path), horizon=500))
-    # region index outside the node set
+    # region index outside the node set, reported at its line (slot 2, line 4)
     write_trace_csv(path, [0, 1, 9] * 40)
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(TraceFormatError,
+                       match=re.escape(f"{path}:4: region 9 out of range")):
         run(base_config(policy="am", trace_path=str(path), horizon=120))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_deviation_bound_is_checked_for_every_policy(monkeypatch, policy):
+    real = harness.advance
+    monkeypatch.setattr(harness, "advance",
+                        lambda state, e, e_avg: replace(real(state, e, e_avg),
+                                                        q=state.q + 1e6))
+    with pytest.raises(InvariantError, match="w_q"):
+        run(base_config(policy=policy))
+
+
+def test_invariant_checks_survive_optimize():
+    script = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from edgeplacer import harness\n"
+        "real = harness.advance\n"
+        "harness.advance = lambda s, e, a: replace(real(s, e, a), q=0.0)\n"
+        "config = harness.ExperimentConfig(policy='am', node_count=4,\n"
+        "                                  horizon=120, budget_avg=0.0)\n"
+        "try:\n"
+        "    harness.run(config)\n"
+        "except harness.InvariantError:\n"
+        "    print('raised, optimize =', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised, optimize = 1"
 
 
 def test_config_from_dict_full():

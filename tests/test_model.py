@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import make_obs, make_scenario
 
-from edgeplacer.model import (Scenario, migration_cost, placement_from_indicator,
-                              placement_indicator, service_latency, slot_outcome)
+from edgeplacer.model import (Scenario, migration_cost, service_latency,
+                              slot_outcome)
 
 
 def test_latency_colocated():
@@ -101,18 +103,12 @@ def test_slot_outcome_nonnegative_random():
         assert lat >= 0 and cost >= 0
 
 
-def test_placement_indicator_roundtrip():
-    for n in (1, 3, 6):
-        for i in range(n):
-            vec = placement_indicator(i, n)
-            assert vec.sum() == 1.0
-            assert placement_from_indicator(vec) == i
+@pytest.mark.parametrize("budget, backhaul", [
+    (math.nan, 64.0), (math.inf, 64.0), (0.1, math.inf), (0.1, math.nan),
+])
+def test_scenario_rejects_non_finite(budget, backhaul):
     with pytest.raises(ValueError):
-        placement_indicator(4, 3)
-    with pytest.raises(ValueError):
-        placement_from_indicator([1.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        placement_from_indicator([0.0, 0.0])
+        make_scenario(budget=budget, backhaul=backhaul)
 
 
 def test_scenario_validation():

@@ -14,6 +14,14 @@ from edgeplacer.policies import (FrameInput, PolicyConfig, am_decide,
                                  pspwu_frame_decide)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["v", "theta", "beta", "lm_gamma",
+                                  "plm_weight"])
+def test_policy_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        PolicyConfig(**{name: value})
+
+
 def osp_instance():
     # latencies per node work out to [5, 3, 4]; any move costs exactly 1
     scn = make_scenario(n=3, backhaul=8.0)
@@ -68,7 +76,7 @@ def test_frame_dp_matches_oracle_fixed_instance():
     scn, observations = generate_scenario(seed=42, n_nodes=4, horizon=3,
                                           frame_len=3, budget_avg=0.1)
     cfg = PolicyConfig(v=10.0, theta=50.0)
-    frame = FrameInput(frame_index=0, slots=observations, q_anchor=7.0,
+    frame = FrameInput(slots=observations, q_anchor=7.0,
                        prev_placement=2)
     seq = psp_frame_decide(cfg, frame, scn, scn.budget_avg)
     best_seq, best_obj = brute_force_frame(frame, scn, scn.budget_avg, cfg)
@@ -92,7 +100,7 @@ def test_weight_anchored_dp_matches_oracle():
     scn, observations = generate_scenario(seed=7, n_nodes=3, horizon=2,
                                           frame_len=2, budget_avg=0.1)
     cfg = PolicyConfig(v=10.0, theta=20.0)
-    frame = FrameInput(frame_index=0, slots=observations, q_anchor=5.0,
+    frame = FrameInput(slots=observations, q_anchor=5.0,
                        prev_placement=0)
     seq = pspwu_frame_decide(cfg, frame, scn, scn.budget_avg)
     best_seq, _ = brute_force_frame(frame, scn, scn.budget_avg, cfg)
@@ -109,7 +117,7 @@ def test_weight_anchored_dp_accepts_negative_anchor():
         assert seq == best_seq
     scn, observations = generate_scenario(seed=1, n_nodes=2, horizon=2,
                                           frame_len=2)
-    frame = FrameInput(0, observations, q_anchor=-3.0, prev_placement=0)
+    frame = FrameInput(observations, q_anchor=-3.0, prev_placement=0)
     with pytest.raises(ValueError):
         psp_frame_decide(PolicyConfig(), frame, scn, 0.1)
 
@@ -124,7 +132,7 @@ def test_single_slot_frame_equals_reactive_rule():
                            theta=float(rng.uniform(0, 50)))
         q = float(rng.uniform(0, 30))
         prev = int(rng.integers(scn.node_count))
-        frame = FrameInput(0, observations, q, prev)
+        frame = FrameInput(observations, q, prev)
         seq = psp_frame_decide(cfg, frame, scn, scn.budget_avg)
         assert seq == [osp_decide(cfg, q, observations[0], prev, scn)]
 
@@ -146,7 +154,7 @@ def test_migration_strictly_dominated_stays_put():
                                           frame_len=2, budget_avg=0.05)
     cfg = PolicyConfig(v=0.0)
     for prev in (0, 1):
-        frame = FrameInput(0, observations, q_anchor=4.0, prev_placement=prev)
+        frame = FrameInput(observations, q_anchor=4.0, prev_placement=prev)
         seq = psp_frame_decide(cfg, frame, scn, scn.budget_avg)
         assert seq == [prev, prev]
         best_seq, _ = brute_force_frame(frame, scn, scn.budget_avg, cfg)
@@ -166,7 +174,7 @@ def test_scale_invariance_of_decisions():
                                     workload=o.workload * c,
                                     unit_migration_cost=o.unit_migration_cost * c)
                             for o in frame.slots]
-            scaled_frame = FrameInput(frame.frame_index, scaled_slots,
+            scaled_frame = FrameInput(scaled_slots,
                                       frame.q_anchor * c, frame.prev_placement)
             scaled = psp_frame_decide(scaled_cfg, scaled_frame, scn,
                                       scn.budget_avg * c)
@@ -185,7 +193,7 @@ def test_all_tie_frame_breaks_to_lowest_indices():
     scn, observations = generate_scenario(seed=8, n_nodes=3, horizon=3,
                                           frame_len=3)
     cfg = PolicyConfig(v=0.0, theta=30.0)
-    frame = FrameInput(0, observations, q_anchor=0.0, prev_placement=2)
+    frame = FrameInput(observations, q_anchor=0.0, prev_placement=2)
     seq = psp_frame_decide(cfg, frame, scn, scn.budget_avg)
     best_seq, _ = brute_force_frame(frame, scn, scn.budget_avg, cfg)
     assert seq == best_seq == [0, 0, 0]
@@ -194,7 +202,7 @@ def test_all_tie_frame_breaks_to_lowest_indices():
 def test_brute_force_frame_guard():
     scn, observations = generate_scenario(seed=1, n_nodes=10, horizon=7,
                                           frame_len=7)
-    frame = FrameInput(0, observations, 1.0, 0)
+    frame = FrameInput(observations, 1.0, 0)
     with pytest.raises(ValueError):
         brute_force_frame(frame, scn, 0.1, PolicyConfig())
 
