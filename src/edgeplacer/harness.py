@@ -1,8 +1,8 @@
 """Time-slotted simulation engine and experiment driver.
 
-A run wires together a scenario (static parameters plus a per-slot
-observation stream), a placement policy, the budget queue, and (for the
-predictive policies) a mobility predictor. Reactive policies decide slot by
+A run wires together a scenario (fixed parameters plus a per-slot table of
+draws), a placement policy, the budget queue, and (for the predictive
+policies) a mobility predictor. Reactive policies decide slot by
 slot; frame policies commit a whole frame at the frame's first slot using
 predicted user locations, while realized metrics and queue updates always use
 the true trace. Everything is driven by explicit seeds, so identical
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costqueue import CostQueueState, advance, bound_constant_B
-from .model import (MEGABYTES_PER_GIGABYTE, Scenario, SlotObservation,
-                    slot_outcome, with_user_node)
+from .model import (Scenario, SlotTable, latency_rows,
+                    max_slot_migration_cost, slot_outcome)
 from .policies import (FrameInput, PolicyConfig, am_decide, brute_force_frame,
                        brute_force_horizon, frame_objective, lm_decide,
                        nm_decide, osp_decide, plm_decide, psp_frame_decide,
@@ -32,13 +32,13 @@ SWEEP_AXES = ("v", "e_avg", "t", "theta", "beta")
 # Per-slot budget presets (cost units, GB-converted scale); see README.
 BUDGET_PRESETS = {"low": 0.167, "mid": 0.260, "high": 0.417}
 
-# Simulation value ranges for the generated scenario (uniform draws).
-INPUT_SIZE_MB = (5.0, 10.0)
-WORKLOAD_GCYCLES = (2.0, 20.0)
-ACCESS_RATE_MBPS = (5.0, 10.0)
+# Simulation value ranges for the generated scenario (uniform draws): compute
+# capacity per node in GHz, and per slot each SlotTable column in its units
+# (MB, giga-cycles, Mbit/s, MB, cost per GB), drawn in this order.
 CAPACITY_GHZ = (5.0, 10.0)
-CONTAINER_MB = (25.0, 50.0)
-UNIT_COST_PER_GB = (2.0, 10.0)
+SLOT_RANGES = {"input_size": (5.0, 10.0), "workload": (2.0, 20.0),
+               "access_rate": (5.0, 10.0), "container_size": (25.0, 50.0),
+               "unit_migration_cost": (2.0, 10.0)}
 
 SUMMARY_HEADER = ("axis", "policy", "avg_latency_s", "avg_cost", "avg_queue",
                   "final_queue", "negative_w_frames")
@@ -129,7 +129,7 @@ def generate_scenario(seed: int, n_nodes: int = 6, horizon: int = 1400,
                       backhaul_mbps=100.0, trace=None,
                       homogeneous_capacity: bool = False,
                       access_rate_scale: float = 1.0):
-    """Draw a (Scenario, observation stream) pair from the simulation ranges.
+    """Draw a (Scenario, SlotTable) pair from the simulation ranges.
 
     Task profile, access rate, container size and migration price are drawn
     per slot; compute capacity per node (fixed over time). access_rate_scale
@@ -141,49 +141,36 @@ def generate_scenario(seed: int, n_nodes: int = 6, horizon: int = 1400,
     backhaul = np.asarray(backhaul_mbps, dtype=float)
     if backhaul.ndim == 0:
         backhaul = np.full((n_nodes, n_nodes), float(backhaul))
+    if homogeneous_capacity:
+        caps = np.full(n_nodes, rng.uniform(*CAPACITY_GHZ))
+    else:
+        caps = rng.uniform(*CAPACITY_GHZ, n_nodes)
     scn = Scenario(node_count=n_nodes, backhaul_rate=backhaul,
-                   budget_avg=budget_avg, horizon=horizon, frame_len=frame_len)
+                   budget_avg=budget_avg, horizon=horizon,
+                   compute_capacity=caps, frame_len=frame_len)
     if trace is None:
         trace = synthetic_trace(seed, n_nodes, horizon)
     if len(trace) < horizon:
-        raise TraceFormatError("trace shorter than horizon")
-    if any(not 0 <= r < n_nodes for r in trace[:horizon]):
-        raise TraceFormatError("trace region out of range")
-    if homogeneous_capacity:
-        caps = (float(rng.uniform(*CAPACITY_GHZ)),) * n_nodes
-    else:
-        caps = tuple(float(c) for c in rng.uniform(*CAPACITY_GHZ, n_nodes))
-    observations = []
-    for t in range(horizon):
-        observations.append(SlotObservation(
-            slot=t,
-            user_node=int(trace[t]),
-            input_size=float(rng.uniform(*INPUT_SIZE_MB)),
-            workload=float(rng.uniform(*WORKLOAD_GCYCLES)),
-            access_rate=float(rng.uniform(*ACCESS_RATE_MBPS)) * access_rate_scale,
-            compute_capacity=caps,
-            container_size=float(rng.uniform(*CONTAINER_MB)),
-            unit_migration_cost=float(rng.uniform(*UNIT_COST_PER_GB)),
-        ))
-    return scn, observations
+        raise TraceFormatError(
+            f"trace has {len(trace)} slots, horizon needs {horizon}")
+    # Slot-major, the order of one scalar draw per slot and column.
+    draws = rng.uniform(*zip(*SLOT_RANGES.values()),
+                        size=(horizon, len(SLOT_RANGES)))
+    columns = dict(zip(SLOT_RANGES, draws.T))
+    columns["access_rate"] *= access_rate_scale
+    return scn, SlotTable(n_nodes, trace[:horizon], **columns)
 
 
-def max_slot_migration_cost(observations) -> float:
-    """Largest migration cost any placement change could incur on this stream."""
-    return max(o.container_size / MEGABYTES_PER_GIGABYTE * o.unit_migration_cost
-               for o in observations)
-
-
-def simulate(scn: Scenario, observations, policy: str,
+def simulate(scn: Scenario, table: SlotTable, policy: str,
              policy_cfg: PolicyConfig | None = None,
              predictor: PredictorSpec | None = None) -> RunRecord:
-    """Execute one policy over the observation stream and collect metrics.
+    """Execute one policy over the slot table and collect metrics.
 
     The run is a sequence of decision epochs: a frame of frame_len slots for
     psp/pspwu, one slot otherwise. An epoch's placements are chosen at its
     first slot from predicted user locations for its later slots (and for
     the next slot under plm); realized latency/cost and queue updates use the
-    true observations. A broken budget inequality or backlog deviation bound
+    true user nodes. A broken budget inequality or backlog deviation bound
     raises InvariantError.
     """
     if policy not in POLICIES:
@@ -192,9 +179,9 @@ def simulate(scn: Scenario, observations, policy: str,
     spec = predictor or PredictorSpec()
     e_avg = scn.budget_avg
     horizon = scn.horizon
-    trace = [o.user_node for o in observations]
-    if len(observations) < horizon:
-        raise TraceFormatError("observation stream shorter than horizon")
+    if len(table.trace) < horizon:
+        raise TraceFormatError("slot table shorter than horizon")
+    trace = table.trace
     framed = policy in ("psp", "pspwu")
     epoch_len = scn.frame_len if framed else 1
     lookahead = epoch_len - 1 if framed else int(policy == "plm")
@@ -204,46 +191,50 @@ def simulate(scn: Scenario, observations, policy: str,
                           f"{len(spec.accuracies)}")
 
     state = CostQueueState(beta=cfg.beta)
-    prev = initial = observations[0].user_node
+    prev = initial = trace[0]
     lm_acc = 0.0
     records = []
     overrun = 0.0  # queue recursion without the clamp, same op order as the queue
     negative_w_frames = 0
     # Holding the epoch-start backlog fixed is off by at most epoch_len * w_q.
-    w_q = max(e_avg, max_slot_migration_cost(observations[:horizon]))
+    w_q = max(e_avg, max_slot_migration_cost(table[:horizon]))
     dev_bound = epoch_len * w_q
     dev_limit = dev_bound + 1e-9 * max(1.0, dev_bound)
 
     for k, start in enumerate(range(0, horizon, epoch_len)):
-        obs = observations[start]
         ahead = min(lookahead, horizon - start - 1)
-        predicted = []
+        users = [trace[start]]
         if ahead:
-            preds = predict(spec, trace[:start + 1],
-                            trace[start + 1:start + 1 + ahead], ahead,
-                            scn.node_count, salt=k)
-            predicted = [with_user_node(observations[start + 1 + s], node)
-                         for s, node in enumerate(preds)]
+            users += predict(spec, trace[:start + 1],
+                             trace[start + 1:start + 1 + ahead], ahead,
+                             scn.node_count, salt=k)
+        rows, prices = latency_rows(scn, table, start, users)
         if policy == "osp":
-            seq = [osp_decide(cfg, state.q, obs, prev, scn)]
+            seq = [osp_decide(cfg, state.q, rows[0], prices[0], prev)]
         elif framed:
             anchor = state.q if policy == "psp" else state.w
             negative_w_frames += anchor < 0
             decide = psp_frame_decide if policy == "psp" else pspwu_frame_decide
-            seq = decide(cfg, FrameInput([obs] + predicted, anchor, prev), scn, e_avg)
+            seq = decide(cfg, FrameInput(rows, prices, anchor, prev), e_avg)
+            if ahead:  # account with the realized user nodes
+                rows, prices = latency_rows(scn, table, start,
+                                            trace[start:start + len(seq)])
         elif policy == "am":
-            seq = [am_decide(obs)]
+            seq = [am_decide(users[0])]
         elif policy == "nm":
             seq = [nm_decide(initial)]
         elif policy == "lm":
-            placement, lm_acc = lm_decide(lm_acc, obs, prev, scn, cfg)
+            placement, lm_acc = lm_decide(lm_acc, rows[0], prices[0], users[0],
+                                          prev, cfg)
             seq = [placement]
         else:  # plm
-            seq = [plm_decide(obs, predicted[0] if predicted else None, prev, scn, cfg)]
+            seq = [plm_decide(rows[0], rows[1] if ahead else None, prices[0],
+                              users[0], prev, cfg)]
 
         q_start = state.q
         for t, placement in enumerate(seq, start):
-            lat, cost = slot_outcome(scn, observations[t], prev, placement)
+            lat, cost = slot_outcome(rows[t - start], prices[t - start], prev,
+                                     placement)
             records.append(SlotRecord(t, placement, lat, cost, state.q, state.w))
             state = advance(state, cost, e_avg)
             overrun = overrun + (cost - e_avg)
@@ -281,13 +272,9 @@ def _materialize(config: ExperimentConfig):
     trace = None
     if config.trace_path is not None:
         trace = read_trace_csv(config.trace_path)
-        if len(trace) < config.horizon:
-            raise TraceFormatError(
-                f"trace has {len(trace)} slots, horizon needs {config.horizon}")
-        trace = trace[:config.horizon]
         # read_trace_csv holds slot t to line t + 2; a node_count below 1 is
         # left to the scenario check, which reports it as a config problem
-        for t, region in enumerate(trace):
+        for t, region in enumerate(trace[:config.horizon]):
             if region >= config.node_count >= 1:
                 raise TraceFormatError(
                     f"{config.trace_path}:{t + 2}: region {region} out of "
@@ -309,31 +296,34 @@ def _materialize(config: ExperimentConfig):
 
 def run(config: ExperimentConfig) -> RunRecord:
     """Materialize the configured scenario and execute one run."""
-    scn, observations = _materialize(config)
-    return simulate(scn, observations, config.policy, config.policy_cfg,
+    scn, table = _materialize(config)
+    return simulate(scn, table, config.policy, config.policy_cfg,
                     config.predictor)
 
 
 def _with_axis_value(config: ExperimentConfig, axis: str, value):
-    if axis in ("v", "theta", "beta"):
-        return replace(config, policy_cfg=replace(config.policy_cfg,
-                                                  **{axis: float(value)}))
-    if axis == "e_avg":
-        return replace(config, budget_avg=float(value))
-    if axis == "t":
-        return replace(config, frame_len=int(value))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    try:
+        if axis in ("v", "theta", "beta"):
+            return replace(config, policy_cfg=replace(config.policy_cfg,
+                                                      **{axis: float(value)}))
+        if axis == "e_avg":
+            return replace(config, budget_avg=float(value))
+        return replace(config, frame_len=int(value))  # axis "t"
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"sweep value {value!r}: {exc}") from None
 
 
 def sweep(config: ExperimentConfig) -> list:
-    """One run per sweep value, seeds shared so only the axis varies.
+    """One run per sweep value, seeds shared so only the axis varies. Every
+    point's config is built, and so checked, before the first run.
 
     Returns [(axis_value, RunRecord), ...] in axis order.
     """
     if config.sweep_axis is None:
         raise ConfigError("sweep requires a sweep axis")
-    return [(v, run(_with_axis_value(config, config.sweep_axis, v)))
-            for v in config.sweep_values]
+    points = [(v, _with_axis_value(config, config.sweep_axis, v))
+              for v in config.sweep_values]
+    return [(v, run(point)) for v, point in points]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +442,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -465,32 +455,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_summary_csv(path: str, rows) -> None:
-    """rows: iterable of (axis_value, policy_name, RunRecord)."""
+def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for axis_value, policy, rec in rows:
-            writer.writerow([_fmt(axis_value), policy, _fmt(rec.avg_latency),
-                             _fmt(rec.avg_cost), _fmt(rec.avg_queue),
-                             _fmt(rec.final_queue), rec.negative_w_frames])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_summary_csv(path: str, rows) -> None:
+    """rows: iterable of (axis_value, policy_name, RunRecord)."""
+    _write_csv(path, SUMMARY_HEADER, (
+        [_fmt(axis_value), policy, _fmt(rec.avg_latency), _fmt(rec.avg_cost),
+         _fmt(rec.avg_queue), _fmt(rec.final_queue), rec.negative_w_frames]
+        for axis_value, policy, rec in rows))
 
 
 def write_per_slot_csv(path: str, rec: RunRecord) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PER_SLOT_HEADER)
-        for r in rec.per_slot:
-            writer.writerow([r.t, r.placement, _fmt(r.latency), _fmt(r.cost),
-                             _fmt(r.q), _fmt(r.w)])
+    _write_csv(path, PER_SLOT_HEADER, (
+        [r.t, r.placement, _fmt(r.latency), _fmt(r.cost), _fmt(r.q), _fmt(r.w)]
+        for r in rec.per_slot))
 
 
 def write_trace_csv(path: str, regions) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("slot", "region"))
-        for t, r in enumerate(regions):
-            writer.writerow((t, int(r)))
+    _write_csv(path, ("slot", "region"),
+               ((t, int(r)) for t, r in enumerate(regions)))
 
 
 def read_trace_csv(path: str) -> list[int]:
@@ -532,14 +520,15 @@ def random_frame_instance(rng, anchor_low=0.0, anchor_high=50.0):
     """Small random frame problem for DP-vs-enumeration checks."""
     n = int(rng.integers(2, 6))
     length = int(rng.integers(2, 5))
-    scn, observations = generate_scenario(
+    scn, table = generate_scenario(
         seed=int(rng.integers(2 ** 31)), n_nodes=n, horizon=length,
         frame_len=length, budget_avg=float(rng.uniform(0.0, 0.5)))
     cfg = PolicyConfig(v=float(rng.uniform(0.0, 100.0)),
                        theta=float(rng.uniform(0.0, 100.0)))
-    frame = FrameInput(observations, float(rng.uniform(anchor_low, anchor_high)),
+    frame = FrameInput(*latency_rows(scn, table, 0, table.trace),
+                       float(rng.uniform(anchor_low, anchor_high)),
                        int(rng.integers(n)))
-    return cfg, frame, scn
+    return cfg, frame, scn.budget_avg
 
 
 def verify_frame_oracles(seed: int = 1, instances: int = 200,
@@ -552,14 +541,11 @@ def verify_frame_oracles(seed: int = 1, instances: int = 200,
     rng = np.random.default_rng(seed)
     matches, mismatches = 0, []
     for idx in range(instances):
-        cfg, frame, scn = random_frame_instance(rng, anchor_low, anchor_high)
-        e_avg = scn.budget_avg
-        if frame.q_anchor >= 0:
-            seq = psp_frame_decide(cfg, frame, scn, e_avg)
-        else:
-            seq = pspwu_frame_decide(cfg, frame, scn, e_avg)
-        obj = frame_objective(cfg, frame, scn, e_avg, seq)
-        best_seq, best_obj = brute_force_frame(frame, scn, e_avg, cfg)
+        cfg, frame, e_avg = random_frame_instance(rng, anchor_low, anchor_high)
+        decide = psp_frame_decide if frame.q_anchor >= 0 else pspwu_frame_decide
+        seq = decide(cfg, frame, e_avg)
+        obj = frame_objective(cfg, frame, e_avg, seq)
+        best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
         tol = 1e-9 * max(1.0, abs(best_obj))
         if seq == best_seq and abs(obj - best_obj) <= tol:
             matches += 1
@@ -582,12 +568,14 @@ def verify_horizon_bound(seed: int = 1, instances: int = 20,
     passes, failures = 0, []
     checks = 0
     for idx in range(instances):
-        scn, observations = generate_scenario(
+        scn, table = generate_scenario(
             seed=seed + idx, n_nodes=3, horizon=6, budget_avg=budget_avg)
-        _, oracle_lat = brute_force_horizon(scn, observations, budget_avg)
+        latency, prices = latency_rows(scn, table, 0, table.trace)
+        _, oracle_lat = brute_force_horizon(latency, prices, budget_avg,
+                                            table.trace[0])
         for v in v_values:
             checks += 1
-            rec = simulate(scn, observations, "osp", PolicyConfig(v=v))
+            rec = simulate(scn, table, "osp", PolicyConfig(v=v))
             # the bound constant uses the run's own worst realized cost
             e_max = max(r.cost for r in rec.per_slot)
             b_const = bound_constant_B(budget_avg, e_max)

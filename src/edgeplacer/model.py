@@ -6,13 +6,18 @@ plus a backhaul transfer when i is not the user's associated node, plus the
 compute time on i. Moving the container between two distinct nodes costs its
 size times the per-GB transfer price.
 
+The fixed data (nodes, links, capacities, budget) live on a Scenario and the
+per-slot draws in the columns of a SlotTable. This module is the only reader
+of those columns: everything else sees latency rows and move prices.
+
 Units are fixed and decimal throughout: sizes in MB (1 GB = 1000 MB), data
 rates in Mbit/s (1 MB = 8 Mbit), workloads in giga-cycles, capacities in GHz,
 latencies in seconds, migration prices in cost units per GB.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,99 +28,120 @@ MEGABYTES_PER_GIGABYTE = 1000.0
 Placement = int
 
 
+def _positive(name: str, values, shape: tuple) -> np.ndarray:
+    array = np.asarray(values, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    if not (np.isfinite(array) & (array > 0)).all():
+        raise ValueError(f"{name} must be finite and > 0")
+    return array
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Static system description: node population, links, budget, timing."""
+    """Fixed system description: nodes, links, capacities, budget, timing."""
 
     node_count: int
-    backhaul_rate: np.ndarray  # N x N Mbit/s between nodes, diagonal unused
-    budget_avg: float          # long-term per-slot migration cost budget
-    horizon: int               # total slots
-    frame_len: int = 1         # slots per frame; prediction window is frame_len - 1
+    backhaul_rate: np.ndarray     # N x N Mbit/s, diagonal set to inf
+    budget_avg: float             # long-term per-slot migration cost budget
+    horizon: int                  # total slots
+    compute_capacity: np.ndarray  # GHz per node, fixed over time
+    frame_len: int = 1            # slots per frame; prediction window is frame_len - 1
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.frame_len < 1:
-            raise ValueError("frame_len must be >= 1")
+        for name in ("node_count", "horizon", "frame_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (math.isfinite(self.budget_avg) and self.budget_avg >= 0):
             raise ValueError("budget_avg must be finite and >= 0")
-        rate = np.asarray(self.backhaul_rate, dtype=float)
+        rate = np.array(self.backhaul_rate, dtype=float)
         if rate.shape != (self.node_count, self.node_count):
             raise ValueError("backhaul_rate must be node_count x node_count")
         off_diag = rate[~np.eye(self.node_count, dtype=bool)]
-        if off_diag.size and not ((off_diag > 0) & np.isfinite(off_diag)).all():
-            raise ValueError("off-diagonal backhaul rates must be positive and finite")
+        _positive("off-diagonal backhaul_rate", off_diag, off_diag.shape)
+        np.fill_diagonal(rate, math.inf)
         object.__setattr__(self, "backhaul_rate", rate)
+        object.__setattr__(self, "compute_capacity", _positive(
+            "compute_capacity", self.compute_capacity, (self.node_count,)))
 
 
-@dataclass(frozen=True)
-class SlotObservation:
-    """Everything time-varying at one slot.
+_DRAWN = ("input_size", "workload", "access_rate", "container_size",
+          "unit_migration_cost")
 
-    user_node is the node the user is associated with; in predictive frames
-    it may be a predicted value rather than the realized one.
+
+@dataclass(frozen=True, eq=False)
+class SlotTable:
+    """The per-slot draws of a run: one column per quantity, one entry per slot.
+
+    Checked once, when built: the columns are one-dimensional and equally
+    long, every drawn value is finite and positive, and every user node lies
+    in [0, node_count). Slicing with [a:b] gives the table of those slots.
     """
 
-    slot: int
-    user_node: int
-    input_size: float            # MB uploaded by the task
-    workload: float              # giga-cycles to process it
-    access_rate: float           # Mbit/s user <-> associated node
-    compute_capacity: tuple      # GHz per node, length node_count
-    container_size: float        # MB of the service container
-    unit_migration_cost: float   # cost units per GB moved
+    node_count: int
+    user_node: np.ndarray            # node the user is associated with
+    input_size: np.ndarray           # MB uploaded by the task
+    workload: np.ndarray             # giga-cycles to process it
+    access_rate: np.ndarray          # Mbit/s user <-> associated node
+    container_size: np.ndarray       # MB of the service container
+    unit_migration_cost: np.ndarray  # cost units per GB moved
 
     def __post_init__(self):
-        if self.slot < 0:
-            raise ValueError("slot must be >= 0")
-        caps = tuple(float(c) for c in self.compute_capacity)
-        object.__setattr__(self, "compute_capacity", caps)
-        if not 0 <= self.user_node < len(caps):
-            raise ValueError("user_node out of range")
-        positive = (self.input_size, self.workload, self.access_rate,
-                    self.container_size, self.unit_migration_cost) + caps
-        if not all(x > 0 for x in positive):
-            raise ValueError("rates, sizes and capacities must be positive")
+        users = np.asarray(self.user_node, dtype=int)
+        if users.ndim != 1 or not ((users >= 0) & (users < self.node_count)).all():
+            raise ValueError("user_node must list nodes in [0, node_count)")
+        object.__setattr__(self, "user_node", users)
+        for name in _DRAWN:
+            object.__setattr__(self, name, _positive(name, getattr(self, name),
+                                                     users.shape))
+
+    def __getitem__(self, slots: slice) -> "SlotTable":
+        return SlotTable(self.node_count, self.user_node[slots],
+                         *(getattr(self, name)[slots] for name in _DRAWN))
+
+    @cached_property
+    def trace(self) -> list[int]:
+        """The realized user node of every slot."""
+        return self.user_node.tolist()
+
+    @cached_property
+    def _lists(self):
+        # Python lists keep the per-row arithmetic in floats: for a few nodes
+        # numpy's per-call overhead exceeds the work.
+        data = self.input_size * MEGABITS_PER_MEGABYTE
+        price = self.container_size / MEGABYTES_PER_GIGABYTE * self.unit_migration_cost
+        return ((data / self.access_rate).tolist(), data.tolist(),
+                self.workload.tolist(), price.tolist())
 
 
-def with_user_node(obs: SlotObservation, node: int) -> SlotObservation:
-    """Copy of obs with the associated node replaced (prediction substitution)."""
-    return replace(obs, user_node=node)
+def latency_rows(scn: Scenario, table: SlotTable, start: int, users):
+    """Latency rows and move prices of slots start, start + 1, ...
 
-
-def service_latency(scn: Scenario, obs: SlotObservation, placed_at: Placement) -> float:
-    """Seconds to serve the slot's task from node placed_at.
-
-    Access transfer + backhaul transfer (zero when the service is on the
-    user's associated node, which attaches via the local network) + compute.
+    rows[k][i] is the time in seconds to serve slot start + k from node i
+    when the user sits at users[k], realized or predicted: access transfer,
+    plus backhaul transfer, plus compute on i. The backhaul rate of the
+    user's own node is stored as inf, so its backhaul time is exactly 0 s.
+    prices[k] is the cost of any move in that slot; all are Python floats.
     """
-    if not 0 <= placed_at < scn.node_count:
-        raise ValueError("placed_at out of range")
-    access = obs.input_size * MEGABITS_PER_MEGABYTE / obs.access_rate
-    if placed_at == obs.user_node:
-        backhaul = 0.0
-    else:
-        # float() so the numpy matrix entry cannot leak its scalar type out
-        backhaul = (obs.input_size * MEGABITS_PER_MEGABYTE
-                    / float(scn.backhaul_rate[obs.user_node, placed_at]))
-    compute = obs.workload / obs.compute_capacity[placed_at]
-    return access + backhaul + compute
+    caps = scn.compute_capacity.tolist()
+    access, data, work, price = table._lists
+    rows = []
+    for t, user in enumerate(users, start):
+        a, d, w = access[t], data[t], work[t]
+        rates = scn.backhaul_rate[user].tolist()
+        rows.append([a + d / r + w / c for r, c in zip(rates, caps)])
+    return rows, price[start:start + len(rows)]
 
 
-def migration_cost(obs: SlotObservation, src: Placement, dst: Placement) -> float:
-    """Cost of moving the container from src to dst this slot; 0 if unchanged."""
-    n = len(obs.compute_capacity)
-    if not (0 <= src < n and 0 <= dst < n):
-        raise ValueError("placement out of range")
-    if src == dst:
-        return 0.0
-    return (obs.container_size / MEGABYTES_PER_GIGABYTE) * obs.unit_migration_cost
+def max_slot_migration_cost(table: SlotTable) -> float:
+    """Largest migration cost any placement change could incur in the table."""
+    return max(table._lists[3])
 
 
-def slot_outcome(scn: Scenario, obs: SlotObservation, prev: Placement,
+def slot_outcome(row, price: float, prev: Placement,
                  cur: Placement) -> tuple[float, float]:
-    """Realized (latency, migration cost) of holding cur after prev."""
-    return service_latency(scn, obs, cur), migration_cost(obs, prev, cur)
+    """Realized (latency, migration cost) of holding cur after prev, given the
+    slot's latency row for the realized user node and its move price."""
+    if not (0 <= prev < len(row) and 0 <= cur < len(row)):
+        raise ValueError("placement out of range")
+    return row[cur], (price if cur != prev else 0.0)

@@ -1,10 +1,13 @@
 """Placement decision procedures.
 
+Every procedure decides from latency rows (row[i]: seconds to serve a slot
+from node i) and per-slot move prices, never from the slot data behind them.
+
 Reactive: osp_decide weighs latency against the budget queue one slot at a
 time. Predictive: psp_frame_decide / pspwu_frame_decide commit a whole frame
 of decisions at once by solving a layered shortest-path problem over the
-(possibly predicted) frame observations; the weight-update variant swaps the
-queue anchor for the momentum-weighted surrogate. Benchmarks: always-migrate,
+(possibly predicted) frame rows; the weight-update variant swaps the queue
+anchor for the momentum-weighted surrogate. Benchmarks: always-migrate,
 never-migrate, lazy-migrate, predictive-lazy-migrate. Brute-force enumerators
 serve as optimality oracles on small instances.
 """
@@ -13,8 +16,7 @@ import itertools
 import math
 from dataclasses import astuple, dataclass
 
-from .model import (Placement, Scenario, SlotObservation, migration_cost,
-                    service_latency, slot_outcome)
+from .model import Placement
 
 # Cap on brute-force enumeration size (sequences per instance).
 ENUM_GUARD = 1_000_000
@@ -24,10 +26,14 @@ ENUM_GUARD = 1_000_000
 class PolicyConfig:
     """Tunables shared by the decision procedures.
 
-    v trades latency against queue backlog; theta weights earlier in-frame
-    slots (better predicted) more heavily; beta is the weight-update memory;
-    lm_gamma scales the lazy-migration threshold; plm_weight scales the
-    predictive-lazy savings comparison.
+    v trades latency against queue backlog; beta is the weight-update
+    memory; lm_gamma scales the lazy-migration threshold; plm_weight scales
+    the predictive-lazy savings comparison. theta was meant to weight the
+    earlier, better-predicted in-frame slots more heavily, but as written it
+    adds anchor * theta * (T - p) to every edge of frame position p. Every
+    sequence crosses one edge per position, so theta shifts all frame
+    objectives by the same constant and moves no placement (up to float
+    rounding of near-ties); it changes only the reported objective.
     """
 
     v: float = 10.0
@@ -55,31 +61,24 @@ class PolicyConfig:
 class FrameInput:
     """One frame's decision problem, assembled at the frame's first slot.
 
-    slots[0] is the realized current observation; later entries carry
-    predicted user_node values. q_anchor is the backlog (or weight) frozen
-    for the whole frame. prev_placement is where the service sat before the
-    frame began.
+    latency[p][i] is the time to serve frame position p from node i (row 0
+    for the realized user node, later rows for predicted ones); move_price[p]
+    prices any move at p. q_anchor is the backlog (or weight) frozen for the
+    frame; prev_placement is where the service sat before the frame began.
     """
 
-    slots: list
+    latency: list
+    move_price: list
     q_anchor: float = 0.0
     prev_placement: Placement = 0
 
     def __post_init__(self):
-        if not self.slots:
+        if not self.latency:
             raise ValueError("frame must contain at least one slot")
 
 
-def _frame_tables(cfg: PolicyConfig, frame: FrameInput, scn: Scenario):
-    """Per-position latency table, migration price, and frame-position weights."""
-    length = len(frame.slots)
-    lat = [[service_latency(scn, obs, i) for i in range(scn.node_count)]
-           for obs in frame.slots]
-    # Under this cost model every off-diagonal move at a slot costs the same.
-    move = [migration_cost(obs, 0, 1) if scn.node_count > 1 else 0.0
-            for obs in frame.slots]
-    theta_w = [cfg.theta * (length - p) for p in range(length)]
-    return lat, move, theta_w
+def _theta_weights(cfg: PolicyConfig, length: int) -> list[float]:
+    return [cfg.theta * (length - p) for p in range(length)]
 
 
 def _edge_cost(anchor, e_avg, v, lat_p, move_p, theta_p, j, i):
@@ -88,29 +87,20 @@ def _edge_cost(anchor, e_avg, v, lat_p, move_p, theta_p, j, i):
     return anchor * (moved - e_avg + theta_p) + v * lat_p[i]
 
 
-def _path_cost(anchor, e_avg, v, lat, move, theta_w, prev, seq):
-    # Forward slot-order accumulation; shared by the DP report and the oracle
-    # so equal sequences yield bit-identical objectives.
-    total = 0.0
-    j = prev
-    for p, i in enumerate(seq):
-        total += _edge_cost(anchor, e_avg, v, lat[p], move[p], theta_w[p], j, i)
-        j = i
-    return total
-
-
-def _solve_frame(anchor: float, cfg: PolicyConfig, frame: FrameInput,
-                 scn: Scenario, e_avg: float) -> list[Placement]:
-    """Minimize the frame objective over all node sequences.
+def pspwu_frame_decide(cfg: PolicyConfig, frame: FrameInput,
+                       e_avg: float) -> list[Placement]:
+    """Whole-frame placements minimizing the frame objective anchored on
+    q_anchor, the weight under pspwu, which may be negative.
 
     Layered shortest path: one layer of N states per slot, edges weighted by
     _edge_cost, O(N^2 T). A backward suffix pass followed by a forward
     lowest-index reconstruction returns the lexicographically smallest
     minimizer, matching the brute-force oracle's tie-break.
     """
-    n = scn.node_count
-    length = len(frame.slots)
-    lat, move, theta_w = _frame_tables(cfg, frame, scn)
+    anchor, lat, move = frame.q_anchor, frame.latency, frame.move_price
+    n = len(lat[0])
+    length = len(lat)
+    theta_w = _theta_weights(cfg, length)
 
     # suffix[p][i]: cheapest completion of positions p+1..end given state i at p
     suffix = [[0.0] * n for _ in range(length)]
@@ -138,63 +128,65 @@ def _solve_frame(anchor: float, cfg: PolicyConfig, frame: FrameInput,
     return seq
 
 
-def psp_frame_decide(cfg: PolicyConfig, frame: FrameInput, scn: Scenario,
+def psp_frame_decide(cfg: PolicyConfig, frame: FrameInput,
                      e_avg: float) -> list[Placement]:
     """Whole-frame placements minimizing the queue-anchored frame objective."""
     if frame.q_anchor < 0:
         raise ValueError("queue anchor must be >= 0")
-    return _solve_frame(frame.q_anchor, cfg, frame, scn, e_avg)
+    return pspwu_frame_decide(cfg, frame, e_avg)
 
 
-def pspwu_frame_decide(cfg: PolicyConfig, frame: FrameInput, scn: Scenario,
-                       e_avg: float) -> list[Placement]:
-    """Same frame problem anchored on the weight, which may be negative."""
-    return _solve_frame(frame.q_anchor, cfg, frame, scn, e_avg)
+def frame_objective(cfg: PolicyConfig, frame: FrameInput, e_avg: float,
+                    seq) -> float:
+    """Evaluate the frame objective of an arbitrary placement sequence.
 
-
-def frame_objective(cfg: PolicyConfig, frame: FrameInput, scn: Scenario,
-                    e_avg: float, seq) -> float:
-    """Evaluate the frame objective of an arbitrary placement sequence."""
-    if len(seq) != len(frame.slots):
+    Forward slot-order accumulation, also the oracle's, so equal sequences
+    yield bit-identical objectives.
+    """
+    length = len(frame.latency)
+    if len(seq) != length:
         raise ValueError("sequence length must match frame length")
-    lat, move, theta_w = _frame_tables(cfg, frame, scn)
-    return _path_cost(frame.q_anchor, e_avg, cfg.v, lat, move, theta_w,
-                      frame.prev_placement, seq)
+    theta_w = _theta_weights(cfg, length)
+    total = 0.0
+    j = frame.prev_placement
+    for p, i in enumerate(seq):
+        total += _edge_cost(frame.q_anchor, e_avg, cfg.v, frame.latency[p],
+                            frame.move_price[p], theta_w[p], j, i)
+        j = i
+    return total
 
 
-def brute_force_frame(frame: FrameInput, scn: Scenario, e_avg: float,
+def brute_force_frame(frame: FrameInput, e_avg: float,
                       cfg: PolicyConfig) -> tuple[list[Placement], float]:
     """Exhaustive frame oracle: the exact minimizer, lexicographically first."""
-    n = scn.node_count
-    length = len(frame.slots)
+    n = len(frame.latency[0])
+    length = len(frame.latency)
     if n ** length > ENUM_GUARD:
         raise ValueError("instance exceeds enumeration guard")
-    lat, move, theta_w = _frame_tables(cfg, frame, scn)
     best_seq, best = None, math.inf
     for seq in itertools.product(range(n), repeat=length):
-        c = _path_cost(frame.q_anchor, e_avg, cfg.v, lat, move, theta_w,
-                       frame.prev_placement, seq)
+        c = frame_objective(cfg, frame, e_avg, seq)
         if c < best:
             best, best_seq = c, list(seq)
     return best_seq, best
 
 
-def osp_decide(cfg: PolicyConfig, q: float, obs: SlotObservation,
-               prev: Placement, scn: Scenario) -> Placement:
-    """Reactive one-slot rule: argmin_i of v*latency_i + q*migration(prev->i)."""
+def osp_decide(cfg: PolicyConfig, q: float, row, price: float,
+               prev: Placement) -> Placement:
+    """Reactive one-slot rule: argmin_i of v*row[i] + q*(price if i moves)."""
     if q < 0:
         raise ValueError("queue backlog must be >= 0")
     best, best_i = math.inf, 0
-    for i in range(scn.node_count):
-        score = cfg.v * service_latency(scn, obs, i) + q * migration_cost(obs, prev, i)
+    for i, lat in enumerate(row):
+        score = cfg.v * lat + q * (price if i != prev else 0.0)
         if score < best:
             best, best_i = score, i
     return best_i
 
 
-def am_decide(obs: SlotObservation) -> Placement:
+def am_decide(user: Placement) -> Placement:
     """Always-migrate: follow the user to its associated node."""
-    return obs.user_node
+    return user
 
 
 def nm_decide(initial: Placement) -> Placement:
@@ -202,78 +194,71 @@ def nm_decide(initial: Placement) -> Placement:
     return initial
 
 
-def lm_decide(acc: float, obs: SlotObservation, prev: Placement, scn: Scenario,
+def lm_decide(acc: float, row, price: float, user: Placement, prev: Placement,
               cfg: PolicyConfig) -> tuple[Placement, float]:
     """Lazy-migrate: move only once the accumulated latency penalty of staying
     put reaches lm_gamma times the migration price.
 
-    acc is the caller-threaded accumulator; returns (placement, new acc).
+    row is the slot's latency row, user the user's node and acc the
+    caller-threaded accumulator; returns (placement, new acc).
     """
     if acc < 0:
         raise ValueError("accumulator must be >= 0")
-    near = obs.user_node
-    acc = acc + max(0.0, service_latency(scn, obs, prev)
-                    - service_latency(scn, obs, near))
-    if acc >= cfg.lm_gamma * migration_cost(obs, prev, near):
-        return near, 0.0
+    acc = acc + max(0.0, row[prev] - row[user])
+    if acc >= cfg.lm_gamma * (price if user != prev else 0.0):
+        return user, 0.0
     return prev, acc
 
 
-def plm_decide(obs: SlotObservation, predicted_next, prev: Placement,
-               scn: Scenario, cfg: PolicyConfig) -> Placement:
+def plm_decide(row, next_row, price: float, user: Placement, prev: Placement,
+               cfg: PolicyConfig) -> Placement:
     """Predictive-lazy-migrate: one-step look-ahead savings test.
 
     Compares the migration price against the two-slot latency saved by moving
-    to the current nearest node now, where the next slot uses predicted_next
-    (the service assumed to remain wherever this slot leaves it). On the last
-    slot predicted_next is None and only the current slot's gap counts.
+    to the user's current node now. row is this slot's latency row; next_row
+    is the next slot's row for the predicted user node (the service assumed
+    to remain wherever this slot leaves it). On the last slot next_row is
+    None and only the current slot's gap counts.
     """
-    near = obs.user_node
-    if prev == near:
+    if prev == user:
         return prev
-    stay_now = service_latency(scn, obs, prev)
-    move_now = service_latency(scn, obs, near)
-    if predicted_next is None:
-        savings = stay_now - move_now
+    if next_row is None:
+        savings = row[prev] - row[user]
     else:
-        stay_next = service_latency(scn, predicted_next, prev)
-        move_next = service_latency(scn, predicted_next, near)
-        savings = (stay_now + stay_next) - (move_now + move_next)
-    if migration_cost(obs, prev, near) < cfg.plm_weight * savings:
-        return near
+        savings = (row[prev] + next_row[prev]) - (row[user] + next_row[user])
+    if price < cfg.plm_weight * savings:
+        return user
     return prev
 
 
-def brute_force_horizon(scn: Scenario, observations, e_avg: float,
-                        initial: Placement | None = None):
+def brute_force_horizon(latency, move_price, e_avg: float, initial: Placement):
     """Offline oracle: latency-minimal placement sequence meeting the budget.
 
-    Enumerates every sequence over the whole horizon, keeps those whose
-    time-averaged migration cost stays within e_avg, and returns
-    (sequence, average latency) for the feasible latency minimizer,
-    lexicographically first. Returns (None, inf) when nothing is feasible.
-    The latency weight plays no role here: the budget enters as a hard
-    constraint, not a penalty.
+    latency[t] is slot t's latency row for the realized user node and
+    move_price[t] its move price; the service starts at initial. Enumerates
+    every sequence over the whole horizon, keeps those whose time-averaged
+    migration cost stays within e_avg, and returns (sequence, average
+    latency) for the feasible latency minimizer, lexicographically first.
+    Returns (None, inf) when nothing is feasible. The latency weight plays
+    no role here: the budget enters as a hard constraint, not a penalty.
     """
-    horizon = len(observations)
-    n = scn.node_count
+    horizon = len(latency)
     if horizon < 1:
-        raise ValueError("need at least one observation")
+        raise ValueError("need at least one slot")
+    n = len(latency[0])
     if n ** horizon > ENUM_GUARD:
         raise ValueError("instance exceeds enumeration guard")
-    start = observations[0].user_node if initial is None else initial
     budget = e_avg * horizon
     # tiny slack so float re-association cannot reject a boundary sequence
     budget_eps = 1e-12 * max(1.0, budget)
     best_seq, best_lat = None, math.inf
     for seq in itertools.product(range(n), repeat=horizon):
-        prev = start
+        prev = initial
         cost = 0.0
         lat = 0.0
         for t, i in enumerate(seq):
-            l, e = slot_outcome(scn, observations[t], prev, i)
-            cost += e
-            lat += l
+            cost += move_price[t] if i != prev else 0.0
+            lat += latency[t][i]
             prev = i
         if cost <= budget + budget_eps and lat < best_lat:
             best_lat, best_seq = lat, list(seq)

@@ -15,7 +15,7 @@ from edgeplacer.cli import main
 from edgeplacer.harness import (ExperimentConfig, generate_scenario,
                                 max_slot_migration_cost, run, simulate,
                                 verify_frame_oracles, verify_horizon_bound)
-from edgeplacer.model import service_latency
+from edgeplacer.model import latency_rows
 from edgeplacer.policies import PolicyConfig
 from edgeplacer.predict import ACCURACY_PRESETS, PredictorSpec, predict
 
@@ -74,10 +74,10 @@ def test_criterion_03_budget_inequality_every_policy():
 def test_criterion_04_frame_queue_deviation_bound():
     for policy, beta in (("psp", 0.0), ("pspwu", 0.65)):
         cfg = config(policy, seed=1, v=50.0, beta=beta)
-        scn, obs = generate_scenario(
+        scn, table = generate_scenario(
             cfg.scenario_seed, NODES, HORIZON, cfg.frame_len, cfg.budget_avg)
-        rec = simulate(scn, obs, policy, cfg.policy_cfg, cfg.predictor)
-        w_q = max(cfg.budget_avg, max_slot_migration_cost(obs))
+        rec = simulate(scn, table, policy, cfg.policy_cfg, cfg.predictor)
+        w_q = max(cfg.budget_avg, max_slot_migration_cost(table))
         bound = cfg.frame_len * w_q
         worst = 0.0
         for start in range(0, HORIZON, cfg.frame_len):
@@ -159,12 +159,12 @@ def test_criterion_08_benchmark_sanity():
                 for p in ALL_POLICIES}
         am = recs["am"]
         cfg = config("am", s, budget=EASY_BUDGET, homogeneous=True)
-        scn, obs = generate_scenario(
+        scn, table = generate_scenario(
             cfg.scenario_seed, NODES, HORIZON, cfg.frame_len,
             cfg.budget_avg, homogeneous_capacity=True)
-        for r, o in zip(am.per_slot, obs):
-            best = min(service_latency(scn, o, i) for i in range(NODES))
-            assert r.latency == best
+        rows, _ = latency_rows(scn, table, 0, table.trace)
+        for r, row in zip(am.per_slot, rows):
+            assert r.latency == min(row)
         assert recs["nm"].avg_cost == 0.0
         for policy, rec in recs.items():
             assert am.avg_latency <= rec.avg_latency, (policy, s)

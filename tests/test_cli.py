@@ -57,6 +57,8 @@ def test_run_requires_output(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "scenario.budget_avg=-1", "scenario.node_count=0", "scenario.frame_len=0",
     "scenario.budget_avg=NaN", "policy.v=Infinity", "trace.stickiness=2",
+    "scenario.horizon=Infinity", "predictor.window=1e400",
+    "scenario.access_rate_scale=Infinity",
 ])
 def test_run_bad_value_is_config_error(tmp_path, capsys, override):
     config = write_config(tmp_path / "c.json")
@@ -144,6 +146,19 @@ def test_sweep_writes_axis_rows(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 4
     assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "10.0", "100.0"]
+
+
+@pytest.mark.parametrize("values", [[1.0, -1.0], [1.0, "x"]])
+def test_sweep_bad_value_fails_before_any_run(tmp_path, capsys, monkeypatch,
+                                              values):
+    runs = []
+    monkeypatch.setattr(harness, "run", lambda config: runs.append(config))
+    config = write_config(tmp_path / "c.json", policy={"name": "osp"},
+                          sweep={"axis": "v", "values": values})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: sweep value ")
+    assert runs == [] and not out.exists()
 
 
 def test_sweep_is_byte_deterministic(tmp_path):

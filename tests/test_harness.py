@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from edgeplacer import harness
@@ -16,36 +17,56 @@ from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
                                 read_trace_csv, run, simulate, sweep,
                                 synthetic_trace, verify_frame_oracles,
                                 verify_horizon_bound, write_trace_csv)
-from edgeplacer.model import service_latency
+from edgeplacer.model import latency_rows
 from edgeplacer.policies import PolicyConfig
 from edgeplacer.predict import PredictorSpec
 
 
+COLUMNS = ("user_node", "input_size", "workload", "access_rate",
+           "container_size", "unit_migration_cost")
+
+
 def test_generate_scenario_ranges_and_determinism():
-    scn, obs = generate_scenario(seed=4, n_nodes=6, horizon=300)
-    assert scn.node_count == 6 and len(obs) == 300
-    for o in obs:
-        assert 5.0 <= o.input_size <= 10.0
-        assert 2.0 <= o.workload <= 20.0
-        assert 5.0 <= o.access_rate <= 10.0
-        assert 25.0 <= o.container_size <= 50.0
-        assert 2.0 <= o.unit_migration_cost <= 10.0
-        assert all(5.0 <= c <= 10.0 for c in o.compute_capacity)
-        assert 0 <= o.user_node < 6
-    scn2, obs2 = generate_scenario(seed=4, n_nodes=6, horizon=300)
-    assert obs == obs2
-    _, obs3 = generate_scenario(seed=5, n_nodes=6, horizon=300)
-    assert obs != obs3
+    scn, table = generate_scenario(seed=4, n_nodes=6, horizon=300)
+    assert scn.node_count == 6 and len(table.trace) == 300
+    for name, low, high in (("input_size", 5.0, 10.0), ("workload", 2.0, 20.0),
+                            ("access_rate", 5.0, 10.0),
+                            ("container_size", 25.0, 50.0),
+                            ("unit_migration_cost", 2.0, 10.0),
+                            ("user_node", 0, 5)):
+        column = getattr(table, name)
+        assert column.shape == (300,)
+        assert low <= column.min() and column.max() <= high
+    assert ((5.0 <= scn.compute_capacity) & (scn.compute_capacity <= 10.0)).all()
+    _, same = generate_scenario(seed=4, n_nodes=6, horizon=300)
+    _, other = generate_scenario(seed=5, n_nodes=6, horizon=300)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(table, name), getattr(same, name))
+    assert not np.array_equal(table.workload, other.workload)
+
+
+def test_generate_scenario_draws_match_scalar_draws():
+    # one vectorized draw equals the per-slot scalar draws, in slot order
+    for seed in range(20):
+        _, table = generate_scenario(seed=seed, n_nodes=3, horizon=40,
+                                     access_rate_scale=3.0)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        rng.uniform(5.0, 10.0, 3)  # capacities come first
+        for t in range(40):
+            assert table.input_size[t] == rng.uniform(5.0, 10.0)
+            assert table.workload[t] == rng.uniform(2.0, 20.0)
+            assert table.access_rate[t] == rng.uniform(5.0, 10.0) * 3.0
+            assert table.container_size[t] == rng.uniform(25.0, 50.0)
+            assert table.unit_migration_cost[t] == rng.uniform(2.0, 10.0)
 
 
 def test_generate_scenario_capacity_modes():
-    _, obs = generate_scenario(seed=1, n_nodes=4, horizon=5,
+    scn, _ = generate_scenario(seed=1, n_nodes=4, horizon=5,
                                homogeneous_capacity=True)
-    assert len(set(obs[0].compute_capacity)) == 1
-    _, obs = generate_scenario(seed=1, n_nodes=4, horizon=5)
-    assert len(set(obs[0].compute_capacity)) > 1
-    # capacities are per node, fixed over time
-    assert obs[0].compute_capacity == obs[4].compute_capacity
+    assert len(set(scn.compute_capacity)) == 1
+    scn, _ = generate_scenario(seed=1, n_nodes=4, horizon=5)
+    assert len(set(scn.compute_capacity)) > 1
+    assert scn.compute_capacity.shape == (4,)
 
 
 def test_synthetic_trace_endpoints():
@@ -78,15 +99,14 @@ def test_never_migrate_run_has_no_cost():
 
 def test_always_migrate_attains_per_slot_minimum():
     config = base_config(policy="am", homogeneous_capacity=True)
-    scn, obs = generate_scenario(config.scenario_seed, 4, 120,
-                                 trace=synthetic_trace(3, 4, 120),
-                                 homogeneous_capacity=True,
-                                 budget_avg=0.05)
-    rec = simulate(scn, obs, "am")
-    mins = [min(service_latency(scn, o, i) for i in range(4)) for o in obs]
-    assert rec.avg_latency == pytest.approx(math.fsum(mins) / 120)
-    for r, o in zip(rec.per_slot, obs):
-        assert r.placement == o.user_node
+    scn, table = generate_scenario(config.scenario_seed, 4, 120,
+                                   trace=synthetic_trace(3, 4, 120),
+                                   homogeneous_capacity=True,
+                                   budget_avg=0.05)
+    rec = simulate(scn, table, "am")
+    rows, _ = latency_rows(scn, table, 0, table.trace)
+    assert rec.avg_latency == pytest.approx(math.fsum(map(min, rows)) / 120)
+    assert [r.placement for r in rec.per_slot] == table.trace
 
 
 def test_budget_inequality_holds_for_every_policy():
@@ -99,6 +119,10 @@ def test_budget_inequality_holds_for_every_policy():
         assert total <= rhs + 1e-9 * max(1.0, rhs)
         assert all(r.latency >= 0 and r.cost >= 0 and r.q >= 0
                    for r in rec.per_slot)
+        # numpy scalars would print as np.float64(...) in the CSVs
+        assert all(type(x) is float for r in rec.per_slot for x in r[2:])
+        assert all(type(x) is float for x in (rec.avg_latency, rec.avg_cost,
+                                              rec.avg_queue, rec.final_queue))
 
 
 def test_replay_determinism():
@@ -301,8 +325,10 @@ def test_verify_horizon_bound_mostly_holds():
 
 
 def test_max_slot_migration_cost():
-    _, obs = generate_scenario(seed=2, n_nodes=3, horizon=50)
-    top = max_slot_migration_cost(obs)
-    assert all(o.container_size / 1000 * o.unit_migration_cost <= top
-               for o in obs)
+    scn, table = generate_scenario(seed=2, n_nodes=3, horizon=50)
+    top = max_slot_migration_cost(table)
+    _, prices = latency_rows(scn, table, 0, table.trace)
+    assert top == max(prices) and type(top) is float
     assert top <= 0.5  # 50 MB at 10 per GB is the ceiling
+    # a slice is a table of its slots
+    assert max_slot_migration_cost(table[:10]) == max(prices[:10])

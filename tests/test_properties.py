@@ -1,0 +1,118 @@
+"""Property tests over random inputs (hypothesis).
+
+(a) Every policy meets the telescoped budget inequality and replays
+    identically on random small configs.
+(b) The frame DP returns the brute-force oracle's sequence and objective on
+    random latency tables. Values lie on a grid of quarters small enough
+    that every sum and product is exact, so ties are real ties, which
+    integer latencies and v = 0 make common; weight anchors go negative.
+(c) A slot table with any bad entry is rejected when it is built.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgeplacer.harness import POLICIES, ExperimentConfig, run
+from edgeplacer.model import SlotTable
+from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
+                                 frame_objective, psp_frame_decide,
+                                 pspwu_frame_decide)
+from edgeplacer.predict import PREDICTOR_KINDS, PredictorSpec
+
+quarters = st.integers(0, 40).map(lambda k: k / 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), nodes=st.integers(1, 5),
+       horizon=st.integers(1, 40), frame_len=st.integers(1, 4),
+       budget=st.floats(0.0, 0.3), v=st.floats(0.0, 500.0),
+       theta=st.floats(0.0, 50.0), beta=st.floats(0.0, 1.0),
+       kind=st.sampled_from(PREDICTOR_KINDS))
+def test_every_policy_meets_the_budget_and_replays(seed, nodes, horizon,
+                                                   frame_len, budget, v,
+                                                   theta, beta, kind):
+    for policy in POLICIES:
+        config = ExperimentConfig(
+            policy=policy, scenario_seed=seed, trace_seed=seed + 1,
+            node_count=nodes, horizon=horizon, frame_len=frame_len,
+            budget_avg=budget,
+            policy_cfg=PolicyConfig(v=v, theta=theta, beta=beta),
+            predictor=PredictorSpec(kind=kind, accuracies=(0.9, 0.8, 0.5),
+                                    rng_seed=seed))
+        rec = run(config)
+        total = math.fsum(r.cost for r in rec.per_slot)
+        rhs = horizon * budget + rec.final_queue
+        assert total <= rhs + 1e-9 * max(1.0, rhs), policy
+        again = run(config)
+        assert again.per_slot == rec.per_slot
+        assert again.final_queue == rec.final_queue
+
+
+@st.composite
+def frames(draw):
+    n = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 4))
+    integer = draw(st.booleans())
+    value = st.integers(0, 3).map(float) if integer else quarters
+    latency = [draw(st.lists(value, min_size=n, max_size=n))
+               for _ in range(length)]
+    prices = draw(st.lists(value, min_size=length, max_size=length))
+    anchor = draw(st.integers(-80, 200)) / 4
+    prev = draw(st.integers(0, n - 1))
+    cfg = PolicyConfig(v=draw(st.sampled_from((0.0, 1.0, 2.5, 10.0))),
+                       theta=draw(quarters))
+    return cfg, FrameInput(latency, prices, anchor, prev), draw(quarters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames())
+def test_frame_dp_equals_brute_force(case):
+    cfg, frame, e_avg = case
+    seq = pspwu_frame_decide(cfg, frame, e_avg)
+    best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
+    assert seq == best_seq
+    assert frame_objective(cfg, frame, e_avg, seq) == best_obj
+    if frame.q_anchor >= 0:
+        assert psp_frame_decide(cfg, frame, e_avg) == seq
+    else:
+        with pytest.raises(ValueError):
+            psp_frame_decide(cfg, frame, e_avg)
+
+
+COLUMNS = ("input_size", "workload", "access_rate", "container_size",
+           "unit_migration_cost")
+
+
+@st.composite
+def bad_tables(draw):
+    """Arguments of a slot table with exactly one defect."""
+    n = draw(st.integers(1, 5))
+    slots = draw(st.integers(1, 8))
+    users = draw(st.lists(st.integers(0, n - 1), min_size=slots,
+                          max_size=slots))
+    columns = {name: draw(st.lists(st.floats(0.01, 100.0), min_size=slots,
+                                   max_size=slots)) for name in COLUMNS}
+    at = draw(st.integers(0, slots - 1))
+    defect = draw(st.sampled_from(("value", "user", "length")))
+    if defect == "value":
+        name = draw(st.sampled_from(COLUMNS))
+        columns[name][at] = draw(st.sampled_from(
+            (0.0, -1.0, -0.0, math.nan, math.inf, -math.inf)))
+    elif defect == "user":
+        users[at] = draw(st.sampled_from((-1, n, n + 7)))
+    else:
+        name = draw(st.sampled_from(COLUMNS))
+        columns[name] = columns[name][:-1] if draw(st.booleans()) \
+            else columns[name] + [1.0]
+    return n, users, columns
+
+
+@settings(max_examples=80, deadline=None)
+@given(bad_tables())
+def test_invalid_slot_tables_are_rejected(case):
+    n, users, columns = case
+    with pytest.raises(ValueError):
+        SlotTable(n, users, **columns)
