@@ -161,6 +161,23 @@ def generate_scenario(seed: int, n_nodes: int = 6, horizon: int = 1400,
     return scn, SlotTable(n_nodes, trace[:horizon], **columns)
 
 
+def _epochs(policy: str, frame_len: int, spec: PredictorSpec):
+    """(epoch_len, lookahead) of a run: psp/pspwu decide a frame of
+    frame_len slots and predict its later slots, plm decides one slot and
+    predicts the next, the others decide one slot and predict nothing."""
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}")
+    if policy in ("psp", "pspwu"):
+        epoch_len, lookahead = frame_len, frame_len - 1
+    else:
+        epoch_len, lookahead = 1, int(policy == "plm")
+    if spec.kind == "oracle_noisy" and len(spec.accuracies) < lookahead:
+        raise ConfigError("oracle_noisy needs one accuracy per look-ahead "
+                          f"step: {policy} looks {lookahead} ahead, got "
+                          f"{len(spec.accuracies)}")
+    return epoch_len, lookahead
+
+
 def simulate(scn: Scenario, table: SlotTable, policy: str,
              policy_cfg: PolicyConfig | None = None,
              predictor: PredictorSpec | None = None) -> RunRecord:
@@ -173,22 +190,15 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     true user nodes. A broken budget inequality or backlog deviation bound
     raises InvariantError.
     """
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
+    epoch_len, lookahead = _epochs(policy, scn.frame_len, spec)
     e_avg = scn.budget_avg
     horizon = scn.horizon
     if len(table.trace) < horizon:
         raise TraceFormatError("slot table shorter than horizon")
     trace = table.trace
     framed = policy in ("psp", "pspwu")
-    epoch_len = scn.frame_len if framed else 1
-    lookahead = epoch_len - 1 if framed else int(policy == "plm")
-    if spec.kind == "oracle_noisy" and len(spec.accuracies) < lookahead:
-        raise ConfigError("oracle_noisy needs one accuracy per look-ahead "
-                          f"step: {policy} looks {lookahead} ahead, got "
-                          f"{len(spec.accuracies)}")
 
     state = CostQueueState(beta=cfg.beta)
     prev = initial = trace[0]
@@ -204,8 +214,8 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     for k, start in enumerate(range(0, horizon, epoch_len)):
         ahead = min(lookahead, horizon - start - 1)
         users = [trace[start]]
-        if ahead:
-            users += predict(spec, trace[:start + 1],
+        if ahead:  # the history is a view of the checked column, not a copy
+            users += predict(spec, table.user_node[:start + 1],
                              trace[start + 1:start + 1 + ahead], ahead,
                              scn.node_count, salt=k)
         rows, prices = latency_rows(scn, table, start, users)
@@ -301,29 +311,39 @@ def run(config: ExperimentConfig) -> RunRecord:
                     config.predictor)
 
 
-def _with_axis_value(config: ExperimentConfig, axis: str, value):
+def _sweep_point(config: ExperimentConfig, scn: Scenario, value):
+    """The policy config and scenario of one sweep point. The slot draws do
+    not depend on the swept fields, so every point shares the materialized
+    table; a value the config, the scenario or the run rejects is a
+    ConfigError."""
+    axis, cfg = config.sweep_axis, config.policy_cfg
     try:
         if axis in ("v", "theta", "beta"):
-            return replace(config, policy_cfg=replace(config.policy_cfg,
-                                                      **{axis: float(value)}))
-        if axis == "e_avg":
-            return replace(config, budget_avg=float(value))
-        return replace(config, frame_len=int(value))  # axis "t"
+            cfg = replace(cfg, **{axis: float(value)})
+        elif axis == "e_avg":
+            scn = replace(scn, budget_avg=float(value))
+        else:  # axis "t"
+            scn = replace(scn, frame_len=int(value))
+            _epochs(config.policy, scn.frame_len, config.predictor)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"sweep value {value!r}: {exc}") from None
+    return cfg, scn
 
 
 def sweep(config: ExperimentConfig) -> list:
-    """One run per sweep value, seeds shared so only the axis varies. Every
-    point's config is built, and so checked, before the first run.
+    """One run per sweep value, seeds shared so only the axis varies. The
+    scenario is materialized once, and every point is built, and so
+    checked, before the first run.
 
     Returns [(axis_value, RunRecord), ...] in axis order.
     """
     if config.sweep_axis is None:
         raise ConfigError("sweep requires a sweep axis")
-    points = [(v, _with_axis_value(config, config.sweep_axis, v))
-              for v in config.sweep_values]
-    return [(v, run(point)) for v, point in points]
+    scn, table = _materialize(config)
+    points = [(v, *_sweep_point(config, scn, v)) for v in config.sweep_values]
+    return [(v, simulate(point_scn, table, config.policy, cfg,
+                         config.predictor))
+            for v, cfg, point_scn in points]
 
 
 # ---------------------------------------------------------------------------

@@ -51,25 +51,34 @@ def predict(spec: PredictorSpec, history, true_future, w: int, n_regions: int,
             salt: int = 0) -> list[int]:
     """Predict the user's next w region indices.
 
-    history is the realized trace so far (most recent last); true_future is
-    the realized continuation, consumed only by the noisy oracle. salt is
-    mixed into the seed so repeated draws (one per frame) are independent
-    while identical calls stay identical.
+    history is the realized trace so far (most recent last): a nonempty
+    one-dimensional sequence of integer regions in [0, n_regions), such as a
+    list or a view of a SlotTable column, which is read and not copied.
+    true_future is the realized continuation, consumed only by the noisy
+    oracle. salt is mixed into the seed so repeated draws (one per frame)
+    are independent while identical calls stay identical.
     """
     if w < 1:
         raise ValueError("w must be >= 1")
-    if len(history) == 0:
-        raise ValueError("history must be nonempty")
     if n_regions < 1:
         raise ValueError("n_regions must be >= 1")
-    if any(not 0 <= r < n_regions for r in history):
+    h = np.asarray(history)
+    if h.size == 0:
+        raise ValueError("history must be nonempty")
+    if h.ndim != 1 or not np.issubdtype(h.dtype, np.integer):
+        raise ValueError("history must be a one-dimensional sequence of "
+                         f"integer regions, got {h.dtype} with shape {h.shape}")
+    if h.min() < 0 or h.max() >= n_regions:
         raise ValueError("history region out of range")
 
     if spec.kind == "oracle_noisy":
         return _oracle_noisy(spec, true_future, w, n_regions, salt)
+    # bincount takes only intp-castable input, and a * n + b must not wrap
+    # in a narrow dtype such as uint8; an intp view is used as it is
+    h = h.astype(np.intp, copy=False)
     if spec.kind == "moving_mode":
-        return _moving_mode(spec, history, w, n_regions)
-    return _markov1(history, w, n_regions)
+        return _moving_mode(spec, h, w, n_regions)
+    return _markov1(h, w, n_regions)
 
 
 def _oracle_noisy(spec, true_future, w, n_regions, salt):
@@ -91,10 +100,19 @@ def _oracle_noisy(spec, true_future, w, n_regions, salt):
 
 
 def _moving_mode(spec, history, w, n_regions):
-    recent = list(history[-spec.window:])
-    counts = np.bincount(recent, minlength=n_regions)
+    counts = np.bincount(history[-spec.window:], minlength=n_regions)
     mode = int(counts.argmax())  # ties fall to the lowest region index
     return [mode] * w
+
+
+def _transition_counts(history, n):
+    """counts[a, b]: 1 plus how often region b directly follows region a.
+
+    One bincount over the pair index a * n + b; the counts are exact
+    integers stored as floats.
+    """
+    pairs = history[:-1] * n + history[1:]
+    return 1.0 + np.bincount(pairs, minlength=n * n).reshape(n, n)
 
 
 def _markov1(history, w, n_regions):
@@ -105,10 +123,7 @@ def _markov1(history, w, n_regions):
     region index wins at each step, so the result is the lexicographically
     smallest maximizer (backward max-product pass, forward reconstruction).
     """
-    counts = np.ones((n_regions, n_regions))
-    seq = np.asarray(history, dtype=int)
-    for a, b in zip(seq[:-1], seq[1:]):
-        counts[a, b] += 1.0
+    counts = _transition_counts(history, n_regions)
     probs = counts / counts.sum(axis=1, keepdims=True)
 
     # suffix[s][i]: best probability of steps s+1..w-1 given region i at step s
@@ -117,7 +132,7 @@ def _markov1(history, w, n_regions):
         suffix[s] = (probs * suffix[s + 1]).max(axis=1)
 
     path = []
-    at = int(seq[-1])
+    at = int(history[-1])
     for s in range(w):
         scores = probs[at] * suffix[s]
         at = int(scores.argmax())  # first occurrence = lowest region

@@ -148,17 +148,34 @@ def test_sweep_writes_axis_rows(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "10.0", "100.0"]
 
 
-@pytest.mark.parametrize("values", [[1.0, -1.0], [1.0, "x"]])
-def test_sweep_bad_value_fails_before_any_run(tmp_path, capsys, monkeypatch,
-                                              values):
+def check_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch, policy,
+                                     axis, values):
     runs = []
-    monkeypatch.setattr(harness, "run", lambda config: runs.append(config))
-    config = write_config(tmp_path / "c.json", policy={"name": "osp"},
-                          sweep={"axis": "v", "values": values})
+    monkeypatch.setattr(harness, "simulate", lambda *args: runs.append(args))
+    config = write_config(tmp_path / "c.json", policy={"name": policy},
+                          sweep={"axis": axis, "values": values})
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: sweep value ")
     assert runs == [] and not out.exists()
+
+
+@pytest.mark.parametrize("values", [[1.0, -1.0], [1.0, "x"]])
+def test_sweep_bad_value_fails_before_any_run(tmp_path, capsys, monkeypatch,
+                                              values):
+    check_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch, "osp",
+                                     "v", values)
+
+
+@pytest.mark.parametrize("policy, axis, values", [
+    ("osp", "e_avg", [0.1, -1.0]), ("osp", "e_avg", [0.1, float("nan")]),
+    ("psp", "t", [3, 0]),
+    ("psp", "t", [3, 5]),  # 4 look-ahead steps, the lstm preset has 3
+])
+def test_sweep_bad_scenario_value_fails_before_any_run(
+        tmp_path, capsys, monkeypatch, policy, axis, values):
+    check_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch, policy,
+                                     axis, values)
 
 
 def test_sweep_is_byte_deterministic(tmp_path):

@@ -172,6 +172,33 @@ def test_sweep_matches_individual_runs_and_is_ordered():
         assert solo.per_slot == rec.per_slot
 
 
+@pytest.mark.parametrize("policy, axis, field, values", [
+    ("pspwu", "e_avg", "budget_avg", (0.02, 0.2)),
+    ("psp", "t", "frame_len", (1, 2, 3)),
+    ("pspwu", "beta", None, (0.0, 0.65)),
+])
+def test_sweep_points_match_individual_runs(policy, axis, field, values):
+    config = base_config(policy=policy, sweep_axis=axis, sweep_values=values)
+    for v, rec in sweep(config):
+        solo = (replace(config, **{field: v}) if field else
+                replace(config, policy_cfg=replace(config.policy_cfg,
+                                                   **{axis: v})))
+        assert rec.per_slot == run(solo).per_slot
+
+
+def test_file_trace_sweep_reads_the_trace_once(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, synthetic_trace(8, 4, 120))
+    reads = []
+    real = harness.read_trace_csv
+    monkeypatch.setattr(harness, "read_trace_csv",
+                        lambda p: reads.append(p) or real(p))
+    config = base_config(policy="osp", trace_path=str(path), sweep_axis="t",
+                         sweep_values=(1, 2, 3))
+    assert len(sweep(config)) == 3
+    assert reads == [str(path)]
+
+
 def test_sweep_single_value_equals_run():
     config = base_config(policy="osp", sweep_axis="e_avg", sweep_values=(0.2,))
     [(value, rec)] = sweep(config)

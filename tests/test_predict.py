@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ def test_predict_rejects_bad_inputs():
         predict(spec, [0], [1, 1], 2, n_regions=2)  # only one accuracy given
     with pytest.raises(ValueError):
         predict(spec, [5], [1], 1, n_regions=2)  # history out of range
+    for kind in ("oracle_noisy", "moving_mode", "markov1"):
+        # floats and bools would be truncated to regions; 2-D has no order
+        for history in ([0.5], [0.0, 1.0], [True], np.array([False]),
+                        [[0, 1]], np.zeros((2, 1), dtype=int), 0):
+            with pytest.raises(ValueError):
+                predict(replace(spec, kind=kind), history, [1], 1,
+                        n_regions=2)
     with pytest.raises(ValueError):
         PredictorSpec(kind="crystal_ball")
     with pytest.raises(ValueError):

@@ -1,16 +1,21 @@
 """Property tests over random inputs (hypothesis).
 
-(a) Every policy meets the telescoped budget inequality and replays
-    identically on random small configs.
+(a) Every policy meets the telescoped budget inequality, keeps the
+    momentum weight at or above the backlog and the backlog at or above 0
+    at every slot, and replays identically on random small configs.
 (b) The frame DP returns the brute-force oracle's sequence and objective on
     random latency tables. Values lie on a grid of quarters small enough
     that every sum and product is exact, so ties are real ties, which
     integer latencies and v = 0 make common; weight anchors go negative.
 (c) A slot table with any bad entry is rejected when it is built.
+(d) Every predictor returns w regions in range, the same for a list history
+    as for a numpy view of it, and markov1's transition counts equal a
+    per-pair loop.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +25,8 @@ from edgeplacer.model import SlotTable
 from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
                                  frame_objective, psp_frame_decide,
                                  pspwu_frame_decide)
-from edgeplacer.predict import PREDICTOR_KINDS, PredictorSpec
+from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
+                                _transition_counts, predict)
 
 quarters = st.integers(0, 40).map(lambda k: k / 4)
 
@@ -29,7 +35,8 @@ quarters = st.integers(0, 40).map(lambda k: k / 4)
 @given(seed=st.integers(0, 2 ** 16), nodes=st.integers(1, 5),
        horizon=st.integers(1, 40), frame_len=st.integers(1, 4),
        budget=st.floats(0.0, 0.3), v=st.floats(0.0, 500.0),
-       theta=st.floats(0.0, 50.0), beta=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, 50.0),
+       beta=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
        kind=st.sampled_from(PREDICTOR_KINDS))
 def test_every_policy_meets_the_budget_and_replays(seed, nodes, horizon,
                                                    frame_len, budget, v,
@@ -46,6 +53,10 @@ def test_every_policy_meets_the_budget_and_replays(seed, nodes, horizon,
         total = math.fsum(r.cost for r in rec.per_slot)
         rhs = horizon * budget + rec.final_queue
         assert total <= rhs + 1e-9 * max(1.0, rhs), policy
+        # the momentum weight starts at the queue's 0 and only adds a
+        # nonnegative term, so no frame anchor is ever negative
+        assert all(r.w >= r.q >= 0.0 for r in rec.per_slot), policy
+        assert rec.negative_w_frames == 0
         again = run(config)
         assert again.per_slot == rec.per_slot
         assert again.final_queue == rec.final_queue
@@ -116,3 +127,47 @@ def test_invalid_slot_tables_are_rejected(case):
     n, users, columns = case
     with pytest.raises(ValueError):
         SlotTable(n, users, **columns)
+
+
+@st.composite
+def predictions(draw):
+    """A predictor call: spec, history, true future, w, n_regions, salt."""
+    n = draw(st.integers(1, 6))
+    region = st.integers(0, n - 1)
+    history = draw(st.lists(region, min_size=1, max_size=60))
+    w = draw(st.integers(1, 4))
+    future = draw(st.lists(region, min_size=w, max_size=w))
+    spec = PredictorSpec(
+        kind=draw(st.sampled_from(PREDICTOR_KINDS)),
+        accuracies=draw(st.lists(st.floats(0.0, 1.0), min_size=w,
+                                 max_size=w)),
+        window=draw(st.integers(1, 8)), rng_seed=draw(st.integers(0, 99)))
+    return spec, history, future, w, n, draw(st.integers(0, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(predictions(), st.sampled_from((np.int64, np.int32, np.uint8)))
+def test_predictions_are_in_range_and_agree_for_list_and_view(call, dtype):
+    spec, history, future, w, n, salt = call
+    out = predict(spec, history, future, w, n, salt)
+    assert len(out) == w
+    assert all(type(r) is int and 0 <= r < n for r in out)
+    # a read-only view of a longer column, as the engine passes it
+    column = np.array(history + [0] * 5, dtype=dtype)
+    column.flags.writeable = False
+    view = column[:len(history)]
+    assert predict(spec, view, future, w, n, salt) == out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=80))))
+def test_markov_counts_equal_a_per_pair_loop(case):
+    n, history = case
+    expected = np.ones((n, n))
+    for a, b in zip(history[:-1], history[1:]):
+        expected[a, b] += 1.0
+    got = _transition_counts(np.array(history), n)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
