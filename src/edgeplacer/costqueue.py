@@ -7,7 +7,7 @@ memory of past backlog changes (momentum weighted by beta); with beta = 0
 and zero initial state it coincides with the queue exactly.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -40,19 +40,15 @@ def bound_constant_B(e_avg: float, e_max: float) -> float:
     return 0.5 * (e_avg * e_avg + e_max * e_max)
 
 
-def update_weight(state: CostQueueState, delta_q: float) -> CostQueueState:
-    """Weight step: w += delta_q + beta * max(w - w_prev, 0).
-
-    delta_q is the same slot's queue change q(t+1) - q(t). The weight may go
-    negative; no clamp is applied.
-    """
-    momentum = max(state.w - state.w_prev, 0.0)
-    return replace(state, w=state.w + delta_q + state.beta * momentum,
-                   w_prev=state.w)
-
-
 def advance(state: CostQueueState, e: float, e_avg: float) -> CostQueueState:
-    """Apply one slot's cost to both queue and weight, in that order."""
+    """Apply one slot's cost to the queue, then to the weight:
+
+        q(t+1) = max(q + e - e_avg, 0)
+        w(t+1) = w + (q(t+1) - q) + beta * max(w - w_prev, 0)
+
+    The weight may go negative; no clamp is applied.
+    """
     q_next = update_queue(state.q, e, e_avg)
-    stepped = update_weight(state, q_next - state.q)
-    return replace(stepped, q=q_next)
+    momentum = max(state.w - state.w_prev, 0.0)
+    return CostQueueState(q_next, state.w + (q_next - state.q)
+                          + state.beta * momentum, state.w, state.beta)

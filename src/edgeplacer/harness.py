@@ -20,10 +20,9 @@ import numpy as np
 from .costqueue import CostQueueState, advance, bound_constant_B
 from .model import (Scenario, SlotTable, latency_rows,
                     max_slot_migration_cost, slot_outcome)
-from .policies import (FrameInput, PolicyConfig, am_decide, brute_force_frame,
-                       brute_force_horizon, frame_objective, lm_decide,
-                       nm_decide, osp_decide, plm_decide, psp_frame_decide,
-                       pspwu_frame_decide)
+from .policies import (FrameInput, PolicyConfig, brute_force_frame,
+                       brute_force_horizon, frame_decide, frame_objective,
+                       lm_decide, plm_decide)
 from .predict import PredictorSpec, predict
 
 POLICIES = ("osp", "psp", "pspwu", "am", "nm", "lm", "plm")
@@ -198,7 +197,6 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     if len(table.trace) < horizon:
         raise TraceFormatError("slot table shorter than horizon")
     trace = table.trace
-    framed = policy in ("psp", "pspwu")
 
     state = CostQueueState(beta=cfg.beta)
     prev = initial = trace[0]
@@ -219,20 +217,17 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                              trace[start + 1:start + 1 + ahead], ahead,
                              scn.node_count, salt=k)
         rows, prices = latency_rows(scn, table, start, users)
-        if policy == "osp":
-            seq = [osp_decide(cfg, state.q, rows[0], prices[0], prev)]
-        elif framed:
-            anchor = state.q if policy == "psp" else state.w
+        if policy in ("osp", "psp", "pspwu"):  # osp: a 1-slot frame
+            anchor = state.w if policy == "pspwu" else state.q
             negative_w_frames += anchor < 0
-            decide = psp_frame_decide if policy == "psp" else pspwu_frame_decide
-            seq = decide(cfg, FrameInput(rows, prices, anchor, prev), e_avg)
+            seq = frame_decide(cfg, FrameInput(rows, prices, anchor, prev))
             if ahead:  # account with the realized user nodes
                 rows, prices = latency_rows(scn, table, start,
                                             trace[start:start + len(seq)])
         elif policy == "am":
-            seq = [am_decide(users[0])]
+            seq = [users[0]]
         elif policy == "nm":
-            seq = [nm_decide(initial)]
+            seq = [initial]
         elif policy == "lm":
             placement, lm_acc = lm_decide(lm_acc, rows[0], prices[0], users[0],
                                           prev, cfg)
@@ -311,6 +306,13 @@ def run(config: ExperimentConfig) -> RunRecord:
                     config.predictor)
 
 
+def _whole(value, name: str) -> int:
+    """An integer setting: a non-integral number is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _sweep_point(config: ExperimentConfig, scn: Scenario, value):
     """The policy config and scenario of one sweep point. The slot draws do
     not depend on the swept fields, so every point shares the materialized
@@ -323,7 +325,7 @@ def _sweep_point(config: ExperimentConfig, scn: Scenario, value):
         elif axis == "e_avg":
             scn = replace(scn, budget_avg=float(value))
         else:  # axis "t"
-            scn = replace(scn, frame_len=int(value))
+            scn = replace(scn, frame_len=_whole(value, "t"))
             _epochs(config.policy, scn.frame_len, config.predictor)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"sweep value {value!r}: {exc}") from None
@@ -433,8 +435,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             spec_kwargs["accuracies"] = tuple(predictor["accuracies"])
         pred_spec = PredictorSpec(
             kind=predictor.get("kind", "oracle_noisy"),
-            window=int(predictor.get("window", 3)),
-            rng_seed=int(predictor.get("rng_seed", 0)),
+            window=_whole(predictor.get("window", 3), "predictor.window"),
+            rng_seed=_whole(predictor.get("rng_seed", 0), "predictor.rng_seed"),
             **spec_kwargs)
         trace_kind = trace.get("kind", "synthetic")
         if trace_kind not in ("synthetic", "file"):
@@ -445,16 +447,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             policy=policy["name"],
             policy_cfg=policy_cfg,
             predictor=pred_spec,
-            scenario_seed=int(scenario.get("seed", 0)),
-            node_count=int(scenario.get("node_count", 6)),
-            horizon=int(scenario.get("horizon", 1400)),
-            frame_len=int(scenario.get("frame_len", 3)),
+            scenario_seed=_whole(scenario.get("seed", 0), "scenario.seed"),
+            node_count=_whole(scenario.get("node_count", 6), "scenario.node_count"),
+            horizon=_whole(scenario.get("horizon", 1400), "scenario.horizon"),
+            frame_len=_whole(scenario.get("frame_len", 3), "scenario.frame_len"),
             budget_avg=float(scenario.get("budget_avg", BUDGET_PRESETS["low"])),
             backhaul_mbps=scenario.get("backhaul_mbps", 100.0),
             homogeneous_capacity=bool(scenario.get("homogeneous_capacity", False)),
             access_rate_scale=float(scenario.get("access_rate_scale", 1.0)),
             trace_path=trace.get("path") if trace_kind == "file" else None,
-            trace_seed=int(trace.get("seed", 1)),
+            trace_seed=_whole(trace.get("seed", 1), "trace.seed"),
             trace_stickiness=float(trace.get("stickiness", 0.7)),
             sweep_axis=sw.get("axis"),
             sweep_values=tuple(sw.get("values", ())),
@@ -553,7 +555,7 @@ def random_frame_instance(rng, anchor_low=0.0, anchor_high=50.0):
 
 def verify_frame_oracles(seed: int = 1, instances: int = 200,
                          anchor_low: float = 0.0, anchor_high: float = 50.0):
-    """Compare the frame DP against exhaustive enumeration.
+    """Compare the frame solver against exhaustive enumeration.
 
     Negative anchor_low exercises the weight-anchored variant. Returns
     (matches, instances, mismatch descriptions).
@@ -562,8 +564,7 @@ def verify_frame_oracles(seed: int = 1, instances: int = 200,
     matches, mismatches = 0, []
     for idx in range(instances):
         cfg, frame, e_avg = random_frame_instance(rng, anchor_low, anchor_high)
-        decide = psp_frame_decide if frame.q_anchor >= 0 else pspwu_frame_decide
-        seq = decide(cfg, frame, e_avg)
+        seq = frame_decide(cfg, frame)
         obj = frame_objective(cfg, frame, e_avg, seq)
         best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
         tol = 1e-9 * max(1.0, abs(best_obj))

@@ -3,13 +3,16 @@
 Every procedure decides from latency rows (row[i]: seconds to serve a slot
 from node i) and per-slot move prices, never from the slot data behind them.
 
-Reactive: osp_decide weighs latency against the budget queue one slot at a
-time. Predictive: psp_frame_decide / pspwu_frame_decide commit a whole frame
-of decisions at once by solving a layered shortest-path problem over the
-(possibly predicted) frame rows; the weight-update variant swaps the queue
-anchor for the momentum-weighted surrogate. Benchmarks: always-migrate,
-never-migrate, lazy-migrate, predictive-lazy-migrate. Brute-force enumerators
-serve as optimality oracles on small instances.
+frame_decide is the drift-plus-penalty rule for all three budget-aware
+policies: it commits a frame of placements at once by minimizing
+v * latency + anchor * move price over the (possibly predicted) frame rows.
+The reactive osp is a 1-slot frame anchored on the queue backlog, psp a
+longer frame anchored on the same backlog, and pspwu anchors on the
+momentum-weighted surrogate instead. Benchmarks: always-migrate and
+never-migrate need no rule of their own (the engine follows the user or
+holds the initial node); lazy-migrate and predictive-lazy-migrate are step
+functions. Brute-force enumerators serve as optimality oracles on small
+instances.
 """
 
 import itertools
@@ -32,8 +35,9 @@ class PolicyConfig:
     earlier, better-predicted in-frame slots more heavily, but as written it
     adds anchor * theta * (T - p) to every edge of frame position p. Every
     sequence crosses one edge per position, so theta shifts all frame
-    objectives by the same constant and moves no placement (up to float
-    rounding of near-ties); it changes only the reported objective.
+    objectives by the same constant. frame_decide reads neither theta nor
+    e_avg, so theta moves no placement; it changes only the value
+    frame_objective reports.
     """
 
     v: float = 10.0
@@ -77,68 +81,53 @@ class FrameInput:
             raise ValueError("frame must contain at least one slot")
 
 
-def _theta_weights(cfg: PolicyConfig, length: int) -> list[float]:
-    return [cfg.theta * (length - p) for p in range(length)]
-
-
-def _edge_cost(anchor, e_avg, v, lat_p, move_p, theta_p, j, i):
-    """Cost of entering node i from node j at one frame position."""
-    moved = move_p if j != i else 0.0
-    return anchor * (moved - e_avg + theta_p) + v * lat_p[i]
-
-
-def pspwu_frame_decide(cfg: PolicyConfig, frame: FrameInput,
-                       e_avg: float) -> list[Placement]:
+def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     """Whole-frame placements minimizing the frame objective anchored on
-    q_anchor, the weight under pspwu, which may be negative.
+    q_anchor: the queue under osp (a 1-slot frame) and psp, the weight, which
+    may be negative, under pspwu.
 
-    Layered shortest path: one layer of N states per slot, edges weighted by
-    _edge_cost, O(N^2 T). A backward suffix pass followed by a forward
-    lowest-index reconstruction returns the lexicographically smallest
-    minimizer, matching the brute-force oracle's tie-break.
+    Node i scores v * latency[p][i] at position p, plus anchor * move_price[p]
+    if the service moves there. Every move at p costs the same, so the
+    cheapest way into a node is to stay on it or to come from the cheapest
+    other node: the backward pass keeps each layer's smallest and
+    second-smallest moved-in cost, O(N T) in all. The anchor * (theta_p - e_avg)
+    terms of frame_objective add the same amount to every sequence and are
+    left out. The forward pass picks the lowest index among minimizers, so
+    the result is the lexicographically smallest minimizer, as the brute-force
+    oracle's tie-break.
     """
-    anchor, lat, move = frame.q_anchor, frame.latency, frame.move_price
-    n = len(lat[0])
-    length = len(lat)
-    theta_w = _theta_weights(cfg, length)
+    v, anchor, lat = cfg.v, frame.q_anchor, frame.latency
+    # Backward pass. after[-1][i] is the cheapest completion of the frame
+    # with the service on node i at the next position the forward pass
+    # decides; a 1-slot frame has no completion and builds nothing.
+    after = []
+    for p in range(len(lat) - 1, 0, -1):
+        tail = after[-1] if after else itertools.repeat(0.0)
+        m = anchor * frame.move_price[p]
+        stay = [v * x + t for x, t in zip(lat[p], tail)]
+        moved = [v * x + m + t for x, t in zip(lat[p], tail)]
+        best = min(moved)
+        k = moved.index(best)
+        second = min(moved[:k] + moved[k + 1:], default=math.inf)
+        after.append([min(s, second if i == k else best)
+                      for i, s in enumerate(stay)])
 
-    # suffix[p][i]: cheapest completion of positions p+1..end given state i at p
-    suffix = [[0.0] * n for _ in range(length)]
-    for p in range(length - 2, -1, -1):
-        for i in range(n):
-            best = math.inf
-            for nxt in range(n):
-                c = _edge_cost(anchor, e_avg, cfg.v, lat[p + 1], move[p + 1],
-                               theta_w[p + 1], i, nxt) + suffix[p + 1][nxt]
-                if c < best:
-                    best = c
-            suffix[p][i] = best
-
-    seq = []
-    at = frame.prev_placement
-    for p in range(length):
-        best, best_i = math.inf, 0
-        for i in range(n):
-            c = _edge_cost(anchor, e_avg, cfg.v, lat[p], move[p], theta_w[p],
-                           at, i) + suffix[p][i]
-            if c < best:
-                best, best_i = c, i
-        seq.append(best_i)
-        at = best_i
+    seq, at = [], frame.prev_placement
+    for p, row in enumerate(lat):
+        m = anchor * frame.move_price[p]
+        scores = [v * x + (m if i != at else 0.0) for i, x in enumerate(row)]
+        if after:
+            scores = [s + t for s, t in zip(scores, after.pop())]
+        at = scores.index(min(scores))
+        seq.append(at)
     return seq
-
-
-def psp_frame_decide(cfg: PolicyConfig, frame: FrameInput,
-                     e_avg: float) -> list[Placement]:
-    """Whole-frame placements minimizing the queue-anchored frame objective."""
-    if frame.q_anchor < 0:
-        raise ValueError("queue anchor must be >= 0")
-    return pspwu_frame_decide(cfg, frame, e_avg)
 
 
 def frame_objective(cfg: PolicyConfig, frame: FrameInput, e_avg: float,
                     seq) -> float:
-    """Evaluate the frame objective of an arbitrary placement sequence.
+    """Evaluate the frame objective of an arbitrary placement sequence: at
+    position p, anchor * (move price if moved - e_avg + theta * (T - p)) plus
+    v * latency.
 
     Forward slot-order accumulation, also the oracle's, so equal sequences
     yield bit-identical objectives.
@@ -146,12 +135,13 @@ def frame_objective(cfg: PolicyConfig, frame: FrameInput, e_avg: float,
     length = len(frame.latency)
     if len(seq) != length:
         raise ValueError("sequence length must match frame length")
-    theta_w = _theta_weights(cfg, length)
     total = 0.0
     j = frame.prev_placement
     for p, i in enumerate(seq):
-        total += _edge_cost(frame.q_anchor, e_avg, cfg.v, frame.latency[p],
-                            frame.move_price[p], theta_w[p], j, i)
+        moved = frame.move_price[p] if j != i else 0.0
+        theta_p = cfg.theta * (length - p)
+        total += (frame.q_anchor * (moved - e_avg + theta_p)
+                  + cfg.v * frame.latency[p][i])
         j = i
     return total
 
@@ -169,29 +159,6 @@ def brute_force_frame(frame: FrameInput, e_avg: float,
         if c < best:
             best, best_seq = c, list(seq)
     return best_seq, best
-
-
-def osp_decide(cfg: PolicyConfig, q: float, row, price: float,
-               prev: Placement) -> Placement:
-    """Reactive one-slot rule: argmin_i of v*row[i] + q*(price if i moves)."""
-    if q < 0:
-        raise ValueError("queue backlog must be >= 0")
-    best, best_i = math.inf, 0
-    for i, lat in enumerate(row):
-        score = cfg.v * lat + q * (price if i != prev else 0.0)
-        if score < best:
-            best, best_i = score, i
-    return best_i
-
-
-def am_decide(user: Placement) -> Placement:
-    """Always-migrate: follow the user to its associated node."""
-    return user
-
-
-def nm_decide(initial: Placement) -> Placement:
-    """Never-migrate: hold the initial assignment forever."""
-    return initial
 
 
 def lm_decide(acc: float, row, price: float, user: Placement, prev: Placement,

@@ -59,6 +59,9 @@ def test_run_requires_output(tmp_path, capsys):
     "scenario.budget_avg=NaN", "policy.v=Infinity", "trace.stickiness=2",
     "scenario.horizon=Infinity", "predictor.window=1e400",
     "scenario.access_rate_scale=Infinity",
+    # a non-integral number in an integer field is rejected, not truncated
+    "scenario.horizon=30.7", "scenario.node_count=3.9",
+    "predictor.window=2.5", "trace.seed=1.5",
 ])
 def test_run_bad_value_is_config_error(tmp_path, capsys, override):
     config = write_config(tmp_path / "c.json")
@@ -171,11 +174,27 @@ def test_sweep_bad_value_fails_before_any_run(tmp_path, capsys, monkeypatch,
     ("osp", "e_avg", [0.1, -1.0]), ("osp", "e_avg", [0.1, float("nan")]),
     ("psp", "t", [3, 0]),
     ("psp", "t", [3, 5]),  # 4 look-ahead steps, the lstm preset has 3
+    ("psp", "t", [3, 2.5]),  # not truncated to a frame of 2
 ])
 def test_sweep_bad_scenario_value_fails_before_any_run(
         tmp_path, capsys, monkeypatch, policy, axis, values):
     check_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch, policy,
                                      axis, values)
+
+
+def test_integral_float_settings_are_accepted(tmp_path):
+    config = write_config(tmp_path / "c.json", policy={"name": "psp"},
+                          sweep={"axis": "t", "values": [2, 3]})
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out1),
+                 "--per-slot"]) == 0
+    assert main(["sweep", "--config", str(config), "--out", str(out2),
+                 "--per-slot", "--set", "sweep.values=[2.0, 3.0]",
+                 "--set", "scenario.horizon=60.0",
+                 "--set", "scenario.node_count=4.0"]) == 0
+    for i in (0, 1):
+        assert (tmp_path / f"a_slots_{i}.csv").read_bytes() == \
+            (tmp_path / f"b_slots_{i}.csv").read_bytes()
 
 
 def test_sweep_is_byte_deterministic(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edgeplacer.costqueue import (CostQueueState, advance, bound_constant_B,
-                                  update_queue, update_weight)
+                                  update_queue)
 
 
 def test_update_queue_examples():
@@ -32,12 +32,15 @@ def test_bound_constant():
 
 
 def test_update_weight_examples():
+    # with e_avg = 0 the queue change is the slot's cost
     s = CostQueueState(q=0.0, w=5.0, w_prev=3.0, beta=0.5)
-    assert update_weight(s, 2.0).w == 8.0  # 5 + 2 + 0.5*2
+    nxt = advance(s, 2.0, 0.0)
+    assert (nxt.q, nxt.w, nxt.w_prev) == (2.0, 8.0, 5.0)  # 5 + 2 + 0.5*2
     s = CostQueueState(q=0.0, w=3.0, w_prev=5.0, beta=0.9)
-    nxt = update_weight(s, 1.0)
+    nxt = advance(s, 1.0, 0.0)
     assert nxt.w == 4.0  # falling weight, momentum term is clamped out
     assert nxt.w_prev == 3.0
+    assert nxt.beta == 0.9
 
 
 def test_beta_zero_weight_tracks_queue_exactly():

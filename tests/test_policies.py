@@ -6,13 +6,11 @@ import pytest
 from conftest import make_rows
 
 from edgeplacer.harness import (ExperimentConfig, generate_scenario,
-                                random_frame_instance, run)
+                                random_frame_instance, run, simulate)
 from edgeplacer.model import latency_rows
-from edgeplacer.policies import (FrameInput, PolicyConfig, am_decide,
-                                 brute_force_frame, brute_force_horizon,
-                                 frame_objective, lm_decide, nm_decide,
-                                 osp_decide, plm_decide, psp_frame_decide,
-                                 pspwu_frame_decide)
+from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
+                                 brute_force_horizon, frame_decide,
+                                 frame_objective, lm_decide, plm_decide)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -31,22 +29,33 @@ def osp_instance():
     return rows[0], prices[0]
 
 
+def osp(cfg, q, row, price, prev):
+    """The reactive rule: frame_decide on a 1-slot frame anchored on q."""
+    [placement] = frame_decide(cfg, FrameInput([row], [price], q, prev))
+    return placement
+
+
+def osp_scores(cfg, q, row, price, prev):
+    return [cfg.v * lat + q * (price if i != prev else 0.0)
+            for i, lat in enumerate(row)]
+
+
 def test_osp_enumerates_and_breaks_ties_low():
     row, price = osp_instance()
     assert (row, price) == ([5.0, 3.0, 4.0], 1.0)
     # v=1, q=2: scores [5, 5, 6]; nodes 0 and 1 tie, lowest index wins
-    assert osp_decide(PolicyConfig(v=1.0), 2.0, row, price, 0) == 0
+    assert osp(PolicyConfig(v=1.0), 2.0, row, price, 0) == 0
 
 
 def test_osp_zero_queue_is_latency_greedy():
     row, price = osp_instance()
-    assert osp_decide(PolicyConfig(v=1.0), 0.0, row, price, 0) == 1
+    assert osp(PolicyConfig(v=1.0), 0.0, row, price, 0) == 1
 
 
 def test_osp_zero_v_stays_put():
     row, price = osp_instance()
     for prev in range(3):
-        assert osp_decide(PolicyConfig(v=0.0), 5.0, row, price, prev) == prev
+        assert osp(PolicyConfig(v=0.0), 5.0, row, price, prev) == prev
 
 
 def test_osp_matches_explicit_score_minimum():
@@ -56,17 +65,10 @@ def test_osp_matches_explicit_score_minimum():
         row, price = frame.latency[0], frame.move_price[0]
         q = frame.q_anchor
         prev = frame.prev_placement
-        got = osp_decide(cfg, q, row, price, prev)
-        scores = [cfg.v * lat + q * (price if i != prev else 0.0)
-                  for i, lat in enumerate(row)]
+        got = osp(cfg, q, row, price, prev)
+        scores = osp_scores(cfg, q, row, price, prev)
         assert scores[got] == min(scores)
         assert got == scores.index(min(scores))
-
-
-def test_osp_rejects_negative_queue():
-    row, price = osp_instance()
-    with pytest.raises(ValueError):
-        osp_decide(PolicyConfig(), -1.0, row, price, 0)
 
 
 # --- frame policies ---------------------------------------------------------
@@ -88,7 +90,7 @@ def test_frame_dp_matches_oracle_fixed_instance():
     scn, frame = drawn_frame(7.0, 2, seed=42, n_nodes=4, horizon=3,
                              frame_len=3, budget_avg=0.1)
     cfg = PolicyConfig(v=10.0, theta=50.0)
-    seq = psp_frame_decide(cfg, frame, scn.budget_avg)
+    seq = frame_decide(cfg, frame)
     best_seq, best_obj = brute_force_frame(frame, scn.budget_avg, cfg)
     assert seq == best_seq
     assert frame_objective(cfg, frame, scn.budget_avg, seq) == best_obj
@@ -98,7 +100,7 @@ def test_frame_dp_matches_oracle_random():
     rng = np.random.default_rng(123)
     for _ in range(60):
         cfg, frame, e_avg = random_frame_instance(rng)
-        seq = psp_frame_decide(cfg, frame, e_avg)
+        seq = frame_decide(cfg, frame)
         best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
         assert seq == best_seq
         obj = frame_objective(cfg, frame, e_avg, seq)
@@ -110,7 +112,7 @@ def test_weight_anchored_dp_matches_oracle():
     scn, frame = drawn_frame(5.0, 0, seed=7, n_nodes=3, horizon=2,
                              frame_len=2, budget_avg=0.1)
     cfg = PolicyConfig(v=10.0, theta=20.0)
-    seq = pspwu_frame_decide(cfg, frame, scn.budget_avg)
+    seq = frame_decide(cfg, frame)
     best_seq, _ = brute_force_frame(frame, scn.budget_avg, cfg)
     assert seq == best_seq
 
@@ -120,12 +122,9 @@ def test_weight_anchored_dp_accepts_negative_anchor():
     for _ in range(40):
         cfg, frame, e_avg = random_frame_instance(rng, anchor_low=-20.0,
                                                 anchor_high=50.0)
-        seq = pspwu_frame_decide(cfg, frame, e_avg)
+        seq = frame_decide(cfg, frame)
         best_seq, _ = brute_force_frame(frame, e_avg, cfg)
         assert seq == best_seq
-    _, frame = drawn_frame(-3.0, 0, seed=1, n_nodes=2, horizon=2, frame_len=2)
-    with pytest.raises(ValueError):
-        psp_frame_decide(PolicyConfig(), frame, 0.1)
 
 
 def test_single_slot_frame_equals_reactive_rule():
@@ -138,9 +137,9 @@ def test_single_slot_frame_equals_reactive_rule():
                            theta=float(rng.uniform(0, 50)))
         q = float(rng.uniform(0, 30))
         prev = int(rng.integers(scn.node_count))
-        frame = FrameInput(rows, prices, q, prev)
-        seq = psp_frame_decide(cfg, frame, scn.budget_avg)
-        assert seq == [osp_decide(cfg, q, rows[0], prices[0], prev)]
+        scores = osp_scores(cfg, q, rows[0], prices[0], prev)
+        seq = frame_decide(cfg, FrameInput(rows, prices, q, prev))
+        assert seq == [scores.index(min(scores))]
 
 
 def test_zero_anchor_frame_is_per_slot_latency_greedy():
@@ -148,7 +147,7 @@ def test_zero_anchor_frame_is_per_slot_latency_greedy():
     for _ in range(30):
         cfg, frame, e_avg = random_frame_instance(rng, anchor_low=0.0,
                                                 anchor_high=0.0)
-        seq = psp_frame_decide(cfg, frame, e_avg)
+        seq = frame_decide(cfg, frame)
         for p, row in enumerate(frame.latency):
             assert row[seq[p]] == min(row)
 
@@ -159,7 +158,7 @@ def test_migration_strictly_dominated_stays_put():
     for prev in (0, 1):
         scn, frame = drawn_frame(4.0, prev, seed=3, n_nodes=2, horizon=2,
                                  frame_len=2, budget_avg=0.05)
-        seq = psp_frame_decide(cfg, frame, scn.budget_avg)
+        seq = frame_decide(cfg, frame)
         assert seq == [prev, prev]
         best_seq, _ = brute_force_frame(frame, scn.budget_avg, cfg)
         assert best_seq == seq
@@ -172,21 +171,18 @@ def test_scale_invariance_of_decisions():
     for c in (2.0, 4.0, 0.5):
         for _ in range(20):
             cfg, frame, e_avg = random_frame_instance(rng)
-            seq = psp_frame_decide(cfg, frame, e_avg)
+            seq = frame_decide(cfg, frame)
             scaled_cfg = replace(cfg, v=cfg.v * c, theta=cfg.theta * c)
             scaled_frame = FrameInput(
                 [[lat * c for lat in row] for row in frame.latency],
                 [price * c for price in frame.move_price],
                 frame.q_anchor * c, frame.prev_placement)
-            scaled = psp_frame_decide(scaled_cfg, scaled_frame,
-                                      e_avg * c)
-            assert scaled == seq
+            assert frame_decide(scaled_cfg, scaled_frame) == seq
 
-            a = osp_decide(cfg, frame.q_anchor, frame.latency[0],
-                           frame.move_price[0], frame.prev_placement)
-            b = osp_decide(scaled_cfg, frame.q_anchor * c,
-                           scaled_frame.latency[0], scaled_frame.move_price[0],
-                           frame.prev_placement)
+            a = osp(cfg, frame.q_anchor, frame.latency[0],
+                    frame.move_price[0], frame.prev_placement)
+            b = osp(scaled_cfg, frame.q_anchor * c, scaled_frame.latency[0],
+                    scaled_frame.move_price[0], frame.prev_placement)
             assert a == b
 
 
@@ -207,7 +203,7 @@ def test_all_tie_frame_breaks_to_lowest_indices():
     # and oracle must land on the lexicographically smallest one
     scn, frame = drawn_frame(0.0, 2, seed=8, n_nodes=3, horizon=3, frame_len=3)
     cfg = PolicyConfig(v=0.0, theta=30.0)
-    seq = psp_frame_decide(cfg, frame, scn.budget_avg)
+    seq = frame_decide(cfg, frame)
     best_seq, _ = brute_force_frame(frame, scn.budget_avg, cfg)
     assert seq == best_seq == [0, 0, 0]
 
@@ -221,16 +217,19 @@ def test_brute_force_frame_guard():
 # --- benchmarks -------------------------------------------------------------
 
 def test_always_migrate_follows_user():
-    assert am_decide(2) == 2
-    assert am_decide(0) == 0
+    scn, table = generate_scenario(seed=12, n_nodes=4, horizon=40)
+    rec = simulate(scn, table, "am")
+    assert [r.placement for r in rec.per_slot] == table.trace
     rows, _ = make_rows(users=(2,))
     # co-location: no backhaul term in the latency (8 MB at 8 Mbit/s, 4 Gc at 8 GHz)
-    assert rows[0][am_decide(2)] == 8.0 * 8 / 8.0 + 4.0 / 8.0
+    assert rows[0][2] == 8.0 * 8 / 8.0 + 4.0 / 8.0
 
 
 def test_never_migrate():
-    assert nm_decide(1) == 1
-    assert all(nm_decide(1) == 1 for _ in range(5))
+    scn, table = generate_scenario(seed=12, n_nodes=4, horizon=40)
+    assert len(set(table.trace)) > 1
+    rec = simulate(scn, table, "nm")
+    assert all(r.placement == table.trace[0] for r in rec.per_slot)
 
 
 def lm_instance():
