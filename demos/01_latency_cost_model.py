@@ -6,8 +6,9 @@ node's CPU. Moving the container between nodes costs its size times the
 per-GB price.
 
 The fixed data (links, capacities) sit on a Scenario and the per-slot draws
-in the columns of a SlotTable; latency_rows turns one slot into a row of
-latencies, one per hosting node, plus the price of any move.
+in the columns of a SlotTable; latency_rows turns a range of slots into a
+float64 matrix with one row of latencies per slot, one column per hosting
+node, plus each slot's price of any move.
 """
 
 import numpy as np
@@ -22,7 +23,8 @@ scn = Scenario(node_count=3, backhaul_rate=np.full((3, 3), 64.0),
 table = SlotTable(node_count=3, user_node=[0], input_size=[8.0],
                   workload=[4.0], access_rate=[8.0], container_size=[50.0],
                   unit_migration_cost=[2.0])
-[row], [price] = latency_rows(scn, table, 0, table.trace)
+rows, prices = latency_rows(scn, table, 0, table.trace)  # shapes (1, 3), (1,)
+[row], [price] = rows.tolist(), prices.tolist()
 
 print("user sits at node 0; task: 8 MB upload, 4 Gcycles of work")
 print()

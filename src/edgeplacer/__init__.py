@@ -6,7 +6,7 @@ benchmark placement rules plus brute-force oracles), predict (mobility
 predictors), harness (simulation engine, sweeps, CSV), cli (command line).
 """
 
-from .costqueue import CostQueueState, advance, bound_constant_B, update_queue
+from .costqueue import CostQueueState, advance, bound_constant_B
 from .harness import (BUDGET_PRESETS, ExperimentConfig, RunRecord,
                       generate_scenario, run, simulate, sweep, synthetic_trace)
 from .model import (Placement, Scenario, SlotTable, latency_rows,
@@ -25,5 +25,5 @@ __all__ = [
     "brute_force_frame", "brute_force_horizon", "frame_decide",
     "frame_objective", "generate_scenario", "latency_rows", "lm_decide",
     "max_slot_migration_cost", "plm_decide", "predict", "run", "simulate",
-    "slot_outcome", "sweep", "synthetic_trace", "update_queue",
+    "slot_outcome", "sweep", "synthetic_trace",
 ]

@@ -26,13 +26,6 @@ class CostQueueState:
             raise ValueError("beta must be in [0, 1]")
 
 
-def update_queue(q: float, e: float, e_avg: float) -> float:
-    """One queue step: add the slot's cost, drain the budget, clamp at zero."""
-    if q < 0 or e < 0 or e_avg < 0:
-        raise ValueError("queue inputs must be nonnegative")
-    return max(q + (e - e_avg), 0.0)
-
-
 def bound_constant_B(e_avg: float, e_max: float) -> float:
     """Constant (e_avg^2 + e_max^2) / 2 appearing in the drift upper bound."""
     if e_avg < 0 or e_max < 0:
@@ -46,9 +39,12 @@ def advance(state: CostQueueState, e: float, e_avg: float) -> CostQueueState:
         q(t+1) = max(q + e - e_avg, 0)
         w(t+1) = w + (q(t+1) - q) + beta * max(w - w_prev, 0)
 
-    The weight may go negative; no clamp is applied.
+    The weight is not clamped, and it needs no clamp: w - q never falls,
+    so from the zero state w >= q >= 0 at every slot.
     """
-    q_next = update_queue(state.q, e, e_avg)
+    if e < 0 or e_avg < 0:
+        raise ValueError("queue inputs must be nonnegative")
+    q_next = max(state.q + (e - e_avg), 0.0)
     momentum = max(state.w - state.w_prev, 0.0)
     return CostQueueState(q_next, state.w + (q_next - state.q)
                           + state.beta * momentum, state.w, state.beta)

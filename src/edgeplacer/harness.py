@@ -12,12 +12,14 @@ configurations replay bit-identically.
 import csv
 import json
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .costqueue import CostQueueState, advance, bound_constant_B
+# max_slot_migration_cost is not used here; harness re-exports it
 from .model import (Scenario, SlotTable, latency_rows,
                     max_slot_migration_cost, slot_outcome)
 from .policies import (FrameInput, PolicyConfig, brute_force_frame,
@@ -53,7 +55,8 @@ class TraceFormatError(ValueError):
 
 
 class InvariantError(RuntimeError):
-    """A run broke the budget inequality or the backlog deviation bound."""
+    """A run broke the budget inequality, the backlog deviation bound or
+    w >= q."""
 
 
 SlotRecord = namedtuple("SlotRecord", "t placement latency cost q w")
@@ -186,8 +189,8 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     psp/pspwu, one slot otherwise. An epoch's placements are chosen at its
     first slot from predicted user locations for its later slots (and for
     the next slot under plm); realized latency/cost and queue updates use the
-    true user nodes. A broken budget inequality or backlog deviation bound
-    raises InvariantError.
+    true user nodes. A broken budget inequality, backlog deviation bound or
+    w >= q raises InvariantError.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -198,6 +201,8 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         raise TraceFormatError("slot table shorter than horizon")
     trace = table.trace
 
+    # No realized row depends on a decision: the run's are built once.
+    realized, price = latency_rows(scn, table, 0, table.user_node[:horizon])
     state = CostQueueState(beta=cfg.beta)
     prev = initial = trace[0]
     lm_acc = 0.0
@@ -205,36 +210,36 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     overrun = 0.0  # queue recursion without the clamp, same op order as the queue
     negative_w_frames = 0
     # Holding the epoch-start backlog fixed is off by at most epoch_len * w_q.
-    w_q = max(e_avg, max_slot_migration_cost(table[:horizon]))
+    w_q = max(e_avg, float(price.max()))
     dev_bound = epoch_len * w_q
     dev_limit = dev_bound + 1e-9 * max(1.0, dev_bound)
 
     for k, start in enumerate(range(0, horizon, epoch_len)):
         ahead = min(lookahead, horizon - start - 1)
-        users = [trace[start]]
+        span = slice(start, start + 1 + ahead)
+        rows, prices = realized[span].tolist(), price[span].tolist()
+        seen = rows  # the rows the epoch is decided from
         if ahead:  # the history is a view of the checked column, not a copy
-            users += predict(spec, table.user_node[:start + 1],
-                             trace[start + 1:start + 1 + ahead], ahead,
-                             scn.node_count, salt=k)
-        rows, prices = latency_rows(scn, table, start, users)
+            users = [trace[start]] + predict(
+                spec, table.user_node[:start + 1], trace[start + 1:span.stop],
+                ahead, scn.node_count, salt=k)
+            if users != trace[span]:
+                seen = latency_rows(scn, table, start, users)[0].tolist()
         if policy in ("osp", "psp", "pspwu"):  # osp: a 1-slot frame
             anchor = state.w if policy == "pspwu" else state.q
             negative_w_frames += anchor < 0
-            seq = frame_decide(cfg, FrameInput(rows, prices, anchor, prev))
-            if ahead:  # account with the realized user nodes
-                rows, prices = latency_rows(scn, table, start,
-                                            trace[start:start + len(seq)])
+            seq = frame_decide(cfg, FrameInput(seen, prices, anchor, prev))
         elif policy == "am":
-            seq = [users[0]]
+            seq = [trace[start]]
         elif policy == "nm":
             seq = [initial]
         elif policy == "lm":
-            placement, lm_acc = lm_decide(lm_acc, rows[0], prices[0], users[0],
-                                          prev, cfg)
+            placement, lm_acc = lm_decide(lm_acc, rows[0], prices[0],
+                                          trace[start], prev, cfg)
             seq = [placement]
         else:  # plm
-            seq = [plm_decide(rows[0], rows[1] if ahead else None, prices[0],
-                              users[0], prev, cfg)]
+            seq = [plm_decide(rows[0], seen[1] if ahead else None, prices[0],
+                              trace[start], prev, cfg)]
 
         q_start = state.q
         for t, placement in enumerate(seq, start):
@@ -248,6 +253,16 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                 raise InvariantError(
                     f"slot {t}: backlog {state.q!r} drifted from the epoch "
                     f"start {q_start!r} beyond {epoch_len} * w_q = {dev_bound!r}")
+            # w' - q' = (w - q) + beta * max(w - w_prev, 0) and w = q = 0 at
+            # the start. In floats w' = fl(fl(w + d) + beta * m) with
+            # d = fl(q' - q). Rounding is monotone, so w >= q gives
+            # w' >= fl(q + d), and fl(q + d) == q' for every queue step: the
+            # clamp (d = -q), a step of at most q either way (d is exact,
+            # Fast2Sum) and a larger rise (d is off by at most half an ulp of
+            # q', and q + d rounds back to q'). The check needs no tolerance.
+            if not state.w >= state.q:
+                raise InvariantError(f"slot {t}: weight {state.w!r} fell "
+                                     f"below the backlog {state.q!r}")
 
     # Telescoped budget guarantee: the clamp only ever raises the backlog, so
     # q dominates the unclamped overrun sum. Float-exact because both sides
@@ -307,8 +322,10 @@ def run(config: ExperimentConfig) -> RunRecord:
 
 
 def _whole(value, name: str) -> int:
-    """An integer setting: a non-integral number is rejected, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integer setting: a non-integral number is rejected, not truncated,
+    and a boolean or a string is rejected, not converted."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -423,6 +440,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     if "name" not in policy:
         raise ConfigError("policy.name is required")
+    homogeneous = scenario.get("homogeneous_capacity", False)
+    if not isinstance(homogeneous, bool):
+        raise ConfigError("scenario.homogeneous_capacity must be true or "
+                          f"false, got {homogeneous!r}")
     try:
         policy_cfg = PolicyConfig(
             v=float(policy.get("v", 10.0)),
@@ -453,7 +474,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             frame_len=_whole(scenario.get("frame_len", 3), "scenario.frame_len"),
             budget_avg=float(scenario.get("budget_avg", BUDGET_PRESETS["low"])),
             backhaul_mbps=scenario.get("backhaul_mbps", 100.0),
-            homogeneous_capacity=bool(scenario.get("homogeneous_capacity", False)),
+            homogeneous_capacity=homogeneous,
             access_rate_scale=float(scenario.get("access_rate_scale", 1.0)),
             trace_path=trace.get("path") if trace_kind == "file" else None,
             trace_seed=_whole(trace.get("seed", 1), "trace.seed"),
@@ -538,16 +559,35 @@ def read_trace_csv(path: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # oracle verification suites (backing the CLI verify command)
 
-def random_frame_instance(rng, anchor_low=0.0, anchor_high=50.0):
-    """Small random frame problem for DP-vs-enumeration checks."""
+def random_frame_instance(rng, anchor_low=0.0, anchor_high=50.0,
+                          grid=False):
+    """Small random frame problem for DP-vs-enumeration checks.
+
+    By default the latencies and prices are a generated scenario's and the
+    tunables and anchor uniform floats. With grid, the latencies and prices
+    are whole numbers 0-3 or quarters 0-10, v is one of 0, 1, 2.5 and 10,
+    and the anchor, theta and e_avg are quarters: every sum is exact, so
+    the ties and near-ties that float draws almost never make are common.
+    """
     n = int(rng.integers(2, 6))
     length = int(rng.integers(2, 5))
+    if grid:
+        top, step = (3, 1.0) if rng.random() < 0.5 else (40, 0.25)
+        values = rng.integers(0, top + 1, (length, n + 1)) * step
+        cfg = PolicyConfig(v=float(rng.choice((0.0, 1.0, 2.5, 10.0))),
+                           theta=int(rng.integers(41)) / 4)
+        anchor = int(rng.integers(math.ceil(4 * anchor_low),
+                                  math.floor(4 * anchor_high) + 1)) / 4
+        frame = FrameInput(values[:, :n].tolist(), values[:, n].tolist(),
+                           anchor, int(rng.integers(n)))
+        return cfg, frame, int(rng.integers(41)) / 4
     scn, table = generate_scenario(
         seed=int(rng.integers(2 ** 31)), n_nodes=n, horizon=length,
         frame_len=length, budget_avg=float(rng.uniform(0.0, 0.5)))
     cfg = PolicyConfig(v=float(rng.uniform(0.0, 100.0)),
                        theta=float(rng.uniform(0.0, 100.0)))
-    frame = FrameInput(*latency_rows(scn, table, 0, table.trace),
+    rows, prices = latency_rows(scn, table, 0, table.trace)
+    frame = FrameInput(rows.tolist(), prices.tolist(),
                        float(rng.uniform(anchor_low, anchor_high)),
                        int(rng.integers(n)))
     return cfg, frame, scn.budget_avg
@@ -557,13 +597,15 @@ def verify_frame_oracles(seed: int = 1, instances: int = 200,
                          anchor_low: float = 0.0, anchor_high: float = 50.0):
     """Compare the frame solver against exhaustive enumeration.
 
-    Negative anchor_low exercises the weight-anchored variant. Returns
-    (matches, instances, mismatch descriptions).
+    Every other instance is drawn on the exact grid. Negative anchor_low
+    exercises the weight-anchored variant. Returns (matches, instances,
+    mismatch descriptions).
     """
     rng = np.random.default_rng(seed)
     matches, mismatches = 0, []
     for idx in range(instances):
-        cfg, frame, e_avg = random_frame_instance(rng, anchor_low, anchor_high)
+        cfg, frame, e_avg = random_frame_instance(rng, anchor_low, anchor_high,
+                                                  grid=idx % 2 == 1)
         seq = frame_decide(cfg, frame)
         obj = frame_objective(cfg, frame, e_avg, seq)
         best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
@@ -592,8 +634,8 @@ def verify_horizon_bound(seed: int = 1, instances: int = 20,
         scn, table = generate_scenario(
             seed=seed + idx, n_nodes=3, horizon=6, budget_avg=budget_avg)
         latency, prices = latency_rows(scn, table, 0, table.trace)
-        _, oracle_lat = brute_force_horizon(latency, prices, budget_avg,
-                                            table.trace[0])
+        _, oracle_lat = brute_force_horizon(latency.tolist(), prices.tolist(),
+                                            budget_avg, table.trace[0])
         for v in v_values:
             checks += 1
             rec = simulate(scn, table, "osp", PolicyConfig(v=v))

@@ -104,38 +104,34 @@ class SlotTable:
         """The realized user node of every slot."""
         return self.user_node.tolist()
 
-    @cached_property
-    def _lists(self):
-        # Python lists keep the per-row arithmetic in floats: for a few nodes
-        # numpy's per-call overhead exceeds the work.
-        data = self.input_size * MEGABITS_PER_MEGABYTE
-        price = self.container_size / MEGABYTES_PER_GIGABYTE * self.unit_migration_cost
-        return ((data / self.access_rate).tolist(), data.tolist(),
-                self.workload.tolist(), price.tolist())
-
 
 def latency_rows(scn: Scenario, table: SlotTable, start: int, users):
     """Latency rows and move prices of slots start, start + 1, ...
 
-    rows[k][i] is the time in seconds to serve slot start + k from node i
+    rows[k, i] is the time in seconds to serve slot start + k from node i
     when the user sits at users[k], realized or predicted: access transfer,
     plus backhaul transfer, plus compute on i. The backhaul rate of the
     user's own node is stored as inf, so its backhaul time is exactly 0 s.
-    prices[k] is the cost of any move in that slot; all are Python floats.
+    prices[k] is the cost of any move in that slot; both are float64 arrays.
     """
-    caps = scn.compute_capacity.tolist()
-    access, data, work, price = table._lists
-    rows = []
-    for t, user in enumerate(users, start):
-        a, d, w = access[t], data[t], work[t]
-        rates = scn.backhaul_rate[user].tolist()
-        rows.append([a + d / r + w / c for r, c in zip(rates, caps)])
-    return rows, price[start:start + len(rows)]
+    end = start + len(users)
+    if not 0 <= start <= end <= len(table.user_node):
+        raise ValueError("slots out of the table's range")
+    data = table.input_size[start:end, None] * MEGABITS_PER_MEGABYTE
+    rows = (data / table.access_rate[start:end, None]
+            + data / scn.backhaul_rate[users]
+            + table.workload[start:end, None] / scn.compute_capacity)
+    return rows, _move_prices(table, slice(start, end))
+
+
+def _move_prices(table: SlotTable, slots=slice(None)) -> np.ndarray:
+    return (table.container_size[slots] / MEGABYTES_PER_GIGABYTE
+            * table.unit_migration_cost[slots])
 
 
 def max_slot_migration_cost(table: SlotTable) -> float:
     """Largest migration cost any placement change could incur in the table."""
-    return max(table._lists[3])
+    return float(_move_prices(table).max())
 
 
 def slot_outcome(row, price: float, prev: Placement,

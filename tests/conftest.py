@@ -23,7 +23,8 @@ def make_table(users=(0,), n=3, input_size=8.0, workload=4.0,
 
 
 def make_rows(users=(0,), n=3, backhaul=64.0, caps=None, **draws):
-    """Latency rows and move prices of make_table's slots."""
+    """Latency rows and move prices of make_table's slots, as Python lists."""
     table = make_table(users, n, **draws)
-    return latency_rows(make_scenario(n, backhaul, caps=caps), table, 0,
-                        table.trace)
+    rows, prices = latency_rows(make_scenario(n, backhaul, caps=caps), table,
+                                0, table.trace)
+    return rows.tolist(), prices.tolist()

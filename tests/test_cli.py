@@ -62,6 +62,9 @@ def test_run_requires_output(tmp_path, capsys):
     # a non-integral number in an integer field is rejected, not truncated
     "scenario.horizon=30.7", "scenario.node_count=3.9",
     "predictor.window=2.5", "trace.seed=1.5",
+    # a boolean or a string is not a number, and a string is not a flag
+    "scenario.node_count=true", 'scenario.horizon="30"',
+    'scenario.homogeneous_capacity="false"',
 ])
 def test_run_bad_value_is_config_error(tmp_path, capsys, override):
     config = write_config(tmp_path / "c.json")
@@ -221,3 +224,35 @@ def test_verify_command(tmp_path, capsys):
     assert "10/10 oracle matches" in out
     assert "oracle matches (weight anchor)" in out
     assert "horizon bound holds" in out
+
+
+def frame_decide_without_second(cfg, frame):
+    """frame_decide with a fault: the backward pass keeps only each layer's
+    smallest moved-in cost, so under a negative anchor a node may "move"
+    into itself at the (negative) move price."""
+    v, anchor, lat = cfg.v, frame.q_anchor, frame.latency
+    after = []
+    for p in range(len(lat) - 1, 0, -1):
+        tail = after[-1] if after else [0.0] * len(lat[p])
+        m = anchor * frame.move_price[p]
+        best = min(v * x + m + t for x, t in zip(lat[p], tail))
+        after.append([min(v * x + t, best) for x, t in zip(lat[p], tail)])
+    seq, at = [], frame.prev_placement
+    for p, row in enumerate(lat):
+        m = anchor * frame.move_price[p]
+        scores = [v * x + (m if i != at else 0.0) for i, x in enumerate(row)]
+        if after:
+            scores = [s + t for s, t in zip(scores, after.pop())]
+        at = scores.index(min(scores))
+        seq.append(at)
+    return seq
+
+
+def test_verify_catches_a_solver_without_the_second_smallest_cost(
+        capsys, monkeypatch):
+    monkeypatch.setattr(harness, "frame_decide", frame_decide_without_second)
+    assert main(["verify", "--instances", "200"]) == 4
+    out = capsys.readouterr().out.splitlines()
+    matches, total = out[1].split()[0].split("/")
+    assert out[1].endswith("oracle matches (weight anchor)")
+    assert int(matches) < int(total) == 100

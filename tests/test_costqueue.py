@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from edgeplacer.costqueue import (CostQueueState, advance, bound_constant_B,
-                                  update_queue)
+from edgeplacer.costqueue import CostQueueState, advance, bound_constant_B
+
+
+def update_queue(q, e, e_avg):
+    """The queue step of advance."""
+    return advance(CostQueueState(q=q), e, e_avg).q
 
 
 def test_update_queue_examples():
@@ -12,6 +16,7 @@ def test_update_queue_examples():
 
 
 def test_update_queue_rejects_negative():
+    # a negative backlog is refused by the state, a negative cost by advance
     for bad in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
         with pytest.raises(ValueError):
             update_queue(*bad)

@@ -18,7 +18,8 @@ from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
                                 synthetic_trace, verify_frame_oracles,
                                 verify_horizon_bound, write_trace_csv)
 from edgeplacer.model import latency_rows
-from edgeplacer.policies import PolicyConfig
+from edgeplacer.policies import (FrameInput, PolicyConfig, frame_decide,
+                                 plm_decide)
 from edgeplacer.predict import PredictorSpec
 
 
@@ -264,6 +265,62 @@ def test_deviation_bound_is_checked_for_every_policy(monkeypatch, policy):
                                                         q=state.q + 1e6))
     with pytest.raises(InvariantError, match="w_q"):
         run(base_config(policy=policy))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_weight_below_backlog_is_checked_for_every_policy(monkeypatch, policy):
+    real = harness.advance
+    monkeypatch.setattr(harness, "advance",
+                        lambda state, e, e_avg: replace(real(state, e, e_avg),
+                                                        w=-1.0))
+    with pytest.raises(InvariantError, match="weight -1.0 fell below"):
+        run(base_config(policy=policy))
+
+
+@pytest.mark.parametrize("policy", ("psp", "pspwu", "plm"))
+def test_wrong_predictions_decide_and_realized_rows_account(monkeypatch,
+                                                            policy):
+    scn, table = generate_scenario(seed=5, n_nodes=4, horizon=60,
+                                   frame_len=3, budget_avg=0.2)
+    predicted = {}
+
+    def predict(spec, history, future, w, n_regions, salt):
+        # every third epoch predicts the wrong node at every look-ahead step
+        out = [(u + 1) % n_regions if salt % 3 == 0 else u for u in future]
+        predicted[salt] = out
+        return out
+
+    monkeypatch.setattr(harness, "predict", predict)
+    cfg = PolicyConfig(v=50.0, beta=0.65)
+    rec = simulate(scn, table, policy, cfg)
+    realized, prices = latency_rows(scn, table, 0, table.trace)
+    epoch_len = 1 if policy == "plm" else scn.frame_len
+    prev, moved_by_errors = table.trace[0], 0
+    for k, start in enumerate(range(0, scn.horizon, epoch_len)):
+        slots = rec.per_slot[start:start + epoch_len]
+        users = [table.trace[start]] + predicted.get(k, [])
+        span = slice(start, start + len(users))
+        decided = {}
+        for name, rows in (("predicted", latency_rows(scn, table, start,
+                                                      users)[0]),
+                           ("realized", realized[span])):
+            rows, price = rows.tolist(), prices[span].tolist()
+            if policy == "plm":
+                decided[name] = [plm_decide(rows[0], rows[1] if k in predicted
+                                            else None, price[0], users[0],
+                                            prev, cfg)]
+            else:
+                anchor = slots[0].w if policy == "pspwu" else slots[0].q
+                decided[name] = frame_decide(cfg, FrameInput(rows, price,
+                                                             anchor, prev))
+        assert [r.placement for r in slots] == decided["predicted"], k
+        moved_by_errors += decided["predicted"] != decided["realized"]
+        for r in slots:
+            assert r.latency == realized[r.t, r.placement]
+            assert r.cost == (prices[r.t] if r.placement != prev else 0.0)
+            prev = r.placement
+    assert len(predicted) == scn.horizon // epoch_len - (policy == "plm")
+    assert moved_by_errors > 0
 
 
 def test_invariant_checks_survive_optimize():

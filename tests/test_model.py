@@ -63,6 +63,8 @@ def test_latency_rows_match_scalar_formula():
         start = int(rng.integers(horizon))
         users = [int(u) for u in rng.integers(n, size=horizon - start)]
         rows, prices = latency_rows(scn, table, start, users)
+        assert rows.dtype == prices.dtype == np.float64
+        assert rows.shape == (len(users), n) and prices.shape == (len(users),)
         for k, user in enumerate(users):
             t = start + k
             data = float(table.input_size[t]) * 8.0
@@ -70,10 +72,11 @@ def test_latency_rows_match_scalar_formula():
             for i in range(n):
                 backhaul = 0.0 if i == user else data / float(rate[user, i])
                 compute = float(table.workload[t]) / float(scn.compute_capacity[i])
-                assert rows[k][i] == access + backhaul + compute
-                assert type(rows[k][i]) is float
+                assert rows[k, i] == access + backhaul + compute
             assert prices[k] == (float(table.container_size[t]) / 1000.0
                                  * float(table.unit_migration_cost[t]))
+        with pytest.raises(ValueError):  # one user more than slots left
+            latency_rows(scn, table, start, users + [0])
 
 
 def test_migration_cost_zero_iff_same_node():

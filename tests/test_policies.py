@@ -75,9 +75,10 @@ def test_osp_matches_explicit_score_minimum():
 
 def drawn(**kw):
     """A generated scenario, its trace, and the realized latency rows and
-    move prices of its slots."""
+    move prices of its slots as Python lists."""
     scn, table = generate_scenario(**kw)
-    return (scn, table.trace) + latency_rows(scn, table, 0, table.trace)
+    rows, prices = latency_rows(scn, table, 0, table.trace)
+    return scn, table.trace, rows.tolist(), prices.tolist()
 
 
 def drawn_frame(q_anchor, prev_placement, **kw):
