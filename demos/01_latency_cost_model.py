@@ -23,7 +23,8 @@ scn = Scenario(node_count=3, backhaul_rate=np.full((3, 3), 64.0),
 table = SlotTable(node_count=3, user_node=[0], input_size=[8.0],
                   workload=[4.0], access_rate=[8.0], container_size=[50.0],
                   unit_migration_cost=[2.0])
-rows, prices = latency_rows(scn, table, 0, table.trace)  # shapes (1, 3), (1,)
+# every slot of the table: shapes (1, 3) and (1,)
+rows, prices = latency_rows(scn, table, slice(None), table.trace)
 [row], [price] = rows.tolist(), prices.tolist()
 
 print("user sits at node 0; task: 8 MB upload, 4 Gcycles of work")

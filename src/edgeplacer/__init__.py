@@ -14,7 +14,7 @@ from .model import (Placement, Scenario, SlotTable, latency_rows,
 from .policies import (FrameInput, PolicyConfig, brute_force_frame,
                        brute_force_horizon, frame_decide, frame_objective,
                        lm_decide, plm_decide)
-from .predict import ACCURACY_PRESETS, PredictorSpec, predict
+from .predict import ACCURACY_PRESETS, PredictorSpec, predict, predict_epochs
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,6 @@ __all__ = [
     "Scenario", "SlotTable", "advance", "bound_constant_B",
     "brute_force_frame", "brute_force_horizon", "frame_decide",
     "frame_objective", "generate_scenario", "latency_rows", "lm_decide",
-    "max_slot_migration_cost", "plm_decide", "predict", "run", "simulate",
-    "slot_outcome", "sweep", "synthetic_trace",
+    "max_slot_migration_cost", "plm_decide", "predict", "predict_epochs",
+    "run", "simulate", "slot_outcome", "sweep", "synthetic_trace",
 ]

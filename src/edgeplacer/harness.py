@@ -25,7 +25,7 @@ from .model import (Scenario, SlotTable, latency_rows,
 from .policies import (FrameInput, PolicyConfig, brute_force_frame,
                        brute_force_horizon, frame_decide, frame_objective,
                        lm_decide, plm_decide)
-from .predict import PredictorSpec, predict
+from .predict import PredictorSpec, predict_epochs
 
 POLICIES = ("osp", "psp", "pspwu", "am", "nm", "lm", "plm")
 SWEEP_AXES = ("v", "e_avg", "t", "theta", "beta")
@@ -64,7 +64,12 @@ SlotRecord = namedtuple("SlotRecord", "t placement latency cost q w")
 
 @dataclass
 class RunRecord:
-    """Per-slot time series plus time-averaged summaries of one run."""
+    """Per-slot time series plus time-averaged summaries of one run.
+
+    prediction_accuracy[s - 1] is the share of the run's predictions made s
+    slots ahead that named the realized node, for every depth s the run
+    predicted at; it is empty when the policy predicts nothing.
+    """
 
     per_slot: list
     avg_latency: float
@@ -72,6 +77,7 @@ class RunRecord:
     avg_queue: float
     final_queue: float
     negative_w_frames: int
+    prediction_accuracy: tuple
 
 
 @dataclass
@@ -201,8 +207,26 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         raise TraceFormatError("slot table shorter than horizon")
     trace = table.trace
 
-    # No realized row depends on a decision: the run's are built once.
-    realized, price = latency_rows(scn, table, 0, table.user_node[:horizon])
+    # No prediction and no realized row depends on a decision: the run's
+    # are made once, before the loop. guesses[k, s - 1] is epoch k's
+    # prediction of slot target[k, s - 1] = k * epoch_len + s, or -1 past
+    # the horizon; no slot is the target of two epochs.
+    users = table.user_node[:horizon]
+    realized, price = latency_rows(scn, table, slice(0, horizon), users)
+    guesses = predict_epochs(spec, users, lookahead, scn.node_count,
+                             epoch_len)
+    target = (np.arange(0, horizon, epoch_len)[:, None]
+              + np.arange(1, lookahead + 1))
+    made = guesses >= 0
+    hit = made & (guesses == users.take(target, mode="clip"))
+    attempts = made.sum(axis=0)
+    depths = np.count_nonzero(attempts)
+    accuracy = tuple((hit.sum(axis=0)[:depths] / attempts[:depths]).tolist())
+    # only the rows of wrongly predicted slots are computed anew
+    miss = made & ~hit
+    missed = miss.any(axis=1).tolist()
+    wrong_rows = iter(latency_rows(scn, table, target[miss], guesses[miss])[0])
+
     state = CostQueueState(beta=cfg.beta)
     prev = initial = trace[0]
     lm_acc = 0.0
@@ -219,12 +243,9 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         span = slice(start, start + 1 + ahead)
         rows, prices = realized[span].tolist(), price[span].tolist()
         seen = rows  # the rows the epoch is decided from
-        if ahead:  # the history is a view of the checked column, not a copy
-            users = [trace[start]] + predict(
-                spec, table.user_node[:start + 1], trace[start + 1:span.stop],
-                ahead, scn.node_count, salt=k)
-            if users != trace[span]:
-                seen = latency_rows(scn, table, start, users)[0].tolist()
+        if missed[k]:
+            seen = rows[:1] + [next(wrong_rows).tolist() if wrong else row
+                               for row, wrong in zip(rows[1:], miss[k])]
         if policy in ("osp", "psp", "pspwu"):  # osp: a 1-slot frame
             anchor = state.w if policy == "pspwu" else state.q
             negative_w_frames += anchor < 0
@@ -283,6 +304,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         avg_queue=math.fsum(r.q for r in records) / horizon,
         final_queue=state.q,
         negative_w_frames=negative_w_frames,
+        prediction_accuracy=accuracy,
     )
 
 
@@ -586,7 +608,7 @@ def random_frame_instance(rng, anchor_low=0.0, anchor_high=50.0,
         frame_len=length, budget_avg=float(rng.uniform(0.0, 0.5)))
     cfg = PolicyConfig(v=float(rng.uniform(0.0, 100.0)),
                        theta=float(rng.uniform(0.0, 100.0)))
-    rows, prices = latency_rows(scn, table, 0, table.trace)
+    rows, prices = latency_rows(scn, table, slice(None), table.trace)
     frame = FrameInput(rows.tolist(), prices.tolist(),
                        float(rng.uniform(anchor_low, anchor_high)),
                        int(rng.integers(n)))
@@ -633,7 +655,7 @@ def verify_horizon_bound(seed: int = 1, instances: int = 20,
     for idx in range(instances):
         scn, table = generate_scenario(
             seed=seed + idx, n_nodes=3, horizon=6, budget_avg=budget_avg)
-        latency, prices = latency_rows(scn, table, 0, table.trace)
+        latency, prices = latency_rows(scn, table, slice(None), table.trace)
         _, oracle_lat = brute_force_horizon(latency.tolist(), prices.tolist(),
                                             budget_avg, table.trace[0])
         for v in v_values:

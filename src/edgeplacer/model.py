@@ -105,23 +105,48 @@ class SlotTable:
         return self.user_node.tolist()
 
 
-def latency_rows(scn: Scenario, table: SlotTable, start: int, users):
-    """Latency rows and move prices of slots start, start + 1, ...
+def latency_rows(scn: Scenario, table: SlotTable, slots, users):
+    """Latency rows and move prices of the given slots of the table.
 
-    rows[k, i] is the time in seconds to serve slot start + k from node i
-    when the user sits at users[k], realized or predicted: access transfer,
-    plus backhaul transfer, plus compute on i. The backhaul rate of the
-    user's own node is stored as inf, so its backhaul time is exactly 0 s.
-    prices[k] is the cost of any move in that slot; both are float64 arrays.
+    slots is a slice with step 1 or a one-dimensional integer index array,
+    naming one slot per entry of users; users[k] is the user's node in the
+    k-th of them, realized or predicted. rows[k, i] is the time in seconds
+    to serve that slot from node i: access transfer, plus backhaul
+    transfer, plus compute on i. The backhaul rate of the user's own node is
+    stored as inf, so its backhaul time is exactly 0 s. prices[k] is the
+    cost of any move in that slot; both are float64 arrays. A slot outside
+    the table or a node outside [0, node_count) raises ValueError.
     """
-    end = start + len(users)
-    if not 0 <= start <= end <= len(table.user_node):
-        raise ValueError("slots out of the table's range")
-    data = table.input_size[start:end, None] * MEGABITS_PER_MEGABYTE
-    rows = (data / table.access_rate[start:end, None]
+    size = len(table.user_node)
+    if isinstance(slots, slice):
+        start = 0 if slots.start is None else slots.start
+        stop = size if slots.stop is None else slots.stop
+        if slots.step not in (None, 1) or not 0 <= start <= stop <= size:
+            raise ValueError("slots out of the table's range")
+        count = stop - start
+    else:
+        slots = _indices(slots, size, "slots out of the table's range")
+        count = len(slots)
+    users = _indices(users, scn.node_count,
+                     f"user nodes must lie in [0, {scn.node_count})")
+    if len(users) != count:
+        raise ValueError(f"{len(users)} user nodes for {count} slots")
+    data = table.input_size[slots, None] * MEGABITS_PER_MEGABYTE
+    rows = (data / table.access_rate[slots, None]
             + data / scn.backhaul_rate[users]
-            + table.workload[start:end, None] / scn.compute_capacity)
-    return rows, _move_prices(table, slice(start, end))
+            + table.workload[slots, None] / scn.compute_capacity)
+    return rows, _move_prices(table, slots)
+
+
+def _indices(values, size: int, message: str) -> np.ndarray:
+    """values as a one-dimensional integer array, each in [0, size)."""
+    index = np.asarray(values)
+    if index.size == 0:
+        return index.astype(np.intp).reshape(0)
+    if (index.ndim != 1 or not np.issubdtype(index.dtype, np.integer)
+            or index.min() < 0 or index.max() >= size):
+        raise ValueError(message)
+    return index
 
 
 def _move_prices(table: SlotTable, slots=slice(None)) -> np.ndarray:

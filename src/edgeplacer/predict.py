@@ -5,6 +5,9 @@ predictors are provided: a noisy oracle that returns the true future region
 with a configured per-step accuracy (stand-in for trained sequence models,
 parameterized by their measured accuracies), a moving-mode baseline, and a
 first-order Markov chain fitted on the observed history.
+
+No prediction depends on a placement decision, so a run makes all of its
+predictions at once with predict_epochs; predict is the one-epoch call.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,10 @@ ACCURACY_PRESETS = {
     "arima": (0.885, 0.808, 0.509),
     "sma": (0.355, 0.102, 0.002),
 }
+
+# markov1 decides its epochs in blocks whose (epochs, n, n) arrays hold at
+# most this many elements, so its temporaries do not grow with the trace.
+_BLOCK_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -47,9 +54,46 @@ class PredictorSpec:
             raise ValueError("window must be >= 1")
 
 
+def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
+                   epoch_len: int) -> np.ndarray:
+    """The predictions of every decision epoch of a run over trace.
+
+    trace is the run's realized region column: a nonempty one-dimensional
+    integer sequence in [0, n_regions), checked once here and read, not
+    copied, when it is an intp array. Epoch k starts at slot
+    start = k * epoch_len, knows the history trace[:start + 1] and predicts
+    the next ahead = min(w, len(trace) - start - 1) regions; the noisy oracle
+    reads them from trace as the true future and salts its draws with k.
+
+    Returns an int array of shape (number of epochs, w). Row k equals
+    predict(spec, trace[:start + 1], trace[start + 1:], ahead, n_regions,
+    salt=k) in its first ahead entries, and is -1 past them.
+    """
+    if w < 0 or epoch_len < 1:
+        raise ValueError("need w >= 0 and epoch_len >= 1")
+    column = _column(trace, n_regions)
+    if spec.kind == "oracle_noisy" and len(spec.accuracies) < w:
+        raise ValueError("need one accuracy per look-ahead step")
+    starts = np.arange(0, len(column), epoch_len)
+    aheads = np.minimum(w, len(column) - 1 - starts)
+    out = np.full((len(starts), w), -1, dtype=np.intp)
+    # Only the last few epochs see less than w slots ahead. A shorter
+    # markov1 path is not a prefix of a longer one, so every look-ahead
+    # length gets its own pass (np.unique would import numpy.ma, ~1 MB).
+    for ahead in range(1, w + 1):
+        epochs = np.flatnonzero(aheads == ahead)
+        if not len(epochs):
+            continue
+        anchors = starts[epochs]
+        truths = column[anchors[:, None] + np.arange(1, ahead + 1)]
+        out[epochs, :ahead] = _predict_at(spec, column, anchors, ahead,
+                                          n_regions, epochs.tolist(), truths)
+    return out
+
+
 def predict(spec: PredictorSpec, history, true_future, w: int, n_regions: int,
             salt: int = 0) -> list[int]:
-    """Predict the user's next w region indices.
+    """Predict the user's next w region indices: one epoch of predict_epochs.
 
     history is the realized trace so far (most recent last): a nonempty
     one-dimensional sequence of integer regions in [0, n_regions), such as a
@@ -60,6 +104,21 @@ def predict(spec: PredictorSpec, history, true_future, w: int, n_regions: int,
     """
     if w < 1:
         raise ValueError("w must be >= 1")
+    column = _column(history, n_regions)
+    truths = None
+    if spec.kind == "oracle_noisy":
+        if len(true_future) < w:
+            raise ValueError("true_future shorter than prediction window")
+        if len(spec.accuracies) < w:
+            raise ValueError("need one accuracy per look-ahead step")
+        truths = [[int(truth) for truth in true_future[:w]]]
+    anchor = np.array([len(column) - 1])
+    return [int(r) for r in _predict_at(spec, column, anchor, w, n_regions,
+                                        [salt], truths)[0]]
+
+
+def _column(history, n_regions):
+    """history as an intp column after the one check of its regions."""
     if n_regions < 1:
         raise ValueError("n_regions must be >= 1")
     h = np.asarray(history)
@@ -70,71 +129,98 @@ def predict(spec: PredictorSpec, history, true_future, w: int, n_regions: int,
                          f"integer regions, got {h.dtype} with shape {h.shape}")
     if h.min() < 0 or h.max() >= n_regions:
         raise ValueError("history region out of range")
-
-    if spec.kind == "oracle_noisy":
-        return _oracle_noisy(spec, true_future, w, n_regions, salt)
     # bincount takes only intp-castable input, and a * n + b must not wrap
     # in a narrow dtype such as uint8; an intp view is used as it is
-    h = h.astype(np.intp, copy=False)
+    return h.astype(np.intp, copy=False)
+
+
+def _predict_at(spec, column, anchors, w, n_regions, salts, truths):
+    """w predicted regions after each of the ascending anchor slots of
+    column, one row per anchor. The oracle reads its truths, one row per
+    anchor, and seeds each row's draws with that anchor's salt."""
+    if spec.kind == "oracle_noisy":
+        return _oracle_noisy(spec, truths, n_regions, salts)
     if spec.kind == "moving_mode":
-        return _moving_mode(spec, h, w, n_regions)
-    return _markov1(h, w, n_regions)
+        return _moving_mode(spec, column, anchors, w, n_regions)
+    return _markov1(column, anchors, w, n_regions)
 
 
-def _oracle_noisy(spec, true_future, w, n_regions, salt):
-    if len(true_future) < w:
-        raise ValueError("true_future shorter than prediction window")
-    if len(spec.accuracies) < w:
-        raise ValueError("need one accuracy per look-ahead step")
-    rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed, salt)))
-    out = []
-    for s in range(w):
-        truth = int(true_future[s])
-        if n_regions == 1 or rng.random() < spec.accuracies[s]:
-            out.append(truth)
-        else:
-            # uniform over the other regions
-            r = int(rng.integers(n_regions - 1))
-            out.append(r if r < truth else r + 1)
-    return out
+def _oracle_noisy(spec, truths, n_regions, salts):
+    """Each true region, kept with its step's accuracy and otherwise
+    replaced by a uniform other region. Every row draws from its own
+    generator, seeded from (rng_seed, salt)."""
+    rows = np.asarray(truths).tolist()
+    if n_regions == 1:
+        return rows
+    for row, salt in zip(rows, salts):
+        rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed,
+                                                            salt)))
+        for s, truth in enumerate(row):
+            if not rng.random() < spec.accuracies[s]:
+                r = int(rng.integers(n_regions - 1))
+                row[s] = r if r < truth else r + 1
+    return rows
 
 
-def _moving_mode(spec, history, w, n_regions):
-    counts = np.bincount(history[-spec.window:], minlength=n_regions)
-    mode = int(counts.argmax())  # ties fall to the lowest region index
-    return [mode] * w
+def _moving_mode(spec, column, anchors, w, n_regions):
+    """The most frequent region of the last window slots up to each anchor,
+    repeated w times; ties fall to the lowest region index. Cumulative
+    per-region counts make each window's counts one subtraction."""
+    ends = anchors + 1
+    cum = np.zeros((ends[-1] + 1, n_regions), dtype=np.intp)
+    np.cumsum(column[:ends[-1], None] == np.arange(n_regions), axis=0,
+              out=cum[1:])
+    counts = cum[ends] - cum[np.maximum(ends - spec.window, 0)]
+    return np.repeat(counts.argmax(axis=1)[:, None], w, axis=1)
 
 
-def _transition_counts(history, n):
-    """counts[a, b]: 1 plus how often region b directly follows region a.
+def _transition_counts(column, anchors, n):
+    """Yield each block of the ascending anchors with its transition counts.
 
-    One bincount over the pair index a * n + b; the counts are exact
-    integers stored as floats.
+    counts[b, a, c] is 1 plus how often region c directly follows region a
+    in column[:anchors[b] + 1]. The counts run on from block to block, so
+    every pair is counted once, by one bincount over (epoch, pair) indices;
+    they are exact integers stored as floats.
     """
-    pairs = history[:-1] * n + history[1:]
-    return 1.0 + np.bincount(pairs, minlength=n * n).reshape(n, n)
+    size = n * n
+    block = max(1, _BLOCK_ELEMS // size)
+    running = np.zeros(size, dtype=np.intp)
+    done = 0  # the pairs (column[i], column[i + 1]) with i < done are counted
+    for lo in range(0, len(anchors), block):
+        ends = anchors[lo:lo + block]
+        seg = column[done:ends[-1] + 1]
+        pairs = seg[:-1] * n + seg[1:]
+        # pair i first counts for the first anchor above i
+        owner = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=done))
+        new = np.bincount(owner * size + pairs, minlength=len(ends) * size)
+        counts = running + np.cumsum(new.reshape(len(ends), size), axis=0)
+        running, done = counts[-1], ends[-1]
+        yield ends, 1.0 + counts.reshape(len(ends), n, n)
 
 
-def _markov1(history, w, n_regions):
-    """Most-likely path of length w under a fitted first-order chain.
+def _markov1(column, anchors, w, n_regions):
+    """Most-likely path of length w after each anchor under a first-order
+    chain fitted on the column up to that anchor.
 
     Transition counts get Laplace +1 smoothing over all region pairs. The
     path maximizes the product of step probabilities; on ties the lowest
     region index wins at each step, so the result is the lexicographically
     smallest maximizer (backward max-product pass, forward reconstruction).
+    Costs O(len(column) + anchors * n_regions**2 * w) in all.
     """
-    counts = _transition_counts(history, n_regions)
-    probs = counts / counts.sum(axis=1, keepdims=True)
-
-    # suffix[s][i]: best probability of steps s+1..w-1 given region i at step s
-    suffix = np.ones((w, n_regions))
-    for s in range(w - 2, -1, -1):
-        suffix[s] = (probs * suffix[s + 1]).max(axis=1)
-
-    path = []
-    at = int(history[-1])
-    for s in range(w):
-        scores = probs[at] * suffix[s]
-        at = int(scores.argmax())  # first occurrence = lowest region
-        path.append(at)
-    return path
+    paths = []
+    for ends, counts in _transition_counts(column, anchors, n_regions):
+        probs = counts / counts.sum(axis=2, keepdims=True)
+        # suffix[b, s, i]: best probability of steps s+1..w-1 given region
+        # i at step s
+        suffix = np.ones((len(ends), w, n_regions))
+        for s in range(w - 2, -1, -1):
+            suffix[:, s] = (probs * suffix[:, s + 1, None, :]).max(axis=2)
+        epochs = np.arange(len(ends))
+        at = column[ends]
+        path = np.empty((len(ends), w), dtype=np.intp)
+        for s in range(w):
+            # first occurrence = lowest region
+            at = path[:, s] = (probs[epochs, at] * suffix[:, s]).argmax(axis=1)
+        paths.append(path)
+    return np.concatenate(paths)

@@ -26,5 +26,5 @@ def make_rows(users=(0,), n=3, backhaul=64.0, caps=None, **draws):
     """Latency rows and move prices of make_table's slots, as Python lists."""
     table = make_table(users, n, **draws)
     rows, prices = latency_rows(make_scenario(n, backhaul, caps=caps), table,
-                                0, table.trace)
+                                slice(None), table.trace)
     return rows.tolist(), prices.tolist()

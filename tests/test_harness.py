@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import re
@@ -20,7 +21,10 @@ from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
 from edgeplacer.model import latency_rows
 from edgeplacer.policies import (FrameInput, PolicyConfig, frame_decide,
                                  plm_decide)
-from edgeplacer.predict import PredictorSpec
+from edgeplacer.predict import PredictorSpec, predict
+
+# the package's predict function hides the module of the same name
+predict_module = importlib.import_module("edgeplacer.predict")
 
 
 COLUMNS = ("user_node", "input_size", "workload", "access_rate",
@@ -105,7 +109,7 @@ def test_always_migrate_attains_per_slot_minimum():
                                    homogeneous_capacity=True,
                                    budget_avg=0.05)
     rec = simulate(scn, table, "am")
-    rows, _ = latency_rows(scn, table, 0, table.trace)
+    rows, _ = latency_rows(scn, table, slice(None), table.trace)
     assert rec.avg_latency == pytest.approx(math.fsum(map(min, rows)) / 120)
     assert [r.placement for r in rec.per_slot] == table.trace
 
@@ -284,16 +288,21 @@ def test_wrong_predictions_decide_and_realized_rows_account(monkeypatch,
                                    frame_len=3, budget_avg=0.2)
     predicted = {}
 
-    def predict(spec, history, future, w, n_regions, salt):
+    def predict_epochs(spec, trace, w, n_regions, epoch_len):
         # every third epoch predicts the wrong node at every look-ahead step
-        out = [(u + 1) % n_regions if salt % 3 == 0 else u for u in future]
-        predicted[salt] = out
+        out = np.full((len(range(0, len(trace), epoch_len)), w), -1)
+        for k, start in enumerate(range(0, len(trace), epoch_len)):
+            future = trace[start + 1:start + 1 + w].tolist()
+            if future:
+                predicted[k] = [(u + 1) % n_regions if k % 3 == 0 else u
+                                for u in future]
+                out[k, :len(future)] = predicted[k]
         return out
 
-    monkeypatch.setattr(harness, "predict", predict)
+    monkeypatch.setattr(harness, "predict_epochs", predict_epochs)
     cfg = PolicyConfig(v=50.0, beta=0.65)
     rec = simulate(scn, table, policy, cfg)
-    realized, prices = latency_rows(scn, table, 0, table.trace)
+    realized, prices = latency_rows(scn, table, slice(None), table.trace)
     epoch_len = 1 if policy == "plm" else scn.frame_len
     prev, moved_by_errors = table.trace[0], 0
     for k, start in enumerate(range(0, scn.horizon, epoch_len)):
@@ -301,7 +310,7 @@ def test_wrong_predictions_decide_and_realized_rows_account(monkeypatch,
         users = [table.trace[start]] + predicted.get(k, [])
         span = slice(start, start + len(users))
         decided = {}
-        for name, rows in (("predicted", latency_rows(scn, table, start,
+        for name, rows in (("predicted", latency_rows(scn, table, span,
                                                       users)[0]),
                            ("realized", realized[span])):
             rows, price = rows.tolist(), prices[span].tolist()
@@ -321,6 +330,55 @@ def test_wrong_predictions_decide_and_realized_rows_account(monkeypatch,
             prev = r.placement
     assert len(predicted) == scn.horizon // epoch_len - (policy == "plm")
     assert moved_by_errors > 0
+
+
+@pytest.mark.parametrize("policy", ("psp", "plm"))
+def test_runs_predict_and_build_rows_before_their_loop(monkeypatch, policy):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return latency_rows(*args)
+
+    def per_call(*args, **kwargs):
+        raise AssertionError("simulate called predict")
+
+    monkeypatch.setattr(harness, "latency_rows", counted)
+    monkeypatch.setattr(predict_module, "predict", per_call)
+    monkeypatch.setattr(harness, "predict", per_call, raising=False)
+    # a 60% oracle mispredicts many slots, so some epochs decide from
+    # predicted rows
+    rec = run(base_config(policy=policy, predictor=PredictorSpec(
+        accuracies=(0.6, 0.6), rng_seed=3)))
+    assert rec.prediction_accuracy[0] < 0.8
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("kind", ("oracle_noisy", "moving_mode", "markov1"))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_prediction_accuracy_matches_a_per_call_replay(policy, kind):
+    config = base_config(policy=policy, horizon=41, frame_len=4,
+                         predictor=PredictorSpec(kind=kind,
+                                                 accuracies=(0.7, 0.6, 0.5),
+                                                 rng_seed=2))
+    rec = run(config)
+    scn, table = harness._materialize(config)
+    epoch_len, lookahead = harness._epochs(policy, scn.frame_len,
+                                           config.predictor)
+    hits, attempts = [0] * lookahead, [0] * lookahead
+    for k, start in enumerate(range(0, scn.horizon, epoch_len)):
+        ahead = min(lookahead, scn.horizon - start - 1)
+        if ahead:
+            truth = table.trace[start + 1:start + 1 + ahead]
+            guess = predict(config.predictor, table.trace[:start + 1], truth,
+                            ahead, scn.node_count, salt=k)
+            for s in range(ahead):
+                attempts[s] += 1
+                hits[s] += guess[s] == truth[s]
+    assert rec.prediction_accuracy == tuple(
+        h / a for h, a in zip(hits, attempts) if a)
+    assert len(rec.prediction_accuracy) == {"psp": 3, "pspwu": 3,
+                                            "plm": 1}.get(policy, 0)
 
 
 def test_invariant_checks_survive_optimize():
@@ -411,7 +469,7 @@ def test_verify_horizon_bound_mostly_holds():
 def test_max_slot_migration_cost():
     scn, table = generate_scenario(seed=2, n_nodes=3, horizon=50)
     top = max_slot_migration_cost(table)
-    _, prices = latency_rows(scn, table, 0, table.trace)
+    _, prices = latency_rows(scn, table, slice(None), table.trace)
     assert top == max(prices) and type(top) is float
     assert top <= 0.5  # 50 MB at 10 per GB is the ceiling
     # a slice is a table of its slots

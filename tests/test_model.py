@@ -62,7 +62,7 @@ def test_latency_rows_match_scalar_formula():
                           *rng.uniform(1.0, 50.0, (5, horizon)))
         start = int(rng.integers(horizon))
         users = [int(u) for u in rng.integers(n, size=horizon - start)]
-        rows, prices = latency_rows(scn, table, start, users)
+        rows, prices = latency_rows(scn, table, slice(start, horizon), users)
         assert rows.dtype == prices.dtype == np.float64
         assert rows.shape == (len(users), n) and prices.shape == (len(users),)
         for k, user in enumerate(users):
@@ -76,7 +76,22 @@ def test_latency_rows_match_scalar_formula():
             assert prices[k] == (float(table.container_size[t]) / 1000.0
                                  * float(table.unit_migration_cost[t]))
         with pytest.raises(ValueError):  # one user more than slots left
-            latency_rows(scn, table, start, users + [0])
+            latency_rows(scn, table, slice(start, horizon), users + [0])
+
+
+def test_latency_rows_reject_nodes_and_slots_outside_the_table():
+    scn, table = make_scenario(n=3, horizon=4), make_table(users=(0, 1, 2, 0))
+    rows, _ = latency_rows(scn, table, [3, 1], [2, 0])
+    assert rows.tolist() == latency_rows(scn, table, slice(None),
+                                         [1, 0, 1, 2])[0][[3, 1]].tolist()
+    for slots, users in ((slice(0, 1), [-1]), (slice(0, 1), [3]),
+                         ([0, 1], [0, -1]), ([2], [3]),
+                         ([-1], [0]), ([4], [0]), ([0, 4], [0, 0]),
+                         (slice(3, 5), [0, 0]), (slice(-1, None), [0]),
+                         (slice(0, 4, 2), [0, 0]), ([0.0], [0]),
+                         ([0], [0.0]), ([0], [True]), (0, [0])):
+        with pytest.raises(ValueError):
+            latency_rows(scn, table, slots, users)
 
 
 def test_migration_cost_zero_iff_same_node():

@@ -77,7 +77,7 @@ def drawn(**kw):
     """A generated scenario, its trace, and the realized latency rows and
     move prices of its slots as Python lists."""
     scn, table = generate_scenario(**kw)
-    rows, prices = latency_rows(scn, table, 0, table.trace)
+    rows, prices = latency_rows(scn, table, slice(None), table.trace)
     return scn, table.trace, rows.tolist(), prices.tolist()
 
 

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edgeplacer.predict import (ACCURACY_PRESETS, PredictorSpec, predict)
+from edgeplacer.predict import (ACCURACY_PRESETS, PredictorSpec, predict,
+                                predict_epochs)
 
 
 def test_perfect_oracle_returns_truth():
@@ -115,3 +116,15 @@ def test_predict_rejects_bad_inputs():
         PredictorSpec(accuracies=(1.5,))
     with pytest.raises(ValueError):
         PredictorSpec(window=0)
+
+
+def test_predict_epochs_rejects_bad_inputs():
+    spec = PredictorSpec(kind="oracle_noisy", accuracies=(1.0,))
+    assert predict_epochs(spec, [0, 1, 1], 1, 2, 2).tolist() == [[1], [-1]]
+    for trace, w, n, epoch_len in (([0, 1], -1, 2, 1), ([0, 1], 1, 2, 0),
+                                   ([0, 1], 2, 2, 1), ([0, 2], 1, 2, 1),
+                                   ([0, -1], 1, 2, 1), ([], 1, 2, 1),
+                                   ([0.0, 1.0], 1, 2, 1), ([[0, 1]], 1, 2, 1),
+                                   ([0, 1], 1, 0, 1)):
+        with pytest.raises(ValueError):
+            predict_epochs(spec, trace, w, n, epoch_len)

@@ -12,10 +12,14 @@
 (c) A slot table with any bad entry is rejected when it is built.
 (d) Every predictor returns w regions in range, the same for a list history
     as for a numpy view of it, and markov1's transition counts equal a
-    per-pair loop.
+    per-pair loop. The batch of a run's predictions equals the per-call
+    formulas the predictors had before the batch, kept below as the
+    reference, for every kind and block size.
 """
 
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +31,10 @@ from edgeplacer.model import SlotTable
 from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
                                  frame_decide, frame_objective)
 from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
-                                _transition_counts, predict)
+                                _transition_counts, predict, predict_epochs)
 
+# the package's predict function hides the module of the same name
+predict_module = importlib.import_module("edgeplacer.predict")
 quarters = st.integers(0, 40).map(lambda k: k / 4)
 
 
@@ -157,13 +163,97 @@ def test_predictions_are_in_range_and_agree_for_list_and_view(call, dtype):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=80))))
+    st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=80),
+    st.integers(1, 80))))
 def test_markov_counts_equal_a_per_pair_loop(case):
-    n, history = case
-    expected = np.ones((n, n))
-    for a, b in zip(history[:-1], history[1:]):
-        expected[a, b] += 1.0
-    got = _transition_counts(np.array(history), n)
-    assert got.dtype == expected.dtype
-    assert np.array_equal(got, expected)
+    # at every prefix of the history, whatever the block size
+    n, history, block_elems = case
+    anchors = np.arange(len(history))
+    with mock.patch.object(predict_module, "_BLOCK_ELEMS", block_elems):
+        blocks = list(_transition_counts(np.array(history), anchors, n))
+    assert np.array_equal(np.concatenate([ends for ends, _ in blocks]),
+                          anchors)
+    got = np.concatenate([counts for _, counts in blocks])
+    for anchor in anchors:
+        expected = np.ones((n, n))
+        for a, b in zip(history[:anchor], history[1:anchor + 1]):
+            expected[a, b] += 1.0
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got[anchor], expected)
 
+
+# The per-call predictor formulas from before the batch entry point: one
+# call per epoch, each recounting its whole history.
+
+def reference_predict(spec, history, true_future, w, n_regions, salt):
+    history = np.asarray(history).astype(np.intp)
+    if spec.kind == "oracle_noisy":
+        rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed,
+                                                            salt)))
+        out = []
+        for s in range(w):
+            truth = int(true_future[s])
+            if n_regions == 1 or rng.random() < spec.accuracies[s]:
+                out.append(truth)
+            else:
+                r = int(rng.integers(n_regions - 1))
+                out.append(r if r < truth else r + 1)
+        return out
+    if spec.kind == "moving_mode":
+        counts = np.bincount(history[-spec.window:], minlength=n_regions)
+        return [int(counts.argmax())] * w
+    pairs = history[:-1] * n_regions + history[1:]
+    counts = 1.0 + np.bincount(pairs, minlength=n_regions ** 2).reshape(
+        n_regions, n_regions)
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    suffix = np.ones((w, n_regions))
+    for s in range(w - 2, -1, -1):
+        suffix[s] = (probs * suffix[s + 1]).max(axis=1)
+    path = []
+    at = int(history[-1])
+    for s in range(w):
+        at = int((probs[at] * suffix[s]).argmax())
+        path.append(at)
+    return path
+
+
+@st.composite
+def batches(draw):
+    """A run's predictor: spec, trace, look-ahead, regions, epoch length."""
+    n = draw(st.integers(1, 6))
+    trace = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=90))
+    w = draw(st.integers(1, 4))
+    spec = PredictorSpec(
+        kind=draw(st.sampled_from(PREDICTOR_KINDS)),
+        accuracies=draw(st.lists(st.floats(0.0, 1.0), min_size=w,
+                                 max_size=w)),
+        window=draw(st.integers(1, 8)), rng_seed=draw(st.integers(0, 99)))
+    epoch_len = draw(st.sampled_from((1, 1, 2, 3, w + 1, 5)))
+    return spec, trace, w, n, epoch_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches(), st.sampled_from((np.int64, np.int32, np.uint8)),
+       st.integers(1, 200))
+def test_batch_predictions_equal_the_per_call_formulas(case, dtype,
+                                                       block_elems):
+    # small blocks make markov1 runs span several; the last epochs of a
+    # trace see fewer than w slots ahead, and a 1-slot trace none
+    spec, trace, w, n, epoch_len = case
+    column = np.array(trace + [0] * 3, dtype=dtype)
+    column.flags.writeable = False
+    view = column[:len(trace)]
+    with mock.patch.object(predict_module, "_BLOCK_ELEMS", block_elems):
+        got = predict_epochs(spec, view, w, n, epoch_len)
+    starts = range(0, len(trace), epoch_len)
+    assert got.shape == (len(starts), w)
+    for k, start in enumerate(starts):
+        ahead = min(w, len(trace) - start - 1)
+        row = got[k].tolist()
+        assert row[ahead:] == [-1] * (w - ahead)
+        if ahead:
+            call = (spec, trace[:start + 1], trace[start + 1:start + 1 + ahead],
+                    ahead, n, k)
+            expected = reference_predict(*call)
+            assert row[:ahead] == expected
+            assert predict(*call) == expected
