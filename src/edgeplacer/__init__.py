@@ -9,21 +9,21 @@ predictors), harness (simulation engine, sweeps, CSV), cli (command line).
 from .costqueue import CostQueueState, advance, bound_constant_B
 from .harness import (BUDGET_PRESETS, ExperimentConfig, RunRecord,
                       generate_scenario, run, simulate, sweep, synthetic_trace)
-from .model import (Placement, Scenario, SlotTable, latency_rows,
+from .model import (Scenario, SlotTable, latency_rows,
                     max_slot_migration_cost, slot_outcome)
 from .policies import (FrameInput, PolicyConfig, brute_force_frame,
                        brute_force_horizon, frame_decide, frame_objective,
                        lm_decide, plm_decide)
-from .predict import ACCURACY_PRESETS, PredictorSpec, predict, predict_epochs
+from .predict import ACCURACY_PRESETS, PredictorSpec, predict_epochs
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ACCURACY_PRESETS", "BUDGET_PRESETS", "CostQueueState", "ExperimentConfig",
-    "FrameInput", "Placement", "PolicyConfig", "PredictorSpec", "RunRecord",
-    "Scenario", "SlotTable", "advance", "bound_constant_B",
-    "brute_force_frame", "brute_force_horizon", "frame_decide",
-    "frame_objective", "generate_scenario", "latency_rows", "lm_decide",
-    "max_slot_migration_cost", "plm_decide", "predict", "predict_epochs",
-    "run", "simulate", "slot_outcome", "sweep", "synthetic_trace",
+    "FrameInput", "PolicyConfig", "PredictorSpec", "RunRecord", "Scenario",
+    "SlotTable", "advance", "bound_constant_B", "brute_force_frame",
+    "brute_force_horizon", "frame_decide", "frame_objective",
+    "generate_scenario", "latency_rows", "lm_decide",
+    "max_slot_migration_cost", "plm_decide", "predict_epochs", "run",
+    "simulate", "slot_outcome", "sweep", "synthetic_trace",
 ]

@@ -1,8 +1,9 @@
 """Command-line front door: run, sweep, verify, gen-trace.
 
 A thin shell over the harness; every behavior here is reachable through the
-library API. Exit codes: 0 success, 2 configuration problem, 3 trace format
-problem, 4 verification failure or a run that broke an engine invariant.
+library API. Exit codes: 0 success, 2 configuration or usage problem, 3 trace
+format problem, 4 verification failure or a run that broke an engine
+invariant.
 """
 
 import argparse
@@ -15,6 +16,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRACE = 3
 EXIT_VERIFY = 4
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type of a count that must be a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser():
@@ -36,7 +48,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run the brute-force oracle suites")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_at_least_one, default=200)
 
     p = sub.add_parser("gen-trace", help="write a synthetic mobility trace CSV")
     p.add_argument("--out", required=True)
@@ -113,8 +125,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
-    trace = harness.synthetic_trace(args.seed, args.regions, args.length,
-                                    args.stickiness)
+    try:
+        trace = harness.synthetic_trace(args.seed, args.regions, args.length,
+                                        args.stickiness)
+    except ValueError as exc:
+        raise harness.ConfigError(str(exc)) from None
     harness.write_trace_csv(args.out, trace)
     print(f"wrote {args.out}")
     return EXIT_OK

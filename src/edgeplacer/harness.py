@@ -222,10 +222,15 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     attempts = made.sum(axis=0)
     depths = np.count_nonzero(attempts)
     accuracy = tuple((hit.sum(axis=0)[:depths] / attempts[:depths]).tolist())
-    # only the rows of wrongly predicted slots are computed anew
+    # Epochs decide from the realized rows with each wrongly predicted
+    # slot's row overwritten by its predicted node's row; only those rows
+    # are computed anew. A frame's first slot is no epoch's target, and plm
+    # takes its first row from realized.
     miss = made & ~hit
     missed = miss.any(axis=1).tolist()
-    wrong_rows = iter(latency_rows(scn, table, target[miss], guesses[miss])[0])
+    decision = realized.copy()
+    decision[target[miss]] = latency_rows(scn, table, target[miss],
+                                          guesses[miss])[0]
 
     state = CostQueueState(beta=cfg.beta)
     prev = initial = trace[0]
@@ -242,10 +247,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         ahead = min(lookahead, horizon - start - 1)
         span = slice(start, start + 1 + ahead)
         rows, prices = realized[span].tolist(), price[span].tolist()
-        seen = rows  # the rows the epoch is decided from
-        if missed[k]:
-            seen = rows[:1] + [next(wrong_rows).tolist() if wrong else row
-                               for row, wrong in zip(rows[1:], miss[k])]
+        seen = decision[span].tolist() if missed[k] else rows
         if policy in ("osp", "psp", "pspwu"):  # osp: a 1-slot frame
             anchor = state.w if policy == "pspwu" else state.q
             negative_w_frames += anchor < 0
@@ -581,8 +583,15 @@ def read_trace_csv(path: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # oracle verification suites (backing the CLI verify command)
 
-def random_frame_instance(rng, anchor_low=0.0, anchor_high=50.0,
-                          grid=False):
+# The suites' fixed settings: the top of a frame instance's anchor range,
+# and the V values, budget and relative slack of the horizon-bound check.
+ANCHOR_HIGH = 50.0
+HORIZON_V = (10.0, 100.0)
+HORIZON_BUDGET = 0.1
+HORIZON_SLACK = 0.10
+
+
+def random_frame_instance(rng, anchor_low=0.0, grid=False):
     """Small random frame problem for DP-vs-enumeration checks.
 
     By default the latencies and prices are a generated scenario's and the
@@ -599,7 +608,7 @@ def random_frame_instance(rng, anchor_low=0.0, anchor_high=50.0,
         cfg = PolicyConfig(v=float(rng.choice((0.0, 1.0, 2.5, 10.0))),
                            theta=int(rng.integers(41)) / 4)
         anchor = int(rng.integers(math.ceil(4 * anchor_low),
-                                  math.floor(4 * anchor_high) + 1)) / 4
+                                  math.floor(4 * ANCHOR_HIGH) + 1)) / 4
         frame = FrameInput(values[:, :n].tolist(), values[:, n].tolist(),
                            anchor, int(rng.integers(n)))
         return cfg, frame, int(rng.integers(41)) / 4
@@ -610,13 +619,13 @@ def random_frame_instance(rng, anchor_low=0.0, anchor_high=50.0,
                        theta=float(rng.uniform(0.0, 100.0)))
     rows, prices = latency_rows(scn, table, slice(None), table.trace)
     frame = FrameInput(rows.tolist(), prices.tolist(),
-                       float(rng.uniform(anchor_low, anchor_high)),
+                       float(rng.uniform(anchor_low, ANCHOR_HIGH)),
                        int(rng.integers(n)))
     return cfg, frame, scn.budget_avg
 
 
 def verify_frame_oracles(seed: int = 1, instances: int = 200,
-                         anchor_low: float = 0.0, anchor_high: float = 50.0):
+                         anchor_low: float = 0.0):
     """Compare the frame solver against exhaustive enumeration.
 
     Every other instance is drawn on the exact grid. Negative anchor_low
@@ -626,7 +635,7 @@ def verify_frame_oracles(seed: int = 1, instances: int = 200,
     rng = np.random.default_rng(seed)
     matches, mismatches = 0, []
     for idx in range(instances):
-        cfg, frame, e_avg = random_frame_instance(rng, anchor_low, anchor_high,
+        cfg, frame, e_avg = random_frame_instance(rng, anchor_low,
                                                   grid=idx % 2 == 1)
         seq = frame_decide(cfg, frame)
         obj = frame_objective(cfg, frame, e_avg, seq)
@@ -641,30 +650,29 @@ def verify_frame_oracles(seed: int = 1, instances: int = 200,
     return matches, instances, mismatches
 
 
-def verify_horizon_bound(seed: int = 1, instances: int = 20,
-                         v_values=(10.0, 100.0), budget_avg: float = 0.1,
-                         slack: float = 0.10):
+def verify_horizon_bound(seed: int = 1, instances: int = 20):
     """Check the reactive policy against the offline horizon oracle.
 
     On tiny instances the realized average latency must stay within
-    oracle + B/V + slack*oracle, where B is the drift bound constant.
+    oracle + B/V + HORIZON_SLACK * oracle, where B is the drift bound
+    constant.
     Returns (passes, checks, failure descriptions).
     """
     passes, failures = 0, []
     checks = 0
     for idx in range(instances):
         scn, table = generate_scenario(
-            seed=seed + idx, n_nodes=3, horizon=6, budget_avg=budget_avg)
+            seed=seed + idx, n_nodes=3, horizon=6, budget_avg=HORIZON_BUDGET)
         latency, prices = latency_rows(scn, table, slice(None), table.trace)
         _, oracle_lat = brute_force_horizon(latency.tolist(), prices.tolist(),
-                                            budget_avg, table.trace[0])
-        for v in v_values:
+                                            HORIZON_BUDGET, table.trace[0])
+        for v in HORIZON_V:
             checks += 1
             rec = simulate(scn, table, "osp", PolicyConfig(v=v))
             # the bound constant uses the run's own worst realized cost
             e_max = max(r.cost for r in rec.per_slot)
-            b_const = bound_constant_B(budget_avg, e_max)
-            limit = oracle_lat + b_const / v + slack * oracle_lat
+            b_const = bound_constant_B(HORIZON_BUDGET, e_max)
+            limit = oracle_lat + b_const / v + HORIZON_SLACK * oracle_lat
             if rec.avg_latency <= limit:
                 passes += 1
             else:

@@ -7,7 +7,7 @@ parameterized by their measured accuracies), a moving-mode baseline, and a
 first-order Markov chain fitted on the observed history.
 
 No prediction depends on a placement decision, so a run makes all of its
-predictions at once with predict_epochs; predict is the one-epoch call.
+predictions at once with predict_epochs.
 """
 
 from dataclasses import dataclass
@@ -62,12 +62,15 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
     integer sequence in [0, n_regions), checked once here and read, not
     copied, when it is an intp array. Epoch k starts at slot
     start = k * epoch_len, knows the history trace[:start + 1] and predicts
-    the next ahead = min(w, len(trace) - start - 1) regions; the noisy oracle
-    reads them from trace as the true future and salts its draws with k.
+    the next ahead = min(w, len(trace) - start - 1) regions.
 
-    Returns an int array of shape (number of epochs, w). Row k equals
-    predict(spec, trace[:start + 1], trace[start + 1:], ahead, n_regions,
-    salt=k) in its first ahead entries, and is -1 past them.
+    Returns an int array of shape (number of epochs, w). Row k holds the
+    regions predicted for slots start + 1 .. start + ahead, and -1 past
+    them. oracle_noisy keeps each true region of trace with its step's
+    accuracy and otherwise names a uniform other region, drawing from a
+    generator seeded with (rng_seed, k); moving_mode repeats the mode of the
+    last window regions of the history; markov1 follows the most likely
+    path of a first-order chain fitted on the history.
     """
     if w < 0 or epoch_len < 1:
         raise ValueError("need w >= 0 and epoch_len >= 1")
@@ -85,36 +88,15 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
         if not len(epochs):
             continue
         anchors = starts[epochs]
-        truths = column[anchors[:, None] + np.arange(1, ahead + 1)]
-        out[epochs, :ahead] = _predict_at(spec, column, anchors, ahead,
-                                          n_regions, epochs.tolist(), truths)
+        if spec.kind == "oracle_noisy":
+            truths = column[anchors[:, None] + np.arange(1, ahead + 1)]
+            rows = _oracle_noisy(spec, truths, n_regions, epochs.tolist())
+        elif spec.kind == "moving_mode":
+            rows = _moving_mode(spec, column, anchors, ahead, n_regions)
+        else:
+            rows = _markov1(column, anchors, ahead, n_regions)
+        out[epochs, :ahead] = rows
     return out
-
-
-def predict(spec: PredictorSpec, history, true_future, w: int, n_regions: int,
-            salt: int = 0) -> list[int]:
-    """Predict the user's next w region indices: one epoch of predict_epochs.
-
-    history is the realized trace so far (most recent last): a nonempty
-    one-dimensional sequence of integer regions in [0, n_regions), such as a
-    list or a view of a SlotTable column, which is read and not copied.
-    true_future is the realized continuation, consumed only by the noisy
-    oracle. salt is mixed into the seed so repeated draws (one per frame)
-    are independent while identical calls stay identical.
-    """
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    column = _column(history, n_regions)
-    truths = None
-    if spec.kind == "oracle_noisy":
-        if len(true_future) < w:
-            raise ValueError("true_future shorter than prediction window")
-        if len(spec.accuracies) < w:
-            raise ValueError("need one accuracy per look-ahead step")
-        truths = [[int(truth) for truth in true_future[:w]]]
-    anchor = np.array([len(column) - 1])
-    return [int(r) for r in _predict_at(spec, column, anchor, w, n_regions,
-                                        [salt], truths)[0]]
 
 
 def _column(history, n_regions):
@@ -132,17 +114,6 @@ def _column(history, n_regions):
     # bincount takes only intp-castable input, and a * n + b must not wrap
     # in a narrow dtype such as uint8; an intp view is used as it is
     return h.astype(np.intp, copy=False)
-
-
-def _predict_at(spec, column, anchors, w, n_regions, salts, truths):
-    """w predicted regions after each of the ascending anchor slots of
-    column, one row per anchor. The oracle reads its truths, one row per
-    anchor, and seeds each row's draws with that anchor's salt."""
-    if spec.kind == "oracle_noisy":
-        return _oracle_noisy(spec, truths, n_regions, salts)
-    if spec.kind == "moving_mode":
-        return _moving_mode(spec, column, anchors, w, n_regions)
-    return _markov1(column, anchors, w, n_regions)
 
 
 def _oracle_noisy(spec, truths, n_regions, salts):

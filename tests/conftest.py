@@ -1,4 +1,5 @@
-"""Shared helpers that hand-construct scenarios, slot tables and rows."""
+"""Shared helpers that hand-construct scenarios, slot tables and rows, and
+the per-call predictor formulas that batch predictions are checked against."""
 
 import numpy as np
 
@@ -28,3 +29,39 @@ def make_rows(users=(0,), n=3, backhaul=64.0, caps=None, **draws):
     rows, prices = latency_rows(make_scenario(n, backhaul, caps=caps), table,
                                 slice(None), table.trace)
     return rows.tolist(), prices.tolist()
+
+
+def reference_predict(spec, history, true_future, w, n_regions, salt):
+    """The w regions predicted after history by the per-call formulas from
+    before the batch entry point: one call per epoch, each recounting its
+    whole history. The noisy oracle reads true_future and seeds its draws
+    with (rng_seed, salt)."""
+    history = np.asarray(history).astype(np.intp)
+    if spec.kind == "oracle_noisy":
+        rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed,
+                                                            salt)))
+        out = []
+        for s in range(w):
+            truth = int(true_future[s])
+            if n_regions == 1 or rng.random() < spec.accuracies[s]:
+                out.append(truth)
+            else:
+                r = int(rng.integers(n_regions - 1))
+                out.append(r if r < truth else r + 1)
+        return out
+    if spec.kind == "moving_mode":
+        counts = np.bincount(history[-spec.window:], minlength=n_regions)
+        return [int(counts.argmax())] * w
+    pairs = history[:-1] * n_regions + history[1:]
+    counts = 1.0 + np.bincount(pairs, minlength=n_regions ** 2).reshape(
+        n_regions, n_regions)
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    suffix = np.ones((w, n_regions))
+    for s in range(w - 2, -1, -1):
+        suffix[s] = (probs * suffix[s + 1]).max(axis=1)
+    path = []
+    at = int(history[-1])
+    for s in range(w):
+        at = int((probs[at] * suffix[s]).argmax())
+        path.append(at)
+    return path

@@ -17,7 +17,7 @@ from edgeplacer.harness import (ExperimentConfig, generate_scenario,
                                 verify_frame_oracles, verify_horizon_bound)
 from edgeplacer.model import latency_rows
 from edgeplacer.policies import PolicyConfig
-from edgeplacer.predict import ACCURACY_PRESETS, PredictorSpec, predict
+from edgeplacer.predict import ACCURACY_PRESETS, PredictorSpec, predict_epochs
 
 SEEDS = (0, 1, 2, 3, 4)
 HORIZON = 1400
@@ -41,8 +41,7 @@ def config(policy, seed, v=10.0, theta=50.0, beta=0.0, frame_len=3,
 def test_criterion_01_frame_oracle_equivalence():
     started = time.time()
     matches, total, mismatches = verify_frame_oracles(seed=1, instances=200,
-                                                      anchor_low=0.0,
-                                                      anchor_high=50.0)
+                                                      anchor_low=0.0)
     elapsed = time.time() - started
     assert matches == total, mismatches[:5]
     assert elapsed < 10.0
@@ -52,8 +51,7 @@ def test_criterion_01_frame_oracle_equivalence():
 
 def test_criterion_02_weight_anchored_oracle_equivalence():
     matches, total, mismatches = verify_frame_oracles(seed=2, instances=100,
-                                                      anchor_low=-20.0,
-                                                      anchor_high=50.0)
+                                                      anchor_low=-20.0)
     assert matches == total, mismatches[:5]
     print(f"criterion 2: PASS - weight-anchored DP == brute force on "
           f"{total}/{total} instances")
@@ -91,9 +89,7 @@ def test_criterion_04_frame_queue_deviation_bound():
 
 def test_criterion_05_reactive_policy_near_offline_oracle():
     started = time.time()
-    passes, checks, failures = verify_horizon_bound(
-        seed=1, instances=20, v_values=(10.0, 100.0), budget_avg=0.1,
-        slack=0.10)
+    passes, checks, failures = verify_horizon_bound(seed=1, instances=20)
     elapsed = time.time() - started
     assert passes >= 0.9 * checks, failures
     assert elapsed < 60.0
@@ -178,12 +174,12 @@ def test_criterion_09_predictor_calibration():
     truth = [1, 2, 3]
     spec = PredictorSpec(kind="oracle_noisy",
                          accuracies=ACCURACY_PRESETS["lstm"], rng_seed=5)
-    hits = np.zeros(3)
-    for salt in range(trials):
-        out = predict(spec, [0], truth, 3, n_regions=NODES, salt=salt)
-        hits += [out[i] == truth[i] for i in range(3)]
+    # epoch k starts at region 0, predicts the true regions 1, 2, 3 and
+    # salts its draws with k
+    out = predict_epochs(spec, ([0] + truth) * trials, 3, NODES, 4)
+    hits = (out == truth).mean(axis=0)
     for step, acc in enumerate(ACCURACY_PRESETS["lstm"]):
-        assert abs(hits[step] / trials - acc) < 0.02, step
+        assert abs(hits[step] - acc) < 0.02, step
 
     perfect = PredictorSpec(kind="oracle_noisy", accuracies=(1.0, 1.0, 1.0))
     for s in SEEDS[:2]:

@@ -218,6 +218,34 @@ def test_gen_trace(tmp_path):
     assert all(0 <= r < 5 for r in trace)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--length", "0"), ("--regions", "0"), ("--stickiness", "2"),
+    ("--stickiness", "nan"),
+])
+def test_gen_trace_bad_value_is_config_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "trace.csv"
+    assert main(["gen-trace", "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("instances", ["0", "-5"])
+def test_verify_rejects_fewer_than_one_instance(capsys, monkeypatch,
+                                                instances):
+    def suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(harness, "verify_frame_oracles", suite)
+    monkeypatch.setattr(harness, "verify_horizon_bound", suite)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--instances", instances])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--instances: must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_command(tmp_path, capsys):
     assert main(["verify", "--seed", "1", "--instances", "10"]) == 0
     out = capsys.readouterr().out

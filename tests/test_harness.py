@@ -1,4 +1,3 @@
-import importlib
 import math
 import os
 import re
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_predict
 
 from edgeplacer import harness
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
@@ -21,10 +21,7 @@ from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
 from edgeplacer.model import latency_rows
 from edgeplacer.policies import (FrameInput, PolicyConfig, frame_decide,
                                  plm_decide)
-from edgeplacer.predict import PredictorSpec, predict
-
-# the package's predict function hides the module of the same name
-predict_module = importlib.import_module("edgeplacer.predict")
+from edgeplacer.predict import PredictorSpec, predict_epochs
 
 
 COLUMNS = ("user_node", "input_size", "workload", "access_rate",
@@ -334,24 +331,23 @@ def test_wrong_predictions_decide_and_realized_rows_account(monkeypatch,
 
 @pytest.mark.parametrize("policy", ("psp", "plm"))
 def test_runs_predict_and_build_rows_before_their_loop(monkeypatch, policy):
-    calls = []
+    calls = {"latency_rows": 0, "predict_epochs": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return latency_rows(*args)
+    def counted(fn):
+        def call(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return call
 
-    def per_call(*args, **kwargs):
-        raise AssertionError("simulate called predict")
-
-    monkeypatch.setattr(harness, "latency_rows", counted)
-    monkeypatch.setattr(predict_module, "predict", per_call)
-    monkeypatch.setattr(harness, "predict", per_call, raising=False)
+    monkeypatch.setattr(harness, "latency_rows", counted(latency_rows))
+    monkeypatch.setattr(harness, "predict_epochs", counted(predict_epochs))
     # a 60% oracle mispredicts many slots, so some epochs decide from
     # predicted rows
     rec = run(base_config(policy=policy, predictor=PredictorSpec(
         accuracies=(0.6, 0.6), rng_seed=3)))
     assert rec.prediction_accuracy[0] < 0.8
-    assert len(calls) <= 2
+    assert calls["predict_epochs"] == 1
+    assert calls["latency_rows"] <= 2
 
 
 @pytest.mark.parametrize("kind", ("oracle_noisy", "moving_mode", "markov1"))
@@ -370,8 +366,9 @@ def test_prediction_accuracy_matches_a_per_call_replay(policy, kind):
         ahead = min(lookahead, scn.horizon - start - 1)
         if ahead:
             truth = table.trace[start + 1:start + 1 + ahead]
-            guess = predict(config.predictor, table.trace[:start + 1], truth,
-                            ahead, scn.node_count, salt=k)
+            guess = reference_predict(config.predictor,
+                                      table.trace[:start + 1], truth, ahead,
+                                      scn.node_count, k)
             for s in range(ahead):
                 attempts[s] += 1
                 hits[s] += guess[s] == truth[s]

@@ -4,65 +4,80 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edgeplacer.predict import (ACCURACY_PRESETS, PredictorSpec, predict,
-                                predict_epochs)
+from edgeplacer.predict import ACCURACY_PRESETS, PredictorSpec, predict_epochs
 
 
 def test_perfect_oracle_returns_truth():
     spec = PredictorSpec(kind="oracle_noisy", accuracies=(1.0, 1.0, 1.0), rng_seed=3)
-    future = [4, 2, 0]
-    assert predict(spec, [1, 2], future, 3, n_regions=5) == future
+    trace = [1, 2, 4, 2, 0]
+    assert predict_epochs(spec, trace, 3, 5, 1).tolist() == [
+        [2, 4, 2], [4, 2, 0], [2, 0, -1], [0, -1, -1], [-1, -1, -1]]
 
 
 def test_zero_accuracy_two_regions_is_complement():
     spec = PredictorSpec(kind="oracle_noisy", accuracies=(0.0, 0.0), rng_seed=9)
-    assert predict(spec, [0], [1, 0], 2, n_regions=2) == [0, 1]
+    trace = [0, 1, 0, 0, 1, 1, 0]
+    got = predict_epochs(spec, trace, 2, 2, 2)
+    assert got.tolist() == [[0, 1], [1, 0], [0, 1], [-1, -1]]
 
 
 def test_oracle_deterministic_per_salt():
+    # epoch k draws from its own generator, seeded with (rng_seed, k)
     spec = PredictorSpec(kind="oracle_noisy", accuracies=(0.5, 0.5), rng_seed=4)
-    a = predict(spec, [0, 1], [2, 3], 2, n_regions=5, salt=0)
-    b = predict(spec, [0, 1], [2, 3], 2, n_regions=5, salt=0)
-    assert a == b
-    draws = {tuple(predict(spec, [0, 1], [2, 3], 2, n_regions=5, salt=s))
-             for s in range(50)}
-    assert len(draws) > 1  # salts decorrelate the error pattern
+    trace = [0, 2, 3] * 50
+    a = predict_epochs(spec, trace, 2, 5, 3)
+    assert np.array_equal(a, predict_epochs(spec, trace, 2, 5, 3))
+    # a shorter run's epochs draw what the longer run's first epochs draw
+    assert np.array_equal(predict_epochs(spec, trace[:33], 2, 5, 3), a[:11])
+    # every epoch predicts the same truths, and the salts decorrelate the
+    # error pattern
+    assert len({tuple(row) for row in a.tolist()}) > 1
+    other = predict_epochs(replace(spec, rng_seed=5), trace, 2, 5, 3)
+    assert not np.array_equal(other, a)
 
 
 def test_oracle_outputs_stay_in_range():
     spec = PredictorSpec(kind="oracle_noisy", accuracies=(0.3,) * 3, rng_seed=1)
     rng = np.random.default_rng(2)
-    for salt in range(100):
+    for _ in range(20):
         n = int(rng.integers(2, 7))
-        future = [int(rng.integers(n)) for _ in range(3)]
-        out = predict(spec, [0], future, 3, n_regions=n, salt=salt)
-        assert all(0 <= r < n for r in out)
+        trace = rng.integers(n, size=int(rng.integers(4, 40)))
+        epoch_len = int(rng.integers(1, 4))
+        got = predict_epochs(spec, trace, 3, n, epoch_len)
+        # -1 only past the end of the trace
+        ahead = np.minimum(3, len(trace) - 1 - np.arange(0, len(trace),
+                                                         epoch_len))
+        assert ((got >= 0) == (np.arange(3) < ahead[:, None])).all()
+        assert (got < n).all()
 
 
 def test_oracle_empirical_accuracy_tracks_setting():
+    # epoch k starts at region 0 and predicts the true regions 1, 2, 3
     spec = PredictorSpec(kind="oracle_noisy",
                          accuracies=ACCURACY_PRESETS["arima"], rng_seed=7)
     trials = 4000
-    hits = np.zeros(3)
-    for salt in range(trials):
-        out = predict(spec, [0], [1, 2, 3], 3, n_regions=6, salt=salt)
-        hits += [out[s] == [1, 2, 3][s] for s in range(3)]
+    got = predict_epochs(spec, [0, 1, 2, 3] * trials, 3, 6, 4)
+    hits = (got == [1, 2, 3]).mean(axis=0)
     for s, acc in enumerate(ACCURACY_PRESETS["arima"]):
-        assert abs(hits[s] / trials - acc) < 0.03
+        assert abs(hits[s] - acc) < 0.03
 
 
 def test_moving_mode_uses_window_and_low_tie():
+    # epoch 1 starts at slot 5 and knows the history [0, 0, 2, 2, 1, 1]
+    trace = [0, 0, 2, 2, 1, 1, 0, 0]
     spec = PredictorSpec(kind="moving_mode", window=4)
     # last four entries: [2, 2, 1, 1] -> tie, lowest region wins
-    assert predict(spec, [0, 0, 2, 2, 1, 1], [], 2, n_regions=3) == [1, 1]
+    assert predict_epochs(spec, trace, 2, 3, 5)[1].tolist() == [1, 1]
     spec = PredictorSpec(kind="moving_mode", window=2)
-    assert predict(spec, [0, 0, 2, 2, 1, 1], [], 1, n_regions=3) == [1]
+    assert predict_epochs(spec, trace, 1, 3, 5)[1].tolist() == [1]
 
 
 def test_markov_alternating_history():
     spec = PredictorSpec(kind="markov1")
     history = [0, 1] * 6 + [0]  # ends at 0; 0->1 and 1->0 dominate
-    assert predict(spec, history, [], 2, n_regions=2) == [1, 0]
+    # epoch 1 starts at the last slot of history; its future is not read
+    got = predict_epochs(spec, history + [0, 0], 2, 2, len(history) - 1)
+    assert got[1].tolist() == [1, 0]
 
 
 def _enumerated_most_likely_path(history, w, n):
@@ -89,27 +104,19 @@ def test_markov_matches_enumerated_max_product_path():
         n = int(rng.integers(2, 5))
         history = [int(rng.integers(n)) for _ in range(int(rng.integers(5, 40)))]
         w = int(rng.integers(1, 4))
-        got = predict(spec, history, [], w, n_regions=n)
-        assert got == _enumerated_most_likely_path(history, w, n)
+        # epoch 1 starts at the last slot of history
+        got = predict_epochs(spec, history + [0] * w, w, n, len(history) - 1)
+        assert got[1].tolist() == _enumerated_most_likely_path(history, w, n)
 
 
 def test_predict_rejects_bad_inputs():
     spec = PredictorSpec(kind="oracle_noisy", accuracies=(1.0,))
-    with pytest.raises(ValueError):
-        predict(spec, [0], [1], 0, n_regions=2)
-    with pytest.raises(ValueError):
-        predict(spec, [], [1], 1, n_regions=2)
-    with pytest.raises(ValueError):
-        predict(spec, [0], [1, 1], 2, n_regions=2)  # only one accuracy given
-    with pytest.raises(ValueError):
-        predict(spec, [5], [1], 1, n_regions=2)  # history out of range
     for kind in ("oracle_noisy", "moving_mode", "markov1"):
         # floats and bools would be truncated to regions; 2-D has no order
-        for history in ([0.5], [0.0, 1.0], [True], np.array([False]),
-                        [[0, 1]], np.zeros((2, 1), dtype=int), 0):
+        for trace in ([0.5], [0.0, 1.0], [True], np.array([False]),
+                      [[0, 1]], np.zeros((2, 1), dtype=int), 0):
             with pytest.raises(ValueError):
-                predict(replace(spec, kind=kind), history, [1], 1,
-                        n_regions=2)
+                predict_epochs(replace(spec, kind=kind), trace, 1, 2, 1)
     with pytest.raises(ValueError):
         PredictorSpec(kind="crystal_ball")
     with pytest.raises(ValueError):

@@ -10,31 +10,30 @@
     weight anchors go negative, where moving can beat staying and the
     solver needs each layer's second-smallest moved-in cost.
 (c) A slot table with any bad entry is rejected when it is built.
-(d) Every predictor returns w regions in range, the same for a list history
-    as for a numpy view of it, and markov1's transition counts equal a
-    per-pair loop. The batch of a run's predictions equals the per-call
-    formulas the predictors had before the batch, kept below as the
-    reference, for every kind and block size.
+(d) Every predictor returns each epoch's regions in range, the same for a
+    list trace as for a numpy view of it, and markov1's transition counts
+    equal a per-pair loop. The batch of a run's predictions equals the
+    per-call formulas the predictors had before the batch, kept in
+    conftest.py as the reference, for every kind and block size.
 """
 
-import importlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import reference_predict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeplacer import predict
 from edgeplacer.harness import POLICIES, ExperimentConfig, run
 from edgeplacer.model import SlotTable
 from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
                                  frame_decide, frame_objective)
 from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
-                                _transition_counts, predict, predict_epochs)
+                                _transition_counts, predict_epochs)
 
-# the package's predict function hides the module of the same name
-predict_module = importlib.import_module("edgeplacer.predict")
 quarters = st.integers(0, 40).map(lambda k: k / 4)
 
 
@@ -131,36 +130,6 @@ def test_invalid_slot_tables_are_rejected(case):
         SlotTable(n, users, **columns)
 
 
-@st.composite
-def predictions(draw):
-    """A predictor call: spec, history, true future, w, n_regions, salt."""
-    n = draw(st.integers(1, 6))
-    region = st.integers(0, n - 1)
-    history = draw(st.lists(region, min_size=1, max_size=60))
-    w = draw(st.integers(1, 4))
-    future = draw(st.lists(region, min_size=w, max_size=w))
-    spec = PredictorSpec(
-        kind=draw(st.sampled_from(PREDICTOR_KINDS)),
-        accuracies=draw(st.lists(st.floats(0.0, 1.0), min_size=w,
-                                 max_size=w)),
-        window=draw(st.integers(1, 8)), rng_seed=draw(st.integers(0, 99)))
-    return spec, history, future, w, n, draw(st.integers(0, 99))
-
-
-@settings(max_examples=200, deadline=None)
-@given(predictions(), st.sampled_from((np.int64, np.int32, np.uint8)))
-def test_predictions_are_in_range_and_agree_for_list_and_view(call, dtype):
-    spec, history, future, w, n, salt = call
-    out = predict(spec, history, future, w, n, salt)
-    assert len(out) == w
-    assert all(type(r) is int and 0 <= r < n for r in out)
-    # a read-only view of a longer column, as the engine passes it
-    column = np.array(history + [0] * 5, dtype=dtype)
-    column.flags.writeable = False
-    view = column[:len(history)]
-    assert predict(spec, view, future, w, n, salt) == out
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=80),
@@ -169,7 +138,7 @@ def test_markov_counts_equal_a_per_pair_loop(case):
     # at every prefix of the history, whatever the block size
     n, history, block_elems = case
     anchors = np.arange(len(history))
-    with mock.patch.object(predict_module, "_BLOCK_ELEMS", block_elems):
+    with mock.patch.object(predict, "_BLOCK_ELEMS", block_elems):
         blocks = list(_transition_counts(np.array(history), anchors, n))
     assert np.array_equal(np.concatenate([ends for ends, _ in blocks]),
                           anchors)
@@ -180,41 +149,6 @@ def test_markov_counts_equal_a_per_pair_loop(case):
             expected[a, b] += 1.0
         assert got.dtype == expected.dtype
         assert np.array_equal(got[anchor], expected)
-
-
-# The per-call predictor formulas from before the batch entry point: one
-# call per epoch, each recounting its whole history.
-
-def reference_predict(spec, history, true_future, w, n_regions, salt):
-    history = np.asarray(history).astype(np.intp)
-    if spec.kind == "oracle_noisy":
-        rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed,
-                                                            salt)))
-        out = []
-        for s in range(w):
-            truth = int(true_future[s])
-            if n_regions == 1 or rng.random() < spec.accuracies[s]:
-                out.append(truth)
-            else:
-                r = int(rng.integers(n_regions - 1))
-                out.append(r if r < truth else r + 1)
-        return out
-    if spec.kind == "moving_mode":
-        counts = np.bincount(history[-spec.window:], minlength=n_regions)
-        return [int(counts.argmax())] * w
-    pairs = history[:-1] * n_regions + history[1:]
-    counts = 1.0 + np.bincount(pairs, minlength=n_regions ** 2).reshape(
-        n_regions, n_regions)
-    probs = counts / counts.sum(axis=1, keepdims=True)
-    suffix = np.ones((w, n_regions))
-    for s in range(w - 2, -1, -1):
-        suffix[s] = (probs * suffix[s + 1]).max(axis=1)
-    path = []
-    at = int(history[-1])
-    for s in range(w):
-        at = int((probs[at] * suffix[s]).argmax())
-        path.append(at)
-    return path
 
 
 @st.composite
@@ -243,7 +177,7 @@ def test_batch_predictions_equal_the_per_call_formulas(case, dtype,
     column = np.array(trace + [0] * 3, dtype=dtype)
     column.flags.writeable = False
     view = column[:len(trace)]
-    with mock.patch.object(predict_module, "_BLOCK_ELEMS", block_elems):
+    with mock.patch.object(predict, "_BLOCK_ELEMS", block_elems):
         got = predict_epochs(spec, view, w, n, epoch_len)
     starts = range(0, len(trace), epoch_len)
     assert got.shape == (len(starts), w)
@@ -252,8 +186,23 @@ def test_batch_predictions_equal_the_per_call_formulas(case, dtype,
         row = got[k].tolist()
         assert row[ahead:] == [-1] * (w - ahead)
         if ahead:
-            call = (spec, trace[:start + 1], trace[start + 1:start + 1 + ahead],
-                    ahead, n, k)
-            expected = reference_predict(*call)
-            assert row[:ahead] == expected
-            assert predict(*call) == expected
+            assert row[:ahead] == reference_predict(
+                spec, trace[:start + 1], trace[start + 1:start + 1 + ahead],
+                ahead, n, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches(), st.sampled_from((np.int64, np.int32, np.uint8)))
+def test_predictions_are_in_range_and_agree_for_list_and_view(case, dtype):
+    spec, trace, w, n, epoch_len = case
+    got = predict_epochs(spec, trace, w, n, epoch_len)
+    assert got.dtype == np.intp
+    ahead = np.minimum(w, len(trace) - 1 - np.arange(0, len(trace), epoch_len))
+    made = np.arange(w) < ahead[:, None]
+    assert ((got >= 0) == made).all()
+    assert (got < n).all()
+    # a read-only view of a longer column, as the engine passes it
+    column = np.array(trace + [0] * 5, dtype=dtype)
+    column.flags.writeable = False
+    assert np.array_equal(predict_epochs(spec, column[:len(trace)], w, n,
+                                         epoch_len), got)
