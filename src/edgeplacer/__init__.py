@@ -6,7 +6,7 @@ benchmark placement rules plus brute-force oracles), predict (mobility
 predictors), harness (simulation engine, sweeps, CSV), cli (command line).
 """
 
-from .costqueue import CostQueueState, advance, bound_constant_B
+from .costqueue import advance, bound_constant_B
 from .harness import (BUDGET_PRESETS, ExperimentConfig, RunRecord,
                       generate_scenario, run, simulate, sweep, synthetic_trace)
 from .model import (Scenario, SlotTable, latency_rows,
@@ -19,9 +19,9 @@ from .predict import ACCURACY_PRESETS, PredictorSpec, predict_epochs
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACCURACY_PRESETS", "BUDGET_PRESETS", "CostQueueState", "ExperimentConfig",
-    "FrameInput", "PolicyConfig", "PredictorSpec", "RunRecord", "Scenario",
-    "SlotTable", "advance", "bound_constant_B", "brute_force_frame",
+    "ACCURACY_PRESETS", "BUDGET_PRESETS", "ExperimentConfig", "FrameInput",
+    "PolicyConfig", "PredictorSpec", "RunRecord", "Scenario", "SlotTable",
+    "advance", "bound_constant_B", "brute_force_frame",
     "brute_force_horizon", "frame_decide", "frame_objective",
     "generate_scenario", "latency_rows", "lm_decide",
     "max_slot_migration_cost", "plm_decide", "predict_epochs", "run",

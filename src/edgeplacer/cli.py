@@ -9,6 +9,7 @@ invariant.
 import argparse
 import os
 import sys
+from functools import partial
 
 from . import harness
 
@@ -18,14 +19,15 @@ EXIT_TRACE = 3
 EXIT_VERIFY = 4
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type of a count that must be a whole number >= 1."""
+def _at_least(minimum: int, text: str) -> int:
+    """argparse type of a whole number >= minimum (bound with partial)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {minimum}, got {value}")
     return value
 
 
@@ -47,8 +49,8 @@ def _build_parser():
         p.add_argument("--seed", type=int, help="override scenario.seed")
 
     p = sub.add_parser("verify", help="run the brute-force oracle suites")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--instances", type=_at_least_one, default=200)
+    p.add_argument("--seed", type=partial(_at_least, 0), default=1)
+    p.add_argument("--instances", type=partial(_at_least, 1), default=200)
 
     p = sub.add_parser("gen-trace", help="write a synthetic mobility trace CSV")
     p.add_argument("--out", required=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costqueue import CostQueueState, advance, bound_constant_B
+from .costqueue import advance, bound_constant_B
 # max_slot_migration_cost is not used here; harness re-exports it
 from .model import (Scenario, SlotTable, latency_rows,
                     max_slot_migration_cost, slot_outcome)
@@ -232,7 +232,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     decision[target[miss]] = latency_rows(scn, table, target[miss],
                                           guesses[miss])[0]
 
-    state = CostQueueState(beta=cfg.beta)
+    q = w = w_prev = 0.0
     prev = initial = trace[0]
     lm_acc = 0.0
     records = []
@@ -249,7 +249,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         rows, prices = realized[span].tolist(), price[span].tolist()
         seen = decision[span].tolist() if missed[k] else rows
         if policy in ("osp", "psp", "pspwu"):  # osp: a 1-slot frame
-            anchor = state.w if policy == "pspwu" else state.q
+            anchor = w if policy == "pspwu" else q
             negative_w_frames += anchor < 0
             seq = frame_decide(cfg, FrameInput(seen, prices, anchor, prev))
         elif policy == "am":
@@ -264,17 +264,17 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
             seq = [plm_decide(rows[0], seen[1] if ahead else None, prices[0],
                               trace[start], prev, cfg)]
 
-        q_start = state.q
+        q_start = q
         for t, placement in enumerate(seq, start):
             lat, cost = slot_outcome(rows[t - start], prices[t - start], prev,
                                      placement)
-            records.append(SlotRecord(t, placement, lat, cost, state.q, state.w))
-            state = advance(state, cost, e_avg)
+            records.append(SlotRecord(t, placement, lat, cost, q, w))
+            q, w, w_prev = advance(q, w, w_prev, cost, e_avg, cfg.beta)
             overrun = overrun + (cost - e_avg)
             prev = placement
-            if not abs(state.q - q_start) <= dev_limit:
+            if not abs(q - q_start) <= dev_limit:
                 raise InvariantError(
-                    f"slot {t}: backlog {state.q!r} drifted from the epoch "
+                    f"slot {t}: backlog {q!r} drifted from the epoch "
                     f"start {q_start!r} beyond {epoch_len} * w_q = {dev_bound!r}")
             # w' - q' = (w - q) + beta * max(w - w_prev, 0) and w = q = 0 at
             # the start. In floats w' = fl(fl(w + d) + beta * m) with
@@ -283,18 +283,18 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
             # clamp (d = -q), a step of at most q either way (d is exact,
             # Fast2Sum) and a larger rise (d is off by at most half an ulp of
             # q', and q + d rounds back to q'). The check needs no tolerance.
-            if not state.w >= state.q:
-                raise InvariantError(f"slot {t}: weight {state.w!r} fell "
-                                     f"below the backlog {state.q!r}")
+            if not w >= q:
+                raise InvariantError(f"slot {t}: weight {w!r} fell below the "
+                                     f"backlog {q!r}")
 
     # Telescoped budget guarantee: the clamp only ever raises the backlog, so
     # q dominates the unclamped overrun sum. Float-exact because both sides
     # apply the identical per-slot addition (rounding is monotone).
-    if not state.q >= overrun:
-        raise InvariantError(f"final backlog {state.q!r} is below the "
+    if not q >= overrun:
+        raise InvariantError(f"final backlog {q!r} is below the "
                              f"unclamped overrun {overrun!r}")
     total_cost = math.fsum(r.cost for r in records)
-    rhs = horizon * e_avg + state.q
+    rhs = horizon * e_avg + q
     if not total_cost <= rhs + 1e-9 * max(1.0, rhs):
         raise InvariantError(f"total cost {total_cost!r} exceeds "
                              f"H * e_avg + Q(H) = {rhs!r}")
@@ -304,7 +304,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         avg_latency=math.fsum(r.latency for r in records) / horizon,
         avg_cost=total_cost / horizon,
         avg_queue=math.fsum(r.q for r in records) / horizon,
-        final_queue=state.q,
+        final_queue=q,
         negative_w_frames=negative_w_frames,
         prediction_accuracy=accuracy,
     )
@@ -345,11 +345,17 @@ def run(config: ExperimentConfig) -> RunRecord:
                     config.predictor)
 
 
+def _real(value, name: str) -> float:
+    """A float setting: a boolean or a string is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(value, name: str) -> int:
     """An integer setting: a non-integral number is rejected, not truncated,
     and a boolean or a string is rejected, not converted."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
+    if not _real(value, name).is_integer():
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -362,9 +368,9 @@ def _sweep_point(config: ExperimentConfig, scn: Scenario, value):
     axis, cfg = config.sweep_axis, config.policy_cfg
     try:
         if axis in ("v", "theta", "beta"):
-            cfg = replace(cfg, **{axis: float(value)})
+            cfg = replace(cfg, **{axis: _real(value, axis)})
         elif axis == "e_avg":
-            scn = replace(scn, budget_avg=float(value))
+            scn = replace(scn, budget_avg=_real(value, axis))
         else:  # axis "t"
             scn = replace(scn, frame_len=_whole(value, "t"))
             _epochs(config.policy, scn.frame_len, config.predictor)
@@ -456,11 +462,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown key(s) in {section!r}: {sorted(unknown)}")
 
-    policy = raw.get("policy", {})
-    scenario = raw.get("scenario", {})
-    predictor = raw.get("predictor", {})
-    trace = raw.get("trace", {})
-    sw = raw.get("sweep", {})
+    policy, scenario, predictor, trace, sw = (
+        raw.get(section, {})
+        for section in ("policy", "scenario", "predictor", "trace", "sweep"))
 
     if "name" not in policy:
         raise ConfigError("policy.name is required")
@@ -469,15 +473,23 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("scenario.homogeneous_capacity must be true or "
                           f"false, got {homogeneous!r}")
     try:
-        policy_cfg = PolicyConfig(
-            v=float(policy.get("v", 10.0)),
-            theta=float(policy.get("theta", 0.0)),
-            beta=float(policy.get("beta", 0.0)),
-            lm_gamma=float(policy.get("lm_gamma", 1.0)),
-            plm_weight=float(policy.get("plm_weight", 1.0)))
+        # a number or a matrix of them; the scenario checks the shape
+        backhaul = scenario.get("backhaul_mbps", 100.0)
+        for row in backhaul if isinstance(backhaul, list) else [backhaul]:
+            for rate in row if isinstance(row, list) else [row]:
+                _real(rate, "scenario.backhaul_mbps")
+        policy_cfg = PolicyConfig(**{
+            key: _real(policy.get(key, default), f"policy.{key}")
+            for key, default in (("v", 10.0), ("theta", 0.0), ("beta", 0.0),
+                                 ("lm_gamma", 1.0), ("plm_weight", 1.0))})
         spec_kwargs = {}
         if "accuracies" in predictor:
-            spec_kwargs["accuracies"] = tuple(predictor["accuracies"])
+            accuracies = predictor["accuracies"]
+            if not isinstance(accuracies, list):
+                raise ConfigError("predictor.accuracies must be a list, got "
+                                  f"{accuracies!r}")
+            spec_kwargs["accuracies"] = tuple(
+                _real(a, "predictor.accuracies") for a in accuracies)
         pred_spec = PredictorSpec(
             kind=predictor.get("kind", "oracle_noisy"),
             window=_whole(predictor.get("window", 3), "predictor.window"),
@@ -496,20 +508,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             node_count=_whole(scenario.get("node_count", 6), "scenario.node_count"),
             horizon=_whole(scenario.get("horizon", 1400), "scenario.horizon"),
             frame_len=_whole(scenario.get("frame_len", 3), "scenario.frame_len"),
-            budget_avg=float(scenario.get("budget_avg", BUDGET_PRESETS["low"])),
-            backhaul_mbps=scenario.get("backhaul_mbps", 100.0),
+            budget_avg=_real(scenario.get("budget_avg", BUDGET_PRESETS["low"]),
+                             "scenario.budget_avg"),
+            backhaul_mbps=backhaul,
             homogeneous_capacity=homogeneous,
-            access_rate_scale=float(scenario.get("access_rate_scale", 1.0)),
+            access_rate_scale=_real(scenario.get("access_rate_scale", 1.0),
+                                    "scenario.access_rate_scale"),
             trace_path=trace.get("path") if trace_kind == "file" else None,
             trace_seed=_whole(trace.get("seed", 1), "trace.seed"),
-            trace_stickiness=float(trace.get("stickiness", 0.7)),
+            trace_stickiness=_real(trace.get("stickiness", 0.7),
+                                   "trace.stickiness"),
             sweep_axis=sw.get("axis"),
             sweep_values=tuple(sw.get("values", ())),
             output=raw.get("output"),
         )
-    except ConfigError:
-        raise
     except (TypeError, ValueError, OverflowError) as exc:
+        # a ConfigError is a ValueError, and keeps its message
         raise ConfigError(str(exc)) from None
 
 

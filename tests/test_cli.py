@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -65,6 +64,10 @@ def test_run_requires_output(tmp_path, capsys):
     # a boolean or a string is not a number, and a string is not a flag
     "scenario.node_count=true", 'scenario.horizon="30"',
     'scenario.homogeneous_capacity="false"',
+    # nor is it a float setting, an accuracy or a backhaul rate
+    "policy.v=true", "scenario.budget_avg=true", 'policy.v="900"',
+    "trace.stickiness=true", 'predictor.accuracies="11"',
+    "scenario.backhaul_mbps=[[1,true,1,1],[1,1,1,1],[1,1,1,1],[1,1,1,1]]",
 ])
 def test_run_bad_value_is_config_error(tmp_path, capsys, override):
     config = write_config(tmp_path / "c.json")
@@ -77,7 +80,7 @@ def test_run_bad_value_is_config_error(tmp_path, capsys, override):
 def test_run_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     real = harness.advance
     monkeypatch.setattr(harness, "advance",
-                        lambda state, e, e_avg: replace(real(state, e, e_avg), q=0.0))
+                        lambda *args: (0.0, *real(*args)[1:]))
     config = write_config(tmp_path / "c.json", policy={"name": "am"},
                           scenario={"budget_avg": 0.0})
     assert main(["run", "--config", str(config),
@@ -166,7 +169,8 @@ def check_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch, policy,
     assert runs == [] and not out.exists()
 
 
-@pytest.mark.parametrize("values", [[1.0, -1.0], [1.0, "x"]])
+@pytest.mark.parametrize("values", [[1.0, -1.0], [1.0, "x"], [True, False],
+                                    [1.0, "2"]])
 def test_sweep_bad_value_fails_before_any_run(tmp_path, capsys, monkeypatch,
                                               values):
     check_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch, "osp",
@@ -230,19 +234,26 @@ def test_gen_trace_bad_value_is_config_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("instances", ["0", "-5"])
-def test_verify_rejects_fewer_than_one_instance(capsys, monkeypatch,
-                                                instances):
+@pytest.mark.parametrize("args, error", [
+    pytest.param(["--instances", "0"], "--instances: must be at least 1",
+                 id="0"),
+    pytest.param(["--instances", "-5"], "--instances: must be at least 1",
+                 id="-5"),
+    pytest.param(["--seed", "-1"], "--seed: must be at least 0",
+                 id="seed=-1"),
+])
+def test_verify_rejects_fewer_than_one_instance(capsys, monkeypatch, args,
+                                                error):
     def suite(*args, **kwargs):
         raise AssertionError("a suite ran")
 
     monkeypatch.setattr(harness, "verify_frame_oracles", suite)
     monkeypatch.setattr(harness, "verify_horizon_bound", suite)
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--instances", instances])
+        main(["verify", *args])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "--instances: must be at least 1" in captured.err
+    assert error in captured.err
     assert captured.out == ""
 
 

@@ -4,9 +4,9 @@ import sys
 import edgeplacer
 
 PUBLIC = {
-    "ACCURACY_PRESETS", "BUDGET_PRESETS", "CostQueueState", "ExperimentConfig",
-    "FrameInput", "PolicyConfig", "PredictorSpec", "RunRecord", "Scenario",
-    "SlotTable", "advance", "bound_constant_B", "brute_force_frame",
+    "ACCURACY_PRESETS", "BUDGET_PRESETS", "ExperimentConfig", "FrameInput",
+    "PolicyConfig", "PredictorSpec", "RunRecord", "Scenario", "SlotTable",
+    "advance", "bound_constant_B", "brute_force_frame",
     "brute_force_horizon", "frame_decide", "frame_objective",
     "generate_scenario", "latency_rows", "lm_decide",
     "max_slot_migration_cost", "plm_decide", "predict_epochs", "run",
@@ -15,7 +15,7 @@ PUBLIC = {
 
 
 def test_public_names():
-    assert len(edgeplacer.__all__) == len(PUBLIC) == 27
+    assert len(edgeplacer.__all__) == len(PUBLIC) == 26
     assert set(edgeplacer.__all__) == PUBLIC
     assert all(hasattr(edgeplacer, name) for name in PUBLIC)
     # no exported name hides the submodule it shares a name with

@@ -2,7 +2,8 @@
 
 (a) Every policy meets the telescoped budget inequality, keeps the
     momentum weight at or above the backlog and the backlog at or above 0
-    at every slot, and replays identically on random small configs.
+    at every slot, records the queue state that advance replays from the
+    slot costs, and replays identically on random small configs.
 (b) The frame solver returns the brute-force oracle's sequence and
     objective on random latency tables of up to 6 nodes. Values lie on a
     grid of quarters small enough that every sum and product is exact, so
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplacer import predict
+from edgeplacer.costqueue import advance
 from edgeplacer.harness import POLICIES, ExperimentConfig, run
 from edgeplacer.model import SlotTable
 from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
@@ -63,6 +65,13 @@ def test_every_policy_meets_the_budget_and_replays(seed, nodes, horizon,
         # nonnegative term, so no frame anchor is ever negative
         assert all(r.w >= r.q >= 0.0 for r in rec.per_slot), policy
         assert rec.negative_w_frames == 0
+        # the records hold the queue state before each slot: advance,
+        # replayed from zero over the slot costs, gives every (q, w)
+        q = w = w_prev = 0.0
+        for r in rec.per_slot:
+            assert (r.q, r.w) == (q, w), (policy, r.t)
+            q, w, w_prev = advance(q, w, w_prev, r.cost, budget, beta)
+        assert rec.final_queue == q, policy
         again = run(config)
         assert again.per_slot == rec.per_slot
         assert again.final_queue == rec.final_queue
