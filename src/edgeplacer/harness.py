@@ -12,7 +12,6 @@ configurations replay bit-identically.
 import csv
 import json
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .costqueue import advance, bound_constant_B
 # max_slot_migration_cost is not used here; harness re-exports it
-from .model import (Scenario, SlotTable, latency_rows,
+from .model import (Scenario, SlotTable, _real, latency_rows,
                     max_slot_migration_cost, slot_outcome)
 from .policies import (FrameInput, PolicyConfig, brute_force_frame,
                        brute_force_horizon, frame_decide, frame_objective,
@@ -343,13 +342,6 @@ def run(config: ExperimentConfig) -> RunRecord:
     scn, table = _materialize(config)
     return simulate(scn, table, config.policy, config.policy_cfg,
                     config.predictor)
-
-
-def _real(value, name: str) -> float:
-    """A float setting: a boolean or a string is rejected, not converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _whole(value, name: str) -> int:

@@ -16,6 +16,7 @@ latencies in seconds, migration prices in cost units per GB.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,13 @@ MEGABYTES_PER_GIGABYTE = 1000.0
 
 # A placement is a plain node index in [0, node_count).
 Placement = int
+
+
+def _real(value, name: str) -> float:
+    """A float setting: a boolean or a string is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _positive(name: str, values, shape: tuple) -> np.ndarray:
@@ -52,7 +60,8 @@ class Scenario:
         for name in ("node_count", "horizon", "frame_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not (math.isfinite(self.budget_avg) and self.budget_avg >= 0):
+        budget = _real(self.budget_avg, "budget_avg")
+        if not (math.isfinite(budget) and budget >= 0):
             raise ValueError("budget_avg must be finite and >= 0")
         rate = np.array(self.backhaul_rate, dtype=float)
         if rate.shape != (self.node_count, self.node_count):

@@ -17,9 +17,9 @@ instances.
 
 import itertools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 
-from .model import Placement
+from .model import Placement, _real
 
 # Cap on brute-force enumeration size (sequences per instance).
 ENUM_GUARD = 1_000_000
@@ -47,7 +47,8 @@ class PolicyConfig:
     plm_weight: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in astuple(self)):
+        if not all(math.isfinite(_real(getattr(self, f.name), f.name))
+                   for f in fields(self)):
             raise ValueError("policy tunables must be finite")
         if self.v < 0:
             raise ValueError("v must be >= 0")

@@ -10,9 +10,12 @@ No prediction depends on a placement decision, so a run makes all of its
 predictions at once with predict_epochs.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import _real
 
 PREDICTOR_KINDS = ("oracle_noisy", "moving_mode", "markov1")
 
@@ -35,7 +38,7 @@ class PredictorSpec:
 
     accuracies (oracle_noisy): chance of returning the true region at each
     look-ahead step. window (moving_mode): how much history the mode uses.
-    rng_seed drives the oracle's error draws.
+    rng_seed, a non-negative integer, drives the oracle's error draws.
     """
 
     kind: str = "oracle_noisy"
@@ -46,12 +49,20 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise ValueError(f"unknown predictor kind {self.kind!r}")
-        object.__setattr__(self, "accuracies",
-                           tuple(float(a) for a in self.accuracies))
+        object.__setattr__(self, "accuracies", tuple(
+            _real(a, "accuracy") for a in self.accuracies))
         if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
             raise ValueError("accuracies must lie in [0, 1]")
+        for name in ("window", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
 
 def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
@@ -67,10 +78,11 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
     Returns an int array of shape (number of epochs, w). Row k holds the
     regions predicted for slots start + 1 .. start + ahead, and -1 past
     them. oracle_noisy keeps each true region of trace with its step's
-    accuracy and otherwise names a uniform other region, drawing from a
-    generator seeded with (rng_seed, k); moving_mode repeats the mode of the
-    last window regions of the history; markov1 follows the most likely
-    path of a first-order chain fitted on the history.
+    accuracy and otherwise names a uniform other region; epoch k's draws
+    are those of numpy's default_rng(SeedSequence((rng_seed, k))), replayed
+    for all epochs at once in array arithmetic. moving_mode repeats the
+    mode of the last window regions of the history; markov1 follows the
+    most likely path of a first-order chain fitted on the history.
     """
     if w < 0 or epoch_len < 1:
         raise ValueError("need w >= 0 and epoch_len >= 1")
@@ -90,7 +102,7 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
         anchors = starts[epochs]
         if spec.kind == "oracle_noisy":
             truths = column[anchors[:, None] + np.arange(1, ahead + 1)]
-            rows = _oracle_noisy(spec, truths, n_regions, epochs.tolist())
+            rows = _oracle_noisy(spec, truths, n_regions, epochs)
         elif spec.kind == "moving_mode":
             rows = _moving_mode(spec, column, anchors, ahead, n_regions)
         else:
@@ -118,19 +130,140 @@ def _column(history, n_regions):
 
 def _oracle_noisy(spec, truths, n_regions, salts):
     """Each true region, kept with its step's accuracy and otherwise
-    replaced by a uniform other region. Every row draws from its own
-    generator, seeded from (rng_seed, salt)."""
-    rows = np.asarray(truths).tolist()
+    replaced by a uniform other region. Row e draws what a generator seeded
+    from (rng_seed, salts[e]) would draw, replayed for all rows at once;
+    the rows the replay cannot match exactly are drawn by _drawn_row."""
+    rows = np.array(truths)
     if n_regions == 1:
         return rows
-    for row, salt in zip(rows, salts):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed,
-                                                            salt)))
-        for s, truth in enumerate(row):
-            if not rng.random() < spec.accuracies[s]:
-                r = int(rng.integers(n_regions - 1))
-                row[s] = r if r < truth else r + 1
+    k = n_regions - 1
+    if k > 0xFFFFFFFF:  # numpy leaves Lemire's 32-bit method
+        redraw = np.ones(len(rows), dtype=bool)
+    else:
+        redraw = _replay(spec, rows, k, salts)
+    for e in np.flatnonzero(redraw):
+        rows[e] = _drawn_row(spec, truths[e], n_regions, int(salts[e]))
     return rows
+
+
+def _drawn_row(spec, truths, n_regions, salt):
+    """One epoch's predictions drawn from its own generator, seeded from
+    (rng_seed, salt): the numpy stream _replay reproduces."""
+    rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed, salt)))
+    row = []
+    for s, truth in enumerate(truths):
+        if not rng.random() < spec.accuracies[s]:
+            r = int(rng.integers(n_regions - 1))
+            truth = r if r < truth else r + 1
+        row.append(truth)
+    return row
+
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier, in
+# the widths of the arrays they meet
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
+                                      0x58F38DED)
+_MIX_L, _MIX_R, _16 = np.uint32([0xCA01F9DD, 0x4973F715, 16])
+_MULT_HI, _MULT_LO, _M32, _32 = np.uint64(
+    [2549297995355413924, 4865540595714422341, 0xFFFFFFFF, 32])
+_B0, _B1 = _MULT_LO & _M32, _MULT_LO >> _32  # 32-bit limbs of _MULT_LO
+
+
+def _replay(spec, rows, k, salts):
+    """Overwrite the missed regions of rows in place, as _drawn_row would
+    for each row's salt with n_regions = k + 1 in [2, 2**32], and return the
+    mask of rows it could not match: a salt beyond 32 bits or a Lemire
+    rejection, which draws again.
+
+    Per row and depth, Generator.random() is (raw >> 11) * 2**-53 of a fresh
+    64-bit PCG64 output, and on a miss Generator.integers(k) is the high
+    word of a 32-bit value times k (Lemire), the value being the low half of
+    a fresh output or the buffered high half of the last one so split; for
+    k == 1 it draws nothing. Both happen in lock step for all rows.
+    """
+    e, w = rows.shape
+    raw = _pcg64_outputs(spec.rng_seed, salts, w + (w + 1) // 2)
+    every = np.arange(e)
+    at = np.zeros(e, dtype=np.intp)  # next unread output of each row
+    half = np.zeros(e, dtype=np.uint64)  # buffered high half, if any
+    has_half = np.zeros(e, dtype=bool)
+    redraw = salts > 0xFFFFFFFF
+    reject = np.uint64((2 ** 32 - k) % k)  # Lemire's threshold
+    for s in range(w):
+        miss = ~((raw[every, at] >> np.uint64(11)) * 2.0 ** -53
+                 < spec.accuracies[s])
+        at += 1
+        out = raw[every, np.minimum(at, raw.shape[1] - 1)]
+        fresh = miss & ~has_half & (k > 1)
+        at += fresh
+        m = np.where(fresh, out & _M32, half) * np.uint64(k)
+        half = np.where(fresh, out >> _32, half)
+        has_half ^= miss
+        redraw |= miss & ((m & _M32) < reject)
+        r = (m >> _32).astype(np.intp)
+        rows[:, s] = np.where(miss, r + (r >= rows[:, s]), rows[:, s])
+    return redraw
+
+
+def _pcg64_outputs(seed, salts, count):
+    """The first count outputs of default_rng(SeedSequence((seed, salt)))'s
+    PCG64 for every salt (taken mod 2**32), as a (len(salts), count) uint64
+    array."""
+    # SeedSequence: hash the entropy words, the seed's low word first, into
+    # a pool of 4 words (a column per salt), mix it, and hash 8 words out
+    words = [seed >> i & 0xFFFFFFFF
+             for i in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, 4), len(salts)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = salts
+    pool = _hashed(entropy[:4], 0, 4, _INIT_A, _MULT_A)
+    calls = 4
+    for src in range(len(entropy)):
+        # each pool word takes in every other one, then each later word
+        dst, n = np.arange(4) != src, 3 if src < 4 else 4
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashed(
+            pool[src] if src < 4 else entropy[src], calls, n, _INIT_A, _MULT_A)
+        pool[dst] = mixed ^ mixed >> _16
+        calls += n
+    # PCG64 srandom from the seed and stream words, paired little-endian:
+    # inc = stream << 1 | 1, state = seed + inc, then one step; 128-bit
+    # numbers are (high, low) uint64 pairs
+    s_hi, s_lo, i_hi, i_lo = (
+        w[0].astype(np.uint64) | w[1].astype(np.uint64) << _32
+        for state in (_hashed(pool, 0, 4, _INIT_B, _MULT_B),
+                      _hashed(pool, 4, 4, _INIT_B, _MULT_B))
+        for w in (state[:2], state[2:]))
+    inc_hi = i_hi << np.uint64(1) | i_lo >> np.uint64(63)
+    inc_lo = i_lo << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < s_lo)
+    out = np.empty((len(salts), count + 1), dtype=np.uint64)
+    for j in range(count + 1):
+        # state = state * mult + inc mod 2**128; the high word of lo * mult's
+        # low word is summed from 32-bit limbs
+        a0, a1 = lo & _M32, lo >> _32
+        p10, p01 = a1 * _B0, a0 * _B1
+        cross = (a0 * _B0 >> _32) + (p10 & _M32) + (p01 & _M32)
+        hi = (hi * _MULT_LO + lo * _MULT_HI + inc_hi + a1 * _B1
+              + (p10 >> _32) + (p01 >> _32) + (cross >> _32))
+        low = lo * _MULT_LO
+        lo = low + inc_lo
+        hi += lo < low
+        # XSL-RR output: high ^ low rotated right by the top 6 bits
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        out[:, j] = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+    return out[:, 1:]  # the first step ends srandom
+
+
+def _hashed(values, first, count, init, mult):
+    """SeedSequence's hash of the count rows of values, or of one value
+    count times, as its calls first, first + 1, ... with the constants
+    init * mult**call mod 2**32."""
+    const = np.array([init * mult ** i & 0xFFFFFFFF
+                      for i in range(first, first + count + 1)],
+                     dtype=np.uint32)
+    hashed = (values ^ const[:-1, None]) * const[1:, None]
+    return hashed ^ hashed >> _16
 
 
 def _moving_mode(spec, column, anchors, w, n_regions):

@@ -67,6 +67,8 @@ def test_run_requires_output(tmp_path, capsys):
     # nor is it a float setting, an accuracy or a backhaul rate
     "policy.v=true", "scenario.budget_avg=true", 'policy.v="900"',
     "trace.stickiness=true", 'predictor.accuracies="11"',
+    # the oracle's seed is a non-negative integer
+    "predictor.rng_seed=-1",
     "scenario.backhaul_mbps=[[1,true,1,1],[1,1,1,1],[1,1,1,1],[1,1,1,1]]",
 ])
 def test_run_bad_value_is_config_error(tmp_path, capsys, override):

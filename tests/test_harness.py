@@ -349,6 +349,28 @@ def test_runs_predict_and_build_rows_before_their_loop(monkeypatch, policy):
     assert calls["latency_rows"] <= 2
 
 
+@pytest.mark.parametrize("policy", ("psp", "pspwu", "plm"))
+def test_oracle_runs_build_no_generator_per_epoch(monkeypatch, policy):
+    # at the paper config the oracle's draws are replayed, not drawn
+    config = ExperimentConfig(policy=policy)
+    scn, table = harness._materialize(config)
+    built = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+    rec = harness.simulate(scn, table, policy, config.policy_cfg,
+                           config.predictor)
+    monkeypatch.undo()
+    assert built == []
+    assert rec == run(config)
+
+
 @pytest.mark.parametrize("kind", ("oracle_noisy", "moving_mode", "markov1"))
 @pytest.mark.parametrize("policy", POLICIES)
 def test_prediction_accuracy_matches_a_per_call_replay(policy, kind):

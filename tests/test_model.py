@@ -161,6 +161,9 @@ def test_scenario_validation():
                  horizon=5, compute_capacity=(8.0, 8.0))
     with pytest.raises(ValueError):
         make_scenario(horizon=0)
+    for budget in ("0.1", True):  # rejected, not converted
+        with pytest.raises(ValueError, match="budget_avg must be a number"):
+            make_scenario(budget=budget)
     for caps in ((8.0, -1.0, 8.0), (8.0, 0.0, 8.0), (8.0, math.nan, 8.0),
                  (8.0, math.inf, 8.0), (8.0, 8.0)):
         with pytest.raises(ValueError, match="compute_capacity"):

@@ -21,6 +21,15 @@ def test_policy_config_rejects_non_finite(name, value):
         PolicyConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [True, "1"])
+@pytest.mark.parametrize("name", ["v", "theta", "beta", "lm_gamma",
+                                  "plm_weight"])
+def test_policy_config_rejects_booleans_and_strings(name, value):
+    # rejected, not converted, as the config path does
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        PolicyConfig(**{name: value})
+
+
 def osp_instance():
     # latencies per node work out to [5, 3, 4]; any move costs exactly 1
     rows, prices = make_rows(backhaul=8.0, input_size=1.0, workload=8.0,

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import reference_predict
 
+from edgeplacer import predict
 from edgeplacer.predict import ACCURACY_PRESETS, PredictorSpec, predict_epochs
 
 
@@ -22,7 +24,7 @@ def test_zero_accuracy_two_regions_is_complement():
 
 
 def test_oracle_deterministic_per_salt():
-    # epoch k draws from its own generator, seeded with (rng_seed, k)
+    # epoch k draws what a generator seeded with (rng_seed, k) draws
     spec = PredictorSpec(kind="oracle_noisy", accuracies=(0.5, 0.5), rng_seed=4)
     trace = [0, 2, 3] * 50
     a = predict_epochs(spec, trace, 2, 5, 3)
@@ -60,6 +62,66 @@ def test_oracle_empirical_accuracy_tracks_setting():
     hits = (got == [1, 2, 3]).mean(axis=0)
     for s, acc in enumerate(ACCURACY_PRESETS["arima"]):
         assert abs(hits[s] - acc) < 0.03
+
+
+def _reference_rows(spec, trace, w, n, epoch_len):
+    """Every epoch's oracle row from its own per-call generator."""
+    rows = []
+    for k, start in enumerate(range(0, len(trace), epoch_len)):
+        ahead = min(w, len(trace) - start - 1)
+        future = trace[start + 1:start + 1 + ahead]
+        rows.append(reference_predict(spec, trace[:start + 1], future, ahead,
+                                      n, k) + [-1] * (w - ahead))
+    return rows
+
+
+@pytest.mark.parametrize("rng_seed", [0, 2 ** 32 + 5, 2 ** 64 + 3,
+                                      2 ** 160 + 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 50])
+def test_oracle_replays_each_epochs_generator(n, rng_seed):
+    # one, two, three and six 32-bit words of seed entropy (past four, the
+    # words and the salt are mixed into a full pool); n == 2 draws no
+    # replacement and n == 1 draws nothing
+    rng = np.random.default_rng(n)
+    for w in range(1, 6):
+        spec = PredictorSpec(accuracies=rng.uniform(0.0, 1.0, w).tolist(),
+                             rng_seed=rng_seed)
+        trace = rng.integers(n, size=61).tolist()
+        for epoch_len in (1, 2):
+            assert predict_epochs(spec, trace, w, n, epoch_len).tolist() == (
+                _reference_rows(spec, trace, w, n, epoch_len))
+
+
+def test_oracle_redraws_the_rows_the_replay_cannot_match(monkeypatch):
+    # with 2**31 + 1 replacement regions Lemire's method rejects about half
+    # of its 32-bit draws and draws again; those rows come from their own
+    # generator
+    n = 2 ** 31 + 2
+    drawn = []
+
+    def counted(spec, truths, n_regions, salt):
+        drawn.append(salt)
+        return real(spec, truths, n_regions, salt)
+
+    real = predict._drawn_row
+    monkeypatch.setattr(predict, "_drawn_row", counted)
+    spec = PredictorSpec(accuracies=(0.0, 0.5, 0.0), rng_seed=11)
+    trace = np.random.default_rng(5).integers(n, size=201).tolist()
+    got = predict_epochs(spec, trace, 3, n, 1)
+    assert 20 < len(drawn) < 180
+    assert got.tolist() == _reference_rows(spec, trace, 3, n, 1)
+    # a salt beyond 32 bits and more than 2**32 regions are drawn too
+    drawn.clear()
+    truths = np.array([[1, 2], [3, 4]])
+    rows = predict._oracle_noisy(spec, truths, 6, np.array([2 ** 32, 3]))
+    assert drawn == [2 ** 32]
+    assert rows[0].tolist() == reference_predict(spec, [0], [1, 2], 2, 6,
+                                                 2 ** 32)
+    rows = predict._oracle_noisy(spec, truths, 2 ** 32 + 2, np.array([0, 1]))
+    assert drawn == [2 ** 32, 0, 1]
+    assert rows.tolist() == [reference_predict(spec, [0], truths[k], 2,
+                                               2 ** 32 + 2, k)
+                             for k in (0, 1)]
 
 
 def test_moving_mode_uses_window_and_low_tie():
@@ -123,6 +185,14 @@ def test_predict_rejects_bad_inputs():
         PredictorSpec(accuracies=(1.5,))
     with pytest.raises(ValueError):
         PredictorSpec(window=0)
+    # a string or a boolean is rejected, not converted; the seed is a
+    # non-negative integer
+    for kwargs in ({"accuracies": "11"}, {"accuracies": (True,)},
+                   {"window": True}, {"window": 2.0}, {"rng_seed": -1},
+                   {"rng_seed": True}, {"rng_seed": 1.0}, {"rng_seed": "3"}):
+        with pytest.raises(ValueError):
+            PredictorSpec(**kwargs)
+    assert PredictorSpec(rng_seed=np.uint8(3)).rng_seed == 3
 
 
 def test_predict_epochs_rejects_bad_inputs():

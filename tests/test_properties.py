@@ -15,7 +15,8 @@
     list trace as for a numpy view of it, and markov1's transition counts
     equal a per-pair loop. The batch of a run's predictions equals the
     per-call formulas the predictors had before the batch, kept in
-    conftest.py as the reference, for every kind and block size.
+    conftest.py as the reference, for every kind and block size, and the
+    oracle's replayed draws equal its per-epoch generators for any seed.
 """
 
 import math
@@ -198,6 +199,24 @@ def test_batch_predictions_equal_the_per_call_formulas(case, dtype,
             assert row[:ahead] == reference_predict(
                 spec, trace[:start + 1], trace[start + 1:start + 1 + ahead],
                 ahead, n, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 5),
+       st.one_of(st.integers(0, 99), st.integers(0, 2 ** 130)),
+       st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_oracle_draws_equal_per_epoch_generators(n, w, rng_seed, accuracies,
+                                                 length, trace_seed):
+    # any number of seed words, regions and look-ahead depths
+    spec = PredictorSpec(accuracies=accuracies[:w], rng_seed=rng_seed)
+    trace = np.random.default_rng(trace_seed).integers(n, size=length)
+    got = predict_epochs(spec, trace, w, n, 1).tolist()
+    for k in range(length):
+        ahead = min(w, length - 1 - k)
+        assert got[k] == reference_predict(
+            spec, trace[:k + 1], trace[k + 1:k + 1 + ahead], ahead, n,
+            k) + [-1] * (w - ahead)
 
 
 @settings(max_examples=200, deadline=None)
