@@ -8,12 +8,13 @@ per-GB price.
 The fixed data (links, capacities) sit on a Scenario and the per-slot draws
 in the columns of a SlotTable; latency_rows turns a range of slots into a
 float64 matrix with one row of latencies per slot, one column per hosting
-node, plus each slot's price of any move.
+node, plus each slot's price of any move. A run pays that price in a slot
+where the service moves and nothing where it stays.
 """
 
 import numpy as np
 
-from edgeplacer import Scenario, SlotTable, latency_rows, slot_outcome
+from edgeplacer import Scenario, SlotTable, latency_rows
 
 scn = Scenario(node_count=3, backhaul_rate=np.full((3, 3), 64.0),
                budget_avg=0.1, horizon=1, compute_capacity=(8.0, 8.0, 4.0))
@@ -38,7 +39,9 @@ for node, lat in enumerate(row):
     print(f"  serve from node {node}: {lat:.2f} s  ({' + '.join(parts)})")
 
 print()
-print("moving the 50 MB container at 2 $/GB:")
-print(f"  stay put     -> {slot_outcome(row, price, 0, 0)[1]:.3f}")
-print(f"  node 0 -> 1  -> {slot_outcome(row, price, 0, 1)[1]:.3f}")
-print(f"  node 0 -> 2  -> {slot_outcome(row, price, 0, 2)[1]:.3f}  (same price anywhere)")
+print(f"moving the 50 MB container at 2 $/GB: price {price:.3f} per move")
+for node in range(3):
+    cost = price if node != 0 else 0.0  # what a run pays in the slot
+    move = "stay put   " if node == 0 else f"node 0 -> {node}"
+    note = "  (same price anywhere)" if node == 2 else ""
+    print(f"  {move}  -> {cost:.3f}{note}")

@@ -44,4 +44,4 @@ print()
 print("queue trajectory, seed 0 (every 100th slot):")
 print(f"{'slot':>6} {'queue anchor':>13} {'weight anchor':>14}")
 for t in range(0, 1400, 100):
-    print(f"{t:>6} {plain[0].per_slot[t].q:>13.3f} {weighted[0].per_slot[t].q:>14.3f}")
+    print(f"{t:>6} {plain[0].q[t]:>13.3f} {weighted[0].q[t]:>14.3f}")

@@ -9,8 +9,7 @@ predictors), harness (simulation engine, sweeps, CSV), cli (command line).
 from .costqueue import advance, bound_constant_B
 from .harness import (BUDGET_PRESETS, ExperimentConfig, RunRecord,
                       generate_scenario, run, simulate, sweep, synthetic_trace)
-from .model import (Scenario, SlotTable, latency_rows,
-                    max_slot_migration_cost, slot_outcome)
+from .model import Scenario, SlotTable, latency_rows, max_slot_migration_cost
 from .policies import (FrameInput, PolicyConfig, brute_force_frame,
                        brute_force_horizon, frame_decide, frame_objective,
                        lm_decide, plm_decide)
@@ -25,5 +24,5 @@ __all__ = [
     "brute_force_horizon", "frame_decide", "frame_objective",
     "generate_scenario", "latency_rows", "lm_decide",
     "max_slot_migration_cost", "plm_decide", "predict_epochs", "run",
-    "simulate", "slot_outcome", "sweep", "synthetic_trace",
+    "simulate", "sweep", "synthetic_trace",
 ]

@@ -12,15 +12,14 @@ configurations replay bit-identically.
 import csv
 import json
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .costqueue import advance, bound_constant_B
 # max_slot_migration_cost is not used here; harness re-exports it
-from .model import (Scenario, SlotTable, _real, latency_rows,
-                    max_slot_migration_cost, slot_outcome)
+from .model import (Scenario, SlotTable, _real, _whole, latency_rows,
+                    max_slot_migration_cost)
 from .policies import (FrameInput, PolicyConfig, brute_force_frame,
                        brute_force_horizon, frame_decide, frame_objective,
                        lm_decide, plm_decide)
@@ -55,28 +54,36 @@ class TraceFormatError(ValueError):
 
 class InvariantError(RuntimeError):
     """A run broke the budget inequality, the backlog deviation bound or
-    w >= q."""
+    w >= q, or placed the service outside the nodes."""
 
 
-SlotRecord = namedtuple("SlotRecord", "t placement latency cost q w")
-
-
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
-    """Per-slot time series plus time-averaged summaries of one run.
+    """Per-slot columns plus time-averaged summaries of one run.
 
-    prediction_accuracy[s - 1] is the share of the run's predictions made s
-    slots ahead that named the realized node, for every depth s the run
-    predicted at; it is empty when the policy predicts nothing.
+    Entry t of a column is slot t's node, realized latency, migration cost,
+    and backlog q and weight w before the slot. prediction_accuracy[s - 1]
+    is the share of the run's s-slot-ahead predictions that named the
+    realized node, for each depth s the run predicted at (empty if none).
     """
 
-    per_slot: list
+    placement: np.ndarray  # int; the other four float64
+    latency: np.ndarray
+    cost: np.ndarray
+    q: np.ndarray
+    w: np.ndarray
     avg_latency: float
     avg_cost: float
     avg_queue: float
     final_queue: float
     negative_w_frames: int
     prediction_accuracy: tuple
+
+    @property
+    def per_slot(self) -> list:
+        """Every slot's (t, placement, latency, cost, q, w), Python numbers."""
+        columns = (self.placement, self.latency, self.cost, self.q, self.w)
+        return list(zip(range(len(self.q)), *(c.tolist() for c in columns)))
 
 
 @dataclass
@@ -195,7 +202,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     first slot from predicted user locations for its later slots (and for
     the next slot under plm); realized latency/cost and queue updates use the
     true user nodes. A broken budget inequality, backlog deviation bound or
-    w >= q raises InvariantError.
+    w >= q, or a placement outside the nodes, raises InvariantError.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -223,18 +230,19 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     accuracy = tuple((hit.sum(axis=0)[:depths] / attempts[:depths]).tolist())
     # Epochs decide from the realized rows with each wrongly predicted
     # slot's row overwritten by its predicted node's row; only those rows
-    # are computed anew. A frame's first slot is no epoch's target, and plm
-    # takes its first row from realized.
+    # are computed anew. A frame's first slot is no epoch's target, so a
+    # frame with no miss sees its realized rows; plm's slot is the previous
+    # epoch's target, so plm reads its own row from realized.
     miss = made & ~hit
-    missed = miss.any(axis=1).tolist()
     decision = realized.copy()
     decision[target[miss]] = latency_rows(scn, table, target[miss],
                                           guesses[miss])[0]
 
+    prices = price.tolist()
     q = w = w_prev = 0.0
     prev = initial = trace[0]
     lm_acc = 0.0
-    records = []
+    slots = []  # (placement, cost, q, w) of every slot
     overrun = 0.0  # queue recursion without the clamp, same op order as the queue
     negative_w_frames = 0
     # Holding the epoch-start backlog fixed is off by at most epoch_len * w_q.
@@ -242,32 +250,31 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     dev_bound = epoch_len * w_q
     dev_limit = dev_bound + 1e-9 * max(1.0, dev_bound)
 
-    for k, start in enumerate(range(0, horizon, epoch_len)):
-        ahead = min(lookahead, horizon - start - 1)
-        span = slice(start, start + 1 + ahead)
-        rows, prices = realized[span].tolist(), price[span].tolist()
-        seen = decision[span].tolist() if missed[k] else rows
+    for start in range(0, horizon, epoch_len):
         if policy in ("osp", "psp", "pspwu"):  # osp: a 1-slot frame
             anchor = w if policy == "pspwu" else q
             negative_w_frames += anchor < 0
-            seq = frame_decide(cfg, FrameInput(seen, prices, anchor, prev))
+            span = slice(start, start + epoch_len)  # ends at the horizon
+            seq = frame_decide(cfg, FrameInput(decision[span].tolist(),
+                                               prices[span], anchor, prev))
         elif policy == "am":
             seq = [trace[start]]
         elif policy == "nm":
             seq = [initial]
         elif policy == "lm":
-            placement, lm_acc = lm_decide(lm_acc, rows[0], prices[0],
-                                          trace[start], prev, cfg)
+            placement, lm_acc = lm_decide(lm_acc, realized[start].tolist(),
+                                          prices[start], trace[start], prev,
+                                          cfg)
             seq = [placement]
-        else:  # plm
-            seq = [plm_decide(rows[0], seen[1] if ahead else None, prices[0],
+        else:  # plm, which reads the next slot's row unless it is the last
+            nxt = decision[start + 1].tolist() if start + 1 < horizon else None
+            seq = [plm_decide(realized[start].tolist(), nxt, prices[start],
                               trace[start], prev, cfg)]
 
         q_start = q
         for t, placement in enumerate(seq, start):
-            lat, cost = slot_outcome(rows[t - start], prices[t - start], prev,
-                                     placement)
-            records.append(SlotRecord(t, placement, lat, cost, q, w))
+            cost = prices[t] if placement != prev else 0.0
+            slots.append((placement, cost, q, w))
             q, w, w_prev = advance(q, w, w_prev, cost, e_avg, cfg.beta)
             overrun = overrun + (cost - e_avg)
             prev = placement
@@ -286,23 +293,32 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                 raise InvariantError(f"slot {t}: weight {w!r} fell below the "
                                      f"backlog {q!r}")
 
+    placements, costs, qs, ws = zip(*slots)
+    placement = np.array(placements)
+    # A negative node would wrap in the latency gather below.
+    bad = np.flatnonzero((placement < 0) | (placement >= scn.node_count))
+    if bad.size:
+        raise InvariantError(f"slot {bad[0]}: placement {placement[bad[0]]} "
+                             f"is not a node in [0, {scn.node_count})")
     # Telescoped budget guarantee: the clamp only ever raises the backlog, so
     # q dominates the unclamped overrun sum. Float-exact because both sides
     # apply the identical per-slot addition (rounding is monotone).
     if not q >= overrun:
         raise InvariantError(f"final backlog {q!r} is below the "
                              f"unclamped overrun {overrun!r}")
-    total_cost = math.fsum(r.cost for r in records)
+    total_cost = math.fsum(costs)
     rhs = horizon * e_avg + q
     if not total_cost <= rhs + 1e-9 * max(1.0, rhs):
         raise InvariantError(f"total cost {total_cost!r} exceeds "
                              f"H * e_avg + Q(H) = {rhs!r}")
 
+    latency = realized[np.arange(horizon), placement]
     return RunRecord(
-        per_slot=records,
-        avg_latency=math.fsum(r.latency for r in records) / horizon,
+        placement=placement, latency=latency, cost=np.array(costs),
+        q=np.array(qs), w=np.array(ws),
+        avg_latency=math.fsum(latency) / horizon,
         avg_cost=total_cost / horizon,
-        avg_queue=math.fsum(r.q for r in records) / horizon,
+        avg_queue=math.fsum(qs) / horizon,
         final_queue=q,
         negative_w_frames=negative_w_frames,
         prediction_accuracy=accuracy,
@@ -342,14 +358,6 @@ def run(config: ExperimentConfig) -> RunRecord:
     scn, table = _materialize(config)
     return simulate(scn, table, config.policy, config.policy_cfg,
                     config.predictor)
-
-
-def _whole(value, name: str) -> int:
-    """An integer setting: a non-integral number is rejected, not truncated,
-    and a boolean or a string is rejected, not converted."""
-    if not _real(value, name).is_integer():
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _sweep_point(config: ExperimentConfig, scn: Scenario, value):
@@ -522,13 +530,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # CSV input/output
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: str, header, rows) -> None:
+    # csv writes str(x), and a float's str is its repr: values read back exactly
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -538,15 +541,13 @@ def _write_csv(path: str, header, rows) -> None:
 def write_summary_csv(path: str, rows) -> None:
     """rows: iterable of (axis_value, policy_name, RunRecord)."""
     _write_csv(path, SUMMARY_HEADER, (
-        [_fmt(axis_value), policy, _fmt(rec.avg_latency), _fmt(rec.avg_cost),
-         _fmt(rec.avg_queue), _fmt(rec.final_queue), rec.negative_w_frames]
+        [axis_value, policy, rec.avg_latency, rec.avg_cost, rec.avg_queue,
+         rec.final_queue, rec.negative_w_frames]
         for axis_value, policy, rec in rows))
 
 
 def write_per_slot_csv(path: str, rec: RunRecord) -> None:
-    _write_csv(path, PER_SLOT_HEADER, (
-        [r.t, r.placement, _fmt(r.latency), _fmt(r.cost), _fmt(r.q), _fmt(r.w)]
-        for r in rec.per_slot))
+    _write_csv(path, PER_SLOT_HEADER, rec.per_slot)
 
 
 def write_trace_csv(path: str, regions) -> None:
@@ -676,7 +677,7 @@ def verify_horizon_bound(seed: int = 1, instances: int = 20):
             checks += 1
             rec = simulate(scn, table, "osp", PolicyConfig(v=v))
             # the bound constant uses the run's own worst realized cost
-            e_max = max(r.cost for r in rec.per_slot)
+            e_max = float(rec.cost.max())
             b_const = bound_constant_B(HORIZON_BUDGET, e_max)
             limit = oracle_lat + b_const / v + HORIZON_SLACK * oracle_lat
             if rec.avg_latency <= limit:

@@ -36,6 +36,14 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _whole(value, name: str) -> int:
+    """An integer setting: a non-integral number is rejected, not truncated,
+    and a boolean or a string is rejected, not converted."""
+    if not _real(value, name).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _positive(name: str, values, shape: tuple) -> np.ndarray:
     array = np.asarray(values, dtype=float)
     if array.shape != shape:
@@ -58,8 +66,10 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("node_count", "horizon", "frame_len"):
-            if getattr(self, name) < 1:
+            value = _whole(getattr(self, name), name)
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
         budget = _real(self.budget_avg, "budget_avg")
         if not (math.isfinite(budget) and budget >= 0):
             raise ValueError("budget_avg must be finite and >= 0")
@@ -166,12 +176,3 @@ def _move_prices(table: SlotTable, slots=slice(None)) -> np.ndarray:
 def max_slot_migration_cost(table: SlotTable) -> float:
     """Largest migration cost any placement change could incur in the table."""
     return float(_move_prices(table).max())
-
-
-def slot_outcome(row, price: float, prev: Placement,
-                 cur: Placement) -> tuple[float, float]:
-    """Realized (latency, migration cost) of holding cur after prev, given the
-    slot's latency row for the realized user node and its move price."""
-    if not (0 <= prev < len(row) and 0 <= cur < len(row)):
-        raise ValueError("placement out of range")
-    return row[cur], (price if cur != prev else 0.0)

@@ -1,9 +1,17 @@
-"""Shared helpers that hand-construct scenarios, slot tables and rows, and
-the per-call predictor formulas that batch predictions are checked against."""
+"""Shared helpers that hand-construct scenarios, slot tables and rows, the
+per-call predictor formulas that batch predictions are checked against, and
+the per-slot record loop that the engine's columns are checked against."""
+
+import math
 
 import numpy as np
 
+from edgeplacer.costqueue import advance
+from edgeplacer.harness import _epochs
 from edgeplacer.model import Scenario, SlotTable, latency_rows
+from edgeplacer.policies import (FrameInput, frame_decide, lm_decide,
+                                 plm_decide)
+from edgeplacer.predict import predict_epochs
 
 
 def make_scenario(n=3, backhaul=64.0, budget=0.1, horizon=10, frame_len=1,
@@ -65,3 +73,64 @@ def reference_predict(spec, history, true_future, w, n_regions, salt):
         at = int((probs[at] * suffix[s]).argmax())
         path.append(at)
     return path
+
+
+def reference_simulate(scn, table, policy, cfg, spec):
+    """The engine loop from before the run was kept in columns: epochs
+    decide from their realized rows unless a prediction missed, and every
+    slot's (t, placement, latency, cost, q, w) is recorded as the loop goes.
+    Returns the rows and the run's summaries in a dict; checks nothing."""
+    epoch_len, lookahead = _epochs(policy, scn.frame_len, spec)
+    horizon, e_avg, trace = scn.horizon, scn.budget_avg, table.trace
+    users = table.user_node[:horizon]
+    realized, price = latency_rows(scn, table, slice(0, horizon), users)
+    guesses = predict_epochs(spec, users, lookahead, scn.node_count,
+                             epoch_len)
+    target = (np.arange(0, horizon, epoch_len)[:, None]
+              + np.arange(1, lookahead + 1))
+    made = guesses >= 0
+    hit = made & (guesses == users.take(target, mode="clip"))
+    attempts = made.sum(axis=0)
+    depths = np.count_nonzero(attempts)
+    accuracy = tuple((hit.sum(axis=0)[:depths] / attempts[:depths]).tolist())
+    miss = made & ~hit
+    missed = miss.any(axis=1).tolist()
+    decision = realized.copy()
+    decision[target[miss]] = latency_rows(scn, table, target[miss],
+                                          guesses[miss])[0]
+    q = w = w_prev = lm_acc = 0.0
+    prev = initial = trace[0]
+    records = []
+    for k, start in enumerate(range(0, horizon, epoch_len)):
+        ahead = min(lookahead, horizon - start - 1)
+        span = slice(start, start + 1 + ahead)
+        rows, prices = realized[span].tolist(), price[span].tolist()
+        seen = decision[span].tolist() if missed[k] else rows
+        if policy in ("osp", "psp", "pspwu"):
+            anchor = w if policy == "pspwu" else q
+            seq = frame_decide(cfg, FrameInput(seen, prices, anchor, prev))
+        elif policy == "am":
+            seq = [trace[start]]
+        elif policy == "nm":
+            seq = [initial]
+        elif policy == "lm":
+            placement, lm_acc = lm_decide(lm_acc, rows[0], prices[0],
+                                          trace[start], prev, cfg)
+            seq = [placement]
+        else:
+            seq = [plm_decide(rows[0], seen[1] if ahead else None, prices[0],
+                              trace[start], prev, cfg)]
+        for t, placement in enumerate(seq, start):
+            lat = rows[t - start][placement]
+            cost = prices[t - start] if placement != prev else 0.0
+            records.append((t, placement, lat, cost, q, w))
+            q, w, w_prev = advance(q, w, w_prev, cost, e_avg, cfg.beta)
+            prev = placement
+    return {
+        "per_slot": records,
+        "avg_latency": math.fsum(r[2] for r in records) / horizon,
+        "avg_cost": math.fsum(r[3] for r in records) / horizon,
+        "avg_queue": math.fsum(r[4] for r in records) / horizon,
+        "final_queue": q,
+        "prediction_accuracy": accuracy,
+    }

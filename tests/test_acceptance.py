@@ -62,7 +62,7 @@ def test_criterion_03_budget_inequality_every_policy():
         rec = run(config(policy, seed=0, v=20.0,
                          beta=0.65 if policy == "pspwu" else 0.0,
                          budget=EASY_BUDGET))
-        total_cost = math.fsum(r.cost for r in rec.per_slot)
+        total_cost = math.fsum(rec.cost.tolist())
         rhs = HORIZON * EASY_BUDGET + rec.final_queue
         assert total_cost <= rhs + 1e-9 * max(1.0, rhs), policy
     print(f"criterion 3: PASS - telescoped budget inequality holds for "
@@ -79,9 +79,8 @@ def test_criterion_04_frame_queue_deviation_bound():
         bound = cfg.frame_len * w_q
         worst = 0.0
         for start in range(0, HORIZON, cfg.frame_len):
-            anchor_q = rec.per_slot[start].q
-            for r in rec.per_slot[start:start + cfg.frame_len]:
-                worst = max(worst, abs(r.q - anchor_q))
+            frame_q = rec.q[start:start + cfg.frame_len]
+            worst = max(worst, float(np.abs(frame_q - rec.q[start]).max()))
         assert worst <= bound + 1e-9 * max(1.0, bound), policy
     print("criterion 4: PASS - per-frame queue deviation within "
           "frame_len * max(E_avg, E_max) on psp and pspwu runs")
@@ -139,8 +138,7 @@ def test_criterion_07_weight_update_effect():
     # beta = 0 collapses the weight update onto the plain queue: identical runs
     plain = run(config("psp", 0, v=50.0))
     zero_beta = run(config("pspwu", 0, v=50.0, beta=0.0))
-    assert [r.placement for r in plain.per_slot] == \
-        [r.placement for r in zero_beta.per_slot]
+    assert plain.placement.tolist() == zero_beta.placement.tolist()
     print(f"criterion 7: PASS - weight update cuts avg queue "
           f"{np.mean(psp_q):.2f}->{np.mean(wu_q):.2f} at latency "
           f"+{(np.mean(wu_lat) / np.mean(psp_lat) - 1) * 100:.2f}% (<1%), "
@@ -159,8 +157,7 @@ def test_criterion_08_benchmark_sanity():
             cfg.scenario_seed, NODES, HORIZON, cfg.frame_len,
             cfg.budget_avg, homogeneous_capacity=True)
         rows, _ = latency_rows(scn, table, slice(None), table.trace)
-        for r, row in zip(am.per_slot, rows):
-            assert r.latency == min(row)
+        assert np.array_equal(am.latency, rows.min(axis=1))
         assert recs["nm"].avg_cost == 0.0
         for policy, rec in recs.items():
             assert am.avg_latency <= rec.avg_latency, (policy, s)
@@ -193,8 +190,7 @@ def test_criterion_09_predictor_calibration():
                                    trace_seed=s + 100, node_count=NODES,
                                    horizon=HORIZON, frame_len=1,
                                    budget_avg=TIGHT_BUDGET, policy_cfg=cfg))
-        assert [r.placement for r in psp.per_slot] == \
-            [r.placement for r in osp.per_slot]
+        assert psp.placement.tolist() == osp.placement.tolist()
     print(f"criterion 9: PASS - noisy-oracle accuracy within 2 points over "
           f"{trials} trials; perfect single-slot frames replay the reactive "
           f"policy slot-for-slot")

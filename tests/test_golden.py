@@ -81,9 +81,11 @@ def record_digest(rec) -> str:
     h = hashlib.sha256()
     h.update(repr((rec.avg_latency, rec.avg_cost, rec.avg_queue,
                    rec.final_queue, rec.negative_w_frames)).encode())
-    for r in rec.per_slot:
-        h.update(f"\n{r.t},{r.placement},{r.latency!r},{r.cost!r},"
-                 f"{r.q!r},{r.w!r}".encode())
+    columns = (rec.placement, rec.latency, rec.cost, rec.q, rec.w)
+    for t, (placement, latency, cost, q, w) in enumerate(
+            zip(*(c.tolist() for c in columns))):
+        h.update(f"\n{t},{placement},{latency!r},{cost!r},"
+                 f"{q!r},{w!r}".encode())
     return h.hexdigest()
 
 

@@ -96,7 +96,7 @@ def test_never_migrate_run_has_no_cost():
     rec = run(base_config(policy="nm"))
     assert rec.avg_cost == 0.0
     assert rec.final_queue == 0.0
-    assert all(r.q == 0.0 and r.cost == 0.0 for r in rec.per_slot)
+    assert not rec.q.any() and not rec.cost.any()
 
 
 def test_always_migrate_attains_per_slot_minimum():
@@ -108,19 +108,31 @@ def test_always_migrate_attains_per_slot_minimum():
     rec = simulate(scn, table, "am")
     rows, _ = latency_rows(scn, table, slice(None), table.trace)
     assert rec.avg_latency == pytest.approx(math.fsum(map(min, rows)) / 120)
-    assert [r.placement for r in rec.per_slot] == table.trace
+    assert rec.placement.tolist() == table.trace
 
 
 def test_budget_inequality_holds_for_every_policy():
     for policy in ("osp", "psp", "pspwu", "am", "nm", "lm", "plm"):
         cfg = PolicyConfig(v=20.0, theta=10.0,
                            beta=0.65 if policy == "pspwu" else 0.0)
-        rec = run(base_config(policy=policy, policy_cfg=cfg))
-        total = math.fsum(r.cost for r in rec.per_slot)
+        config = base_config(policy=policy, policy_cfg=cfg)
+        rec = run(config)
+        total = math.fsum(rec.cost.tolist())
         rhs = 120 * 0.05 + rec.final_queue
         assert total <= rhs + 1e-9 * max(1.0, rhs)
-        assert all(r.latency >= 0 and r.cost >= 0 and r.q >= 0
-                   for r in rec.per_slot)
+        # a slot costs its move price exactly when the service moves, from
+        # the user's first node at slot 0, and takes the latency of the
+        # node it sits on in the realized row
+        scn, table = harness._materialize(config)
+        realized, prices = latency_rows(scn, table, slice(0, 120),
+                                        table.user_node[:120])
+        before = np.concatenate(([table.trace[0]], rec.placement[:-1]))
+        assert np.array_equal(rec.cost, np.where(rec.placement != before,
+                                                 prices, 0.0))
+        assert np.array_equal(rec.latency,
+                              realized[np.arange(120), rec.placement])
+        assert all((c >= 0).all() for c in (rec.placement, rec.latency,
+                                            rec.cost, rec.q, rec.w))
         # numpy scalars would print as np.float64(...) in the CSVs
         assert all(type(x) is float for r in rec.per_slot for x in r[2:])
         assert all(type(x) is float for x in (rec.avg_latency, rec.avg_cost,
@@ -143,8 +155,7 @@ def test_single_slot_frames_with_perfect_prediction_reduce_to_reactive():
                           predictor=perfect))
     osp = run(base_config(policy="osp", frame_len=1, policy_cfg=cfg,
                           predictor=perfect))
-    assert [r.placement for r in psp.per_slot] == \
-        [r.placement for r in osp.per_slot]
+    assert psp.placement.tolist() == osp.placement.tolist()
     assert psp.avg_latency == osp.avg_latency
 
 
@@ -152,16 +163,15 @@ def test_beta_zero_weight_update_matches_plain_frames():
     cfg = PolicyConfig(v=15.0, theta=20.0, beta=0.0)
     wu = run(base_config(policy="pspwu", policy_cfg=cfg))
     plain = run(base_config(policy="psp", policy_cfg=cfg))
-    assert [r.placement for r in wu.per_slot] == \
-        [r.placement for r in plain.per_slot]
+    assert wu.placement.tolist() == plain.placement.tolist()
     assert wu.negative_w_frames == 0
 
 
 def test_partial_final_frame():
     # horizon not divisible by frame_len still covers every slot
     rec = run(base_config(policy="psp", horizon=100, frame_len=3))
-    assert len(rec.per_slot) == 100
-    assert [r.t for r in rec.per_slot] == list(range(100))
+    assert len(rec.placement) == len(rec.w) == 100
+    assert [row[0] for row in rec.per_slot] == list(range(100))
 
 
 def test_sweep_matches_individual_runs_and_is_ordered():
@@ -199,6 +209,17 @@ def test_file_trace_sweep_reads_the_trace_once(tmp_path, monkeypatch):
                          sweep_values=(1, 2, 3))
     assert len(sweep(config)) == 3
     assert reads == [str(path)]
+
+
+def test_summary_csv_writes_numpy_sweep_values_as_numbers(tmp_path):
+    # a library caller's numpy scalars print as numbers, not np.float64(...)
+    config = base_config(policy="osp", sweep_axis="v",
+                         sweep_values=tuple(np.array([5.0, 50.0])))
+    path = tmp_path / "sweep.csv"
+    harness.write_summary_csv(path, [(v, "osp", rec)
+                                     for v, rec in sweep(config)])
+    rows = path.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["5.0", "50.0"]
 
 
 def test_sweep_single_value_equals_run():
@@ -247,7 +268,7 @@ def test_file_trace_feeds_run(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(path, synthetic_trace(8, 4, 200))
     rec = run(base_config(policy="am", trace_path=str(path), horizon=200))
-    assert len(rec.per_slot) == 200
+    assert len(rec.placement) == 200
     # too short for the horizon
     with pytest.raises(TraceFormatError):
         run(base_config(policy="am", trace_path=str(path), horizon=500))
@@ -277,6 +298,17 @@ def test_weight_below_backlog_is_checked_for_every_policy(monkeypatch, policy):
         run(base_config(policy=policy))
 
 
+@pytest.mark.parametrize("node", (-1, 4))
+@pytest.mark.parametrize("policy", ("osp", "psp"))
+def test_placement_outside_the_nodes_is_checked(monkeypatch, policy, node):
+    # node -1 would read the last node's latency if it went unchecked
+    monkeypatch.setattr(harness, "frame_decide",
+                        lambda cfg, frame: [node] * len(frame.latency))
+    with pytest.raises(InvariantError, match=re.escape(
+            f"slot 0: placement {node} is not a node in [0, 4)")):
+        run(base_config(policy=policy))
+
+
 @pytest.mark.parametrize("policy", ("psp", "pspwu", "plm"))
 def test_wrong_predictions_decide_and_realized_rows_account(monkeypatch,
                                                             policy):
@@ -300,9 +332,10 @@ def test_wrong_predictions_decide_and_realized_rows_account(monkeypatch,
     rec = simulate(scn, table, policy, cfg)
     realized, prices = latency_rows(scn, table, slice(None), table.trace)
     epoch_len = 1 if policy == "plm" else scn.frame_len
+    placed = rec.placement.tolist()
     prev, moved_by_errors = table.trace[0], 0
     for k, start in enumerate(range(0, scn.horizon, epoch_len)):
-        slots = rec.per_slot[start:start + epoch_len]
+        slots = range(start, min(start + epoch_len, scn.horizon))
         users = [table.trace[start]] + predicted.get(k, [])
         span = slice(start, start + len(users))
         decided = {}
@@ -315,15 +348,15 @@ def test_wrong_predictions_decide_and_realized_rows_account(monkeypatch,
                                             else None, price[0], users[0],
                                             prev, cfg)]
             else:
-                anchor = slots[0].w if policy == "pspwu" else slots[0].q
+                anchor = (rec.w if policy == "pspwu" else rec.q)[start]
                 decided[name] = frame_decide(cfg, FrameInput(rows, price,
                                                              anchor, prev))
-        assert [r.placement for r in slots] == decided["predicted"], k
+        assert placed[start:slots.stop] == decided["predicted"], k
         moved_by_errors += decided["predicted"] != decided["realized"]
-        for r in slots:
-            assert r.latency == realized[r.t, r.placement]
-            assert r.cost == (prices[r.t] if r.placement != prev else 0.0)
-            prev = r.placement
+        for t in slots:
+            assert rec.latency[t] == realized[t, placed[t]]
+            assert rec.cost[t] == (prices[t] if placed[t] != prev else 0.0)
+            prev = placed[t]
     assert len(predicted) == scn.horizon // epoch_len - (policy == "plm")
     assert moved_by_errors > 0
 
@@ -368,7 +401,7 @@ def test_oracle_runs_build_no_generator_per_epoch(monkeypatch, policy):
                            config.predictor)
     monkeypatch.undo()
     assert built == []
-    assert rec == run(config)
+    assert rec.per_slot == run(config).per_slot
 
 
 @pytest.mark.parametrize("kind", ("oracle_noisy", "moving_mode", "markov1"))
@@ -439,7 +472,7 @@ def test_config_from_dict_full():
     assert config.sweep_values == (10, 100)
     assert config.output == "out.csv"
     rec = run(config)
-    assert len(rec.per_slot) == 50
+    assert len(rec.placement) == 50
 
 
 def test_config_rejects_unknown_keys():

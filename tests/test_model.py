@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from conftest import make_rows, make_scenario, make_table
 
-from edgeplacer.model import Scenario, SlotTable, latency_rows, slot_outcome
+from edgeplacer.harness import simulate
+from edgeplacer.model import Scenario, SlotTable, latency_rows
 
 
 def test_latency_colocated():
@@ -23,14 +24,6 @@ def test_latency_vanishes_with_workload_and_input():
     rows, _ = make_rows(input_size=1e-9, workload=1e-12)
     assert rows[0][0] < 1e-8
     assert rows[0][1] < 1e-8
-
-
-def test_latency_rejects_bad_placement():
-    rows, prices = make_rows()
-    with pytest.raises(ValueError):
-        slot_outcome(rows[0], prices[0], 0, 3)
-    with pytest.raises(ValueError):
-        slot_outcome(rows[0], prices[0], 0, -1)
 
 
 def test_latency_lower_bound_random():
@@ -94,13 +87,21 @@ def test_latency_rows_reject_nodes_and_slots_outside_the_table():
             latency_rows(scn, table, slots, users)
 
 
+def _run(users, policy, **draws):
+    """A run of am (follow the user) or nm (stay put) over make_table's
+    slots; both start on the user's first node."""
+    return simulate(make_scenario(horizon=len(users)),
+                    make_table(users, **draws), policy)
+
+
 def test_migration_cost_zero_iff_same_node():
-    rows, prices = make_rows(container=50.0, unit_cost=2.0)
     for i in range(3):
-        assert slot_outcome(rows[0], prices[0], i, i)[1] == 0.0
         for j in range(3):
-            if i != j:
-                assert slot_outcome(rows[0], prices[0], i, j)[1] > 0.0
+            rec = _run((i, j), "am")
+            assert rec.cost[0] == 0.0
+            assert (rec.cost[1] == 0.0) == (i == j)
+            assert (rec.cost[1] > 0.0) == (i != j)
+            assert not _run((i, j), "nm").cost.any()
 
 
 def test_migration_cost_values():
@@ -111,35 +112,31 @@ def test_migration_cost_values():
 
 
 def test_migration_cost_symmetric():
-    rows, prices = make_rows(container=33.0, unit_cost=7.0)
-    assert slot_outcome(rows[0], prices[0], 0, 2)[1] == \
-        slot_outcome(rows[0], prices[0], 2, 0)[1]
-
-
-def test_migration_cost_rejects_bad_indices():
-    rows, prices = make_rows()
-    with pytest.raises(ValueError):
-        slot_outcome(rows[0], prices[0], 5, 0)
+    there = _run((0, 2), "am", container=33.0, unit_cost=7.0)
+    back = _run((2, 0), "am", container=33.0, unit_cost=7.0)
+    assert there.cost[1] == back.cost[1] > 0.0
 
 
 def test_slot_outcome():
-    rows, prices = make_rows(backhaul=64.0)
-    lat, cost = slot_outcome(rows[0], prices[0], 1, 1)
-    assert cost == 0.0  # no move, no cost
-    assert lat == 9.5
-    lat, cost = slot_outcome(rows[0], prices[0], 1, 0)
-    assert lat == 8.5 and cost == 0.1
-    # pure function: identical inputs, bit-identical outputs
-    assert slot_outcome(rows[0], prices[0], 1, 0) == (lat, cost)
+    # the user moves from node 1 to node 0 after slot 0
+    stay = _run((1, 0, 0), "nm")
+    assert stay.placement.tolist() == [1, 1, 1]
+    assert stay.cost.tolist() == [0.0, 0.0, 0.0]  # no move, no cost
+    assert stay.latency.tolist() == [8.5, 9.5, 9.5]
+    move = _run((1, 0, 0), "am")
+    assert move.placement.tolist() == [1, 0, 0]
+    assert move.cost.tolist() == [0.0, 0.1, 0.0]
+    assert move.latency.tolist() == [8.5, 8.5, 8.5]
+    # identical inputs, bit-identical outputs
+    assert _run((1, 0, 0), "am").per_slot == move.per_slot
 
 
 def test_slot_outcome_nonnegative_random():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        rows, prices = make_rows(users=(int(rng.integers(3)),))
-        prev, cur = int(rng.integers(3)), int(rng.integers(3))
-        lat, cost = slot_outcome(rows[0], prices[0], prev, cur)
-        assert lat >= 0 and cost >= 0
+        users = tuple(int(u) for u in rng.integers(3, size=4))
+        rec = _run(users, ("am", "nm")[int(rng.integers(2))])
+        assert (rec.latency >= 0).all() and (rec.cost >= 0).all()
 
 
 @pytest.mark.parametrize("budget, backhaul", [
@@ -164,6 +161,20 @@ def test_scenario_validation():
     for budget in ("0.1", True):  # rejected, not converted
         with pytest.raises(ValueError, match="budget_avg must be a number"):
             make_scenario(budget=budget)
+    # the integer fields: a boolean, a string or a fraction is rejected, a
+    # whole float is kept as an int
+    fields = dict(node_count=2, backhaul_rate=np.ones((2, 2)), budget_avg=0.1,
+                  horizon=5, compute_capacity=(8.0, 8.0))
+    for name, bad, kind in (
+            ("frame_len", 2.5, "a whole number"), ("horizon", "30", "a number"),
+            ("node_count", True, "a number"), ("node_count", None, "a number"),
+            ("horizon", math.inf, "a whole number"),
+            ("frame_len", math.nan, "a whole number")):
+        with pytest.raises(ValueError, match=f"{name} must be {kind}, got"):
+            Scenario(**{**fields, name: bad})
+    whole = make_scenario(horizon=10.0, frame_len=np.int64(2))
+    assert (whole.horizon, whole.frame_len) == (10, 2)
+    assert type(whole.horizon) is type(whole.frame_len) is int
     for caps in ((8.0, -1.0, 8.0), (8.0, 0.0, 8.0), (8.0, math.nan, 8.0),
                  (8.0, math.inf, 8.0), (8.0, 8.0)):
         with pytest.raises(ValueError, match="compute_capacity"):

@@ -10,12 +10,12 @@ PUBLIC = {
     "brute_force_horizon", "frame_decide", "frame_objective",
     "generate_scenario", "latency_rows", "lm_decide",
     "max_slot_migration_cost", "plm_decide", "predict_epochs", "run",
-    "simulate", "slot_outcome", "sweep", "synthetic_trace",
+    "simulate", "sweep", "synthetic_trace",
 }
 
 
 def test_public_names():
-    assert len(edgeplacer.__all__) == len(PUBLIC) == 26
+    assert len(edgeplacer.__all__) == len(PUBLIC) == 25
     assert set(edgeplacer.__all__) == PUBLIC
     assert all(hasattr(edgeplacer, name) for name in PUBLIC)
     # no exported name hides the submodule it shares a name with

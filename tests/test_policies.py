@@ -202,7 +202,7 @@ def test_theta_moves_no_placement():
         rec = run(ExperimentConfig(
             policy="psp", scenario_seed=4, trace_seed=5, horizon=300,
             budget_avg=0.03, policy_cfg=PolicyConfig(v=50.0, theta=theta)))
-        return [r.placement for r in rec.per_slot]
+        return rec.placement.tolist()
 
     assert placements(0.0) == placements(500.0)
 
@@ -228,7 +228,7 @@ def test_brute_force_frame_guard():
 def test_always_migrate_follows_user():
     scn, table = generate_scenario(seed=12, n_nodes=4, horizon=40)
     rec = simulate(scn, table, "am")
-    assert [r.placement for r in rec.per_slot] == table.trace
+    assert rec.placement.tolist() == table.trace
     rows, _ = make_rows(users=(2,))
     # co-location: no backhaul term in the latency (8 MB at 8 Mbit/s, 4 Gc at 8 GHz)
     assert rows[0][2] == 8.0 * 8 / 8.0 + 4.0 / 8.0
@@ -238,7 +238,7 @@ def test_never_migrate():
     scn, table = generate_scenario(seed=12, n_nodes=4, horizon=40)
     assert len(set(table.trace)) > 1
     rec = simulate(scn, table, "nm")
-    assert all(r.placement == table.trace[0] for r in rec.per_slot)
+    assert (rec.placement == table.trace[0]).all()
 
 
 def lm_instance():

@@ -3,7 +3,9 @@
 (a) Every policy meets the telescoped budget inequality, keeps the
     momentum weight at or above the backlog and the backlog at or above 0
     at every slot, records the queue state that advance replays from the
-    slot costs, and replays identically on random small configs.
+    slot costs, and replays identically on random small configs. Its
+    columns and summaries equal those of the per-slot record loop the
+    engine had before, kept in conftest.py as the reference.
 (b) The frame solver returns the brute-force oracle's sequence and
     objective on random latency tables of up to 6 nodes. Values lie on a
     grid of quarters small enough that every sum and product is exact, so
@@ -24,13 +26,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import reference_predict
+from conftest import reference_predict, reference_simulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplacer import predict
 from edgeplacer.costqueue import advance
-from edgeplacer.harness import POLICIES, ExperimentConfig, run
+from edgeplacer.harness import POLICIES, ExperimentConfig, _materialize, run
 from edgeplacer.model import SlotTable
 from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
                                  frame_decide, frame_objective)
@@ -59,23 +61,34 @@ def test_every_policy_meets_the_budget_and_replays(seed, nodes, horizon,
             predictor=PredictorSpec(kind=kind, accuracies=(0.9, 0.8, 0.5),
                                     rng_seed=seed))
         rec = run(config)
-        total = math.fsum(r.cost for r in rec.per_slot)
+        total = math.fsum(rec.cost.tolist())
         rhs = horizon * budget + rec.final_queue
         assert total <= rhs + 1e-9 * max(1.0, rhs), policy
         # the momentum weight starts at the queue's 0 and only adds a
         # nonnegative term, so no frame anchor is ever negative
-        assert all(r.w >= r.q >= 0.0 for r in rec.per_slot), policy
+        assert ((rec.w >= rec.q) & (rec.q >= 0.0)).all(), policy
         assert rec.negative_w_frames == 0
-        # the records hold the queue state before each slot: advance,
+        # the columns hold the queue state before each slot: advance,
         # replayed from zero over the slot costs, gives every (q, w)
         q = w = w_prev = 0.0
-        for r in rec.per_slot:
-            assert (r.q, r.w) == (q, w), (policy, r.t)
-            q, w, w_prev = advance(q, w, w_prev, r.cost, budget, beta)
+        for t, cost in enumerate(rec.cost.tolist()):
+            assert (rec.q[t], rec.w[t]) == (q, w), (policy, t)
+            q, w, w_prev = advance(q, w, w_prev, cost, budget, beta)
         assert rec.final_queue == q, policy
         again = run(config)
         assert again.per_slot == rec.per_slot
         assert again.final_queue == rec.final_queue
+        # bit for bit the per-slot record loop's run
+        ref = reference_simulate(*_materialize(config), policy,
+                                 config.policy_cfg, config.predictor)
+        for i, name in enumerate(("placement", "latency", "cost", "q", "w"),
+                                 1):
+            assert getattr(rec, name).tolist() == [
+                row[i] for row in ref["per_slot"]], (policy, name)
+        assert rec.placement.dtype.kind == "i"
+        for name in ("avg_latency", "avg_cost", "avg_queue", "final_queue",
+                     "prediction_accuracy"):
+            assert getattr(rec, name) == ref[name], (policy, name)
 
 
 @st.composite
