@@ -20,9 +20,9 @@ from .costqueue import advance, bound_constant_B
 # max_slot_migration_cost is not used here; harness re-exports it
 from .model import (Scenario, SlotTable, _real, _whole, latency_rows,
                     max_slot_migration_cost)
-from .policies import (FrameInput, PolicyConfig, brute_force_frame,
-                       brute_force_horizon, frame_decide, frame_objective,
-                       lm_decide, plm_decide)
+from .policies import (FrameInput, PolicyConfig, _frame_dp,
+                       brute_force_frame, brute_force_horizon, frame_decide,
+                       frame_objective, lm_decide, plm_decide)
 from .predict import PredictorSpec, predict_epochs
 
 POLICIES = ("osp", "psp", "pspwu", "am", "nm", "lm", "plm")
@@ -232,11 +232,15 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     # slot's row overwritten by its predicted node's row; only those rows
     # are computed anew. A frame's first slot is no epoch's target, so a
     # frame with no miss sees its realized rows; plm's slot is the previous
-    # epoch's target, so plm reads its own row from realized.
+    # epoch's target, so plm reads its own row from realized. The frame
+    # policies' rows are scaled by v here, once per run, for the frame DP
+    # kernel; realized stays unscaled for the accounting.
     miss = made & ~hit
     decision = realized.copy()
     decision[target[miss]] = latency_rows(scn, table, target[miss],
                                           guesses[miss])[0]
+    if policy in ("osp", "psp", "pspwu"):
+        decision *= cfg.v
 
     prices = price.tolist()
     q = w = w_prev = 0.0
@@ -254,9 +258,9 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         if policy in ("osp", "psp", "pspwu"):  # osp: a 1-slot frame
             anchor = w if policy == "pspwu" else q
             negative_w_frames += anchor < 0
-            span = slice(start, start + epoch_len)  # ends at the horizon
-            seq = frame_decide(cfg, FrameInput(decision[span].tolist(),
-                                               prices[span], anchor, prev))
+            stop = start + epoch_len  # slicing ends it at the horizon
+            seq = _frame_dp(decision[start:stop].tolist(), prices[start:stop],
+                            anchor, prev)
         elif policy == "am":
             seq = [trace[start]]
         elif policy == "nm":

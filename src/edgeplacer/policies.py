@@ -3,9 +3,11 @@
 Every procedure decides from latency rows (row[i]: seconds to serve a slot
 from node i) and per-slot move prices, never from the slot data behind them.
 
-frame_decide is the drift-plus-penalty rule for all three budget-aware
+The frame DP is the drift-plus-penalty rule for all three budget-aware
 policies: it commits a frame of placements at once by minimizing
 v * latency + anchor * move price over the (possibly predicted) frame rows.
+The engine scales its decision rows by v once per run and calls the kernel,
+_frame_dp, directly; frame_decide is its checked public wrapper.
 The reactive osp is a 1-slot frame anchored on the queue backlog, psp a
 longer frame anchored on the same backlog, and pspwu anchors on the
 momentum-weighted surrogate instead. Benchmarks: always-migrate and
@@ -19,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 
-from .model import Placement, _real
+from .model import Placement, _real, _whole
 
 # Cap on brute-force enumeration size (sequences per instance).
 ENUM_GUARD = 1_000_000
@@ -80,6 +82,15 @@ class FrameInput:
     def __post_init__(self):
         if not self.latency:
             raise ValueError("frame must contain at least one slot")
+        n = len(self.latency[0])
+        if n < 1 or any(len(row) != n for row in self.latency):
+            raise ValueError("latency rows must all have one length >= 1")
+        if len(self.move_price) != len(self.latency):
+            raise ValueError("move_price must have one price per latency row")
+        if not 0 <= _whole(self.prev_placement, "prev_placement") < n:
+            raise ValueError(f"prev_placement must be a node in [0, {n})")
+        if not math.isfinite(_real(self.q_anchor, "q_anchor")):
+            raise ValueError("q_anchor must be finite")
 
 
 def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
@@ -88,37 +99,48 @@ def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     may be negative, under pspwu.
 
     Node i scores v * latency[p][i] at position p, plus anchor * move_price[p]
-    if the service moves there. Every move at p costs the same, so the
-    cheapest way into a node is to stay on it or to come from the cheapest
-    other node: the backward pass keeps each layer's smallest and
-    second-smallest moved-in cost, O(N T) in all. The anchor * (theta_p - e_avg)
-    terms of frame_objective add the same amount to every sequence and are
-    left out. The forward pass picks the lowest index among minimizers, so
-    the result is the lexicographically smallest minimizer, as the brute-force
-    oracle's tie-break.
+    if the service moves there; the anchor * (theta_p - e_avg) terms of
+    frame_objective add the same amount to every sequence and are left out.
+    The result is the lexicographically smallest minimizer, as the
+    brute-force oracle's tie-break. This is the checked public wrapper of
+    _frame_dp, the kernel the engine calls on rows it scaled by v once per run.
     """
-    v, anchor, lat = cfg.v, frame.q_anchor, frame.latency
+    v = cfg.v
+    return _frame_dp([[v * x for x in row] for row in frame.latency],
+                     frame.move_price, frame.q_anchor, frame.prev_placement)
+
+
+def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
+    """frame_decide's DP on rows already multiplied by v; checks nothing.
+    Every move at p costs the same, so the cheapest way into a node is to
+    stay on it or to come from the cheapest other node: the backward pass
+    keeps each layer's smallest and second-smallest moved-in cost, O(N T)."""
     # Backward pass. after[-1][i] is the cheapest completion of the frame
     # with the service on node i at the next position the forward pass
     # decides; a 1-slot frame has no completion and builds nothing.
-    after = []
-    for p in range(len(lat) - 1, 0, -1):
-        tail = after[-1] if after else itertools.repeat(0.0)
-        m = anchor * frame.move_price[p]
-        stay = [v * x + t for x, t in zip(lat[p], tail)]
-        moved = [v * x + m + t for x, t in zip(lat[p], tail)]
+    after, tail = [], itertools.repeat(0.0)
+    for p in range(len(rows) - 1, 0, -1):
+        row, m = rows[p], anchor * prices[p]
+        stay = [x + t for x, t in zip(row, tail)]
+        moved = [x + m + t for x, t in zip(row, tail)]
         best = min(moved)
         k = moved.index(best)
-        second = min(moved[:k] + moved[k + 1:], default=math.inf)
-        after.append([min(s, second if i == k else best)
-                      for i, s in enumerate(stay)])
+        moved[k] = math.inf
+        second = min(moved)
+        tail = [s if s <= best else best for s in stay]
+        tail[k] = stay[k] if stay[k] <= second else second
+        after.append(tail)
 
-    seq, at = [], frame.prev_placement
-    for p, row in enumerate(lat):
-        m = anchor * frame.move_price[p]
-        scores = [v * x + (m if i != at else 0.0) for i, x in enumerate(row)]
+    seq, at = [], prev
+    for p, row in enumerate(rows):
+        m = anchor * prices[p]
         if after:
-            scores = [s + t for s, t in zip(scores, after.pop())]
+            t = after.pop()
+            scores = [x + m + u for x, u in zip(row, t)]
+            scores[at] = row[at] + t[at]
+        else:
+            scores = [x + m for x in row]
+            scores[at] = row[at]
         at = scores.index(min(scores))
         seq.append(at)
     return seq

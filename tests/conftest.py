@@ -1,7 +1,10 @@
 """Shared helpers that hand-construct scenarios, slot tables and rows, the
-per-call predictor formulas that batch predictions are checked against, and
-the per-slot record loop that the engine's columns are checked against."""
+per-call predictor formulas that batch predictions are checked against, the
+frame DP that scaled v * latency element by element and that the kernel is
+checked against, and the per-slot record loop that the engine's columns are
+checked against."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +12,7 @@ import numpy as np
 from edgeplacer.costqueue import advance
 from edgeplacer.harness import _epochs
 from edgeplacer.model import Scenario, SlotTable, latency_rows
-from edgeplacer.policies import (FrameInput, frame_decide, lm_decide,
-                                 plm_decide)
+from edgeplacer.policies import FrameInput, lm_decide, plm_decide
 from edgeplacer.predict import predict_epochs
 
 
@@ -75,6 +77,34 @@ def reference_predict(spec, history, true_future, w, n_regions, salt):
     return path
 
 
+def reference_frame_decide(cfg, frame):
+    """frame_decide as it was before the engine scaled its rows by v once per
+    run: every score multiplies v * latency itself, and the backward pass
+    calls min() per element and slices moved to find the second-smallest."""
+    v, anchor, lat = cfg.v, frame.q_anchor, frame.latency
+    after = []
+    for p in range(len(lat) - 1, 0, -1):
+        tail = after[-1] if after else itertools.repeat(0.0)
+        m = anchor * frame.move_price[p]
+        stay = [v * x + t for x, t in zip(lat[p], tail)]
+        moved = [v * x + m + t for x, t in zip(lat[p], tail)]
+        best = min(moved)
+        k = moved.index(best)
+        second = min(moved[:k] + moved[k + 1:], default=math.inf)
+        after.append([min(s, second if i == k else best)
+                      for i, s in enumerate(stay)])
+
+    seq, at = [], frame.prev_placement
+    for p, row in enumerate(lat):
+        m = anchor * frame.move_price[p]
+        scores = [v * x + (m if i != at else 0.0) for i, x in enumerate(row)]
+        if after:
+            scores = [s + t for s, t in zip(scores, after.pop())]
+        at = scores.index(min(scores))
+        seq.append(at)
+    return seq
+
+
 def reference_simulate(scn, table, policy, cfg, spec):
     """The engine loop from before the run was kept in columns: epochs
     decide from their realized rows unless a prediction missed, and every
@@ -108,7 +138,8 @@ def reference_simulate(scn, table, policy, cfg, spec):
         seen = decision[span].tolist() if missed[k] else rows
         if policy in ("osp", "psp", "pspwu"):
             anchor = w if policy == "pspwu" else q
-            seq = frame_decide(cfg, FrameInput(seen, prices, anchor, prev))
+            seq = reference_frame_decide(cfg, FrameInput(seen, prices, anchor,
+                                                         prev))
         elif policy == "am":
             seq = [trace[start]]
         elif policy == "nm":

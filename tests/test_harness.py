@@ -302,8 +302,8 @@ def test_weight_below_backlog_is_checked_for_every_policy(monkeypatch, policy):
 @pytest.mark.parametrize("policy", ("osp", "psp"))
 def test_placement_outside_the_nodes_is_checked(monkeypatch, policy, node):
     # node -1 would read the last node's latency if it went unchecked
-    monkeypatch.setattr(harness, "frame_decide",
-                        lambda cfg, frame: [node] * len(frame.latency))
+    monkeypatch.setattr(harness, "_frame_dp",
+                        lambda rows, prices, anchor, prev: [node] * len(rows))
     with pytest.raises(InvariantError, match=re.escape(
             f"slot 0: placement {node} is not a node in [0, 4)")):
         run(base_config(policy=policy))

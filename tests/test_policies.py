@@ -217,6 +217,34 @@ def test_all_tie_frame_breaks_to_lowest_indices():
     assert seq == best_seq == [0, 0, 0]
 
 
+@pytest.mark.parametrize("prev", [-1, 3, 7, 1.5])
+def test_frame_rejects_a_start_outside_the_nodes(prev):
+    # -1 would make the last node the free stay in the kernel
+    with pytest.raises(ValueError, match="prev_placement"):
+        FrameInput([[5.0, 3.0, 1.0]], [1.0], 0.5, prev)
+
+
+@pytest.mark.parametrize("latency", [[[5.0, 3.0, 1.0], [1.0, 2.0]],
+                                     [[], []]])
+def test_frame_rejects_ragged_or_empty_rows(latency):
+    # ragged rows used to decide [0, 0] through zip truncation
+    with pytest.raises(ValueError, match="one length"):
+        FrameInput(latency, [1.0, 1.0], 0.5, 0)
+
+
+def test_frame_rejects_a_price_per_row_mismatch():
+    # a short move_price used to end in a bare IndexError
+    with pytest.raises(ValueError, match="one price per latency row"):
+        FrameInput([[5.0, 3.0], [1.0, 2.0]], [1.0], 0.5, 0)
+
+
+@pytest.mark.parametrize("anchor", [math.nan, math.inf, -math.inf])
+def test_frame_rejects_a_non_finite_anchor(anchor):
+    # a NaN anchor used to decide [0, 0]
+    with pytest.raises(ValueError, match="q_anchor must be finite"):
+        FrameInput([[5.0, 3.0], [1.0, 2.0]], [1.0, 1.0], anchor, 0)
+
+
 def test_brute_force_frame_guard():
     _, frame = drawn_frame(1.0, 0, seed=1, n_nodes=10, horizon=7, frame_len=7)
     with pytest.raises(ValueError):

@@ -11,7 +11,10 @@
     grid of quarters small enough that every sum and product is exact, so
     ties are real ties, which integer latencies and v = 0 make common;
     weight anchors go negative, where moving can beat staying and the
-    solver needs each layer's second-smallest moved-in cost.
+    solver needs each layer's second-smallest moved-in cost. On the same
+    frames, frame_decide and the kernel fed rows scaled by v in numpy, as
+    the engine feeds it, return the sequence of the DP that scaled every
+    element itself, kept in conftest.py as the reference.
 (c) A slot table with any bad entry is rejected when it is built.
 (d) Every predictor returns each epoch's regions in range, the same for a
     list trace as for a numpy view of it, and markov1's transition counts
@@ -26,7 +29,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import reference_predict, reference_simulate
+from conftest import (reference_frame_decide, reference_predict,
+                      reference_simulate)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +38,9 @@ from edgeplacer import predict
 from edgeplacer.costqueue import advance
 from edgeplacer.harness import POLICIES, ExperimentConfig, _materialize, run
 from edgeplacer.model import SlotTable
-from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
-                                 frame_decide, frame_objective)
+from edgeplacer.policies import (FrameInput, PolicyConfig, _frame_dp,
+                                 brute_force_frame, frame_decide,
+                                 frame_objective)
 from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
                                 _transition_counts, predict_epochs)
 
@@ -115,6 +120,18 @@ def test_frame_dp_equals_brute_force(case):
     best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
     assert seq == best_seq
     assert frame_objective(cfg, frame, e_avg, seq) == best_obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames())
+def test_frame_dp_kernel_equals_the_reference(case):
+    cfg, frame, _ = case
+    expected = reference_frame_decide(cfg, frame)
+    assert frame_decide(cfg, frame) == expected
+    # the engine's call: rows scaled by v once in numpy, no FrameInput
+    rows = (np.array(frame.latency) * cfg.v).tolist()
+    assert _frame_dp(rows, frame.move_price, frame.q_anchor,
+                     frame.prev_placement) == expected
 
 
 COLUMNS = ("input_size", "workload", "access_rate", "container_size",
