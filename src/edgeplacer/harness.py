@@ -121,16 +121,64 @@ class ExperimentConfig:
 def synthetic_trace(seed: int, n_regions: int, length: int,
                     stickiness: float = 0.7) -> list[int]:
     """First-order Markov mobility: stay with probability stickiness,
-    otherwise jump uniformly to one of the other regions."""
-    if not 0.0 <= stickiness <= 1.0:
+    otherwise jump uniformly to one of the other regions.
+
+    The draws are those of _drawn_trace's per-slot loop on
+    default_rng(SeedSequence((seed, 1))), replayed from one block of raw
+    PCG64 outputs: random() is (raw >> 11) * 2**-53, and integers(k) is
+    Lemire's high word of a 32-bit value times k, the value being the low
+    half of a fresh output or the buffered high half of the last one so
+    split (integers(n_regions) splits the first output; k == 1 draws
+    nothing). A Lemire rejection, which draws again, or more than 2**32
+    regions falls back to the per-slot loop for the whole trace.
+    """
+    n_regions = _whole(n_regions, "n_regions")
+    length = _whole(length, "length")
+    if not 0.0 <= _real(stickiness, "stickiness") <= 1.0:
         raise ValueError("stickiness must be in [0, 1]")
     if n_regions < 1 or length < 1:
         raise ValueError("need at least one region and one slot")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    seq = np.random.SeedSequence((_whole(seed, "seed"), 1))
+    k = n_regions - 1
+    if k == 0:
+        return [0] * length
+    if k >= 2 ** 32:
+        return _drawn_trace(seq, n_regions, length, stickiness)
+    raw = np.random.default_rng(seq).bit_generator.random_raw(2 * length + 2)
+    stay = ((raw >> np.uint64(11)) * 2.0 ** -53 < stickiness).tolist()
+    raw, reject = raw.tolist(), (2 ** 32 - k) % k  # Lemire's threshold
+    m = (raw[0] & 0xFFFFFFFF) * n_regions
+    if m & 0xFFFFFFFF < (2 ** 32 - n_regions) % n_regions:
+        return _drawn_trace(seq, n_regions, length, stickiness)
+    prev, half, at = m >> 32, raw[0] >> 32, 1  # at: next unread output
+    regions = [prev]
+    for _ in range(1, length):
+        at += 1
+        if not stay[at - 1]:
+            if k == 1:
+                r = 0
+            else:
+                if half is None:
+                    m, half = (raw[at] & 0xFFFFFFFF) * k, raw[at] >> 32
+                    at += 1
+                else:
+                    m, half = half * k, None
+                if m & 0xFFFFFFFF < reject:
+                    return _drawn_trace(seq, n_regions, length, stickiness)
+                r = m >> 32
+            prev = r if r < prev else r + 1
+        regions.append(prev)
+    return regions
+
+
+def _drawn_trace(seq, n_regions, length, stickiness) -> list[int]:
+    """synthetic_trace drawn slot by slot from default_rng(seq): the
+    numpy stream its replay reads."""
+    rng = np.random.default_rng(seq)
     regions = [int(rng.integers(n_regions))]
     for _ in range(1, length):
         prev = regions[-1]
-        if n_regions == 1 or rng.random() < stickiness:
+        if rng.random() < stickiness:
             regions.append(prev)
         else:
             r = int(rng.integers(n_regions - 1))
@@ -337,11 +385,13 @@ def _materialize(config: ExperimentConfig):
         trace = read_trace_csv(config.trace_path)
         # read_trace_csv holds slot t to line t + 2; a node_count below 1 is
         # left to the scenario check, which reports it as a config problem
-        for t, region in enumerate(trace[:config.horizon]):
-            if region >= config.node_count >= 1:
-                raise TraceFormatError(
-                    f"{config.trace_path}:{t + 2}: region {region} out of "
-                    f"range for {config.node_count} nodes")
+        bad = np.flatnonzero(np.asarray(trace[:config.horizon])
+                             >= config.node_count)
+        if bad.size and config.node_count >= 1:
+            t = int(bad[0])
+            raise TraceFormatError(
+                f"{config.trace_path}:{t + 2}: region {trace[t]} out of "
+                f"range for {config.node_count} nodes")
     try:
         if trace is None:
             trace = synthetic_trace(config.trace_seed, config.node_count,

@@ -39,6 +39,8 @@ def _real(value, name: str) -> float:
 def _whole(value, name: str) -> int:
     """An integer setting: a non-integral number is rejected, not truncated,
     and a boolean or a string is rejected, not converted."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)  # as float, an int past 2**1024 would overflow
     if not _real(value, name).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)

@@ -87,6 +87,9 @@ class FrameInput:
             raise ValueError("latency rows must all have one length >= 1")
         if len(self.move_price) != len(self.latency):
             raise ValueError("move_price must have one price per latency row")
+        if not all(map(math.isfinite, itertools.chain(self.move_price,
+                                                      *self.latency))):
+            raise ValueError("latencies and move prices must be finite")
         if not 0 <= _whole(self.prev_placement, "prev_placement") < n:
             raise ValueError(f"prev_placement must be a node in [0, {n})")
         if not math.isfinite(_real(self.q_anchor, "q_anchor")):

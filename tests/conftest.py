@@ -77,6 +77,21 @@ def reference_predict(spec, history, true_future, w, n_regions, salt):
     return path
 
 
+def reference_synthetic_trace(seed, n_regions, length, stickiness=0.7):
+    """synthetic_trace as it was before its draws were replayed from one raw
+    block: one generator call per slot, and one more per jump."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    regions = [int(rng.integers(n_regions))]
+    for _ in range(1, length):
+        prev = regions[-1]
+        if n_regions == 1 or rng.random() < stickiness:
+            regions.append(prev)
+        else:
+            r = int(rng.integers(n_regions - 1))
+            regions.append(r if r < prev else r + 1)
+    return regions
+
+
 def reference_frame_decide(cfg, frame):
     """frame_decide as it was before the engine scaled its rows by v once per
     run: every score multiplies v * latency itself, and the backward pass

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_predict
+from conftest import reference_predict, reference_synthetic_trace
 
 from edgeplacer import harness
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
@@ -77,12 +77,102 @@ def test_synthetic_trace_endpoints():
     assert all(a != b for a, b in zip(moved[:-1], moved[1:]))
     with pytest.raises(ValueError):
         synthetic_trace(3, 2, 10, stickiness=1.5)
+    # an integral float is the whole number it stands for, as in Scenario
+    assert synthetic_trace(3.0, 6.0, 10.0) == synthetic_trace(3, 6, 10)
 
 
 def test_synthetic_trace_stay_rate():
     trace = synthetic_trace(11, 6, 10_000, stickiness=0.7)
     stays = sum(a == b for a, b in zip(trace[:-1], trace[1:]))
     assert abs(stays / (len(trace) - 1) - 0.7) < 0.02
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 50])
+def test_synthetic_trace_replays_the_per_slot_loop(n):
+    # n == 2 jumps without a draw and n == 1 draws nothing at all
+    for seed in [*range(20), 2 ** 64 + 3, 2 ** 1024 + 5]:
+        for stickiness in (0.0, 0.7, 1.0):
+            for length in (1, 2, 3000):
+                assert synthetic_trace(seed, n, length, stickiness) == (
+                    reference_synthetic_trace(seed, n, length, stickiness))
+
+
+def spy_on_fallback(monkeypatch):
+    calls = []
+    real = harness._drawn_trace
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_drawn_trace", counted)
+    return calls
+
+
+def test_synthetic_trace_falls_back_past_32_bit_draws(monkeypatch):
+    # integers(k) for k > 2**32 is Lemire's method on a whole 64-bit output;
+    # with 2**31 + 1 replacement regions a 32-bit draw is rejected about
+    # half the time
+    calls = spy_on_fallback(monkeypatch)
+    for n in (2 ** 32 + 2, 2 ** 31 + 2):
+        assert synthetic_trace(4, n, 50, 0.3) == reference_synthetic_trace(
+            4, n, 50, 0.3)
+    assert [args[1] for args in calls] == [2 ** 32 + 2, 2 ** 31 + 2]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_synthetic_trace_falls_back_on_a_lemire_rejection(monkeypatch, first):
+    # a zero low half is rejected by integers(6) and integers(5), whose
+    # thresholds (2**32 - k) % k are 4 and 1; zeroing every low half from
+    # output first on rejects the first draw, or the first jump that takes
+    # a fresh output. The fallback's own generator calls are not stubbed.
+    want = reference_synthetic_trace(7, 6, 300)
+    real = np.random.default_rng
+
+    class LowHalvesZeroed:
+        def __init__(self, seed):
+            self.rng = real(seed)
+            self.random, self.integers = self.rng.random, self.rng.integers
+            self.bit_generator = self
+
+        def random_raw(self, size):
+            raw = self.rng.bit_generator.random_raw(size)
+            raw[first:] &= np.uint64(0xFFFFFFFF) << np.uint64(32)
+            return raw
+
+    calls = spy_on_fallback(monkeypatch)
+    monkeypatch.setattr(np.random, "default_rng", LowHalvesZeroed)
+    assert synthetic_trace(7, 6, 300) == want
+    assert len(calls) == 1
+
+
+def test_synthetic_trace_makes_no_per_slot_generator_call(monkeypatch):
+    # the paper's setting: 6 regions, 1400 slots
+    want = [reference_synthetic_trace(seed, 6, 1400) for seed in range(5)]
+    real = np.random.default_rng
+
+    class RawOnly:
+        def __init__(self, seed):
+            self.bit_generator = real(seed).bit_generator
+
+        def random(self, *args, **kwargs):
+            raise AssertionError("a per-slot generator call")
+
+        integers = random
+
+    monkeypatch.setattr(np.random, "default_rng", RawOnly)
+    assert [synthetic_trace(seed, 6, 1400) for seed in range(5)] == want
+
+
+@pytest.mark.parametrize("args", [
+    (0, True, 10), (0, 6, 10, True), (0, 6, 10.5), (0, 6.5, 10),
+    (0.5, 6, 10), ("0", 6, 10), (0, "6", 10), (0, 6, 10, "0.7"),
+    (0, 6, 10, math.nan), (-1, 6, 10), (-1, 1, 10)])
+def test_synthetic_trace_rejects_bad_arguments(args):
+    # the replay does integer arithmetic on n_regions: a boolean, a string
+    # or a non-integral number is rejected, not converted
+    with pytest.raises(ValueError):
+        synthetic_trace(*args)
 
 
 def base_config(**kw):
@@ -272,11 +362,19 @@ def test_file_trace_feeds_run(tmp_path):
     # too short for the horizon
     with pytest.raises(TraceFormatError):
         run(base_config(policy="am", trace_path=str(path), horizon=500))
-    # region index outside the node set, reported at its line (slot 2, line 4)
+    # region index outside the node set, reported at the line of the first
+    # bad slot: slot 2 (line 4), then slot 77 (line 79)
     write_trace_csv(path, [0, 1, 9] * 40)
     with pytest.raises(TraceFormatError,
                        match=re.escape(f"{path}:4: region 9 out of range")):
         run(base_config(policy="am", trace_path=str(path), horizon=120))
+    write_trace_csv(path, [0, 1, 2] * 25 + [3, 2, 7, 4, 5])
+    with pytest.raises(TraceFormatError, match=re.escape(
+            f"{path}:79: region 7 out of range for 4 nodes")):
+        run(base_config(policy="am", trace_path=str(path), horizon=80))
+    # a bad region past the horizon is never read
+    rec = run(base_config(policy="am", trace_path=str(path), horizon=77))
+    assert len(rec.placement) == 77
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -245,6 +245,19 @@ def test_frame_rejects_a_non_finite_anchor(anchor):
         FrameInput([[5.0, 3.0], [1.0, 2.0]], [1.0, 1.0], anchor, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["latency", "price"])
+def test_frame_rejects_a_non_finite_latency_or_price(bad, where):
+    # a NaN latency used to decide [0]: no score beats a NaN under min
+    latency, prices = [[5.0, 3.0, 1.0], [1.0, 2.0, 4.0]], [1.0, 2.0]
+    if where == "latency":
+        latency[1][0] = bad
+    else:
+        prices[1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        FrameInput(latency, prices, 0.5, 0)
+
+
 def test_brute_force_frame_guard():
     _, frame = drawn_frame(1.0, 0, seed=1, n_nodes=10, horizon=7, frame_len=7)
     with pytest.raises(ValueError):

@@ -22,6 +22,9 @@
     per-call formulas the predictors had before the batch, kept in
     conftest.py as the reference, for every kind and block size, and the
     oracle's replayed draws equal its per-epoch generators for any seed.
+(e) The synthetic trace replayed from one raw block equals the per-slot
+    generator loop it had before, kept in conftest.py as the reference,
+    for any seed, region count, stickiness and length.
 """
 
 import math
@@ -30,13 +33,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (reference_frame_decide, reference_predict,
-                      reference_simulate)
+                      reference_simulate, reference_synthetic_trace)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplacer import predict
 from edgeplacer.costqueue import advance
-from edgeplacer.harness import POLICIES, ExperimentConfig, _materialize, run
+from edgeplacer.harness import (POLICIES, ExperimentConfig, _materialize, run,
+                                synthetic_trace)
 from edgeplacer.model import SlotTable
 from edgeplacer.policies import (FrameInput, PolicyConfig, _frame_dp,
                                  brute_force_frame, frame_decide,
@@ -264,3 +268,16 @@ def test_predictions_are_in_range_and_agree_for_list_and_view(case, dtype):
     column.flags.writeable = False
     assert np.array_equal(predict_epochs(spec, column[:len(trace)], w, n,
                                          epoch_len), got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 99), st.integers(0, 2 ** 130)),
+       st.one_of(st.integers(1, 60), st.sampled_from((2 ** 31 + 2,
+                                                      2 ** 32, 2 ** 32 + 1))),
+       st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+       st.integers(1, 300))
+def test_synthetic_trace_equals_the_per_slot_loop(seed, n, stickiness, length):
+    # up to 2**32 regions the replay reads the raw block (2**31 + 2 rejects
+    # about half its draws and falls back); past that it falls back at once
+    assert synthetic_trace(seed, n, length, stickiness) == (
+        reference_synthetic_trace(seed, n, length, stickiness))
