@@ -69,6 +69,19 @@ def _slots_path(out_path: str, index=None) -> str:
     return f"{stem}_slots_{index}{ext or '.csv'}"
 
 
+def _check_output(path) -> None:
+    """Reject an output path that is no string, is a directory or lies in
+    a directory that does not exist, before any work is done, rather than
+    fail when the result is written."""
+    if not isinstance(path, str):
+        raise harness.ConfigError(f"output must be a path, got {path!r}")
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise harness.ConfigError(f"output directory {folder} does not exist")
+    if os.path.isdir(path):
+        raise harness.ConfigError(f"output {path} is a directory")
+
+
 def _load(args) -> harness.ExperimentConfig:
     raw = harness.load_config_file(args.config)
     harness.apply_overrides(raw, args.set)
@@ -79,6 +92,7 @@ def _load(args) -> harness.ExperimentConfig:
     config = harness.config_from_dict(raw)
     if config.output is None:
         raise harness.ConfigError("no output path: set --out or config output")
+    _check_output(config.output)
     return config
 
 
@@ -127,6 +141,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
+    _check_output(args.out)
     try:
         trace = harness.synthetic_trace(args.seed, args.regions, args.length,
                                         args.stickiness)

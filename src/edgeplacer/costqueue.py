@@ -29,5 +29,10 @@ def advance(q: float, w: float, w_prev: float, e: float, e_avg: float,
     """
     if not (q >= 0.0 and e >= 0.0 and e_avg >= 0.0 and 0.0 <= beta <= 1.0):
         raise ValueError("queue inputs must be >= 0 and beta in [0, 1]")
-    q_next = max(q + (e - e_avg), 0.0)
-    return q_next, w + (q_next - q) + beta * max(w - w_prev, 0.0), w
+    # Compares in place of max(x, 0.0), a builtin call; like max, they keep
+    # x when it is -0.0 or NaN.
+    q_next = q + (e - e_avg)
+    if q_next < 0.0:
+        q_next = 0.0
+    rise = w - w_prev
+    return q_next, w + (q_next - q) + beta * (0.0 if rise < 0.0 else rise), w

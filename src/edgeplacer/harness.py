@@ -2,9 +2,10 @@
 
 A run wires together a scenario (fixed parameters plus a per-slot table of
 draws), a placement policy, the budget queue, and (for the predictive
-policies) a mobility predictor. Reactive policies decide slot by
-slot; frame policies commit a whole frame at the frame's first slot using
-predicted user locations, while realized metrics and queue updates always use
+policies) a mobility predictor. The queue-reading policies decide epoch by
+epoch: osp one slot, psp and pspwu a whole frame at the frame's first slot
+using predicted user locations. The queue-blind benchmarks decide the whole
+run before the queue steps. Realized metrics and queue updates always use
 the true trace. Everything is driven by explicit seeds, so identical
 configurations replay bit-identically.
 """
@@ -249,8 +250,13 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     psp/pspwu, one slot otherwise. An epoch's placements are chosen at its
     first slot from predicted user locations for its later slots (and for
     the next slot under plm); realized latency/cost and queue updates use the
-    true user nodes. A broken budget inequality, backlog deviation bound or
-    w >= q, or a placement outside the nodes, raises InvariantError.
+    true user nodes. osp, psp and pspwu anchor on the queue, so each of
+    their epochs is decided once the slots before it are accounted; am, nm,
+    lm and plm never read it, so all their slots are decided first and the
+    run is accounted in one pass. Both go through one accounting loop,
+    which checks every slot against its epoch's start. A broken budget
+    inequality, backlog deviation bound or w >= q, or a placement outside
+    the nodes, raises InvariantError.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -291,10 +297,36 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         decision *= cfg.v
 
     prices = price.tolist()
-    q = w = w_prev = 0.0
     prev = initial = trace[0]
-    lm_acc = 0.0
-    slots = []  # (placement, cost, q, w) of every slot
+    frame = policy in ("osp", "psp", "pspwu")  # osp: 1-slot frames
+    if frame:
+        # An epoch's anchor is the queue or the weight, so it is decided
+        # only once the epochs before it are accounted.
+        starts, placements = range(0, horizon, epoch_len), []
+    else:
+        # Queue-blind: no placement depends on the queue.
+        starts = (0,)
+        if policy == "am":
+            placements = trace[:horizon]
+        elif policy == "nm":
+            placements = [initial] * horizon
+        elif policy == "lm":
+            placements, at, lm_acc = [], initial, 0.0
+            for t in range(horizon):
+                at, lm_acc = lm_decide(lm_acc, realized[t].tolist(), prices[t],
+                                       trace[t], at, cfg)
+                placements.append(at)
+        else:  # plm, which reads the next slot's row unless it is the last
+            placements, at = [], initial
+            for t in range(horizon):
+                nxt = decision[t + 1].tolist() if t + 1 < horizon else None
+                at = plm_decide(realized[t].tolist(), nxt, prices[t], trace[t],
+                                at, cfg)
+                placements.append(at)
+
+    q = w = w_prev = 0.0
+    beta = cfg.beta
+    costs, qs, ws = [], [], []  # every slot's cost, and q and w before it
     overrun = 0.0  # queue recursion without the clamp, same op order as the queue
     negative_w_frames = 0
     # Holding the epoch-start backlog fixed is off by at most epoch_len * w_q.
@@ -302,32 +334,25 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     dev_bound = epoch_len * w_q
     dev_limit = dev_bound + 1e-9 * max(1.0, dev_bound)
 
-    for start in range(0, horizon, epoch_len):
-        if policy in ("osp", "psp", "pspwu"):  # osp: a 1-slot frame
+    for start in starts:
+        if frame:
             anchor = w if policy == "pspwu" else q
             negative_w_frames += anchor < 0
             stop = start + epoch_len  # slicing ends it at the horizon
             seq = _frame_dp(decision[start:stop].tolist(), prices[start:stop],
                             anchor, prev)
-        elif policy == "am":
-            seq = [trace[start]]
-        elif policy == "nm":
-            seq = [initial]
-        elif policy == "lm":
-            placement, lm_acc = lm_decide(lm_acc, realized[start].tolist(),
-                                          prices[start], trace[start], prev,
-                                          cfg)
-            seq = [placement]
-        else:  # plm, which reads the next slot's row unless it is the last
-            nxt = decision[start + 1].tolist() if start + 1 < horizon else None
-            seq = [plm_decide(realized[start].tolist(), nxt, prices[start],
-                              trace[start], prev, cfg)]
+            placements += seq
+        else:
+            seq = placements
 
-        q_start = q
         for t, placement in enumerate(seq, start):
+            if t % epoch_len == 0:  # an epoch starts here
+                q_start = q
             cost = prices[t] if placement != prev else 0.0
-            slots.append((placement, cost, q, w))
-            q, w, w_prev = advance(q, w, w_prev, cost, e_avg, cfg.beta)
+            costs.append(cost)
+            qs.append(q)
+            ws.append(w)
+            q, w, w_prev = advance(q, w, w_prev, cost, e_avg, beta)
             overrun = overrun + (cost - e_avg)
             prev = placement
             if not abs(q - q_start) <= dev_limit:
@@ -345,7 +370,6 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                 raise InvariantError(f"slot {t}: weight {w!r} fell below the "
                                      f"backlog {q!r}")
 
-    placements, costs, qs, ws = zip(*slots)
     placement = np.array(placements)
     # A negative node would wrap in the latency gather below.
     bad = np.flatnonzero((placement < 0) | (placement >= scn.node_count))
@@ -428,7 +452,7 @@ def _sweep_point(config: ExperimentConfig, scn: Scenario, value):
         else:  # axis "t"
             scn = replace(scn, frame_len=_whole(value, "t"))
             _epochs(config.policy, scn.frame_len, config.predictor)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep value {value!r}: {exc}") from None
     return cfg, scn
 
@@ -576,7 +600,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             sweep_values=tuple(sw.get("values", ())),
             output=raw.get("output"),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         # a ConfigError is a ValueError, and keeps its message
         raise ConfigError(str(exc)) from None
 

@@ -30,10 +30,14 @@ Placement = int
 
 
 def _real(value, name: str) -> float:
-    """A float setting: a boolean or a string is rejected, not converted."""
+    """A float setting: a boolean or a string is rejected, not converted,
+    and so is a number too large for a float (an int past 2**1024)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def _whole(value, name: str) -> int:

@@ -197,7 +197,8 @@ def lm_decide(acc: float, row, price: float, user: Placement, prev: Placement,
     """
     if acc < 0:
         raise ValueError("accumulator must be >= 0")
-    acc = acc + max(0.0, row[prev] - row[user])
+    gap = row[prev] - row[user]
+    acc = acc + (gap if gap > 0.0 else 0.0)  # max(0.0, gap), no builtin call
     if acc >= cfg.lm_gamma * (price if user != prev else 0.0):
         return user, 0.0
     return prev, acc

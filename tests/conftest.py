@@ -1,18 +1,18 @@
 """Shared helpers that hand-construct scenarios, slot tables and rows, the
 per-call predictor formulas that batch predictions are checked against, the
 frame DP that scaled v * latency element by element and that the kernel is
-checked against, and the per-slot record loop that the engine's columns are
-checked against."""
+checked against, the queue step and lazy-migrate rule written with max()
+that their compares are checked against, and the per-slot record loop that
+the engine's columns are checked against."""
 
 import itertools
 import math
 
 import numpy as np
 
-from edgeplacer.costqueue import advance
 from edgeplacer.harness import _epochs
 from edgeplacer.model import Scenario, SlotTable, latency_rows
-from edgeplacer.policies import FrameInput, lm_decide, plm_decide
+from edgeplacer.policies import FrameInput, plm_decide
 from edgeplacer.predict import predict_epochs
 
 
@@ -120,10 +120,31 @@ def reference_frame_decide(cfg, frame):
     return seq
 
 
+def reference_advance(q, w, w_prev, e, e_avg, beta):
+    """advance as it was before it clamped with compares: two calls of the
+    builtin max()."""
+    if not (q >= 0.0 and e >= 0.0 and e_avg >= 0.0 and 0.0 <= beta <= 1.0):
+        raise ValueError("queue inputs must be >= 0 and beta in [0, 1]")
+    q_next = max(q + (e - e_avg), 0.0)
+    return q_next, w + (q_next - q) + beta * max(w - w_prev, 0.0), w
+
+
+def reference_lm_decide(acc, row, price, user, prev, cfg):
+    """lm_decide as it was before its accumulator step clamped with a
+    compare: max(0.0, gap)."""
+    if acc < 0:
+        raise ValueError("accumulator must be >= 0")
+    acc = acc + max(0.0, row[prev] - row[user])
+    if acc >= cfg.lm_gamma * (price if user != prev else 0.0):
+        return user, 0.0
+    return prev, acc
+
+
 def reference_simulate(scn, table, policy, cfg, spec):
     """The engine loop from before the run was kept in columns: epochs
-    decide from their realized rows unless a prediction missed, and every
-    slot's (t, placement, latency, cost, q, w) is recorded as the loop goes.
+    decide from their realized rows unless a prediction missed, one epoch
+    at a time for every policy, and every slot's (t, placement, latency,
+    cost, q, w) is recorded as the loop goes, the queue stepped with max().
     Returns the rows and the run's summaries in a dict; checks nothing."""
     epoch_len, lookahead = _epochs(policy, scn.frame_len, spec)
     horizon, e_avg, trace = scn.horizon, scn.budget_avg, table.trace
@@ -160,8 +181,8 @@ def reference_simulate(scn, table, policy, cfg, spec):
         elif policy == "nm":
             seq = [initial]
         elif policy == "lm":
-            placement, lm_acc = lm_decide(lm_acc, rows[0], prices[0],
-                                          trace[start], prev, cfg)
+            placement, lm_acc = reference_lm_decide(
+                lm_acc, rows[0], prices[0], trace[start], prev, cfg)
             seq = [placement]
         else:
             seq = [plm_decide(rows[0], seen[1] if ahead else None, prices[0],
@@ -170,7 +191,8 @@ def reference_simulate(scn, table, policy, cfg, spec):
             lat = rows[t - start][placement]
             cost = prices[t - start] if placement != prev else 0.0
             records.append((t, placement, lat, cost, q, w))
-            q, w, w_prev = advance(q, w, w_prev, cost, e_avg, cfg.beta)
+            q, w, w_prev = reference_advance(q, w, w_prev, cost, e_avg,
+                                             cfg.beta)
             prev = placement
     return {
         "per_slot": records,

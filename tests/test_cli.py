@@ -90,6 +90,46 @@ def test_run_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     assert "invariant violated: " in capsys.readouterr().err
 
 
+def test_a_setting_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path / "c.json",
+                          sweep={"axis": "v", "values": [1.0, 2 ** 1024]})
+    out = tmp_path / "o.csv"
+    for argv in (["run", "--set", f"policy.v={2 ** 1024}"], ["sweep"]):
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.endswith("v is too large for a float\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "gen-trace"])
+@pytest.mark.parametrize("missing", [True, False])
+def test_an_output_that_cannot_be_written_fails_before_any_work(
+        tmp_path, capsys, monkeypatch, command, missing):
+    calls = []
+    for name in ("simulate", "synthetic_trace"):
+        monkeypatch.setattr(harness, name, lambda *args: calls.append(args))
+    config = write_config(tmp_path / "c.json",
+                          sweep={"axis": "v", "values": [1.0]})
+    # a file in a directory that does not exist, or a directory
+    out = tmp_path / "nodir" / "o.csv" if missing else tmp_path
+    argv = [command, "--out", str(out)]
+    if command != "gen-trace":
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: " + (
+        f"output directory {out.parent} does not exist\n" if missing
+        else f"output {out} is a directory\n")
+    assert calls == [] and not (tmp_path / "nodir").exists()
+
+
+def test_an_output_that_is_no_path_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path / "c.json", output=5)
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: output must be a path, got 5\n")
+
+
 def test_run_bad_trace_exit_code(tmp_path):
     trace = tmp_path / "t.csv"
     trace.write_text("slot,region\n0,xyz\n")

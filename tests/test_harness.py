@@ -377,6 +377,22 @@ def test_file_trace_feeds_run(tmp_path):
     assert len(rec.placement) == 77
 
 
+def test_queue_blind_placements_ignore_the_budget_and_beta():
+    # What lets simulate decide am, nm, lm and plm before the queue steps:
+    # their placements are the same for any budget and weight memory.
+    # The queue-reading policies are the contrast.
+    def placements(policy):
+        return {tuple(run(base_config(
+            policy=policy, budget_avg=budget,
+            policy_cfg=PolicyConfig(beta=beta))).placement.tolist())
+            for budget in (0.0, 0.03, 10.0) for beta in (0.0, 1.0)}
+
+    for policy in ("am", "nm", "lm", "plm"):
+        assert len(placements(policy)) == 1, policy
+    for policy in ("osp", "psp", "pspwu"):
+        assert len(placements(policy)) > 1, policy
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_deviation_bound_is_checked_for_every_policy(monkeypatch, policy):
     real = harness.advance

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from conftest import make_rows, make_scenario, make_table
 
-from edgeplacer.harness import simulate
+from edgeplacer.harness import simulate, synthetic_trace
 from edgeplacer.model import Scenario, SlotTable, latency_rows
+from edgeplacer.policies import PolicyConfig
+from edgeplacer.predict import PredictorSpec
+
+TOO_LARGE = 2 ** 1024  # past the largest float
 
 
 def test_latency_colocated():
@@ -201,3 +205,18 @@ def test_observation_validation():
         SlotTable(3, [[0]], [[8.0]], [[4.0]], [[8.0]], [[50.0]], [[2.0]])
     table = make_table(users=(0, 1, 2))
     assert table.trace == [0, 1, 2] and table[1:].trace == [1, 2]
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: PolicyConfig(v=TOO_LARGE), "v", id="PolicyConfig"),
+    pytest.param(lambda: make_scenario(budget=TOO_LARGE), "budget_avg",
+                 id="Scenario"),
+    pytest.param(lambda: PredictorSpec(accuracies=(0.9, TOO_LARGE)),
+                 "accuracy", id="PredictorSpec"),
+    pytest.param(lambda: synthetic_trace(0, 6, 10, TOO_LARGE), "stickiness",
+                 id="synthetic_trace"),
+])
+def test_a_setting_too_large_for_a_float_is_a_value_error(build, name):
+    # not an OverflowError, which is no ValueError
+    with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+        build()

@@ -25,6 +25,11 @@
 (e) The synthetic trace replayed from one raw block equals the per-slot
     generator loop it had before, kept in conftest.py as the reference,
     for any seed, region count, stickiness and length.
+(f) The queue step and the lazy-migrate accumulator, which clamp with
+    compares, return what their max() forms, kept in
+    conftest.py as the reference, return, bit for bit: signed zeros, steps
+    that land on 0 or below it, flat weights, NaN weights and beta at 0
+    and 1 included.
 """
 
 import math
@@ -32,9 +37,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (reference_frame_decide, reference_predict,
+from conftest import (reference_advance, reference_frame_decide,
+                      reference_lm_decide, reference_predict,
                       reference_simulate, reference_synthetic_trace)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeplacer import predict
@@ -44,7 +50,7 @@ from edgeplacer.harness import (POLICIES, ExperimentConfig, _materialize, run,
 from edgeplacer.model import SlotTable
 from edgeplacer.policies import (FrameInput, PolicyConfig, _frame_dp,
                                  brute_force_frame, frame_decide,
-                                 frame_objective)
+                                 frame_objective, lm_decide)
 from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
                                 _transition_counts, predict_epochs)
 
@@ -281,3 +287,45 @@ def test_synthetic_trace_equals_the_per_slot_loop(seed, n, stickiness, length):
     # about half its draws and falls back); past that it falls back at once
     assert synthetic_trace(seed, n, length, stickiness) == (
         reference_synthetic_trace(seed, n, length, stickiness))
+
+
+# Signed zeros, quarters (exact sums, so steps land on 0 and weights tie)
+# and any float; the weights may also be infinite or NaN.
+zeros = st.sampled_from((0.0, -0.0))
+amounts = st.one_of(zeros, quarters, st.floats(0.0, 1e300))
+weights = st.one_of(zeros, st.integers(-40, 40).map(lambda k: k / 4),
+                    st.floats())
+
+
+@settings(max_examples=500, deadline=None)
+@given(q=amounts, w=weights, w_prev=weights, flat=st.booleans(), e=amounts,
+       e_avg=amounts, beta=st.one_of(st.sampled_from((0.0, 1.0)),
+                                     st.floats(0.0, 1.0)))
+@example(q=1.0, w=1.0, w_prev=0.0, flat=False, e=0.0, e_avg=1.0, beta=1.0)
+@example(q=1.0, w=2.0, w_prev=0.5, flat=False, e=0.25, e_avg=2.0, beta=0.0)
+@example(q=-0.0, w=-0.0, w_prev=0.0, flat=False, e=-0.0, e_avg=0.0,
+         beta=1.0)
+@example(q=0.0, w=math.nan, w_prev=1.0, flat=True, e=0.5, e_avg=0.25,
+         beta=1.0)
+@example(q=0.0, w=1.0, w_prev=math.nan, flat=False, e=0.0, e_avg=0.0,
+         beta=0.5)
+def test_advance_equals_its_max_form(q, w, w_prev, flat, e, e_avg, beta):
+    w_prev = w if flat else w_prev
+    assert repr(advance(q, w, w_prev, e, e_avg, beta)) == repr(
+        reference_advance(q, w, w_prev, e, e_avg, beta))
+
+
+@settings(max_examples=500, deadline=None)
+@given(acc=amounts, here=weights, there=weights, price=amounts,
+       user=st.integers(0, 1), prev=st.integers(0, 1),
+       gamma=st.sampled_from((0.5, 1.0, 1e300)))
+@example(acc=-0.0, here=0.0, there=-0.0, price=1.0, user=0, prev=1,
+         gamma=1.0)
+@example(acc=0.25, here=math.nan, there=1.0, price=1.0, user=0, prev=1,
+         gamma=1.0)
+def test_lm_decide_equals_its_max_form(acc, here, there, price, user, prev,
+                                       gamma):
+    # row[prev] - row[user] is the gap: -0.0, 0.0, negative, NaN or inf
+    row, cfg = [here, there], PolicyConfig(lm_gamma=gamma)
+    assert repr(lm_decide(acc, row, price, user, prev, cfg)) == repr(
+        reference_lm_decide(acc, row, price, user, prev, cfg))
