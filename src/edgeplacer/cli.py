@@ -69,12 +69,10 @@ def _slots_path(out_path: str, index=None) -> str:
     return f"{stem}_slots_{index}{ext or '.csv'}"
 
 
-def _check_output(path) -> None:
-    """Reject an output path that is no string, is a directory or lies in
-    a directory that does not exist, before any work is done, rather than
-    fail when the result is written."""
-    if not isinstance(path, str):
-        raise harness.ConfigError(f"output must be a path, got {path!r}")
+def _check_output(path: str) -> None:
+    """Reject an output path that is a directory or lies in a directory
+    that does not exist, before any work is done, rather than fail when
+    the result is written."""
     folder = os.path.dirname(path)
     if folder and not os.path.isdir(folder):
         raise harness.ConfigError(f"output directory {folder} does not exist")

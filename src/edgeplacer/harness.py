@@ -13,6 +13,7 @@ configurations replay bit-identically.
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,7 +90,11 @@ class RunRecord:
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run or sweep needs, mirrored by the JSON config schema."""
+    """Everything a run or sweep needs, mirrored by the JSON config schema.
+
+    Checks each field's type and stores whole and float settings as int and
+    float; the scenario and the synthetic trace check the ranges at run time.
+    """
 
     policy: str = "osp"
     policy_cfg: PolicyConfig = field(default_factory=PolicyConfig)
@@ -112,11 +117,28 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.sweep_axis is not None:
-            if self.sweep_axis not in SWEEP_AXES:
-                raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
-            if not self.sweep_values:
-                raise ConfigError("sweep values must be nonempty")
+        for name in ("scenario_seed", "trace_seed", "node_count", "horizon",
+                     "frame_len"):
+            setattr(self, name, _whole(getattr(self, name), name))
+        for name in ("budget_avg", "access_rate_scale", "trace_stickiness"):
+            setattr(self, name, _real(getattr(self, name), name))
+        if not isinstance(self.homogeneous_capacity, bool):
+            raise ConfigError("homogeneous_capacity must be true or false, "
+                              f"got {self.homogeneous_capacity!r}")
+        # a number or a matrix of them; the scenario checks the shape
+        for rate in np.asarray(self.backhaul_mbps, dtype=object).flat:
+            _real(rate, "backhaul_mbps")
+        for name in ("trace_path", "output"):
+            path = getattr(self, name)
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"{name} must be a path, got {path!r}")
+        if self.sweep_axis is not None and self.sweep_axis not in SWEEP_AXES:
+            raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
+        values = self.sweep_values
+        if (isinstance(values, str) or not isinstance(values, Sequence)
+                or (self.sweep_axis is not None and not values)):
+            raise ConfigError(f"sweep values must be a nonempty list, got {values!r}")
+        self.sweep_values = tuple(values)
 
 
 def synthetic_trace(seed: int, n_regions: int, length: int,
@@ -446,13 +468,13 @@ def _sweep_point(config: ExperimentConfig, scn: Scenario, value):
     axis, cfg = config.sweep_axis, config.policy_cfg
     try:
         if axis in ("v", "theta", "beta"):
-            cfg = replace(cfg, **{axis: _real(value, axis)})
+            cfg = replace(cfg, **{axis: value})
         elif axis == "e_avg":
-            scn = replace(scn, budget_avg=_real(value, axis))
+            scn = replace(scn, budget_avg=value)
         else:  # axis "t"
-            scn = replace(scn, frame_len=_whole(value, "t"))
+            scn = replace(scn, frame_len=value)
             _epochs(config.policy, scn.frame_len, config.predictor)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"sweep value {value!r}: {exc}") from None
     return cfg, scn
 
@@ -476,14 +498,27 @@ def sweep(config: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # config schema
 
+# Each config section's keys and the ExperimentConfig field, or the field of
+# its part as in "policy_cfg.v", each sets; the owner of a field holds its
+# default and checks. trace.kind only says whether trace.path is read.
 _SCHEMA = {
-    "policy": {"name", "v", "theta", "beta", "lm_gamma", "plm_weight"},
-    "scenario": {"seed", "node_count", "horizon", "frame_len", "budget_avg",
-                 "backhaul_mbps", "homogeneous_capacity", "access_rate_scale"},
-    "predictor": {"kind", "accuracies", "window", "rng_seed"},
-    "trace": {"kind", "seed", "stickiness", "path"},
-    "sweep": {"axis", "values"},
-    "output": None,
+    "policy": {"name": "policy", "v": "policy_cfg.v",
+               "theta": "policy_cfg.theta", "beta": "policy_cfg.beta",
+               "lm_gamma": "policy_cfg.lm_gamma",
+               "plm_weight": "policy_cfg.plm_weight"},
+    "scenario": {"seed": "scenario_seed", "node_count": "node_count",
+                 "horizon": "horizon", "frame_len": "frame_len",
+                 "budget_avg": "budget_avg", "backhaul_mbps": "backhaul_mbps",
+                 "homogeneous_capacity": "homogeneous_capacity",
+                 "access_rate_scale": "access_rate_scale"},
+    "predictor": {"kind": "predictor.kind",
+                  "accuracies": "predictor.accuracies",
+                  "window": "predictor.window",
+                  "rng_seed": "predictor.rng_seed"},
+    "trace": {"kind": None, "seed": "trace_seed",
+              "stickiness": "trace_stickiness", "path": "trace_path"},
+    "sweep": {"axis": "sweep_axis", "values": "sweep_values"},
+    "output": "output",
 }
 
 
@@ -492,8 +527,8 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -511,17 +546,16 @@ def apply_overrides(raw: dict, overrides) -> dict:
         if parts[0] not in _SCHEMA:
             raise ConfigError(f"unknown config section {parts[0]!r}")
         allowed = _SCHEMA[parts[0]]
-        if allowed is None:
+        if isinstance(allowed, str):
             if len(parts) != 1:
                 raise ConfigError(f"{parts[0]!r} takes no sub-key")
-        else:
-            if len(parts) != 2 or parts[1] not in allowed:
-                raise ConfigError(f"unknown config key {key!r}")
+        elif len(parts) != 2 or parts[1] not in allowed:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value
-        if allowed is None:
+        if isinstance(allowed, str):
             raw[parts[0]] = parsed
         else:
             raw.setdefault(parts[0], {})[parts[1]] = parsed
@@ -529,78 +563,41 @@ def apply_overrides(raw: dict, overrides) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a parsed config dict and build an ExperimentConfig."""
+    """Check a parsed config dict's keys against the schema and build an
+    ExperimentConfig from them; its parts check the values and hold the
+    defaults of the keys left out."""
+    given = {}  # field (as named in _SCHEMA) -> value
     for section, keys in raw.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section {section!r}")
-        if _SCHEMA[section] is not None:
-            if not isinstance(keys, dict):
-                raise ConfigError(f"section {section!r} must be an object")
-            unknown = set(keys) - _SCHEMA[section]
-            if unknown:
-                raise ConfigError(f"unknown key(s) in {section!r}: {sorted(unknown)}")
+        fields = _SCHEMA[section]
+        if isinstance(fields, str):
+            given[fields] = keys
+            continue
+        if not isinstance(keys, dict):
+            raise ConfigError(f"section {section!r} must be an object")
+        unknown = keys.keys() - fields.keys()
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {section!r}: {sorted(unknown)}")
+        given.update((fields[key], value) for key, value in keys.items())
 
-    policy, scenario, predictor, trace, sw = (
-        raw.get(section, {})
-        for section in ("policy", "scenario", "predictor", "trace", "sweep"))
-
-    if "name" not in policy:
+    if "policy" not in given:
         raise ConfigError("policy.name is required")
-    homogeneous = scenario.get("homogeneous_capacity", False)
-    if not isinstance(homogeneous, bool):
-        raise ConfigError("scenario.homogeneous_capacity must be true or "
-                          f"false, got {homogeneous!r}")
+    trace_kind = given.pop(None, "synthetic")
+    if trace_kind not in ("synthetic", "file"):
+        raise ConfigError(f"unknown trace kind {trace_kind!r}")
+    if trace_kind == "synthetic":
+        given.pop("trace_path", None)
+    elif given.get("trace_path") is None:
+        raise ConfigError("trace.path is required for a file trace")
     try:
-        # a number or a matrix of them; the scenario checks the shape
-        backhaul = scenario.get("backhaul_mbps", 100.0)
-        for row in backhaul if isinstance(backhaul, list) else [backhaul]:
-            for rate in row if isinstance(row, list) else [row]:
-                _real(rate, "scenario.backhaul_mbps")
-        policy_cfg = PolicyConfig(**{
-            key: _real(policy.get(key, default), f"policy.{key}")
-            for key, default in (("v", 10.0), ("theta", 0.0), ("beta", 0.0),
-                                 ("lm_gamma", 1.0), ("plm_weight", 1.0))})
-        spec_kwargs = {}
-        if "accuracies" in predictor:
-            accuracies = predictor["accuracies"]
-            if not isinstance(accuracies, list):
-                raise ConfigError("predictor.accuracies must be a list, got "
-                                  f"{accuracies!r}")
-            spec_kwargs["accuracies"] = tuple(
-                _real(a, "predictor.accuracies") for a in accuracies)
-        pred_spec = PredictorSpec(
-            kind=predictor.get("kind", "oracle_noisy"),
-            window=_whole(predictor.get("window", 3), "predictor.window"),
-            rng_seed=_whole(predictor.get("rng_seed", 0), "predictor.rng_seed"),
-            **spec_kwargs)
-        trace_kind = trace.get("kind", "synthetic")
-        if trace_kind not in ("synthetic", "file"):
-            raise ConfigError(f"unknown trace kind {trace_kind!r}")
-        if trace_kind == "file" and "path" not in trace:
-            raise ConfigError("trace.path is required for a file trace")
-        return ExperimentConfig(
-            policy=policy["name"],
-            policy_cfg=policy_cfg,
-            predictor=pred_spec,
-            scenario_seed=_whole(scenario.get("seed", 0), "scenario.seed"),
-            node_count=_whole(scenario.get("node_count", 6), "scenario.node_count"),
-            horizon=_whole(scenario.get("horizon", 1400), "scenario.horizon"),
-            frame_len=_whole(scenario.get("frame_len", 3), "scenario.frame_len"),
-            budget_avg=_real(scenario.get("budget_avg", BUDGET_PRESETS["low"]),
-                             "scenario.budget_avg"),
-            backhaul_mbps=backhaul,
-            homogeneous_capacity=homogeneous,
-            access_rate_scale=_real(scenario.get("access_rate_scale", 1.0),
-                                    "scenario.access_rate_scale"),
-            trace_path=trace.get("path") if trace_kind == "file" else None,
-            trace_seed=_whole(trace.get("seed", 1), "trace.seed"),
-            trace_stickiness=_real(trace.get("stickiness", 0.7),
-                                   "trace.stickiness"),
-            sweep_axis=sw.get("axis"),
-            sweep_values=tuple(sw.get("values", ())),
-            output=raw.get("output"),
-        )
-    except (TypeError, ValueError) as exc:
+        for part, owner in (("policy_cfg", PolicyConfig),
+                            ("predictor", PredictorSpec)):
+            given[part] = owner(**{name[len(part) + 1:]: given.pop(name)
+                                   for name in list(given)
+                                   if name.startswith(part + ".")})
+        return ExperimentConfig(**given)
+    except ValueError as exc:
         # a ConfigError is a ValueError, and keeps its message
         raise ConfigError(str(exc)) from None
 
@@ -634,32 +631,33 @@ def write_trace_csv(path: str, regions) -> None:
 
 
 def read_trace_csv(path: str) -> list[int]:
-    """Parse a slot,region trace file; TraceFormatError on any malformation."""
+    """Parse a slot,region trace file; TraceFormatError on any malformation
+    and on a file that is missing or cannot be read or decoded."""
     try:
-        fh = open(path)
-    except FileNotFoundError:
-        raise TraceFormatError(f"trace file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceFormatError(f"cannot read trace file {path}: {exc}") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceFormatError(f"trace file {path} is empty") from None
+    if [h.strip() for h in header] != ["slot", "region"]:
+        raise TraceFormatError(f"trace file {path} must start with slot,region")
+    regions = []
+    for lineno, row in enumerate(reader):
+        if len(row) != 2:
+            raise TraceFormatError(f"{path}:{lineno + 2}: expected 2 fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError(f"trace file {path} is empty") from None
-        if [h.strip() for h in header] != ["slot", "region"]:
-            raise TraceFormatError(f"trace file {path} must start with slot,region")
-        regions = []
-        for lineno, row in enumerate(reader):
-            if len(row) != 2:
-                raise TraceFormatError(f"{path}:{lineno + 2}: expected 2 fields")
-            try:
-                slot, region = int(row[0]), int(row[1])
-            except ValueError:
-                raise TraceFormatError(f"{path}:{lineno + 2}: non-integer entry") from None
-            if slot != lineno:
-                raise TraceFormatError(f"{path}:{lineno + 2}: slots must count up from 0")
-            if region < 0:
-                raise TraceFormatError(f"{path}:{lineno + 2}: negative region")
-            regions.append(region)
+            slot, region = int(row[0]), int(row[1])
+        except ValueError:
+            raise TraceFormatError(f"{path}:{lineno + 2}: non-integer entry") from None
+        if slot != lineno:
+            raise TraceFormatError(f"{path}:{lineno + 2}: slots must count up from 0")
+        if region < 0:
+            raise TraceFormatError(f"{path}:{lineno + 2}: negative region")
+        regions.append(region)
     if not regions:
         raise TraceFormatError(f"trace file {path} has no rows")
     return regions

@@ -79,6 +79,7 @@ class Scenario:
         budget = _real(self.budget_avg, "budget_avg")
         if not (math.isfinite(budget) and budget >= 0):
             raise ValueError("budget_avg must be finite and >= 0")
+        object.__setattr__(self, "budget_avg", budget)
         rate = np.array(self.backhaul_rate, dtype=float)
         if rate.shape != (self.node_count, self.node_count):
             raise ValueError("backhaul_rate must be node_count x node_count")

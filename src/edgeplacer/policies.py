@@ -49,9 +49,11 @@ class PolicyConfig:
     plm_weight: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(_real(getattr(self, f.name), f.name))
-                   for f in fields(self)):
-            raise ValueError("policy tunables must be finite")
+        for f in fields(self):
+            value = _real(getattr(self, f.name), f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+            setattr(self, f.name, value)
         if self.v < 0:
             raise ValueError("v must be >= 0")
         if self.theta < 0:

@@ -10,12 +10,12 @@ No prediction depends on a placement decision, so a run makes all of its
 predictions at once with predict_epochs.
 """
 
-import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _real
+from .model import _real, _whole
 
 PREDICTOR_KINDS = ("oracle_noisy", "moving_mode", "markov1")
 
@@ -39,6 +39,7 @@ class PredictorSpec:
     accuracies (oracle_noisy): chance of returning the true region at each
     look-ahead step. window (moving_mode): how much history the mode uses.
     rng_seed, a non-negative integer, drives the oracle's error draws.
+    window and rng_seed are whole numbers, stored as int (2.0 becomes 2).
     """
 
     kind: str = "oracle_noisy"
@@ -49,20 +50,19 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise ValueError(f"unknown predictor kind {self.kind!r}")
+        accuracies = self.accuracies
+        if isinstance(accuracies, str) or not isinstance(accuracies, Iterable):
+            raise ValueError(f"accuracies must be a list of numbers, got {accuracies!r}")
         object.__setattr__(self, "accuracies", tuple(
-            _real(a, "accuracy") for a in self.accuracies))
+            _real(a, "accuracy") for a in accuracies))
         if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
             raise ValueError("accuracies must lie in [0, 1]")
         for name in ("window", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
 
 def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,

@@ -42,6 +42,19 @@ def test_run_missing_config_names_path(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["dir", "latin1"])
+def test_run_unreadable_config_names_path(tmp_path, capsys, kind):
+    config = tmp_path / "c.json"
+    if kind == "dir":
+        config.mkdir()
+    else:
+        config.write_bytes(b'{"policy": {"name": "nm\xe9"}}')
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read config file {config}: ")
+
+
 def test_run_invalid_json_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -137,6 +150,29 @@ def test_run_bad_trace_exit_code(tmp_path):
                           trace={"kind": "file", "path": str(trace)})
     assert main(["run", "--config", str(config),
                  "--out", str(tmp_path / "o.csv")]) == 3
+
+
+@pytest.mark.parametrize("path, code, error", [
+    (987654, 2, "config error: trace_path must be a path, got 987654"),
+    ("dir", 3, "trace error: cannot read trace file {}: "),
+    ("latin1.csv", 3, "trace error: cannot read trace file {}: 'utf-8' codec"),
+])
+def test_an_unreadable_trace_is_no_traceback(tmp_path, capsys, path, code,
+                                             error):
+    # open() would take an int for a file descriptor, read it and close it
+    if isinstance(path, str):
+        path = tmp_path / path
+        if path.suffix:
+            path.write_bytes(b"slot,region\n0,\xe9\n")
+        else:
+            path.mkdir()
+        path = str(path)
+    config = write_config(tmp_path / "c.json",
+                          trace={"kind": "file", "path": path})
+    assert main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "o.csv")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(error.format(path)) and err.count("\n") == 1
 
 
 def test_run_is_byte_deterministic(tmp_path):

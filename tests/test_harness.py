@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_predict, reference_synthetic_trace
+from conftest import (make_scenario, reference_predict,
+                      reference_synthetic_trace)
 
 from edgeplacer import harness
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
@@ -601,6 +603,100 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         config_from_dict({"policy": {"name": "osp"},
                           "trace": {"kind": "file"}})
+    with pytest.raises(ConfigError, match="sweep values must be a nonempty "
+                                          "list, got 5$"):
+        config_from_dict({"policy": {"name": "osp"},
+                          "sweep": {"axis": "v", "values": 5}})
+
+
+# (setting, bad value, what the error names): the bad values of the CLI's
+# test_run_bad_value_is_config_error, then values only a library caller can
+# pass. "policy_cfg.v" is the v of the PolicyConfig, which checks it.
+REJECTED_WHEN_BUILT = [
+    ("policy_cfg.v", math.inf, "v must be finite"),
+    ("horizon", math.inf, "horizon must be a whole number"),
+    ("predictor.window", math.inf, "window must be a whole number"),
+    ("horizon", 30.7, "horizon must be a whole number"),
+    ("node_count", 3.9, "node_count must be a whole number"),
+    ("predictor.window", 2.5, "window must be a whole number"),
+    ("trace_seed", 1.5, "trace_seed must be a whole number"),
+    ("node_count", True, "node_count must be a number"),
+    ("horizon", "30", "horizon must be a number"),
+    ("homogeneous_capacity", "false", "homogeneous_capacity must be true"),
+    ("policy_cfg.v", True, "v must be a number"),
+    ("budget_avg", True, "budget_avg must be a number"),
+    ("policy_cfg.v", "900", "v must be a number"),
+    ("trace_stickiness", True, "trace_stickiness must be a number"),
+    ("predictor.accuracies", "11", "accuracies must be a list"),
+    ("predictor.rng_seed", -1, "rng_seed must be >= 0"),
+    ("backhaul_mbps", [[1, True, 1, 1]] + [[1, 1, 1, 1]] * 3,
+     "backhaul_mbps must be a number, got True"),
+    ("scenario_seed", "3", "scenario_seed must be a number"),
+    ("scenario_seed", 1.5, "scenario_seed must be a whole number"),
+    ("backhaul_mbps", "100", "backhaul_mbps must be a number"),
+    ("access_rate_scale", True, "access_rate_scale must be a number"),
+    ("access_rate_scale", "2", "access_rate_scale must be a number"),
+    ("trace_path", 5, "trace_path must be a path, got 5"),
+    ("output", 5, "output must be a path, got 5"),
+    ("sweep_values", 5, "sweep values must be a nonempty list"),
+]
+# The range rules stay with the scenario, the synthetic trace and the slot
+# table, which a run builds.
+REJECTED_WHEN_RUN = [
+    ("budget_avg", -1, "budget_avg must be finite and >= 0"),
+    ("node_count", 0, "at least one region"),
+    ("frame_len", 0, "frame_len must be >= 1"),
+    ("budget_avg", math.nan, "budget_avg must be finite and >= 0"),
+    ("trace_stickiness", 2, "stickiness must be in"),
+    ("access_rate_scale", math.inf, "access_rate must be finite"),
+]
+
+
+def build_owner(setting, value):
+    """The ExperimentConfig, or its PolicyConfig or PredictorSpec, built
+    with setting set to value."""
+    part, _, name = setting.rpartition(".")
+    if part:
+        return {"policy_cfg": PolicyConfig,
+                "predictor": PredictorSpec}[part](**{name: value})
+    return ExperimentConfig(**{**dict(policy="nm", node_count=4, horizon=30),
+                               name: value})
+
+
+@pytest.mark.parametrize("setting, value, named", REJECTED_WHEN_BUILT)
+def test_each_setting_is_checked_by_its_owner(setting, value, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build_owner(setting, value)
+
+
+@pytest.mark.parametrize("setting, value, named", REJECTED_WHEN_RUN)
+def test_a_setting_out_of_range_is_rejected_by_the_run(setting, value, named):
+    config = build_owner(setting, value)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        run(config)
+
+
+def test_a_config_holds_the_defaults_of_its_owners():
+    parsed = config_from_dict({"policy": {"name": "osp"}})
+    built = ExperimentConfig(policy="osp")
+    for f in dataclasses.fields(ExperimentConfig):
+        got, want = getattr(parsed, f.name), getattr(built, f.name)
+        assert (type(got), got) == (type(want), want), f.name
+
+
+def test_owners_store_the_normalized_values():
+    cfg = PolicyConfig(v=900, theta=1, beta=0, lm_gamma=2, plm_weight=3)
+    assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)] == \
+        [float] * 5
+    assert type(make_scenario(budget=1).budget_avg) is float
+    config = ExperimentConfig(scenario_seed=3.0, node_count=np.int64(4),
+                              budget_avg=0, access_rate_scale=2,
+                              trace_stickiness=1, sweep_values=[1, 2])
+    assert (config.scenario_seed, config.node_count) == (3, 4)
+    assert type(config.scenario_seed) is type(config.node_count) is int
+    assert type(config.budget_avg) is type(config.access_rate_scale) is \
+        type(config.trace_stickiness) is float
+    assert config.sweep_values == (1, 2)
 
 
 def test_apply_overrides():

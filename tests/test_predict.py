@@ -185,14 +185,18 @@ def test_predict_rejects_bad_inputs():
         PredictorSpec(accuracies=(1.5,))
     with pytest.raises(ValueError):
         PredictorSpec(window=0)
-    # a string or a boolean is rejected, not converted; the seed is a
-    # non-negative integer
+    # a string, a boolean or a fraction is rejected, not converted; the seed
+    # is a non-negative integer
     for kwargs in ({"accuracies": "11"}, {"accuracies": (True,)},
-                   {"window": True}, {"window": 2.0}, {"rng_seed": -1},
-                   {"rng_seed": True}, {"rng_seed": 1.0}, {"rng_seed": "3"}):
+                   {"window": True}, {"window": 2.5}, {"rng_seed": -1},
+                   {"rng_seed": True}, {"rng_seed": "3"}):
         with pytest.raises(ValueError):
             PredictorSpec(**kwargs)
     assert PredictorSpec(rng_seed=np.uint8(3)).rng_seed == 3
+    # a whole float is kept as an int, as every integer setting does
+    spec = PredictorSpec(window=2.0, rng_seed=1.0)
+    assert (spec.window, spec.rng_seed) == (2, 1)
+    assert type(spec.window) is type(spec.rng_seed) is int
 
 
 def test_predict_epochs_rejects_bad_inputs():
