@@ -52,12 +52,15 @@ def _build_parser():
     p.add_argument("--seed", type=partial(_at_least, 0), default=1)
     p.add_argument("--instances", type=partial(_at_least, 1), default=200)
 
+    # a run's synthetic trace has the same defaults
+    defaults = harness.ExperimentConfig
     p = sub.add_parser("gen-trace", help="write a synthetic mobility trace CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--regions", type=int, default=6)
-    p.add_argument("--length", type=int, default=1400)
-    p.add_argument("--stickiness", type=float, default=0.7)
+    p.add_argument("--seed", type=int, default=defaults.trace_seed)
+    p.add_argument("--regions", type=int, default=defaults.node_count)
+    p.add_argument("--length", type=int, default=defaults.horizon)
+    p.add_argument("--stickiness", type=float,
+                   default=defaults.trace_stickiness)
 
     return parser
 

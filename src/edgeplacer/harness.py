@@ -142,7 +142,8 @@ class ExperimentConfig:
 
 
 def synthetic_trace(seed: int, n_regions: int, length: int,
-                    stickiness: float = 0.7) -> list[int]:
+                    stickiness: float = ExperimentConfig.trace_stickiness
+                    ) -> list[int]:
     """First-order Markov mobility: stay with probability stickiness,
     otherwise jump uniformly to one of the other regions.
 
@@ -209,18 +210,21 @@ def _drawn_trace(seq, n_regions, length, stickiness) -> list[int]:
     return regions
 
 
-def generate_scenario(seed: int, n_nodes: int = 6, horizon: int = 1400,
-                      frame_len: int = 1, budget_avg: float = BUDGET_PRESETS["low"],
-                      backhaul_mbps=100.0, trace=None,
-                      homogeneous_capacity: bool = False,
-                      access_rate_scale: float = 1.0):
+def generate_scenario(
+        seed: int, n_nodes: int = ExperimentConfig.node_count,
+        horizon: int = ExperimentConfig.horizon, frame_len: int = 1,
+        budget_avg: float = ExperimentConfig.budget_avg,
+        backhaul_mbps=ExperimentConfig.backhaul_mbps, trace=None,
+        homogeneous_capacity: bool = ExperimentConfig.homogeneous_capacity,
+        access_rate_scale: float = ExperimentConfig.access_rate_scale):
     """Draw a (Scenario, SlotTable) pair from the simulation ranges.
 
     Task profile, access rate, container size and migration price are drawn
     per slot; compute capacity per node (fixed over time). access_rate_scale
     converts the drawn access bandwidth into a data rate (1.0 = one bit per
     second per hertz). The user's associated node comes from trace, or from a
-    default synthetic trace with the same seed.
+    default synthetic trace with the same seed. The defaults are
+    ExperimentConfig's, but for frame_len: one slot per frame.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     backhaul = np.asarray(backhaul_mbps, dtype=float)
@@ -278,7 +282,9 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     run is accounted in one pass. Both go through one accounting loop,
     which checks every slot against its epoch's start. A broken budget
     inequality, backlog deviation bound or w >= q, or a placement outside
-    the nodes, raises InvariantError.
+    the nodes, raises InvariantError. A decision row that is not finite
+    once scaled by v, or latencies that sum past the float range, raise
+    ConfigError: v or access_rate_scale is too large or too small.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -294,7 +300,6 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     # prediction of slot target[k, s - 1] = k * epoch_len + s, or -1 past
     # the horizon; no slot is the target of two epochs.
     users = table.user_node[:horizon]
-    realized, price = latency_rows(scn, table, slice(0, horizon), users)
     guesses = predict_epochs(spec, users, lookahead, scn.node_count,
                              epoch_len)
     target = (np.arange(0, horizon, epoch_len)[:, None]
@@ -310,13 +315,23 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     # frame with no miss sees its realized rows; plm's slot is the previous
     # epoch's target, so plm reads its own row from realized. The frame
     # policies' rows are scaled by v here, once per run, for the frame DP
-    # kernel; realized stays unscaled for the accounting.
+    # kernel; realized stays unscaled for the accounting. A row that
+    # overflows is rejected below, so numpy need not warn of it.
     miss = made & ~hit
-    decision = realized.copy()
-    decision[target[miss]] = latency_rows(scn, table, target[miss],
-                                          guesses[miss])[0]
-    if policy in ("osp", "psp", "pspwu"):
-        decision *= cfg.v
+    with np.errstate(over="ignore", invalid="ignore"):
+        realized, price = latency_rows(scn, table, slice(0, horizon), users)
+        decision = realized.copy()
+        decision[target[miss]] = latency_rows(scn, table, target[miss],
+                                              guesses[miss])[0]
+        if policy in ("osp", "psp", "pspwu"):
+            decision *= cfg.v
+    finite = np.isfinite(decision)
+    if not finite.all():
+        raise ConfigError(
+            f"slot {np.flatnonzero(~finite.all(axis=1))[0]}: a decision row "
+            "is not finite, as policy.v times a latency or a latency itself "
+            "overflows a float; lower policy.v or raise "
+            "scenario.access_rate_scale")
 
     prices = price.tolist()
     prev = initial = trace[0]
@@ -411,10 +426,19 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                              f"H * e_avg + Q(H) = {rhs!r}")
 
     latency = realized[np.arange(horizon), placement]
+    try:
+        avg_latency = math.fsum(latency) / horizon
+    except OverflowError:  # a partial sum past the float range
+        avg_latency = math.inf
+    if not math.isfinite(avg_latency):
+        raise ConfigError(
+            "the run's latencies are not finite or sum past the float "
+            "range; raise scenario.access_rate_scale or "
+            "scenario.backhaul_mbps")
     return RunRecord(
         placement=placement, latency=latency, cost=np.array(costs),
         q=np.array(qs), w=np.array(ws),
-        avg_latency=math.fsum(latency) / horizon,
+        avg_latency=avg_latency,
         avg_cost=total_cost / horizon,
         avg_queue=math.fsum(qs) / horizon,
         final_queue=q,
@@ -605,29 +629,37 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # CSV input/output
 
-def _write_csv(path: str, header, rows) -> None:
-    # csv writes str(x), and a float's str is its repr: values read back exactly
+def _write_csv(path: str, header, columns) -> None:
+    # One string of the rows zipped from columns. A field is its str, a
+    # float's is its repr: values read back exactly. No field holds a comma,
+    # a quote or a newline, so none is quoted, as csv.writer quoted none.
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n"
+                 + "".join(map(line.__mod__, zip(*columns))))
 
 
 def write_summary_csv(path: str, rows) -> None:
     """rows: iterable of (axis_value, policy_name, RunRecord)."""
-    _write_csv(path, SUMMARY_HEADER, (
-        [axis_value, policy, rec.avg_latency, rec.avg_cost, rec.avg_queue,
-         rec.final_queue, rec.negative_w_frames]
-        for axis_value, policy, rec in rows))
+    _write_csv(path, SUMMARY_HEADER, zip(*(
+        (axis_value, policy, rec.avg_latency, rec.avg_cost, rec.avg_queue,
+         rec.final_queue, rec.negative_w_frames)
+        for axis_value, policy, rec in rows)))
 
 
 def write_per_slot_csv(path: str, rec: RunRecord) -> None:
-    _write_csv(path, PER_SLOT_HEADER, rec.per_slot)
+    # q is formatted once; w reuses its strings when the two columns are
+    # equal bit for bit, as they are whenever beta == 0
+    q = list(map(repr, rec.q.tolist()))
+    w = q if rec.w.tobytes() == rec.q.tobytes() else rec.w.tolist()
+    _write_csv(path, PER_SLOT_HEADER, (
+        range(len(q)), rec.placement.tolist(), rec.latency.tolist(),
+        rec.cost.tolist(), q, w))
 
 
 def write_trace_csv(path: str, regions) -> None:
-    _write_csv(path, ("slot", "region"),
-               ((t, int(r)) for t, r in enumerate(regions)))
+    regions = list(map(int, regions))
+    _write_csv(path, ("slot", "region"), (range(len(regions)), regions))
 
 
 def read_trace_csv(path: str) -> list[int]:

@@ -2,9 +2,12 @@
 per-call predictor formulas that batch predictions are checked against, the
 frame DP that scaled v * latency element by element and that the kernel is
 checked against, the queue step and lazy-migrate rule written with max()
-that their compares are checked against, and the per-slot record loop that
-the engine's columns are checked against."""
+that their compares are checked against, the per-slot record loop that
+the engine's columns are checked against, and the csv.writer that the CSV
+writers are checked against."""
 
+import csv
+import io
 import itertools
 import math
 
@@ -202,3 +205,13 @@ def reference_simulate(scn, table, policy, cfg, spec):
         "final_queue": q,
         "prediction_accuracy": accuracy,
     }
+
+
+def reference_csv(header, rows) -> bytes:
+    """The bytes of the CSV writers before they formatted rows themselves:
+    csv.writer, one row per slot, header first."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()

@@ -204,6 +204,23 @@ def test_per_slot_dump_format(tmp_path):
         assert all(float(c) >= 0 for c in cells[2:])
 
 
+@pytest.mark.parametrize("policy, horizon, setting", [
+    ("psp", 30, "policy.v=1e308"),  # v times every latency overflows
+    ("osp", 30, "scenario.access_rate_scale=1e-310"),  # the access term does
+    ("osp", 1400, "scenario.access_rate_scale=1e-305"),  # their sum does
+])
+def test_a_setting_that_overflows_a_run_is_a_config_error(
+        tmp_path, capsys, policy, horizon, setting):
+    config = write_config(tmp_path / "c.json", policy={"name": policy},
+                          scenario={"horizon": horizon})
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert setting.split("=")[0] in err and not out.exists()
+
+
 def test_set_overrides_change_the_run(tmp_path):
     config = write_config(tmp_path / "c.json", policy={"name": "osp"})
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

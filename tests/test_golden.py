@@ -2,7 +2,9 @@
 
 Each of the 7 policies runs under each of the 3 predictors on one short
 scenario; the SHA-256 of its summary and per-slot series is pinned below.
-One CLI `sweep --per-slot` is pinned by the bytes of every CSV it writes.
+One CLI `sweep --per-slot` (pspwu, beta 0.65, so w != q), one `run
+--per-slot` (psp, beta 0, so w == q) and one `gen-trace` are pinned by the
+bytes of every CSV they write.
 A change that alters outputs on purpose regenerates these digests and says
 why in CHANGES.md.
 """
@@ -65,6 +67,8 @@ RUN_DIGESTS = {
 }
 
 SWEEP_DIGEST = "654432ac79c507e1a650f6618fb518a26402568cefb38914d54cba0ca319db41"
+RUN_PER_SLOT_DIGEST = "e0dfb2390f627236b09c2a0b3a3bbe42b32c47d36018ec2284a6272d114a368e"
+GEN_TRACE_DIGEST = "9c8589e1cae03bb70c55f97125f7c8781d81bd3969efb0a6e474958baf35363c"
 
 
 def golden_config(policy: str, kind: str) -> ExperimentConfig:
@@ -89,6 +93,25 @@ def record_digest(rec) -> str:
     return h.hexdigest()
 
 
+def cli_digest(tmp_path, command, raw=None, *flags) -> str:
+    """Run one CLI command into an empty directory and hash every file it
+    writes there, by name and bytes."""
+    args = [command]
+    if raw is not None:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        args += ["--config", str(cfg_path)]
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert main(args + ["--out", str(outdir / f"{command}.csv"), *flags]) == 0
+    h = hashlib.sha256()
+    for path in sorted(outdir.iterdir()):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def sweep_digest(tmp_path) -> str:
     raw = {
         "policy": {"name": "pspwu", "v": 50.0, "theta": 50.0, "beta": 0.65},
@@ -99,18 +122,7 @@ def sweep_digest(tmp_path) -> str:
         "trace": {"kind": "synthetic", "seed": 107},
         "sweep": {"axis": "v", "values": [10.0, 50.0, 900.0]},
     }
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(raw))
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    assert main(["sweep", "--config", str(cfg_path),
-                 "--out", str(outdir / "sweep.csv"), "--per-slot"]) == 0
-    h = hashlib.sha256()
-    for path in sorted(outdir.iterdir()):
-        data = path.read_bytes()
-        h.update(f"{path.name}\0{len(data)}\0".encode())
-        h.update(data)
-    return h.hexdigest()
+    return cli_digest(tmp_path, "sweep", raw, "--per-slot")
 
 
 @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
@@ -122,3 +134,22 @@ def test_run_digest(policy, kind):
 
 def test_cli_sweep_digest(tmp_path):
     assert sweep_digest(tmp_path) == SWEEP_DIGEST
+
+
+def test_cli_run_per_slot_digest(tmp_path):
+    raw = {
+        "policy": {"name": "psp", "v": 50.0, "theta": 50.0},
+        "scenario": {"seed": 8, "node_count": 6, "horizon": HORIZON,
+                     "frame_len": 3, "budget_avg": 0.03},
+        "predictor": {"kind": "oracle_noisy", "accuracies": [0.904, 0.839],
+                      "rng_seed": 8},
+        "trace": {"kind": "synthetic", "seed": 108},
+    }
+    assert cli_digest(tmp_path, "run", raw, "--per-slot") == \
+        RUN_PER_SLOT_DIGEST
+
+
+def test_cli_gen_trace_digest(tmp_path):
+    assert cli_digest(tmp_path, "gen-trace", None, "--seed", "9",
+                      "--regions", "5", "--length", str(HORIZON),
+                      "--stickiness", "0.6") == GEN_TRACE_DIGEST

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 from conftest import (make_scenario, reference_predict,
                       reference_synthetic_trace)
 
-from edgeplacer import harness
+from edgeplacer import cli, harness
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
                                 InvariantError, TraceFormatError,
                                 apply_overrides, config_from_dict,
@@ -682,6 +683,23 @@ def test_a_config_holds_the_defaults_of_its_owners():
     for f in dataclasses.fields(ExperimentConfig):
         got, want = getattr(parsed, f.name), getattr(built, f.name)
         assert (type(got), got) == (type(want), want), f.name
+
+
+def test_trace_and_scenario_defaults_are_the_configs():
+    want = ExperimentConfig()
+    stickiness = inspect.signature(synthetic_trace).parameters["stickiness"]
+    assert stickiness.default == want.trace_stickiness
+    params = inspect.signature(generate_scenario).parameters
+    for param, name in (("n_nodes", "node_count"), ("horizon", "horizon"),
+                        ("budget_avg", "budget_avg"),
+                        ("backhaul_mbps", "backhaul_mbps"),
+                        ("homogeneous_capacity", "homogeneous_capacity"),
+                        ("access_rate_scale", "access_rate_scale")):
+        assert params[param].default == getattr(want, name), param
+    assert params["frame_len"].default == 1  # one-slot frames on purpose
+    flags = cli._build_parser().parse_args(["gen-trace", "--out", "t.csv"])
+    assert (flags.seed, flags.regions, flags.length, flags.stickiness) == (
+        want.trace_seed, want.node_count, want.horizon, want.trace_stickiness)
 
 
 def test_owners_store_the_normalized_values():

@@ -30,27 +30,41 @@
     conftest.py as the reference, return, bit for bit: signed zeros, steps
     that land on 0 or below it, flat weights, NaN weights and beta at 0
     and 1 included.
+(g) The summary, per-slot and trace CSV writers write the bytes csv.writer,
+    kept in conftest.py as the reference, writes for the same rows: signed
+    zeros, 1e-05 and 1e16 (where repr switches notation), the smallest
+    subnormal, infinities and NaN, w equal to q bit for bit or not, and an
+    empty summary included.
+(h) A config that PolicyConfig and ExperimentConfig accept, with v up to
+    the float maximum and access_rate_scale down to the smallest
+    subnormal, either runs with every decision on finite rows and finite
+    summaries, or is rejected with ConfigError.
 """
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (reference_advance, reference_frame_decide,
-                      reference_lm_decide, reference_predict,
-                      reference_simulate, reference_synthetic_trace)
+from conftest import (reference_advance, reference_csv,
+                      reference_frame_decide, reference_lm_decide,
+                      reference_predict, reference_simulate,
+                      reference_synthetic_trace)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeplacer import predict
+from edgeplacer import harness, predict
 from edgeplacer.costqueue import advance
-from edgeplacer.harness import (POLICIES, ExperimentConfig, _materialize, run,
-                                synthetic_trace)
+from edgeplacer.harness import (PER_SLOT_HEADER, POLICIES, SUMMARY_HEADER,
+                                ConfigError, ExperimentConfig, RunRecord,
+                                _materialize, run, synthetic_trace,
+                                write_per_slot_csv, write_summary_csv,
+                                write_trace_csv)
 from edgeplacer.model import SlotTable
 from edgeplacer.policies import (FrameInput, PolicyConfig, _frame_dp,
                                  brute_force_frame, frame_decide,
-                                 frame_objective, lm_decide)
+                                 frame_objective, lm_decide, plm_decide)
 from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
                                 _transition_counts, predict_epochs)
 
@@ -329,3 +343,82 @@ def test_lm_decide_equals_its_max_form(acc, here, there, price, user, prev,
     row, cfg = [here, there], PolicyConfig(lm_gamma=gamma)
     assert repr(lm_decide(acc, row, price, user, prev, cfg)) == repr(
         reference_lm_decide(acc, row, price, user, prev, cfg))
+
+
+# Floats whose text the CSV writers and csv.writer must agree on: signed
+# zeros, the two ends of repr's plain notation, the smallest subnormal,
+# infinities, NaN and any float.
+csv_floats = st.one_of(st.sampled_from((0.0, -0.0, 1e-05, 1e16, 5e-324,
+                                        math.inf, -math.inf, math.nan)),
+                       st.floats())
+
+
+def record(placement, latency, cost, q, w, summaries=(0.0, 0.0, 0.0, 0.0),
+           negative_w_frames=0):
+    return RunRecord(np.array(placement, dtype=int), *map(np.array, (
+        latency, cost, q, w)), *summaries, negative_w_frames, ())
+
+
+@st.composite
+def records(draw):
+    n = draw(st.integers(0, 8))
+    floats = st.lists(csv_floats, min_size=n, max_size=n)
+    q = draw(floats)
+    return record(draw(st.lists(st.integers(0, 99), min_size=n, max_size=n)),
+                  draw(floats), draw(floats), q,
+                  list(q) if draw(st.booleans()) else draw(floats),
+                  draw(st.tuples(*[csv_floats] * 4)), draw(st.integers(0, 9)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rec=records(),
+       rows=st.lists(st.tuples(st.one_of(st.just(""), st.integers(0, 99),
+                                         csv_floats),
+                               st.sampled_from(POLICIES), records()),
+                     max_size=4),
+       regions=st.lists(st.integers(0, 2 ** 40), max_size=20))
+@example(rec=record([0, 1], [1e16, 1e-05], [5e-324, -0.0], [0.0, 0.5],
+                    [-0.0, 0.5]),  # equal to q but for the sign of a zero
+         rows=[], regions=[0])
+def test_csv_writers_write_the_bytes_of_csv_writer(tmp_path_factory, rec,
+                                                   rows, regions):
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    write_per_slot_csv(path, rec)
+    assert path.read_bytes() == reference_csv(PER_SLOT_HEADER, rec.per_slot)
+    write_summary_csv(path, rows)
+    assert path.read_bytes() == reference_csv(SUMMARY_HEADER, [
+        (v, p, r.avg_latency, r.avg_cost, r.avg_queue, r.final_queue,
+         r.negative_w_frames) for v, p, r in rows])
+    write_trace_csv(path, regions)
+    assert path.read_bytes() == reference_csv(("slot", "region"),
+                                              enumerate(regions))
+
+
+@settings(max_examples=100, deadline=None)
+@given(policy=st.sampled_from(POLICIES), seed=st.integers(0, 99),
+       horizon=st.integers(1, 30),
+       v=st.one_of(st.sampled_from((0.0, 1e307, 1e308, sys.float_info.max)),
+                   st.floats(0.0, sys.float_info.max)),
+       scale=st.one_of(st.sampled_from((5e-324, 1e-310, 1e-305, 1.0)),
+                       st.floats(0.0, 1e6, exclude_min=True)))
+def test_an_accepted_config_decides_on_finite_rows(policy, seed, horizon, v,
+                                                   scale):
+    config = ExperimentConfig(policy=policy, scenario_seed=seed,
+                              trace_seed=seed, horizon=horizon,
+                              access_rate_scale=scale,
+                              policy_cfg=PolicyConfig(v=v))
+    with mock.patch.object(harness, "_frame_dp", wraps=_frame_dp) as dp, \
+            mock.patch.object(harness, "lm_decide", wraps=lm_decide) as lm, \
+            mock.patch.object(harness, "plm_decide", wraps=plm_decide) as plm:
+        try:
+            rec = run(config)
+        except ConfigError:
+            return
+    rows = [row for call in dp.call_args_list for row in call.args[0]]
+    rows += [call.args[1] for call in lm.call_args_list]
+    rows += [row for call in plm.call_args_list for row in call.args[:2]
+             if row is not None]
+    assert np.isfinite(np.array(rows, dtype=float)).all()
+    assert np.isfinite([rec.avg_latency, rec.avg_cost, rec.avg_queue,
+                        rec.final_queue]).all()
+    assert np.isfinite(rec.latency).all()
