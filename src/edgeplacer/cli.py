@@ -65,13 +65,6 @@ def _build_parser():
     return parser
 
 
-def _slots_path(out_path: str, index=None) -> str:
-    stem, ext = os.path.splitext(out_path)
-    if index is None:
-        return f"{stem}_slots{ext or '.csv'}"
-    return f"{stem}_slots_{index}{ext or '.csv'}"
-
-
 def _check_output(path: str) -> None:
     """Reject an output path that is a directory or lies in a directory
     that does not exist, before any work is done, rather than fail when
@@ -85,9 +78,8 @@ def _check_output(path: str) -> None:
 
 def _load(args) -> harness.ExperimentConfig:
     raw = harness.load_config_file(args.config)
-    harness.apply_overrides(raw, args.set)
-    if args.seed is not None:
-        raw.setdefault("scenario", {})["seed"] = args.seed
+    seed = [] if args.seed is None else [f"scenario.seed={args.seed}"]
+    harness.apply_overrides(raw, args.set + seed)
     if args.out is not None:
         raw["output"] = args.out
     config = harness.config_from_dict(raw)
@@ -98,23 +90,18 @@ def _load(args) -> harness.ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    """run and sweep: a summary row per run and, with --per-slot, a
+    per-slot CSV per run, <stem>_slots or a sweep's <stem>_slots_<i>."""
     config = _load(args)
-    rec = harness.run(config)
-    harness.write_summary_csv(config.output, [("", config.policy, rec)])
-    if args.per_slot:
-        harness.write_per_slot_csv(_slots_path(config.output), rec)
-    print(f"wrote {config.output}")
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    config = _load(args)
-    results = harness.sweep(config)
+    one = args.command == "run"
+    results = [("", harness.run(config))] if one else harness.sweep(config)
     harness.write_summary_csv(
         config.output, [(v, config.policy, rec) for v, rec in results])
     if args.per_slot:
+        stem, ext = os.path.splitext(config.output)
         for i, (_, rec) in enumerate(results):
-            harness.write_per_slot_csv(_slots_path(config.output, i), rec)
+            suffix = "_slots" if one else f"_slots_{i}"
+            harness.write_per_slot_csv(stem + suffix + (ext or ".csv"), rec)
     print(f"wrote {config.output}")
     return EXIT_OK
 
@@ -155,7 +142,7 @@ def _cmd_gen_trace(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify,
+    handler = {"run": _cmd_run, "sweep": _cmd_run, "verify": _cmd_verify,
                "gen-trace": _cmd_gen_trace}[args.command]
     try:
         return handler(args)

@@ -282,9 +282,9 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     run is accounted in one pass. Both go through one accounting loop,
     which checks every slot against its epoch's start. A broken budget
     inequality, backlog deviation bound or w >= q, or a placement outside
-    the nodes, raises InvariantError. A decision row that is not finite
-    once scaled by v, or latencies that sum past the float range, raise
-    ConfigError: v or access_rate_scale is too large or too small.
+    the nodes, raises InvariantError. A latency that is not finite, or a
+    sum of the run's latencies or of a frame's latencies times v past the
+    float range, raises ConfigError before the first decision.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -316,7 +316,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     # epoch's target, so plm reads its own row from realized. The frame
     # policies' rows are scaled by v here, once per run, for the frame DP
     # kernel; realized stays unscaled for the accounting. A row that
-    # overflows is rejected below, so numpy need not warn of it.
+    # overflows fails the bound below, so numpy need not warn of it.
     miss = made & ~hit
     with np.errstate(over="ignore", invalid="ignore"):
         realized, price = latency_rows(scn, table, slice(0, horizon), users)
@@ -325,13 +325,24 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                                               guesses[miss])[0]
         if policy in ("osp", "psp", "pspwu"):
             decision *= cfg.v
-    finite = np.isfinite(decision)
-    if not finite.all():
+    # One bound rules out every overflow of a latency sum. Entries are >= 0
+    # or NaN, and max carries a NaN through. A frame DP score adds at most
+    # epoch_len decision entries to its move terms; the run's latencies, and
+    # so every partial sum of their fsum, add to at most horizon * max.
+    if not (math.isfinite(epoch_len * float(decision.max()))
+            and math.isfinite(horizon * float(realized.max()))):
+        bad = np.flatnonzero(~np.isfinite(realized).all(axis=1))
+        if bad.size:
+            t = bad[0]
+            raise ConfigError(
+                f"slot {t}: a latency is not finite, of input_size "
+                f"{table.input_size[t]:g}, workload {table.workload[t]:g}, "
+                f"access_rate {table.access_rate[t]:g} and the scenario's "
+                "rates; raise scenario.access_rate_scale or backhaul_mbps")
         raise ConfigError(
-            f"slot {np.flatnonzero(~finite.all(axis=1))[0]}: a decision row "
-            "is not finite, as policy.v times a latency or a latency itself "
-            "overflows a float; lower policy.v or raise "
-            "scenario.access_rate_scale")
+            "the run's latencies, or a frame's latencies times policy.v, sum "
+            "past the float range; lower policy.v or raise "
+            "scenario.access_rate_scale or scenario.backhaul_mbps")
 
     prices = price.tolist()
     prev = initial = trace[0]
@@ -426,19 +437,10 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                              f"H * e_avg + Q(H) = {rhs!r}")
 
     latency = realized[np.arange(horizon), placement]
-    try:
-        avg_latency = math.fsum(latency) / horizon
-    except OverflowError:  # a partial sum past the float range
-        avg_latency = math.inf
-    if not math.isfinite(avg_latency):
-        raise ConfigError(
-            "the run's latencies are not finite or sum past the float "
-            "range; raise scenario.access_rate_scale or "
-            "scenario.backhaul_mbps")
     return RunRecord(
         placement=placement, latency=latency, cost=np.array(costs),
         q=np.array(qs), w=np.array(ws),
-        avg_latency=avg_latency,
+        avg_latency=math.fsum(latency) / horizon,
         avg_cost=total_cost / horizon,
         avg_queue=math.fsum(qs) / horizon,
         final_queue=q,
@@ -581,8 +583,10 @@ def apply_overrides(raw: dict, overrides) -> dict:
             parsed = value
         if isinstance(allowed, str):
             raw[parts[0]] = parsed
-        else:
-            raw.setdefault(parts[0], {})[parts[1]] = parsed
+        elif isinstance(raw.setdefault(parts[0], {}), dict):
+            raw[parts[0]][parts[1]] = parsed
+        else:  # as config_from_dict says, not a TypeError from nesting
+            raise ConfigError(f"section {parts[0]!r} must be an object")
     return raw
 
 

@@ -100,8 +100,8 @@ class SlotTable:
     """The per-slot draws of a run: one column per quantity, one entry per slot.
 
     Checked once, when built: the columns are one-dimensional and equally
-    long, every drawn value is finite and positive, and every user node lies
-    in [0, node_count). Slicing with [a:b] gives the table of those slots.
+    long, every drawn value is finite and positive, and every user node is an
+    integer in [0, node_count). Slicing with [a:b] gives those slots' table.
     """
 
     node_count: int
@@ -113,9 +113,8 @@ class SlotTable:
     unit_migration_cost: np.ndarray  # cost units per GB moved
 
     def __post_init__(self):
-        users = np.asarray(self.user_node, dtype=int)
-        if users.ndim != 1 or not ((users >= 0) & (users < self.node_count)).all():
-            raise ValueError("user_node must list nodes in [0, node_count)")
+        users = _indices(self.user_node, self.node_count,
+                         "user_node must be integer nodes in [0, node_count)")
         object.__setattr__(self, "user_node", users)
         for name in _DRAWN:
             object.__setattr__(self, name, _positive(name, getattr(self, name),
@@ -165,14 +164,16 @@ def latency_rows(scn: Scenario, table: SlotTable, slots, users):
 
 
 def _indices(values, size: int, message: str) -> np.ndarray:
-    """values as a one-dimensional integer array, each in [0, size)."""
+    """values as a one-dimensional intp array, each in [0, size); floats,
+    booleans and strings are rejected, not truncated. An intp array is
+    returned as it is; intp, as bincount and a * n + b do not wrap in it."""
     index = np.asarray(values)
     if index.size == 0:
         return index.astype(np.intp).reshape(0)
     if (index.ndim != 1 or not np.issubdtype(index.dtype, np.integer)
             or index.min() < 0 or index.max() >= size):
         raise ValueError(message)
-    return index
+    return index.astype(np.intp, copy=False)
 
 
 def _move_prices(table: SlotTable, slots=slice(None)) -> np.ndarray:

@@ -109,10 +109,20 @@ def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     The result is the lexicographically smallest minimizer, as the
     brute-force oracle's tie-break. This is the checked public wrapper of
     _frame_dp, the kernel the engine calls on rows it scaled by v once per run.
+    ValueError if v times the frame's latencies can sum past the float range.
     """
+    _check_scaled_sum(cfg, frame)
     v = cfg.v
     return _frame_dp([[v * x for x in row] for row in frame.latency],
                      frame.move_price, frame.q_anchor, frame.prev_placement)
+
+
+def _check_scaled_sum(cfg: PolicyConfig, frame: FrameInput) -> None:
+    """ValueError unless the frame's latencies times v sum below inf."""
+    top = max(abs(x) for row in frame.latency for x in row)
+    if not math.isfinite(len(frame.latency) * (cfg.v * top)):
+        raise ValueError("v times the frame's latencies sums past the float "
+                         "range; lower v")
 
 
 def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
@@ -176,7 +186,9 @@ def frame_objective(cfg: PolicyConfig, frame: FrameInput, e_avg: float,
 
 def brute_force_frame(frame: FrameInput, e_avg: float,
                       cfg: PolicyConfig) -> tuple[list[Placement], float]:
-    """Exhaustive frame oracle: the exact minimizer, lexicographically first."""
+    """Exhaustive frame oracle: the exact minimizer, lexicographically first.
+    ValueError as frame_decide's if v times the latencies can overflow."""
+    _check_scaled_sum(cfg, frame)
     n = len(frame.latency[0])
     length = len(frame.latency)
     if n ** length > ENUM_GUARD:

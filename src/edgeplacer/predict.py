@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _real, _whole
+from .model import _indices, _real, _whole
 
 PREDICTOR_KINDS = ("oracle_noisy", "moving_mode", "markov1")
 
@@ -112,20 +112,13 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
 
 
 def _column(history, n_regions):
-    """history as an intp column after the one check of its regions."""
+    """history as a nonempty intp column of regions in [0, n_regions)."""
     if n_regions < 1:
         raise ValueError("n_regions must be >= 1")
-    h = np.asarray(history)
-    if h.size == 0:
+    if np.size(history) == 0:
         raise ValueError("history must be nonempty")
-    if h.ndim != 1 or not np.issubdtype(h.dtype, np.integer):
-        raise ValueError("history must be a one-dimensional sequence of "
-                         f"integer regions, got {h.dtype} with shape {h.shape}")
-    if h.min() < 0 or h.max() >= n_regions:
-        raise ValueError("history region out of range")
-    # bincount takes only intp-castable input, and a * n + b must not wrap
-    # in a narrow dtype such as uint8; an intp view is used as it is
-    return h.astype(np.intp, copy=False)
+    return _indices(history, n_regions, "history must be a one-dimensional "
+                    f"sequence of integer regions in [0, {n_regions})")
 
 
 def _oracle_noisy(spec, truths, n_regions, salts):

@@ -206,6 +206,7 @@ def test_per_slot_dump_format(tmp_path):
 
 @pytest.mark.parametrize("policy, horizon, setting", [
     ("psp", 30, "policy.v=1e308"),  # v times every latency overflows
+    ("psp", 30, "policy.v=1e307"),  # a frame's sum of them does
     ("osp", 30, "scenario.access_rate_scale=1e-310"),  # the access term does
     ("osp", 1400, "scenario.access_rate_scale=1e-305"),  # their sum does
 ])
@@ -219,6 +220,17 @@ def test_a_setting_that_overflows_a_run_is_a_config_error(
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert setting.split("=")[0] in err and not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--set", "policy.v=1"]])
+def test_an_override_into_a_section_that_is_no_object_is_a_config_error(
+        tmp_path, capsys, flag):
+    # both flags nest their value into the section, which used to raise a
+    # TypeError there
+    config = write_config(tmp_path / "c.json", policy="osp", scenario=5)
+    assert main(["run", "--config", str(config), "--out",
+                 str(tmp_path / "o.csv"), *flag]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_set_overrides_change_the_run(tmp_path):

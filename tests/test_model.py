@@ -207,6 +207,25 @@ def test_observation_validation():
     assert table.trace == [0, 1, 2] and table[1:].trace == [1, 2]
 
 
+@pytest.mark.parametrize("users", [
+    [0.5, 1.7, 2.9], ["1", "0", "2"], [True, False, True]])
+def test_slot_table_rejects_user_nodes_that_are_no_integers(users):
+    # rejected, not truncated or converted, as latency_rows and the
+    # predictors reject them
+    with pytest.raises(ValueError, match="user_node"):
+        make_table(users=users)
+
+
+def test_a_latency_that_is_not_finite_names_its_slot_not_v():
+    scn = make_scenario(horizon=3, frame_len=3)
+    table = SlotTable(3, [0, 1, 2], [8.0, 1e308, 8.0], [4.0] * 3, [8.0] * 3,
+                      [50.0] * 3, [2.0] * 3)
+    with pytest.raises(ValueError, match="^slot 1: .*input_size 1e[+]308"
+                       ) as err:
+        simulate(scn, table, "psp")
+    assert "policy.v" not in str(err.value)
+
+
 @pytest.mark.parametrize("build, name", [
     pytest.param(lambda: PolicyConfig(v=TOO_LARGE), "v", id="PolicyConfig"),
     pytest.param(lambda: make_scenario(budget=TOO_LARGE), "budget_avg",

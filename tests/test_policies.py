@@ -258,6 +258,17 @@ def test_frame_rejects_a_non_finite_latency_or_price(bad, where):
         FrameInput(latency, prices, 0.5, 0)
 
 
+def test_frame_rejects_a_v_whose_scaled_latencies_sum_past_the_float_range():
+    # each row times v is finite, but a 3-slot sum of them is not
+    frame = FrameInput([[8.5, 9.0]] * 3, [1.0] * 3, 0.0, 0)
+    cfg = PolicyConfig(v=1e307)
+    with pytest.raises(ValueError, match="float range"):
+        frame_decide(cfg, frame)
+    with pytest.raises(ValueError, match="float range"):
+        brute_force_frame(frame, 0.0, cfg)
+    assert frame_decide(replace(cfg, v=1e300), frame) == [0, 0, 0]
+
+
 def test_brute_force_frame_guard():
     _, frame = drawn_frame(1.0, 0, seed=1, n_nodes=10, horizon=7, frame_len=7)
     with pytest.raises(ValueError):
