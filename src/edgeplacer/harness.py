@@ -282,9 +282,10 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     run is accounted in one pass. Both go through one accounting loop,
     which checks every slot against its epoch's start. A broken budget
     inequality, backlog deviation bound or w >= q, or a placement outside
-    the nodes, raises InvariantError. A latency that is not finite, or a
-    sum of the run's latencies or of a frame's latencies times v past the
-    float range, raises ConfigError before the first decision.
+    the nodes, raises InvariantError. A latency that is not finite, a sum
+    of the run's latencies or of a frame's latencies times v past the float
+    range, or move prices whose backlog and weight terms could pass it,
+    raises ConfigError before the first decision.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -325,11 +326,16 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                                               guesses[miss])[0]
         if policy in ("osp", "psp", "pspwu"):
             decision *= cfg.v
-    # One bound rules out every overflow of a latency sum. Entries are >= 0
-    # or NaN, and max carries a NaN through. A frame DP score adds at most
-    # epoch_len decision entries to its move terms; the run's latencies, and
-    # so every partial sum of their fsum, add to at most horizon * max.
-    if not (math.isfinite(epoch_len * float(decision.max()))
+    # One bound rules out every overflow of a latency or cost sum. Entries
+    # are >= 0 or NaN, and max carries a NaN through. The backlog is at most
+    # horizon * top and the weight at most horizon**2 * top (each rise of w
+    # is at most the one before plus top), so a move term, anchor * price,
+    # is at most horizon**2 * top**2. A frame DP score adds at most
+    # epoch_len decision entries and move terms; the run's latencies, and so
+    # every partial sum of their fsum, add to at most horizon * max.
+    top = float(price.max())
+    moves = horizon * horizon * top * top  # top * top: ** raises on overflow
+    if not (math.isfinite(epoch_len * (float(decision.max()) + moves))
             and math.isfinite(horizon * float(realized.max()))):
         bad = np.flatnonzero(~np.isfinite(realized).all(axis=1))
         if bad.size:
@@ -339,6 +345,14 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                 f"{table.input_size[t]:g}, workload {table.workload[t]:g}, "
                 f"access_rate {table.access_rate[t]:g} and the scenario's "
                 "rates; raise scenario.access_rate_scale or backhaul_mbps")
+        if not math.isfinite(epoch_len * moves):
+            t = int(price.argmax())
+            raise ConfigError(
+                f"slot {t}: move price {top:g}, of container_size "
+                f"{table.container_size[t]:g} and unit_migration_cost "
+                f"{table.unit_migration_cost[t]:g}, is too large for "
+                f"{horizon} slots: the backlog or the weight times it could "
+                "pass the float range")
         raise ConfigError(
             "the run's latencies, or a frame's latencies times policy.v, sum "
             "past the float range; lower policy.v or raise "
@@ -378,7 +392,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     overrun = 0.0  # queue recursion without the clamp, same op order as the queue
     negative_w_frames = 0
     # Holding the epoch-start backlog fixed is off by at most epoch_len * w_q.
-    w_q = max(e_avg, float(price.max()))
+    w_q = max(e_avg, top)
     dev_bound = epoch_len * w_q
     dev_limit = dev_bound + 1e-9 * max(1.0, dev_bound)
 

@@ -10,7 +10,10 @@ The engine scales its decision rows by v once per run and calls the kernel,
 _frame_dp, directly; frame_decide is its checked public wrapper.
 The reactive osp is a 1-slot frame anchored on the queue backlog, psp a
 longer frame anchored on the same backlog, and pspwu anchors on the
-momentum-weighted surrogate instead. Benchmarks: always-migrate and
+momentum-weighted surrogate instead. The engine's anchors are never
+negative (w >= q >= 0 at every slot); a negative anchor, which can make
+moving cheaper than staying, reaches the solver only from library callers
+and from verify's weight-anchor suite. Benchmarks: always-migrate and
 never-migrate need no rule of their own (the engine follows the user or
 holds the initial node); lazy-migrate and predictive-lazy-migrate are step
 functions. Brute-force enumerators serve as optimality oracles on small
@@ -100,8 +103,9 @@ class FrameInput:
 
 def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     """Whole-frame placements minimizing the frame objective anchored on
-    q_anchor: the queue under osp (a 1-slot frame) and psp, the weight, which
-    may be negative, under pspwu.
+    q_anchor: the queue under osp (a 1-slot frame) and psp, the weight under
+    pspwu. Any finite anchor is solved exactly, a negative one too, although
+    the engine's are never negative.
 
     Node i scores v * latency[p][i] at position p, plus anchor * move_price[p]
     if the service moves there; the anchor * (theta_p - e_avg) terms of

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import make_rows, make_scenario, make_table
 
-from edgeplacer.harness import simulate, synthetic_trace
+from edgeplacer.harness import POLICIES, simulate, synthetic_trace
 from edgeplacer.model import Scenario, SlotTable, latency_rows
 from edgeplacer.policies import PolicyConfig
 from edgeplacer.predict import PredictorSpec
@@ -223,6 +223,21 @@ def test_a_latency_that_is_not_finite_names_its_slot_not_v():
     with pytest.raises(ValueError, match="^slot 1: .*input_size 1e[+]308"
                        ) as err:
         simulate(scn, table, "psp")
+    assert "policy.v" not in str(err.value)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_move_price_past_the_float_range_names_its_slot_not_v(policy):
+    # prices near 1e306 over 400 slots: am's backlog and the frame
+    # policies' latency fsum used to overflow, while nm, lm and plm ran on
+    unit_cost = [10.0] * 400
+    unit_cost[7] = 20.0
+    table = SlotTable(3, [t % 3 for t in range(400)], [8.0] * 400,
+                      [4.0] * 400, [8.0] * 400, [1e308] * 400, unit_cost)
+    with pytest.raises(ValueError, match="^slot 7: move price 2e[+]306, of "
+                       "container_size 1e[+]308 and unit_migration_cost 20,"
+                       ) as err:
+        simulate(make_scenario(horizon=400, frame_len=3), table, policy)
     assert "policy.v" not in str(err.value)
 
 

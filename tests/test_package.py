@@ -1,5 +1,7 @@
+import ast
 import inspect
 import sys
+from pathlib import Path
 
 import edgeplacer
 
@@ -23,3 +25,18 @@ def test_public_names():
         module = getattr(edgeplacer, name)
         assert inspect.ismodule(module)
         assert module is sys.modules[f"edgeplacer.{name}"]
+
+
+def test_python_O_removes_no_check():
+    # python -O strips assert statements and code under __debug__; the
+    # package's checks raise instead, so they hold under -O too
+    package = Path(edgeplacer.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    stripped = [
+        f"{path.relative_to(package.parent)}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert package / "harness.py" in sources
+    assert not stripped, f"python -O removes: {', '.join(stripped)}"
