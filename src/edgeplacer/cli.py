@@ -66,9 +66,11 @@ def _build_parser():
 
 
 def _check_output(path: str) -> None:
-    """Reject an output path that is a directory or lies in a directory
-    that does not exist, before any work is done, rather than fail when
-    the result is written."""
+    """Reject an output path that is empty, is a directory or lies in a
+    directory that does not exist, before any work is done, rather than
+    fail when the result is written."""
+    if not path:
+        raise harness.ConfigError("output path is empty")
     folder = os.path.dirname(path)
     if folder and not os.path.isdir(folder):
         raise harness.ConfigError(f"output directory {folder} does not exist")
@@ -91,17 +93,21 @@ def _load(args) -> harness.ExperimentConfig:
 
 def _cmd_run(args) -> int:
     """run and sweep: a summary row per run and, with --per-slot, a
-    per-slot CSV per run, <stem>_slots or a sweep's <stem>_slots_<i>."""
+    per-slot CSV per run, <stem>_slots<ext> or a sweep's <stem>_slots_<i><ext>.
+    Every output path is checked before the first run."""
     config = _load(args)
     one = args.command == "run"
+    stem, ext = os.path.splitext(config.output)
+    slot_paths = [stem + ("_slots" if one else f"_slots_{i}") + (ext or ".csv")
+                  for i in range(1 if one else len(config.sweep_values))
+                  if args.per_slot]
+    for path in slot_paths:
+        _check_output(path)
     results = [("", harness.run(config))] if one else harness.sweep(config)
     harness.write_summary_csv(
         config.output, [(v, config.policy, rec) for v, rec in results])
-    if args.per_slot:
-        stem, ext = os.path.splitext(config.output)
-        for i, (_, rec) in enumerate(results):
-            suffix = "_slots" if one else f"_slots_{i}"
-            harness.write_per_slot_csv(stem + suffix + (ext or ".csv"), rec)
+    for path, (_, rec) in zip(slot_paths, results):
+        harness.write_per_slot_csv(path, rec)
     print(f"wrote {config.output}")
     return EXIT_OK
 

@@ -32,13 +32,12 @@ ENUM_GUARD = 1_000_000
 
 @dataclass
 class PolicyConfig:
-    """Tunables shared by the decision procedures.
+    """Tunables of the budget-aware policies; the benchmarks have none.
 
     v trades latency against queue backlog; beta is the weight-update
-    memory; lm_gamma scales the lazy-migration threshold; plm_weight scales
-    the predictive-lazy savings comparison. theta was meant to weight the
-    earlier, better-predicted in-frame slots more heavily, but as written it
-    adds anchor * theta * (T - p) to every edge of frame position p. Every
+    memory. theta was meant to weight the earlier, better-predicted
+    in-frame slots more heavily, but as written it adds
+    anchor * theta * (T - p) to every edge of frame position p. Every
     sequence crosses one edge per position, so theta shifts all frame
     objectives by the same constant. frame_decide reads neither theta nor
     e_avg, so theta moves no placement; it changes only the value
@@ -48,8 +47,6 @@ class PolicyConfig:
     v: float = 10.0
     theta: float = 0.0
     beta: float = 0.0
-    lm_gamma: float = 1.0
-    plm_weight: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -63,10 +60,6 @@ class PolicyConfig:
             raise ValueError("theta must be >= 0")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
-        if self.lm_gamma <= 0:
-            raise ValueError("lm_gamma must be > 0")
-        if self.plm_weight <= 0:
-            raise ValueError("plm_weight must be > 0")
 
 
 @dataclass
@@ -205,10 +198,10 @@ def brute_force_frame(frame: FrameInput, e_avg: float,
     return best_seq, best
 
 
-def lm_decide(acc: float, row, price: float, user: Placement, prev: Placement,
-              cfg: PolicyConfig) -> tuple[Placement, float]:
+def lm_decide(acc: float, row, price: float, user: Placement,
+              prev: Placement) -> tuple[Placement, float]:
     """Lazy-migrate: move only once the accumulated latency penalty of staying
-    put reaches lm_gamma times the migration price.
+    put reaches the migration price (0 when already with the user).
 
     row is the slot's latency row, user the user's node and acc the
     caller-threaded accumulator; returns (placement, new acc).
@@ -217,13 +210,13 @@ def lm_decide(acc: float, row, price: float, user: Placement, prev: Placement,
         raise ValueError("accumulator must be >= 0")
     gap = row[prev] - row[user]
     acc = acc + (gap if gap > 0.0 else 0.0)  # max(0.0, gap), no builtin call
-    if acc >= cfg.lm_gamma * (price if user != prev else 0.0):
+    if acc >= (price if user != prev else 0.0):
         return user, 0.0
     return prev, acc
 
 
-def plm_decide(row, next_row, price: float, user: Placement, prev: Placement,
-               cfg: PolicyConfig) -> Placement:
+def plm_decide(row, next_row, price: float, user: Placement,
+               prev: Placement) -> Placement:
     """Predictive-lazy-migrate: one-step look-ahead savings test.
 
     Compares the migration price against the two-slot latency saved by moving
@@ -238,7 +231,7 @@ def plm_decide(row, next_row, price: float, user: Placement, prev: Placement,
         savings = row[prev] - row[user]
     else:
         savings = (row[prev] + next_row[prev]) - (row[user] + next_row[user])
-    if price < cfg.plm_weight * savings:
+    if price < savings:
         return user
     return prev
 

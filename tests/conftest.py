@@ -132,13 +132,13 @@ def reference_advance(q, w, w_prev, e, e_avg, beta):
     return q_next, w + (q_next - q) + beta * max(w - w_prev, 0.0), w
 
 
-def reference_lm_decide(acc, row, price, user, prev, cfg):
+def reference_lm_decide(acc, row, price, user, prev):
     """lm_decide as it was before its accumulator step clamped with a
     compare: max(0.0, gap)."""
     if acc < 0:
         raise ValueError("accumulator must be >= 0")
     acc = acc + max(0.0, row[prev] - row[user])
-    if acc >= cfg.lm_gamma * (price if user != prev else 0.0):
+    if acc >= (price if user != prev else 0.0):
         return user, 0.0
     return prev, acc
 
@@ -185,11 +185,11 @@ def reference_simulate(scn, table, policy, cfg, spec):
             seq = [initial]
         elif policy == "lm":
             placement, lm_acc = reference_lm_decide(
-                lm_acc, rows[0], prices[0], trace[start], prev, cfg)
+                lm_acc, rows[0], prices[0], trace[start], prev)
             seq = [placement]
         else:
             seq = [plm_decide(rows[0], seen[1] if ahead else None, prices[0],
-                              trace[start], prev, cfg)]
+                              trace[start], prev)]
         for t, placement in enumerate(seq, start):
             lat = rows[t - start][placement]
             cost = prices[t - start] if placement != prev else 0.0

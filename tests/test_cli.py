@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -115,25 +116,39 @@ def test_a_setting_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "gen-trace"])
-@pytest.mark.parametrize("missing", [True, False])
+# case True: a file in a directory that does not exist; False: a
+# directory; "empty": an empty path; "slots": a per-slot path that is a
+# directory, next to a summary path that could be written
+@pytest.mark.parametrize("case, command", [
+    *((case, command) for case in (False, True, "empty")
+      for command in ("gen-trace", "run", "sweep")),
+    ("slots", "run"), ("slots", "sweep")])
 def test_an_output_that_cannot_be_written_fails_before_any_work(
-        tmp_path, capsys, monkeypatch, command, missing):
+        tmp_path, capsys, monkeypatch, case, command):
     calls = []
     for name in ("simulate", "synthetic_trace"):
         monkeypatch.setattr(harness, name, lambda *args: calls.append(args))
     config = write_config(tmp_path / "c.json",
                           sweep={"axis": "v", "values": [1.0]})
-    # a file in a directory that does not exist, or a directory
-    out = tmp_path / "nodir" / "o.csv" if missing else tmp_path
+    slots = tmp_path / ("o_slots.csv" if command == "run" else "o_slots_0.csv")
+    out, error = {
+        True: (tmp_path / "nodir" / "o.csv",
+               f"output directory {tmp_path / 'nodir'} does not exist"),
+        False: (tmp_path, f"output {tmp_path} is a directory"),
+        "empty": ("", "output path is empty"),
+        "slots": (tmp_path / "o.csv", f"output {slots} is a directory"),
+    }[case]
     argv = [command, "--out", str(out)]
     if command != "gen-trace":
         argv += ["--config", str(config)]
+    if case == "slots":
+        slots.mkdir()
+        argv.append("--per-slot")
     assert main(argv) == 2
-    assert capsys.readouterr().err == "config error: " + (
-        f"output directory {out.parent} does not exist\n" if missing
-        else f"output {out} is a directory\n")
-    assert calls == [] and not (tmp_path / "nodir").exists()
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    # nothing is written: the directory holds what the test made, no more
+    made = ["c.json"] + [slots.name] * (case == "slots")
+    assert calls == [] and sorted(os.listdir(tmp_path)) == sorted(made)
 
 
 def test_an_output_that_is_no_path_is_a_config_error(tmp_path, capsys):

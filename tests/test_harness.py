@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import math
@@ -463,7 +464,7 @@ def test_wrong_predictions_decide_and_realized_rows_account(monkeypatch,
             if policy == "plm":
                 decided[name] = [plm_decide(rows[0], rows[1] if k in predicted
                                             else None, price[0], users[0],
-                                            prev, cfg)]
+                                            prev)]
             else:
                 anchor = (rec.w if policy == "pspwu" else rec.q)[start]
                 decided[name] = frame_decide(cfg, FrameInput(rows, price,
@@ -608,6 +609,24 @@ def test_config_rejects_unknown_keys():
                                           "list, got 5$"):
         config_from_dict({"policy": {"name": "osp"},
                           "sweep": {"axis": "v", "values": 5}})
+    for key in ("lm_gamma", "plm_weight"):  # the benchmarks take no tunable
+        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+            config_from_dict({"policy": {"name": "lm", key: 1.0}})
+
+
+def test_every_schema_key_sets_a_field_and_every_field_has_a_key():
+    # so a field cannot be removed and leave its key behind, or be added
+    # and not be reachable from a config file
+    parts = {"policy_cfg": PolicyConfig, "predictor": PredictorSpec}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)
+              if f.name not in parts}
+    fields |= {f"{part}.{f.name}" for part, owner in parts.items()
+               for f in dataclasses.fields(owner)}
+    targets = []
+    for keys in harness._SCHEMA.values():
+        targets += [keys] if isinstance(keys, str) else keys.values()
+    targets.remove(None)  # trace.kind only says whether trace.path is read
+    assert set(targets) == fields and len(targets) == len(fields)
 
 
 # (setting, bad value, what the error names): the bad values of the CLI's
@@ -640,6 +659,8 @@ REJECTED_WHEN_BUILT = [
     ("trace_path", 5, "trace_path must be a path, got 5"),
     ("output", 5, "output must be a path, got 5"),
     ("sweep_values", 5, "sweep values must be a nonempty list"),
+    ("scenario_seed", -1, "scenario_seed must be >= 0"),
+    ("trace_seed", -5, "trace_seed must be >= 0"),
 ]
 # The range rules stay with the scenario, the synthetic trace and the slot
 # table, which a run builds.
@@ -703,9 +724,9 @@ def test_trace_and_scenario_defaults_are_the_configs():
 
 
 def test_owners_store_the_normalized_values():
-    cfg = PolicyConfig(v=900, theta=1, beta=0, lm_gamma=2, plm_weight=3)
+    cfg = PolicyConfig(v=900, theta=1, beta=0)
     assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)] == \
-        [float] * 5
+        [float] * 3
     assert type(make_scenario(budget=1).budget_avg) is float
     config = ExperimentConfig(scenario_seed=3.0, node_count=np.int64(4),
                               budget_avg=0, access_rate_scale=2,
@@ -726,9 +747,14 @@ def test_apply_overrides():
     assert raw["output"] == "x.csv"
     config = config_from_dict(raw)
     assert config.policy_cfg.v == 900.0 and config.horizon == 10
-    for bad in ("policy.vee=1", "nope.v=1", "noequals", "output.x=1"):
+    # an unknown key is nested like any other; the schema check rejects it
+    for bad, named in (("policy.vee=1", "'vee'"), ("nope.v=1", "'nope'")):
+        with pytest.raises(ConfigError, match=named):
+            config_from_dict(apply_overrides(copy.deepcopy(raw), [bad]))
+    # no '=', or a key nested into a value that is not an object
+    for bad in ("noequals", "output.x=1"):
         with pytest.raises(ConfigError):
-            apply_overrides(dict(raw), [bad])
+            apply_overrides(copy.deepcopy(raw), [bad])
 
 
 def test_verify_frame_oracles_all_match():

@@ -14,16 +14,14 @@ from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["v", "theta", "beta", "lm_gamma",
-                                  "plm_weight"])
+@pytest.mark.parametrize("name", ["v", "theta", "beta"])
 def test_policy_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match="finite"):
         PolicyConfig(**{name: value})
 
 
 @pytest.mark.parametrize("value", [True, "1"])
-@pytest.mark.parametrize("name", ["v", "theta", "beta", "lm_gamma",
-                                  "plm_weight"])
+@pytest.mark.parametrize("name", ["v", "theta", "beta"])
 def test_policy_config_rejects_booleans_and_strings(name, value):
     # rejected, not converted, as the config path does
     with pytest.raises(ValueError, match=f"{name} must be a number"):
@@ -303,12 +301,11 @@ def lm_instance():
 
 def test_lazy_migrate_hand_trace():
     row, price = lm_instance()
-    cfg = PolicyConfig(lm_gamma=1.0)
     acc = 0.0
     placements = []
     prev = 0
     for _ in range(3):
-        placement, acc = lm_decide(acc, row, price, 1, prev, cfg)
+        placement, acc = lm_decide(acc, row, price, 1, prev)
         placements.append(placement)
         prev = placement
     # builds 2, 4, then 6 >= 5 triggers the move on the third slot
@@ -318,10 +315,9 @@ def test_lazy_migrate_hand_trace():
 
 def test_lazy_migrate_colocated_never_moves():
     row, price = lm_instance()
-    cfg = PolicyConfig()
     acc, prev = 0.0, 1  # already with the user
     for _ in range(10):
-        placement, acc = lm_decide(acc, row, price, 1, prev, cfg)
+        placement, acc = lm_decide(acc, row, price, 1, prev)
         assert placement == 1
         assert acc == 0.0
         prev = placement
@@ -329,10 +325,10 @@ def test_lazy_migrate_colocated_never_moves():
 
 def test_lazy_migrate_huge_threshold_never_moves():
     row, price = lm_instance()
-    cfg = PolicyConfig(lm_gamma=1e12)
+    price *= 1e12  # 50 slots behind the user add up to 100 s
     acc, prev = 0.0, 0
     for _ in range(50):
-        placement, acc = lm_decide(acc, row, price, 1, prev, cfg)
+        placement, acc = lm_decide(acc, row, price, 1, prev)
         assert placement == 0
         prev = placement
 
@@ -349,28 +345,28 @@ def plm_instance(next_user=1):
 def test_predictive_lazy_hand_trace():
     row, nxt, price = plm_instance()
     # two-slot savings 3.0 beats cost 2.5
-    assert plm_decide(row, nxt, price, 1, 0, PolicyConfig(plm_weight=1.0)) == 1
+    assert plm_decide(row, nxt, price, 1, 0) == 1
 
 
 def test_predictive_lazy_stays_when_user_returns():
     row, nxt, price = plm_instance(next_user=0)  # back at the service
-    assert plm_decide(row, nxt, price, 1, 0, PolicyConfig(plm_weight=1.0)) == 0
+    assert plm_decide(row, nxt, price, 1, 0) == 0
 
 
 def test_predictive_lazy_huge_weight_acts_like_always_migrate():
-    row, nxt, price = plm_instance()
-    cfg = PolicyConfig(plm_weight=1e12)
-    assert plm_decide(row, nxt, price, 1, 0, cfg) == 1
+    row, nxt, _ = plm_instance()
+    price = 1e-12  # far below the two-slot savings of 3.0
+    assert plm_decide(row, nxt, price, 1, 0) == 1
     # already co-located: nothing to do
-    assert plm_decide(row, nxt, price, 1, 1, cfg) == 1
+    assert plm_decide(row, nxt, price, 1, 1) == 1
 
 
 def test_predictive_lazy_last_slot_uses_current_gap():
     row, _, price = plm_instance()
     # one-slot gap 1.5 < cost 2.5: stay
-    assert plm_decide(row, None, price, 1, 0, PolicyConfig(plm_weight=1.0)) == 0
-    # with a generous weight the single-slot gap suffices
-    assert plm_decide(row, None, price, 1, 0, PolicyConfig(plm_weight=2.0)) == 1
+    assert plm_decide(row, None, price, 1, 0) == 0
+    # a move cheaper than the one-slot gap is worth it
+    assert plm_decide(row, None, 1.0, 1, 0) == 1
 
 
 # --- horizon oracle ---------------------------------------------------------

@@ -331,18 +331,14 @@ def test_advance_equals_its_max_form(q, w, w_prev, flat, e, e_avg, beta):
 
 @settings(max_examples=500, deadline=None)
 @given(acc=amounts, here=weights, there=weights, price=amounts,
-       user=st.integers(0, 1), prev=st.integers(0, 1),
-       gamma=st.sampled_from((0.5, 1.0, 1e300)))
-@example(acc=-0.0, here=0.0, there=-0.0, price=1.0, user=0, prev=1,
-         gamma=1.0)
-@example(acc=0.25, here=math.nan, there=1.0, price=1.0, user=0, prev=1,
-         gamma=1.0)
-def test_lm_decide_equals_its_max_form(acc, here, there, price, user, prev,
-                                       gamma):
+       user=st.integers(0, 1), prev=st.integers(0, 1))
+@example(acc=-0.0, here=0.0, there=-0.0, price=1.0, user=0, prev=1)
+@example(acc=0.25, here=math.nan, there=1.0, price=1.0, user=0, prev=1)
+def test_lm_decide_equals_its_max_form(acc, here, there, price, user, prev):
     # row[prev] - row[user] is the gap: -0.0, 0.0, negative, NaN or inf
-    row, cfg = [here, there], PolicyConfig(lm_gamma=gamma)
-    assert repr(lm_decide(acc, row, price, user, prev, cfg)) == repr(
-        reference_lm_decide(acc, row, price, user, prev, cfg))
+    row = [here, there]
+    assert repr(lm_decide(acc, row, price, user, prev)) == repr(
+        reference_lm_decide(acc, row, price, user, prev))
 
 
 # Floats whose text the CSV writers and csv.writer must agree on: signed
