@@ -165,7 +165,7 @@ def synthetic_trace(seed: int, n_regions: int, length: int,
         raise ValueError("stickiness must be in [0, 1]")
     if n_regions < 1 or length < 1:
         raise ValueError("need at least one region and one slot")
-    seq = np.random.SeedSequence((_whole(seed, "seed"), 1))
+    seq = np.random.SeedSequence((_seed(seed), 1))
     k = n_regions - 1
     if k == 0:
         return [0] * length
@@ -196,6 +196,15 @@ def synthetic_trace(seed: int, n_regions: int, length: int,
             prev = r if r < prev else r + 1
         regions.append(prev)
     return regions
+
+
+def _seed(value) -> int:
+    """A seed of the synthetic trace or the scenario draws: a whole number,
+    and >= 0 as SeedSequence needs, checked here so the error names it."""
+    seed = _whole(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _drawn_trace(seq, n_regions, length, stickiness) -> list[int]:
@@ -229,7 +238,7 @@ def generate_scenario(
     default synthetic trace with the same seed. The defaults are
     ExperimentConfig's, but for frame_len: one slot per frame.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    rng = np.random.default_rng(np.random.SeedSequence((_seed(seed), 0)))
     backhaul = np.asarray(backhaul_mbps, dtype=float)
     if backhaul.ndim == 0:
         backhaul = np.full((n_nodes, n_nodes), float(backhaul))
@@ -270,6 +279,60 @@ def _epochs(policy: str, frame_len: int, spec: PredictorSpec):
     return epoch_len, lookahead
 
 
+# A multi-slot frame over at least this many nodes is decided by the frame DP
+# on its epoch's undominated nodes (_undominated) plus prev, and the result
+# is bit for bit the DP's on all nodes. Take m = anchor * price >= 0 (the
+# engine's anchors are q or w >= q >= 0) and j != prev dominated by i < j.
+# - Backward pass: with m >= 0 the first argmin k of moved has
+#   moved[k] >= stay[k], so tail[k] = stay[k] and every tail is
+#   min(stay, best): the second-smallest moved-in cost never matters.
+#   Rounding is monotone, so by induction from the last layer the stay,
+#   moved and tail of i are no larger than j's at every layer; best is
+#   attained on an undominated node (domination is transitive), and the
+#   kept nodes' tails are the full DP's.
+# - Forward pass: the current node is prev, then a node chosen from the
+#   columns, so it is always a column. j's score is no smaller than i's
+#   (i's drops m when i is the current node), so j is never the
+#   lowest-index minimizer; the kept nodes keep their scores and their
+#   order, so the same node wins.
+# A negative anchor can make moving cheaper than staying, so frame_decide,
+# which accepts one, always solves on every node.
+# Below the constant the pre-pass and the sub-row gathers cost more than the
+# columns they save the DP; 1-slot epochs (osp) have no backward pass to
+# save (CHANGES.md has the measurement).
+PRUNE_MIN_NODES = 16
+
+
+def _undominated(decision, epoch_len: int) -> list:
+    """Each epoch's undominated nodes, as lists in index order.
+
+    Node j is dominated in an epoch when some node i < j has a decision entry
+    no larger than j's at every slot of the epoch. Domination is transitive,
+    so the epoch's first node not yet dominated is undominated; it and every
+    node it dominates (itself included) leave the candidates, one such node
+    per epoch and pass. A partial last epoch is padded with rows equal across
+    nodes, which change no domination.
+    """
+    n = decision.shape[1]
+    pad = -len(decision) % epoch_len
+    if pad:
+        decision = np.concatenate((decision, np.zeros((pad, n))))
+    rows = decision.reshape(-1, epoch_len, n)
+    epochs = np.arange(len(rows))
+    alive = np.ones((len(rows), n), dtype=bool)
+    kept = np.zeros_like(alive)
+    while True:
+        first = alive.argmax(axis=1)  # 0 in an epoch with none left
+        found = alive[epochs, first]
+        if not found.any():
+            break
+        kept[epochs, first] |= found
+        alive &= ~(rows[epochs, :, first][:, :, None] <= rows).all(axis=1)
+    ends = np.count_nonzero(kept, axis=1).cumsum().tolist()
+    nodes = kept.nonzero()[1].tolist()
+    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def simulate(scn: Scenario, table: SlotTable, policy: str,
              policy_cfg: PolicyConfig | None = None,
              predictor: PredictorSpec | None = None) -> RunRecord:
@@ -282,8 +345,11 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     true user nodes. osp, psp and pspwu anchor on the queue, so each of
     their epochs is decided once the slots before it are accounted; am, nm,
     lm and plm never read it, so all their slots are decided first and the
-    run is accounted in one pass. Both go through one accounting loop,
-    which checks every slot against its epoch's start. A broken budget
+    run is accounted in one pass. A multi-slot frame over PRUNE_MIN_NODES
+    nodes or more is decided by the frame DP kernel on its epoch's
+    undominated columns plus prev's only, which is exact because every
+    anchor is >= 0 (see PRUNE_MIN_NODES). Both go through one accounting
+    loop, which checks every slot against its epoch's start. A broken budget
     inequality, backlog deviation bound or w >= q, or a placement outside
     the nodes, raises InvariantError. A latency that is not finite, a sum
     of the run's latencies or of a frame's latencies times v past the float
@@ -368,6 +434,9 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         # An epoch's anchor is the queue or the weight, so it is decided
         # only once the epochs before it are accounted.
         starts, placements = range(0, horizon, epoch_len), []
+        kept = (_undominated(decision, epoch_len)
+                if epoch_len > 1 and scn.node_count >= PRUNE_MIN_NODES
+                else None)
     else:
         # Queue-blind: no placement depends on the queue.
         starts = (0,)
@@ -404,8 +473,19 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
             anchor = w if policy == "pspwu" else q
             negative_w_frames += anchor < 0
             stop = start + epoch_len  # slicing ends it at the horizon
-            seq = _frame_dp(decision[start:stop].tolist(), prices[start:stop],
-                            anchor, prev)
+            if kept is None:
+                seq = _frame_dp(decision[start:stop].tolist(),
+                                prices[start:stop], anchor, prev)
+            else:
+                nodes = kept[start // epoch_len]
+                if prev not in nodes:
+                    nodes = sorted(nodes + [prev])
+                cols = _frame_dp(decision[start:stop].take(nodes, 1).tolist(),
+                                 prices[start:stop], anchor, nodes.index(prev))
+                # a column the kernel was not given is no node: -1 fails
+                # the placement check after the loop
+                k = len(nodes)
+                seq = [nodes[i] if 0 <= i < k else -1 for i in cols]
             placements += seq
         else:
             seq = placements

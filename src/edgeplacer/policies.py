@@ -7,7 +7,12 @@ The frame DP is the drift-plus-penalty rule for all three budget-aware
 policies: it commits a frame of placements at once by minimizing
 v * latency + anchor * move price over the (possibly predicted) frame rows.
 The engine scales its decision rows by v once per run and calls the kernel,
-_frame_dp, directly; frame_decide is its checked public wrapper.
+_frame_dp, directly; frame_decide is its checked public wrapper. On a
+multi-slot frame over harness.PRUNE_MIN_NODES nodes or more, the engine
+passes only the epoch's undominated columns plus prev's, with prev as a
+column index, and maps the result back to nodes. That returns the full
+DP's sequence only when anchor >= 0 (the proof is at PRUNE_MIN_NODES), so
+frame_decide, which accepts any anchor, always passes every column.
 The reactive osp is a 1-slot frame anchored on the queue backlog, psp a
 longer frame anchored on the same backlog, and pspwu anchors on the
 momentum-weighted surrogate instead. The engine's anchors are never

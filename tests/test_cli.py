@@ -356,6 +356,14 @@ def test_gen_trace_bad_value_is_config_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_gen_trace_negative_seed_is_named(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["gen-trace", "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: seed must be >= 0, got -1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, error", [
     pytest.param(["--instances", "0"], "--instances: must be at least 1",
                  id="0"),

@@ -85,6 +85,15 @@ def test_synthetic_trace_endpoints():
     assert synthetic_trace(3.0, 6.0, 10.0) == synthetic_trace(3, 6, 10)
 
 
+@pytest.mark.parametrize("draw, seed", ((synthetic_trace, -1),
+                                        (generate_scenario, -3)))
+def test_a_negative_seed_is_rejected_by_name(draw, seed):
+    # numpy's own error names no setting
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be >= 0, got {seed}")):
+        draw(seed, 6, 10)
+
+
 def test_synthetic_trace_stay_rate():
     trace = synthetic_trace(11, 6, 10_000, stickiness=0.7)
     stays = sum(a == b for a, b in zip(trace[:-1], trace[1:]))
@@ -425,6 +434,25 @@ def test_placement_outside_the_nodes_is_checked(monkeypatch, policy, node):
     with pytest.raises(InvariantError, match=re.escape(
             f"slot 0: placement {node} is not a node in [0, 4)")):
         run(base_config(policy=policy))
+
+
+@pytest.mark.parametrize("past", (False, True))
+def test_a_column_outside_a_pruned_frame_is_checked(monkeypatch, past):
+    # Past the crossover the kernel sees an epoch's undominated columns
+    # only. Neither -1 nor the column after its last may become a node:
+    # nodes[-1] is the epoch's last undominated node.
+    n = harness.PRUNE_MIN_NODES
+    widths = []
+
+    def kernel(rows, prices, anchor, prev):
+        widths.append(len(rows[0]))
+        return [len(rows[0]) if past else -1] * len(rows)
+
+    monkeypatch.setattr(harness, "_frame_dp", kernel)
+    with pytest.raises(InvariantError, match=re.escape(
+            f"slot 0: placement -1 is not a node in [0, {n})")):
+        run(base_config(policy="psp", node_count=n))
+    assert max(widths) < n  # the run was pruned
 
 
 @pytest.mark.parametrize("policy", ("psp", "pspwu", "plm"))

@@ -5,7 +5,9 @@
     at every slot, records the queue state that advance replays from the
     slot costs, and replays identically on random small configs. Its
     columns and summaries equal those of the per-slot record loop the
-    engine had before, kept in conftest.py as the reference.
+    engine had before, kept in conftest.py as the reference. Some configs
+    have enough nodes that the engine decides multi-slot frames on their
+    undominated nodes.
 (b) The frame solver returns the brute-force oracle's sequence and
     objective on random latency tables of up to 6 nodes. Values lie on a
     grid of quarters small enough that every sum and product is exact, so
@@ -39,6 +41,10 @@
     the float maximum and access_rate_scale down to the smallest
     subnormal, either runs with every decision on finite rows and finite
     summaries, or is rejected with ConfigError.
+(i) The engine's pre-pass keeps exactly each epoch's nodes that no earlier
+    node dominates, and the frame DP on those columns plus prev, mapped
+    back to nodes, returns the sequence of the DP on all columns, for any
+    prev and any anchor >= 0, on grid values where ties are real.
 """
 
 import math
@@ -57,8 +63,9 @@ from hypothesis import strategies as st
 from edgeplacer import harness, predict
 from edgeplacer.costqueue import advance
 from edgeplacer.harness import (PER_SLOT_HEADER, POLICIES, SUMMARY_HEADER,
-                                ConfigError, ExperimentConfig, RunRecord,
-                                _materialize, run, synthetic_trace,
+                                PRUNE_MIN_NODES, ConfigError,
+                                ExperimentConfig, RunRecord, _materialize,
+                                _undominated, run, synthetic_trace,
                                 write_per_slot_csv, write_summary_csv,
                                 write_trace_csv)
 from edgeplacer.model import SlotTable
@@ -72,7 +79,9 @@ quarters = st.integers(0, 40).map(lambda k: k / 4)
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2 ** 16), nodes=st.integers(1, 5),
+@given(seed=st.integers(0, 2 ** 16),
+       nodes=st.one_of(st.integers(1, 5),
+                       st.integers(PRUNE_MIN_NODES, PRUNE_MIN_NODES + 8)),
        horizon=st.integers(1, 40), frame_len=st.integers(1, 4),
        budget=st.floats(0.0, 0.3), v=st.floats(0.0, 500.0),
        theta=st.floats(0.0, 50.0),
@@ -156,6 +165,41 @@ def test_frame_dp_kernel_equals_the_reference(case):
     rows = (np.array(frame.latency) * cfg.v).tolist()
     assert _frame_dp(rows, frame.move_price, frame.q_anchor,
                      frame.prev_placement) == expected
+
+
+@st.composite
+def epoch_rows(draw):
+    """Decision rows of up to 12 nodes cut into epochs of up to 4 slots, the
+    last one possibly partial, with prices and an anchor >= 0 on the grid."""
+    n = draw(st.integers(1, 12))
+    epoch_len = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 3 * epoch_len))
+    value = st.integers(0, 3).map(float) if draw(st.booleans()) else quarters
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                         min_size=horizon, max_size=horizon))
+    prices = draw(st.lists(value, min_size=horizon, max_size=horizon))
+    return np.array(rows), epoch_len, prices, draw(quarters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(epoch_rows())
+def test_the_undominated_columns_decide_as_all_columns(case):
+    rows, epoch_len, prices, anchor = case
+    n = rows.shape[1]
+    kept = _undominated(rows, epoch_len)
+    assert len(kept) == len(range(0, len(rows), epoch_len))
+    for nodes, start in zip(kept, range(0, len(rows), epoch_len)):
+        frame = rows[start:start + epoch_len]
+        price = prices[start:start + epoch_len]
+        # no earlier node is no larger at every slot of the epoch
+        assert nodes == [j for j in range(n) if not any(
+            (frame[:, i] <= frame[:, j]).all() for i in range(j))]
+        for prev in range(n):
+            cols = sorted(set(nodes) | {prev})
+            seq = _frame_dp(frame[:, cols].tolist(), price, anchor,
+                            cols.index(prev))
+            assert [cols[i] for i in seq] == _frame_dp(frame.tolist(), price,
+                                                       anchor, prev)
 
 
 COLUMNS = ("input_size", "workload", "access_rate", "container_size",
