@@ -41,7 +41,7 @@ def _build_parser():
                        ("sweep", "execute one run per sweep axis value")):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", help="output CSV path (overrides config)")
+        p.add_argument("--out", help="summary CSV path (required)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key, e.g. policy.v=900 (repeatable)")
         p.add_argument("--per-slot", action="store_true",
@@ -82,22 +82,21 @@ def _load(args) -> harness.ExperimentConfig:
     raw = harness.load_config_file(args.config)
     seed = [] if args.seed is None else [f"scenario.seed={args.seed}"]
     harness.apply_overrides(raw, args.set + seed)
-    if args.out is not None:
-        raw["output"] = args.out
     config = harness.config_from_dict(raw)
-    if config.output is None:
-        raise harness.ConfigError("no output path: set --out or config output")
-    _check_output(config.output)
+    if args.out is None:
+        raise harness.ConfigError("no output path: set --out")
+    _check_output(args.out)
     return config
 
 
 def _cmd_run(args) -> int:
-    """run and sweep: a summary row per run and, with --per-slot, a
-    per-slot CSV per run, <stem>_slots<ext> or a sweep's <stem>_slots_<i><ext>.
-    Every output path is checked before the first run."""
+    """run and sweep: a summary row per run at --out and, with --per-slot,
+    a per-slot CSV per run, <stem>_slots<ext> or a sweep's
+    <stem>_slots_<i><ext>. Every output path is checked before the first
+    run."""
     config = _load(args)
     one = args.command == "run"
-    stem, ext = os.path.splitext(config.output)
+    stem, ext = os.path.splitext(args.out)
     slot_paths = [stem + ("_slots" if one else f"_slots_{i}") + (ext or ".csv")
                   for i in range(1 if one else len(config.sweep_values))
                   if args.per_slot]
@@ -105,10 +104,10 @@ def _cmd_run(args) -> int:
         _check_output(path)
     results = [("", harness.run(config))] if one else harness.sweep(config)
     harness.write_summary_csv(
-        config.output, [(v, config.policy, rec) for v, rec in results])
+        args.out, [(v, config.policy, rec) for v, rec in results])
     for path, (_, rec) in zip(slot_paths, results):
         harness.write_per_slot_csv(path, rec)
-    print(f"wrote {config.output}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 

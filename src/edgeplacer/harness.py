@@ -20,7 +20,7 @@ import numpy as np
 
 from .costqueue import advance, bound_constant_B
 # max_slot_migration_cost is not used here; harness re-exports it
-from .model import (Scenario, SlotTable, _real, _whole, latency_rows,
+from .model import (Scenario, SlotTable, _real, _seed, _whole, latency_rows,
                     max_slot_migration_cost)
 from .policies import (FrameInput, PolicyConfig, _frame_dp,
                        brute_force_frame, brute_force_horizon, frame_decide,
@@ -28,7 +28,7 @@ from .policies import (FrameInput, PolicyConfig, _frame_dp,
 from .predict import PredictorSpec, predict_epochs
 
 POLICIES = ("osp", "psp", "pspwu", "am", "nm", "lm", "plm")
-SWEEP_AXES = ("v", "e_avg", "t", "theta", "beta")
+SWEEP_AXES = ("v", "e_avg", "t", "beta")
 
 # Per-slot budget presets (cost units, GB-converted scale); see README.
 BUDGET_PRESETS = {"low": 0.167, "mid": 0.260, "high": 0.417}
@@ -104,37 +104,29 @@ class ExperimentConfig:
     horizon: int = 1400
     frame_len: int = 3
     budget_avg: float = BUDGET_PRESETS["low"]
-    backhaul_mbps: object = 100.0  # scalar, or full node_count x node_count matrix
+    backhaul_mbps: float = 100.0  # every off-diagonal link, Mbit/s
     homogeneous_capacity: bool = False
-    access_rate_scale: float = 1.0
     trace_path: str | None = None
     trace_seed: int = 1
     trace_stickiness: float = 0.7
     sweep_axis: str | None = None
     sweep_values: tuple = ()
-    output: str | None = None
 
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
-        for name in ("scenario_seed", "trace_seed", "node_count", "horizon",
-                     "frame_len"):
-            setattr(self, name, _whole(getattr(self, name), name))
         for name in ("scenario_seed", "trace_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        for name in ("budget_avg", "access_rate_scale", "trace_stickiness"):
+            setattr(self, name, _seed(getattr(self, name), name))
+        for name in ("node_count", "horizon", "frame_len"):
+            setattr(self, name, _whole(getattr(self, name), name))
+        for name in ("budget_avg", "backhaul_mbps", "trace_stickiness"):
             setattr(self, name, _real(getattr(self, name), name))
         if not isinstance(self.homogeneous_capacity, bool):
             raise ConfigError("homogeneous_capacity must be true or false, "
                               f"got {self.homogeneous_capacity!r}")
-        # a number or a matrix of them; the scenario checks the shape
-        for rate in np.asarray(self.backhaul_mbps, dtype=object).flat:
-            _real(rate, "backhaul_mbps")
-        for name in ("trace_path", "output"):
-            path = getattr(self, name)
-            if path is not None and not isinstance(path, str):
-                raise ConfigError(f"{name} must be a path, got {path!r}")
+        path = self.trace_path
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"trace_path must be a path, got {path!r}")
         if self.sweep_axis is not None and self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
         values = self.sweep_values
@@ -165,7 +157,7 @@ def synthetic_trace(seed: int, n_regions: int, length: int,
         raise ValueError("stickiness must be in [0, 1]")
     if n_regions < 1 or length < 1:
         raise ValueError("need at least one region and one slot")
-    seq = np.random.SeedSequence((_seed(seed), 1))
+    seq = np.random.SeedSequence((_seed(seed, "seed"), 1))
     k = n_regions - 1
     if k == 0:
         return [0] * length
@@ -198,15 +190,6 @@ def synthetic_trace(seed: int, n_regions: int, length: int,
     return regions
 
 
-def _seed(value) -> int:
-    """A seed of the synthetic trace or the scenario draws: a whole number,
-    and >= 0 as SeedSequence needs, checked here so the error names it."""
-    seed = _whole(value, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def _drawn_trace(seq, n_regions, length, stickiness) -> list[int]:
     """synthetic_trace drawn slot by slot from default_rng(seq): the
     numpy stream its replay reads."""
@@ -226,22 +209,20 @@ def generate_scenario(
         seed: int, n_nodes: int = ExperimentConfig.node_count,
         horizon: int = ExperimentConfig.horizon, frame_len: int = 1,
         budget_avg: float = ExperimentConfig.budget_avg,
-        backhaul_mbps=ExperimentConfig.backhaul_mbps, trace=None,
-        homogeneous_capacity: bool = ExperimentConfig.homogeneous_capacity,
-        access_rate_scale: float = ExperimentConfig.access_rate_scale):
+        backhaul_mbps: float = ExperimentConfig.backhaul_mbps, trace=None,
+        homogeneous_capacity: bool = ExperimentConfig.homogeneous_capacity):
     """Draw a (Scenario, SlotTable) pair from the simulation ranges.
 
-    Task profile, access rate, container size and migration price are drawn
-    per slot; compute capacity per node (fixed over time). access_rate_scale
-    converts the drawn access bandwidth into a data rate (1.0 = one bit per
-    second per hertz). The user's associated node comes from trace, or from a
-    default synthetic trace with the same seed. The defaults are
-    ExperimentConfig's, but for frame_len: one slot per frame.
+    Task profile, access rate (in Mbit/s), container size and migration
+    price are drawn per slot; compute capacity per node (fixed over time).
+    Every off-diagonal backhaul link runs at backhaul_mbps; a library
+    caller who wants links of different rates builds the Scenario itself.
+    The user's associated node comes from trace, or from a default
+    synthetic trace with the same seed. The defaults are ExperimentConfig's,
+    but for frame_len: one slot per frame.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((_seed(seed), 0)))
-    backhaul = np.asarray(backhaul_mbps, dtype=float)
-    if backhaul.ndim == 0:
-        backhaul = np.full((n_nodes, n_nodes), float(backhaul))
+    rng = np.random.default_rng(np.random.SeedSequence((_seed(seed, "seed"), 0)))
+    backhaul = np.full((n_nodes, n_nodes), _real(backhaul_mbps, "backhaul_mbps"))
     if homogeneous_capacity:
         caps = np.full(n_nodes, rng.uniform(*CAPACITY_GHZ))
     else:
@@ -257,9 +238,8 @@ def generate_scenario(
     # Slot-major, the order of one scalar draw per slot and column.
     draws = rng.uniform(*zip(*SLOT_RANGES.values()),
                         size=(horizon, len(SLOT_RANGES)))
-    columns = dict(zip(SLOT_RANGES, draws.T))
-    columns["access_rate"] *= access_rate_scale
-    return scn, SlotTable(n_nodes, trace[:horizon], **columns)
+    return scn, SlotTable(n_nodes, trace[:horizon],
+                          **dict(zip(SLOT_RANGES, draws.T)))
 
 
 def _epochs(policy: str, frame_len: int, spec: PredictorSpec):
@@ -413,7 +393,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                 f"slot {t}: a latency is not finite, of input_size "
                 f"{table.input_size[t]:g}, workload {table.workload[t]:g}, "
                 f"access_rate {table.access_rate[t]:g} and the scenario's "
-                "rates; raise scenario.access_rate_scale or backhaul_mbps")
+                "rates; raise scenario.backhaul_mbps")
         if not math.isfinite(epoch_len * moves):
             t = int(price.argmax())
             raise ConfigError(
@@ -425,7 +405,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         raise ConfigError(
             "the run's latencies, or a frame's latencies times policy.v, sum "
             "past the float range; lower policy.v or raise "
-            "scenario.access_rate_scale or scenario.backhaul_mbps")
+            "scenario.backhaul_mbps")
 
     prices = price.tolist()
     prev = initial = trace[0]
@@ -568,8 +548,7 @@ def _materialize(config: ExperimentConfig):
         return generate_scenario(
             config.scenario_seed, config.node_count, config.horizon,
             config.frame_len, config.budget_avg, config.backhaul_mbps,
-            trace=trace, homogeneous_capacity=config.homogeneous_capacity,
-            access_rate_scale=config.access_rate_scale)
+            trace=trace, homogeneous_capacity=config.homogeneous_capacity)
     except TraceFormatError:
         raise
     except ValueError as exc:
@@ -590,7 +569,7 @@ def _sweep_point(config: ExperimentConfig, scn: Scenario, value):
     ConfigError."""
     axis, cfg = config.sweep_axis, config.policy_cfg
     try:
-        if axis in ("v", "theta", "beta"):
+        if axis in ("v", "beta"):
             cfg = replace(cfg, **{axis: value})
         elif axis == "e_avg":
             scn = replace(scn, budget_avg=value)
@@ -630,16 +609,13 @@ _SCHEMA = {
     "scenario": {"seed": "scenario_seed", "node_count": "node_count",
                  "horizon": "horizon", "frame_len": "frame_len",
                  "budget_avg": "budget_avg", "backhaul_mbps": "backhaul_mbps",
-                 "homogeneous_capacity": "homogeneous_capacity",
-                 "access_rate_scale": "access_rate_scale"},
+                 "homogeneous_capacity": "homogeneous_capacity"},
     "predictor": {"kind": "predictor.kind",
                   "accuracies": "predictor.accuracies",
-                  "window": "predictor.window",
                   "rng_seed": "predictor.rng_seed"},
     "trace": {"kind": None, "seed": "trace_seed",
               "stickiness": "trace_stickiness", "path": "trace_path"},
     "sweep": {"axis": "sweep_axis", "values": "sweep_values"},
-    "output": "output",
 }
 
 
@@ -688,9 +664,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section {section!r}")
         fields = _SCHEMA[section]
-        if isinstance(fields, str):
-            given[fields] = keys
-            continue
         if not isinstance(keys, dict):
             raise ConfigError(f"section {section!r} must be an object")
         unknown = keys.keys() - fields.keys()
@@ -848,8 +821,7 @@ def verify_frame_oracles(seed: int = 1, instances: int = 200,
         seq = frame_decide(cfg, frame)
         obj = frame_objective(cfg, frame, e_avg, seq)
         best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
-        tol = 1e-9 * max(1.0, abs(best_obj))
-        if seq == best_seq and abs(obj - best_obj) <= tol:
+        if seq == best_seq:
             matches += 1
         else:
             mismatches.append(

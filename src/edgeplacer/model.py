@@ -50,6 +50,15 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value, name: str) -> int:
+    """A seed: a whole number, and >= 0 as numpy's SeedSequence needs,
+    checked here so the error names the setting."""
+    seed = _whole(value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def _positive(name: str, values, shape: tuple) -> np.ndarray:
     array = np.asarray(values, dtype=float)
     if array.shape != shape:

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _indices, _real, _whole
+from .model import _indices, _real, _seed
 
 PREDICTOR_KINDS = ("oracle_noisy", "moving_mode", "markov1")
+
+# moving_mode predicts the mode of this many latest regions of the history.
+MODE_WINDOW = 3
 
 # Measured per-step accuracy presets at look-ahead depths 1..3 for the three
 # reference prediction methods the noisy oracle can emulate.
@@ -37,14 +40,13 @@ class PredictorSpec:
     """Which predictor to use and its knobs.
 
     accuracies (oracle_noisy): chance of returning the true region at each
-    look-ahead step. window (moving_mode): how much history the mode uses.
-    rng_seed, a non-negative integer, drives the oracle's error draws.
-    window and rng_seed are whole numbers, stored as int (2.0 becomes 2).
+    look-ahead step. rng_seed, a non-negative whole number stored as int
+    (2.0 becomes 2), drives the oracle's error draws. moving_mode takes the
+    mode of the last MODE_WINDOW regions and has no knob.
     """
 
     kind: str = "oracle_noisy"
     accuracies: tuple = ACCURACY_PRESETS["lstm"]
-    window: int = 3
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -57,12 +59,7 @@ class PredictorSpec:
             _real(a, "accuracy") for a in accuracies))
         if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
             raise ValueError("accuracies must lie in [0, 1]")
-        for name in ("window", "rng_seed"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        object.__setattr__(self, "rng_seed", _seed(self.rng_seed, "rng_seed"))
 
 
 def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
@@ -81,7 +78,7 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
     accuracy and otherwise names a uniform other region; epoch k's draws
     are those of numpy's default_rng(SeedSequence((rng_seed, k))), replayed
     for all epochs at once in array arithmetic. moving_mode repeats the
-    mode of the last window regions of the history; markov1 follows the
+    mode of the last MODE_WINDOW regions of the history; markov1 follows the
     most likely path of a first-order chain fitted on the history.
     """
     if w < 0 or epoch_len < 1:
@@ -104,7 +101,7 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
             truths = column[anchors[:, None] + np.arange(1, ahead + 1)]
             rows = _oracle_noisy(spec, truths, n_regions, epochs)
         elif spec.kind == "moving_mode":
-            rows = _moving_mode(spec, column, anchors, ahead, n_regions)
+            rows = _moving_mode(column, anchors, ahead, n_regions)
         else:
             rows = _markov1(column, anchors, ahead, n_regions)
         out[epochs, :ahead] = rows
@@ -259,15 +256,15 @@ def _hashed(values, first, count, init, mult):
     return hashed ^ hashed >> _16
 
 
-def _moving_mode(spec, column, anchors, w, n_regions):
-    """The most frequent region of the last window slots up to each anchor,
-    repeated w times; ties fall to the lowest region index. Cumulative
-    per-region counts make each window's counts one subtraction."""
+def _moving_mode(column, anchors, w, n_regions):
+    """The most frequent region of the last MODE_WINDOW slots up to each
+    anchor, repeated w times; ties fall to the lowest region index.
+    Cumulative per-region counts make each window's counts one subtraction."""
     ends = anchors + 1
     cum = np.zeros((ends[-1] + 1, n_regions), dtype=np.intp)
     np.cumsum(column[:ends[-1], None] == np.arange(n_regions), axis=0,
               out=cum[1:])
-    counts = cum[ends] - cum[np.maximum(ends - spec.window, 0)]
+    counts = cum[ends] - cum[np.maximum(ends - MODE_WINDOW, 0)]
     return np.repeat(counts.argmax(axis=1)[:, None], w, axis=1)
 
 

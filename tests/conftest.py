@@ -16,7 +16,7 @@ import numpy as np
 from edgeplacer.harness import _epochs
 from edgeplacer.model import Scenario, SlotTable, latency_rows
 from edgeplacer.policies import FrameInput, plm_decide
-from edgeplacer.predict import predict_epochs
+from edgeplacer.predict import MODE_WINDOW, predict_epochs
 
 
 def make_scenario(n=3, backhaul=64.0, budget=0.1, horizon=10, frame_len=1,
@@ -63,7 +63,7 @@ def reference_predict(spec, history, true_future, w, n_regions, salt):
                 out.append(r if r < truth else r + 1)
         return out
     if spec.kind == "moving_mode":
-        counts = np.bincount(history[-spec.window:], minlength=n_regions)
+        counts = np.bincount(history[-MODE_WINDOW:], minlength=n_regions)
         return [int(counts.argmax())] * w
     pairs = history[:-1] * n_regions + history[1:]
     counts = 1.0 + np.bincount(pairs, minlength=n_regions ** 2).reshape(

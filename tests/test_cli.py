@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import numbers
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeplacer import harness
 from edgeplacer.cli import main
@@ -70,11 +76,11 @@ def test_run_requires_output(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "scenario.budget_avg=-1", "scenario.node_count=0", "scenario.frame_len=0",
     "scenario.budget_avg=NaN", "policy.v=Infinity", "trace.stickiness=2",
-    "scenario.horizon=Infinity", "predictor.window=1e400",
-    "scenario.access_rate_scale=Infinity",
+    "scenario.horizon=Infinity", "predictor.rng_seed=1e400",
+    "scenario.backhaul_mbps=Infinity",
     # a non-integral number in an integer field is rejected, not truncated
     "scenario.horizon=30.7", "scenario.node_count=3.9",
-    "predictor.window=2.5", "trace.seed=1.5",
+    "predictor.rng_seed=2.5", "trace.seed=1.5",
     # a boolean or a string is not a number, and a string is not a flag
     "scenario.node_count=true", 'scenario.horizon="30"',
     'scenario.homogeneous_capacity="false"',
@@ -151,11 +157,26 @@ def test_an_output_that_cannot_be_written_fails_before_any_work(
     assert calls == [] and sorted(os.listdir(tmp_path)) == sorted(made)
 
 
-def test_an_output_that_is_no_path_is_a_config_error(tmp_path, capsys):
-    config = write_config(tmp_path / "c.json", output=5)
-    assert main(["run", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: output must be a path, got 5\n")
+@pytest.mark.parametrize("command, override, error", [
+    ("run", "scenario.access_rate_scale=1",
+     "unknown key(s) in 'scenario': ['access_rate_scale']"),
+    ("run", "predictor.window=3", "unknown key(s) in 'predictor': ['window']"),
+    ("run", "output=o.csv", "unknown config section 'output'"),
+    ("run", "scenario.backhaul_mbps=[[1,1],[1,1]]",
+     "backhaul_mbps must be a number, got [[1, 1], [1, 1]]"),
+    ("sweep", "sweep.axis=theta", "unknown sweep axis 'theta'"),
+])
+def test_a_removed_setting_is_a_config_error_that_names_it(
+        tmp_path, capsys, command, override, error):
+    # access_rate_scale, predictor.window, output, the backhaul matrix and
+    # the theta axis no longer exist; theta itself stays a policy tunable
+    config = write_config(tmp_path / "c.json",
+                          sweep={"axis": "v", "values": [1.0]})
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(config), "--out", str(out),
+                 "--set", override]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
 
 
 def test_run_bad_trace_exit_code(tmp_path):
@@ -222,8 +243,8 @@ def test_per_slot_dump_format(tmp_path):
 @pytest.mark.parametrize("policy, horizon, setting", [
     ("psp", 30, "policy.v=1e308"),  # v times every latency overflows
     ("psp", 30, "policy.v=1e307"),  # a frame's sum of them does
-    ("osp", 30, "scenario.access_rate_scale=1e-310"),  # the access term does
-    ("osp", 1400, "scenario.access_rate_scale=1e-305"),  # their sum does
+    ("osp", 30, "scenario.backhaul_mbps=1e-310"),  # the backhaul term does
+    ("osp", 1400, "scenario.backhaul_mbps=1e-305"),  # their sum does
 ])
 def test_a_setting_that_overflows_a_run_is_a_config_error(
         tmp_path, capsys, policy, horizon, setting):
@@ -425,3 +446,59 @@ def test_verify_catches_a_solver_without_the_second_smallest_cost(
     matches, total = out[1].split()[0].split("/")
     assert out[1].endswith("oracle matches (weight anchor)")
     assert int(matches) < int(total) == 100
+
+
+# The config keys the fuzz below sets: every schema key and the settings the
+# schema no longer has ("output" is a section of its own).
+FUZZ_KEYS = [(section, key) for section, keys in harness._SCHEMA.items()
+             for key in keys] + [("scenario", "access_rate_scale"),
+                                 ("predictor", "window"), ("output", None)]
+# Values of every JSON kind, bad and good; 2 ** 1024 is too large for a float
+FUZZ_VALUES = [
+    True, False, None, "", "x", "30", "osp", "psp", "pspwu", "lm", "plm",
+    "moving_mode", "markov1", "file", "synthetic", "v", "t", "beta", "theta",
+    math.nan, math.inf, -math.inf, 2 ** 70, 2 ** 1024, 1e308, 1e-310, -1, 0,
+    1, 2, 3, 0.5, 0.9, 2.5, 50.0, [], [1, 10], [0.9, 0.8, 0.5], [1.0, -1.0],
+    [[1, 1], [1, 1]], {}, {"name": "osp"}]
+# A bound on each size a config sets, so every example stays small
+FUZZ_CAPS = {"horizon": 30, "node_count": 8}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["run", "sweep"]),
+       entries=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
+                                  st.sampled_from(FUZZ_VALUES)),
+                        min_size=1, max_size=4))
+# three inputs that once ended in a traceback or in a summary of infs: a
+# latency past the float range, a float setting past it, a bad sweep value
+@example(command="run", entries=[(("scenario", "backhaul_mbps"), 1e-310)])
+@example(command="run", entries=[(("policy", "v"), 2 ** 1024)])
+@example(command="sweep", entries=[(("sweep", "values"), [1.0, -1.0])])
+def test_any_config_ends_in_a_result_or_a_named_error(tmp_path_factory,
+                                                      command, entries):
+    # every config exits 0, 2 or 3, never with a traceback, and a summary
+    # it writes holds finite numbers only (the axis is empty for a run)
+    raw = {"policy": {"name": "nm"},
+           "scenario": {"seed": 1, "node_count": 4, "horizon": 30,
+                        "frame_len": 2, "budget_avg": 0.05},
+           "sweep": {"axis": "v", "values": [1.0, 10.0]}}
+    for (section, key), value in entries:
+        cap = FUZZ_CAPS.get(key)
+        if cap is not None and isinstance(value, numbers.Real) and \
+                cap < value < math.inf:
+            value = cap
+        if key is None:
+            raw[section] = value
+        else:
+            raw.setdefault(section, {})[key] = value
+    folder = tmp_path_factory.mktemp("fuzz")
+    config, out = folder / "c.json", folder / "o.csv"
+    config.write_text(json.dumps(raw))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--config", str(config), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        for row in out.read_text().splitlines()[1:]:
+            axis, _, *cells = row.split(",")
+            assert all(math.isfinite(float(x)) for x in [axis, *cells] if x)

@@ -54,14 +54,13 @@ def test_generate_scenario_ranges_and_determinism():
 def test_generate_scenario_draws_match_scalar_draws():
     # one vectorized draw equals the per-slot scalar draws, in slot order
     for seed in range(20):
-        _, table = generate_scenario(seed=seed, n_nodes=3, horizon=40,
-                                     access_rate_scale=3.0)
+        _, table = generate_scenario(seed=seed, n_nodes=3, horizon=40)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         rng.uniform(5.0, 10.0, 3)  # capacities come first
         for t in range(40):
             assert table.input_size[t] == rng.uniform(5.0, 10.0)
             assert table.workload[t] == rng.uniform(2.0, 20.0)
-            assert table.access_rate[t] == rng.uniform(5.0, 10.0) * 3.0
+            assert table.access_rate[t] == rng.uniform(5.0, 10.0)
             assert table.container_size[t] == rng.uniform(25.0, 50.0)
             assert table.unit_migration_cost[t] == rng.uniform(2.0, 10.0)
 
@@ -73,6 +72,15 @@ def test_generate_scenario_capacity_modes():
     scn, _ = generate_scenario(seed=1, n_nodes=4, horizon=5)
     assert len(set(scn.compute_capacity)) > 1
     assert scn.compute_capacity.shape == (4,)
+
+
+def test_generate_scenario_takes_one_backhaul_rate():
+    scn, _ = generate_scenario(seed=1, n_nodes=3, horizon=5, backhaul_mbps=64)
+    assert (scn.backhaul_rate[~np.eye(3, dtype=bool)] == 64.0).all()
+    # a matrix would broadcast into the links unchecked
+    with pytest.raises(ValueError, match="backhaul_mbps must be a number"):
+        generate_scenario(seed=1, n_nodes=2, horizon=5,
+                          backhaul_mbps=[[1, 1], [1, 1]])
 
 
 def test_synthetic_trace_endpoints():
@@ -609,14 +617,12 @@ def test_config_from_dict_full():
                       "rng_seed": 2},
         "trace": {"kind": "synthetic", "seed": 9, "stickiness": 0.8},
         "sweep": {"axis": "v", "values": [10, 100]},
-        "output": "out.csv",
     }
     config = config_from_dict(raw)
     assert config.policy == "psp"
     assert config.policy_cfg.v == 900.0
     assert config.budget_avg == 0.26
     assert config.sweep_values == (10, 100)
-    assert config.output == "out.csv"
     rec = run(config)
     assert len(rec.placement) == 50
 
@@ -650,9 +656,8 @@ def test_every_schema_key_sets_a_field_and_every_field_has_a_key():
               if f.name not in parts}
     fields |= {f"{part}.{f.name}" for part, owner in parts.items()
                for f in dataclasses.fields(owner)}
-    targets = []
-    for keys in harness._SCHEMA.values():
-        targets += [keys] if isinstance(keys, str) else keys.values()
+    targets = [field for keys in harness._SCHEMA.values()
+               for field in keys.values()]
     targets.remove(None)  # trace.kind only says whether trace.path is read
     assert set(targets) == fields and len(targets) == len(fields)
 
@@ -663,10 +668,10 @@ def test_every_schema_key_sets_a_field_and_every_field_has_a_key():
 REJECTED_WHEN_BUILT = [
     ("policy_cfg.v", math.inf, "v must be finite"),
     ("horizon", math.inf, "horizon must be a whole number"),
-    ("predictor.window", math.inf, "window must be a whole number"),
+    ("predictor.rng_seed", math.inf, "rng_seed must be a whole number"),
     ("horizon", 30.7, "horizon must be a whole number"),
     ("node_count", 3.9, "node_count must be a whole number"),
-    ("predictor.window", 2.5, "window must be a whole number"),
+    ("predictor.rng_seed", 2.5, "rng_seed must be a whole number"),
     ("trace_seed", 1.5, "trace_seed must be a whole number"),
     ("node_count", True, "node_count must be a number"),
     ("horizon", "30", "horizon must be a number"),
@@ -677,15 +682,14 @@ REJECTED_WHEN_BUILT = [
     ("trace_stickiness", True, "trace_stickiness must be a number"),
     ("predictor.accuracies", "11", "accuracies must be a list"),
     ("predictor.rng_seed", -1, "rng_seed must be >= 0"),
+    # one rate for every link: a matrix, even of numbers, is no number
     ("backhaul_mbps", [[1, True, 1, 1]] + [[1, 1, 1, 1]] * 3,
-     "backhaul_mbps must be a number, got True"),
+     "backhaul_mbps must be a number, got [[1, True"),
     ("scenario_seed", "3", "scenario_seed must be a number"),
     ("scenario_seed", 1.5, "scenario_seed must be a whole number"),
     ("backhaul_mbps", "100", "backhaul_mbps must be a number"),
-    ("access_rate_scale", True, "access_rate_scale must be a number"),
-    ("access_rate_scale", "2", "access_rate_scale must be a number"),
+    ("backhaul_mbps", True, "backhaul_mbps must be a number"),
     ("trace_path", 5, "trace_path must be a path, got 5"),
-    ("output", 5, "output must be a path, got 5"),
     ("sweep_values", 5, "sweep values must be a nonempty list"),
     ("scenario_seed", -1, "scenario_seed must be >= 0"),
     ("trace_seed", -5, "trace_seed must be >= 0"),
@@ -698,7 +702,7 @@ REJECTED_WHEN_RUN = [
     ("frame_len", 0, "frame_len must be >= 1"),
     ("budget_avg", math.nan, "budget_avg must be finite and >= 0"),
     ("trace_stickiness", 2, "stickiness must be in"),
-    ("access_rate_scale", math.inf, "access_rate must be finite"),
+    ("backhaul_mbps", math.inf, "backhaul_rate must be finite"),
 ]
 
 
@@ -742,8 +746,7 @@ def test_trace_and_scenario_defaults_are_the_configs():
     for param, name in (("n_nodes", "node_count"), ("horizon", "horizon"),
                         ("budget_avg", "budget_avg"),
                         ("backhaul_mbps", "backhaul_mbps"),
-                        ("homogeneous_capacity", "homogeneous_capacity"),
-                        ("access_rate_scale", "access_rate_scale")):
+                        ("homogeneous_capacity", "homogeneous_capacity")):
         assert params[param].default == getattr(want, name), param
     assert params["frame_len"].default == 1  # one-slot frames on purpose
     flags = cli._build_parser().parse_args(["gen-trace", "--out", "t.csv"])
@@ -757,11 +760,11 @@ def test_owners_store_the_normalized_values():
         [float] * 3
     assert type(make_scenario(budget=1).budget_avg) is float
     config = ExperimentConfig(scenario_seed=3.0, node_count=np.int64(4),
-                              budget_avg=0, access_rate_scale=2,
+                              budget_avg=0, backhaul_mbps=2,
                               trace_stickiness=1, sweep_values=[1, 2])
     assert (config.scenario_seed, config.node_count) == (3, 4)
     assert type(config.scenario_seed) is type(config.node_count) is int
-    assert type(config.budget_avg) is type(config.access_rate_scale) is \
+    assert type(config.budget_avg) is type(config.backhaul_mbps) is \
         type(config.trace_stickiness) is float
     assert config.sweep_values == (1, 2)
 
@@ -769,10 +772,11 @@ def test_owners_store_the_normalized_values():
 def test_apply_overrides():
     raw = {"policy": {"name": "osp"}}
     apply_overrides(raw, ["policy.v=900", "scenario.horizon=10",
-                          "output=x.csv", "trace.stickiness=0.5"])
+                          'sweep={"axis": "t"}', "trace.stickiness=0.5",
+                          "sweep.values=[1]"])
     assert raw["policy"]["v"] == 900
     assert raw["scenario"]["horizon"] == 10
-    assert raw["output"] == "x.csv"
+    assert raw["sweep"] == {"axis": "t", "values": [1]}
     config = config_from_dict(raw)
     assert config.policy_cfg.v == 900.0 and config.horizon == 10
     # an unknown key is nested like any other; the schema check rejects it
@@ -780,9 +784,9 @@ def test_apply_overrides():
         with pytest.raises(ConfigError, match=named):
             config_from_dict(apply_overrides(copy.deepcopy(raw), [bad]))
     # no '=', or a key nested into a value that is not an object
-    for bad in ("noequals", "output.x=1"):
+    for bad in (["noequals"], ["sweep=5", "sweep.x=1"]):
         with pytest.raises(ConfigError):
-            apply_overrides(copy.deepcopy(raw), [bad])
+            apply_overrides(copy.deepcopy(raw), bad)
 
 
 def test_verify_frame_oracles_all_match():

@@ -1,9 +1,12 @@
 import ast
 import inspect
+import json
+import re
 import sys
 from pathlib import Path
 
 import edgeplacer
+from edgeplacer.harness import SWEEP_AXES, config_from_dict
 
 PUBLIC = {
     "ACCURACY_PRESETS", "BUDGET_PRESETS", "ExperimentConfig", "FrameInput",
@@ -40,3 +43,14 @@ def test_python_O_removes_no_check():
         or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert package / "harness.py" in sources
     assert not stripped, f"python -O removes: {', '.join(stripped)}"
+
+
+def test_readme_config_example_follows_the_schema():
+    # README's config example and its sweep axes cannot keep a setting the
+    # schema no longer has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"### Config schema \(JSON\)\n\n```json\n(.*?)```",
+                        readme, re.S)
+    config_from_dict(json.loads(example.group(1)))
+    axes = re.search(r"^- `sweep\.axis`: `([^`]*)`", readme, re.M)
+    assert tuple(a.strip() for a in axes.group(1).split("|")) == SWEEP_AXES

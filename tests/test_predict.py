@@ -125,13 +125,18 @@ def test_oracle_redraws_the_rows_the_replay_cannot_match(monkeypatch):
 
 
 def test_moving_mode_uses_window_and_low_tie():
-    # epoch 1 starts at slot 5 and knows the history [0, 0, 2, 2, 1, 1]
-    trace = [0, 0, 2, 2, 1, 1, 0, 0]
-    spec = PredictorSpec(kind="moving_mode", window=4)
-    # last four entries: [2, 2, 1, 1] -> tie, lowest region wins
-    assert predict_epochs(spec, trace, 2, 3, 5)[1].tolist() == [1, 1]
-    spec = PredictorSpec(kind="moving_mode", window=2)
-    assert predict_epochs(spec, trace, 1, 3, 5)[1].tolist() == [1]
+    # epoch 1 starts at slot 5 and knows the trace's first six regions;
+    # only a window of 3 gives both answers
+    assert predict.MODE_WINDOW == 3
+    spec = PredictorSpec(kind="moving_mode")
+    # last three entries [2, 2, 1]: the mode is 2, where a window of 1, 2,
+    # 5 or 6 gives 1, 1, 0 or 0
+    trace = [0, 0, 0, 2, 2, 1, 0, 0]
+    assert predict_epochs(spec, trace, 2, 3, 5)[1].tolist() == [2, 2]
+    # [2, 1, 0]: a three-way tie, and the lowest region wins, where a
+    # window of 4 or more gives 1
+    trace = [1, 1, 1, 2, 1, 0, 2, 2]
+    assert predict_epochs(spec, trace, 1, 3, 5)[1].tolist() == [0]
 
 
 def test_markov_alternating_history():
@@ -183,20 +188,17 @@ def test_predict_rejects_bad_inputs():
         PredictorSpec(kind="crystal_ball")
     with pytest.raises(ValueError):
         PredictorSpec(accuracies=(1.5,))
-    with pytest.raises(ValueError):
-        PredictorSpec(window=0)
     # a string, a boolean or a fraction is rejected, not converted; the seed
     # is a non-negative integer
     for kwargs in ({"accuracies": "11"}, {"accuracies": (True,)},
-                   {"window": True}, {"window": 2.5}, {"rng_seed": -1},
+                   {"rng_seed": 2.5}, {"rng_seed": -1},
                    {"rng_seed": True}, {"rng_seed": "3"}):
         with pytest.raises(ValueError):
             PredictorSpec(**kwargs)
     assert PredictorSpec(rng_seed=np.uint8(3)).rng_seed == 3
     # a whole float is kept as an int, as every integer setting does
-    spec = PredictorSpec(window=2.0, rng_seed=1.0)
-    assert (spec.window, spec.rng_seed) == (2, 1)
-    assert type(spec.window) is type(spec.rng_seed) is int
+    spec = PredictorSpec(rng_seed=1.0)
+    assert spec.rng_seed == 1 and type(spec.rng_seed) is int
 
 
 def test_predict_epochs_rejects_bad_inputs():

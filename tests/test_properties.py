@@ -38,7 +38,7 @@
     subnormal, infinities and NaN, w equal to q bit for bit or not, and an
     empty summary included.
 (h) A config that PolicyConfig and ExperimentConfig accept, with v up to
-    the float maximum and access_rate_scale down to the smallest
+    the float maximum and backhaul_mbps down to the smallest
     subnormal, either runs with every decision on finite rows and finite
     summaries, or is rejected with ConfigError.
 (i) The engine's pre-pass keeps exactly each epoch's nodes that no earlier
@@ -269,7 +269,7 @@ def batches(draw):
         kind=draw(st.sampled_from(PREDICTOR_KINDS)),
         accuracies=draw(st.lists(st.floats(0.0, 1.0), min_size=w,
                                  max_size=w)),
-        window=draw(st.integers(1, 8)), rng_seed=draw(st.integers(0, 99)))
+        rng_seed=draw(st.integers(0, 99)))
     epoch_len = draw(st.sampled_from((1, 1, 2, 3, w + 1, 5)))
     return spec, trace, w, n, epoch_len
 
@@ -439,13 +439,13 @@ def test_csv_writers_write_the_bytes_of_csv_writer(tmp_path_factory, rec,
        horizon=st.integers(1, 30),
        v=st.one_of(st.sampled_from((0.0, 1e307, 1e308, sys.float_info.max)),
                    st.floats(0.0, sys.float_info.max)),
-       scale=st.one_of(st.sampled_from((5e-324, 1e-310, 1e-305, 1.0)),
-                       st.floats(0.0, 1e6, exclude_min=True)))
+       backhaul=st.one_of(st.sampled_from((5e-324, 1e-310, 1e-305, 1.0)),
+                          st.floats(0.0, 1e6, exclude_min=True)))
 def test_an_accepted_config_decides_on_finite_rows(policy, seed, horizon, v,
-                                                   scale):
+                                                   backhaul):
     config = ExperimentConfig(policy=policy, scenario_seed=seed,
                               trace_seed=seed, horizon=horizon,
-                              access_rate_scale=scale,
+                              backhaul_mbps=backhaul,
                               policy_cfg=PolicyConfig(v=v))
     with mock.patch.object(harness, "_frame_dp", wraps=_frame_dp) as dp, \
             mock.patch.object(harness, "lm_decide", wraps=lm_decide) as lm, \
