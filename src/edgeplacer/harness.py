@@ -282,6 +282,43 @@ def _epochs(policy: str, frame_len: int, spec: PredictorSpec):
 # save (CHANGES.md has the measurement).
 PRUNE_MIN_NODES = 16
 
+# An epoch of T slots with anchor a > 0 and prev a node stays on prev, and
+# the engine calls no kernel, when its stay certificate holds:
+#   L = fl(M + B') > R = fl(A' * (1 + delta)),  delta = T * STAY_SLACK,
+# with M = fl(a * the epoch's smallest price), and B' and A' float sums of
+# the epoch's row minima and of prev's entries in its decision rows D
+# (v-scaled latencies, >= 0, as the prices are): the backlog's charge for
+# the cheapest move outweighs all the latency a move could save, and the
+# DP returns [prev] * T. Take u = 2**-53 and TINY = 2**-1022. A float sum
+# of k terms >= 0, in any order, is within (1 -+ u)**(k - 1) of its exact
+# sum, as an addition errs by at most u relative, subnormals included; it
+# is exact while below TINY, where every float is a multiple of 2**-1074,
+# and, as rounding is monotone, it is at least min(TINY, its exact sum).
+# - The kernel, at position p with the service on prev: every tail is the
+#   float sum, nested to the right, of one completion's terms, and no more
+#   than the sum for staying. So prev scores at most the float sum of
+#   D[p:, prev], of exact sum A_p; a node i != prev scores the float sum of
+#   at most 2(T - p) terms of a sequence that moves at p, of exact sum at
+#   least M + B_p, B_p the sum of min_i D[q, i] over q >= p. Every move
+#   term fl(a * price) is >= M, the same rounded product.
+# - A, B are the exact sums of the epoch. As D[q, prev] >= min_i D[q, i],
+#   M + B > c * A gives M + B_p > c * A_p at every p for any c >= 1.
+# - A' >= TINY: R >= (1 - u) (1 + delta) A' >= (1 - u)**T (1 + delta) A
+#   and L <= (1 + u)**T (M + B), so M + B > c * A with
+#   c = (1 + delta) ((1 - u) / (1 + u))**T. Then i scores at least
+#   (1 - u)**(2T - 1) (M + B_p) > (1 + u)**(T - 1) A_p, prev's bound, as
+#   1 + delta >= ((1 + u) / (1 - u))**(3T - 1) (c >= 1 too) for any T
+#   below 2**40; T is at most the horizon.
+# - A' < TINY: prev's sums are exact and R >= A' = A. If M + B >= TINY,
+#   M + B_p >= TINY - (B - B_p) > A - (A - A_p); otherwise L = M + B
+#   exactly, and L > A. Either way M + B_p > A_p, and i scores at least
+#   min(TINY, M + B_p) > A_p.
+# So prev scores below every other node at every position. The inequality
+# must be strict: with A = M + B = 0 (a zero price) both sides are 0, and
+# a lower-index tie can win, as on one slot with D = [0, 0] and prev 1.
+# With a == 0 nothing is certified; moving can then be free.
+STAY_SLACK = 2.0 ** -50
+
 
 def _undominated(decision, epoch_len: int) -> list:
     """Each epoch's undominated nodes, as lists in index order.
@@ -313,6 +350,36 @@ def _undominated(decision, epoch_len: int) -> list:
     return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
 
+def _stay_bounds(decision, price, epoch_len: int):
+    """The stay certificate's inputs for every epoch k, as arrays: the sum
+    of its rows' minima, its smallest price and, in row k of an (epochs, N)
+    array, its column sums. 1-slot epochs get price and decision themselves.
+    """
+    # decision.min(axis=1) walks a row of 6 entries per call of its inner
+    # loop, about 8x slower at N=6; a Fortran-order copy costs its size
+    mins = decision[:, 0].copy()
+    for column in decision.T[1:]:
+        np.minimum(mins, column, out=mins)
+    if epoch_len == 1:
+        return mins, price, decision
+    # one numpy call per step along the shorter axis: epochs of a few slots
+    # add up slot by slot, and a few long epochs are reduced one by one
+    starts = range(0, len(price), epoch_len)
+    if epoch_len > len(starts):
+        parts = [(mins[s:s + epoch_len].sum(), price[s:s + epoch_len].min(),
+                  decision[s:s + epoch_len].sum(axis=0)) for s in starts]
+        return tuple(map(np.array, zip(*parts)))
+    lows, cheapest, sums = (mins[::epoch_len].copy(),
+                            price[::epoch_len].copy(),
+                            decision[::epoch_len].copy())
+    for p in range(1, epoch_len):
+        k = len(price[p::epoch_len])  # a partial last epoch lacks slot p
+        lows[:k] += mins[p::epoch_len]
+        np.minimum(cheapest[:k], price[p::epoch_len], out=cheapest[:k])
+        sums[:k] += decision[p::epoch_len]
+    return lows, cheapest, sums
+
+
 def simulate(scn: Scenario, table: SlotTable, policy: str,
              policy_cfg: PolicyConfig | None = None,
              predictor: PredictorSpec | None = None) -> RunRecord:
@@ -325,8 +392,11 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     true user nodes. osp, psp and pspwu anchor on the queue, so each of
     their epochs is decided once the slots before it are accounted; am, nm,
     lm and plm never read it, so all their slots are decided first and the
-    run is accounted in one pass. A multi-slot frame over PRUNE_MIN_NODES
-    nodes or more is decided by the frame DP kernel on its epoch's
+    run is accounted in one pass. An osp, psp or pspwu epoch whose stay
+    certificate holds, from sums of its rows found for all epochs at once,
+    stays on prev without a call to the frame DP kernel; it needs an
+    anchor > 0 and is exact (see STAY_SLACK). A multi-slot frame over
+    PRUNE_MIN_NODES nodes or more is decided by the kernel on its epoch's
     undominated columns plus prev's only, which is exact because every
     anchor is >= 0 (see PRUNE_MIN_NODES). Both go through one accounting
     loop, which checks every slot against its epoch's start. A broken budget
@@ -338,9 +408,12 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
-    epoch_len, lookahead = _epochs(policy, scn.frame_len, spec)
     e_avg = scn.budget_avg
     horizon = scn.horizon
+    epoch_len, lookahead = _epochs(policy, scn.frame_len, spec)
+    # A frame past the horizon decides as one of horizon slots; the cap
+    # keeps arrays sized by the frame within the run's.
+    epoch_len, lookahead = min(epoch_len, horizon), min(lookahead, horizon)
     if len(table.trace) < horizon:
         raise TraceFormatError("slot table shorter than horizon")
     trace = table.trace
@@ -417,6 +490,8 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         kept = (_undominated(decision, epoch_len)
                 if epoch_len > 1 and scn.node_count >= PRUNE_MIN_NODES
                 else None)
+        lows, cheapest, sums = _stay_bounds(decision, price, epoch_len)
+        slack, n = 1.0 + epoch_len * STAY_SLACK, scn.node_count
     else:
         # Queue-blind: no placement depends on the queue.
         starts = (0,)
@@ -448,24 +523,30 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     dev_bound = epoch_len * w_q
     dev_limit = dev_bound + 1e-9 * max(1.0, dev_bound)
 
-    for start in starts:
+    for k, start in enumerate(starts):
         if frame:
             anchor = w if policy == "pspwu" else q
             negative_w_frames += anchor < 0
             stop = start + epoch_len  # slicing ends it at the horizon
-            if kept is None:
+            # the stay certificate (see STAY_SLACK); a prev outside the
+            # nodes is left to the placement check after the loop
+            if (anchor > 0 and 0 <= prev < n
+                    and anchor * cheapest.item(k) + lows.item(k)
+                    > sums.item(k, prev) * slack):
+                seq = [prev] * (min(stop, horizon) - start)
+            elif kept is None:
                 seq = _frame_dp(decision[start:stop].tolist(),
                                 prices[start:stop], anchor, prev)
             else:
-                nodes = kept[start // epoch_len]
+                nodes = kept[k]
                 if prev not in nodes:
                     nodes = sorted(nodes + [prev])
                 cols = _frame_dp(decision[start:stop].take(nodes, 1).tolist(),
                                  prices[start:stop], anchor, nodes.index(prev))
                 # a column the kernel was not given is no node: -1 fails
                 # the placement check after the loop
-                k = len(nodes)
-                seq = [nodes[i] if 0 <= i < k else -1 for i in cols]
+                width = len(nodes)
+                seq = [nodes[i] if 0 <= i < width else -1 for i in cols]
             placements += seq
         else:
             seq = placements
@@ -844,8 +925,8 @@ def verify_horizon_bound(seed: int = 1, instances: int = 20):
         scn, table = generate_scenario(
             seed=seed + idx, n_nodes=3, horizon=6, budget_avg=HORIZON_BUDGET)
         latency, prices = latency_rows(scn, table, slice(None), table.trace)
-        _, oracle_lat = brute_force_horizon(latency.tolist(), prices.tolist(),
-                                            HORIZON_BUDGET, table.trace[0])
+        _, oracle_lat = brute_force_horizon(latency, prices, HORIZON_BUDGET,
+                                            table.trace[0])
         for v in HORIZON_V:
             checks += 1
             rec = simulate(scn, table, "osp", PolicyConfig(v=v))

@@ -12,7 +12,12 @@ multi-slot frame over harness.PRUNE_MIN_NODES nodes or more, the engine
 passes only the epoch's undominated columns plus prev's, with prev as a
 column index, and maps the result back to nodes. That returns the full
 DP's sequence only when anchor >= 0 (the proof is at PRUNE_MIN_NODES), so
-frame_decide, which accepts any anchor, always passes every column.
+frame_decide, which accepts any anchor, always passes every column. Before
+either, the engine skips the kernel on an epoch whose anchor > 0 times its
+smallest move price, plus the sum of its rows' minima, exceeds prev's own
+row sum by a rounding margin: there every move costs more than staying,
+and the DP would return prev at every position (the proof is at
+harness.STAY_SLACK).
 The reactive osp is a 1-slot frame anchored on the queue backlog, psp a
 longer frame anchored on the same backlog, and pspwu anchors on the
 momentum-weighted surrogate instead. The engine's anchors are never
@@ -22,12 +27,14 @@ and from verify's weight-anchor suite. Benchmarks: always-migrate and
 never-migrate need no rule of their own (the engine follows the user or
 holds the initial node); lazy-migrate and predictive-lazy-migrate are step
 functions. Brute-force enumerators serve as optimality oracles on small
-instances.
+instances; the horizon oracle enumerates in numpy.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .model import Placement, _real, _whole
 
@@ -251,6 +258,12 @@ def brute_force_horizon(latency, move_price, e_avg: float, initial: Placement):
     latency) for the feasible latency minimizer, lexicographically first.
     Returns (None, inf) when nothing is feasible. The latency weight plays
     no role here: the budget enters as a hard constraint, not a penalty.
+
+    The sequences are enumerated in numpy, in itertools.product order: slot
+    by slot, each sequence's cost and latency sums grow by every node's
+    move term and row entry, the same float additions in the same order as
+    a loop over each sequence. At ENUM_GUARD sequences that is a few arrays
+    of 8 MB.
     """
     horizon = len(latency)
     if horizon < 1:
@@ -261,17 +274,22 @@ def brute_force_horizon(latency, move_price, e_avg: float, initial: Placement):
     budget = e_avg * horizon
     # tiny slack so float re-association cannot reject a boundary sequence
     budget_eps = 1e-12 * max(1.0, budget)
-    best_seq, best_lat = None, math.inf
-    for seq in itertools.product(range(n), repeat=horizon):
-        prev = initial
-        cost = 0.0
-        lat = 0.0
-        for t, i in enumerate(seq):
-            cost += move_price[t] if i != prev else 0.0
-            lat += latency[t][i]
-            prev = i
-        if cost <= budget + budget_eps and lat < best_lat:
-            best_lat, best_seq = lat, list(seq)
-    if best_seq is None:
+    nodes = np.arange(n)
+    cost = lat = np.zeros(1)
+    at = np.array([initial])  # each sequence's last node
+    for t in range(horizon):
+        cost = (cost[:, None]
+                + np.where(at[:, None] != nodes, move_price[t], 0.0)).ravel()
+        lat = (lat[:, None] + np.asarray(latency[t], dtype=float)).ravel()
+        at = np.tile(nodes, len(at))
+    # a NaN or inf latency is never the minimizer, as a loop's < skips it
+    lat[~((cost <= budget + budget_eps) & (lat < math.inf))] = math.inf
+    index = int(lat.argmin())
+    best = float(lat[index])
+    if best == math.inf:
         return None, math.inf
-    return best_seq, best_lat / horizon
+    seq = []
+    for _ in range(horizon):  # index's base-n digits, the last slot's last
+        index, i = divmod(index, n)
+        seq.append(i)
+    return seq[::-1], best / horizon

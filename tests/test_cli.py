@@ -240,6 +240,20 @@ def test_per_slot_dump_format(tmp_path):
         assert all(float(c) >= 0 for c in cells[2:])
 
 
+@pytest.mark.parametrize("nodes", (4, 16))  # 16: the pruned frames
+def test_a_frame_past_the_horizon_runs_as_one_of_the_horizon(tmp_path, nodes):
+    # arrays sized by the frame once overflowed numpy's dimension limit
+    config = write_config(tmp_path / "c.json", policy={"name": "psp"},
+                          predictor={"kind": "markov1"},
+                          scenario={"node_count": nodes})
+    for name, frame_len in (("long", "1e20"), ("horizon", "60")):
+        assert main(["run", "--config", str(config), "--out",
+                     str(tmp_path / f"{name}.csv"), "--per-slot", "--set",
+                     f"scenario.frame_len={frame_len}"]) == 0
+    assert (tmp_path / "long_slots.csv").read_bytes() == \
+        (tmp_path / "horizon_slots.csv").read_bytes()
+
+
 @pytest.mark.parametrize("policy, horizon, setting", [
     ("psp", 30, "policy.v=1e308"),  # v times every latency overflows
     ("psp", 30, "policy.v=1e307"),  # a frame's sum of them does

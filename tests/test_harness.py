@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import itertools
 import math
 import os
 import re
@@ -16,7 +17,7 @@ from conftest import (make_scenario, reference_predict,
 
 from edgeplacer import cli, harness
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
-                                InvariantError, TraceFormatError,
+                                InvariantError, RunRecord, TraceFormatError,
                                 apply_overrides, config_from_dict,
                                 generate_scenario, max_slot_migration_cost,
                                 read_trace_csv, run, simulate, sweep,
@@ -461,6 +462,51 @@ def test_a_column_outside_a_pruned_frame_is_checked(monkeypatch, past):
             f"slot 0: placement -1 is not a node in [0, {n})")):
         run(base_config(policy="psp", node_count=n))
     assert max(widths) < n  # the run was pruned
+
+
+def test_the_stay_certificate_changes_no_run(monkeypatch):
+    # Every run equals, bit for bit, the run whose every epoch goes to the
+    # frame DP; the certificate is switched off by a row-minima sum of
+    # -inf, which makes no left side larger than the right.
+    bounds, kernel, calls = harness._stay_bounds, harness._frame_dp, []
+
+    def never(decision, price, epoch_len):
+        lows, cheapest, sums = bounds(decision, price, epoch_len)
+        return np.full(len(lows), -math.inf), cheapest, sums
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(harness, "_frame_dp", counted)
+    spec = PredictorSpec(kind="moving_mode")  # wrong often enough
+    epochs = certified = 0
+    for nodes, frame_len, budget in itertools.product(
+            (3, 6, harness.PRUNE_MIN_NODES), (1, 3, 5),
+            (0.0, 0.03, 0.167, 0.417)):
+        scn, table = generate_scenario(seed=nodes + frame_len, n_nodes=nodes,
+                                       horizon=30, frame_len=frame_len,
+                                       budget_avg=budget)
+        cases = [("pspwu", beta) for beta in (0.0, 0.65)] + [("psp", 0.0)]
+        if frame_len == 1:  # osp decides 1-slot epochs at every frame_len
+            cases.append(("osp", 0.0))
+        for (policy, beta), v in itertools.product(cases, (0.0, 1.0, 50.0,
+                                                           900.0)):
+            cfg = PolicyConfig(v=v, beta=beta)
+            monkeypatch.setattr(harness, "_stay_bounds", never)
+            calls.clear()
+            want = simulate(scn, table, policy, cfg, spec)
+            run_epochs = len(calls)  # every epoch called the kernel
+            monkeypatch.setattr(harness, "_stay_bounds", bounds)
+            calls.clear()
+            got = simulate(scn, table, policy, cfg, spec)
+            epochs += run_epochs
+            certified += run_epochs - len(calls)
+            for f in dataclasses.fields(RunRecord):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
+                        else repr(a) == repr(b)), (policy, f.name)
+    assert certified > 0.2 * epochs
 
 
 @pytest.mark.parametrize("policy", ("psp", "pspwu", "plm"))

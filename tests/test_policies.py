@@ -1,9 +1,12 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import make_rows
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeplacer.harness import (ExperimentConfig, generate_scenario,
                                 random_frame_instance, run, simulate)
@@ -402,6 +405,54 @@ def test_horizon_oracle_beats_or_matches_any_feasible_sequence():
             prev = i
         if cost / 6 <= scn.budget_avg:
             assert avg_lat <= lat / 6 + 1e-12
+
+
+def reference_brute_force_horizon(latency, move_price, e_avg, initial):
+    """brute_force_horizon as the loop over every sequence that it was
+    before it enumerated them in numpy."""
+    horizon = len(latency)
+    budget = e_avg * horizon
+    budget_eps = 1e-12 * max(1.0, budget)
+    best_seq, best_lat = None, math.inf
+    for seq in itertools.product(range(len(latency[0])), repeat=horizon):
+        prev = initial
+        cost = 0.0
+        lat = 0.0
+        for t, i in enumerate(seq):
+            cost += move_price[t] if i != prev else 0.0
+            lat += latency[t][i]
+            prev = i
+        if cost <= budget + budget_eps and lat < best_lat:
+            best_lat, best_seq = lat, list(seq)
+    if best_seq is None:
+        return None, math.inf
+    return best_seq, best_lat / horizon
+
+
+@st.composite
+def horizon_instances(draw):
+    """Latency rows and prices on a grid of whole numbers 0-3 or quarters,
+    where ties are real, with a budget from -1 (nothing is feasible)."""
+    n = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 5 if n < 4 else 4))
+    value = (st.integers(0, 3) if draw(st.booleans())
+             else st.integers(0, 40)).map(float)
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                         min_size=horizon, max_size=horizon))
+    prices = draw(st.lists(value, min_size=horizon, max_size=horizon))
+    e_avg = draw(st.sampled_from((-1.0, 0.0, 0.25, 0.5, 1.0, 2.5)))
+    return rows, prices, e_avg, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(horizon_instances())
+@example(([[1.0, 1.0], [2.0, 2.0]], [0.0, 1.0], 0.0, 1))  # ties, budget 0
+@example(([[1.0, 2.0]], [0.5], -0.25, 0))  # nothing feasible: (None, inf)
+@example(([[math.inf, 1.0]], [0.5], 0.0, 0))  # no finite feasible latency
+def test_horizon_oracle_enumerates_as_the_loop_did(case):
+    got = brute_force_horizon(*case)
+    assert got == reference_brute_force_horizon(*case)
+    assert type(got[1]) is float and all(type(i) is int for i in got[0] or ())
 
 
 def test_horizon_oracle_guard():

@@ -45,6 +45,9 @@
     node dominates, and the frame DP on those columns plus prev, mapped
     back to nodes, returns the sequence of the DP on all columns, for any
     prev and any anchor >= 0, on grid values where ties are real.
+(j) On the same grid frames, for any anchor >= 0 and any prev, a frame
+    whose stay certificate holds is one where the frame DP stays on prev;
+    at equality, which the strict inequality leaves to the DP, it can move.
 """
 
 import math
@@ -63,9 +66,11 @@ from hypothesis import strategies as st
 from edgeplacer import harness, predict
 from edgeplacer.costqueue import advance
 from edgeplacer.harness import (PER_SLOT_HEADER, POLICIES, SUMMARY_HEADER,
-                                PRUNE_MIN_NODES, ConfigError,
+                                PRUNE_MIN_NODES, STAY_SLACK, ConfigError,
                                 ExperimentConfig, RunRecord, _materialize,
-                                _undominated, run, synthetic_trace,
+                                _stay_bounds, _undominated,
+                                generate_scenario, run, simulate,
+                                synthetic_trace,
                                 write_per_slot_csv, write_summary_csv,
                                 write_trace_csv)
 from edgeplacer.model import SlotTable
@@ -200,6 +205,53 @@ def test_the_undominated_columns_decide_as_all_columns(case):
                             cols.index(prev))
             assert [cols[i] for i in seq] == _frame_dp(frame.tolist(), price,
                                                        anchor, prev)
+
+
+def stay_certified(lows, cheapest, sums, epoch_len, k, anchor, prev):
+    """The engine's stay certificate for epoch k (see STAY_SLACK)."""
+    return (anchor > 0 and anchor * cheapest.item(k) + lows.item(k)
+            > sums.item(k, prev) * (1.0 + epoch_len * STAY_SLACK))
+
+
+@settings(max_examples=100, deadline=None)
+@given(epoch_rows())
+@example((np.zeros((1, 2)), 1, [0.0], 1.0))  # a tie at equality, below
+def test_a_stay_certificate_leaves_the_frame_dp_on_prev(case):
+    rows, epoch_len, prices, anchor = case
+    bounds = _stay_bounds(rows, np.array(prices), epoch_len)
+    starts = range(0, len(rows), epoch_len)
+    # the pre-pass, on either of its paths, sums as the definition does
+    # (grid sums are exact in any order)
+    assert [b.tolist() for b in bounds] == [
+        [rows[s:s + epoch_len].min(axis=1).sum() for s in starts],
+        [min(prices[s:s + epoch_len]) for s in starts],
+        [rows[s:s + epoch_len].sum(axis=0).tolist() for s in starts]]
+    for k, start in enumerate(starts):
+        frame = rows[start:start + epoch_len].tolist()
+        price = prices[start:start + epoch_len]
+        for prev in range(rows.shape[1]):
+            if stay_certified(*bounds, epoch_len, k, anchor, prev):
+                assert _frame_dp(frame, price, anchor, prev) == \
+                    [prev] * len(frame)
+
+
+def test_at_equality_the_certificate_leaves_the_frame_to_the_dp(monkeypatch):
+    # One slot: prev = 1, both nodes at 0 and a zero price, so both sides of
+    # the certificate are 0 for any anchor, and the DP moves to node 0.
+    lows, cheapest, sums = _stay_bounds(np.zeros((1, 2)), np.zeros(1), 1)
+    assert 1.0 * cheapest.item(0) + lows.item(0) == \
+        sums.item(0, 1) * (1 + STAY_SLACK)
+    assert _frame_dp([[0.0, 0.0]], [0.0], 1.0, 1) == [0]
+    # The same tie in a run, whose slot prices are never 0: osp moves to
+    # the free node 1 in slot 0 (anchor 0) for a backlog of 1, then back
+    # to node 0 in slot 1, where staying costs 0 as well.
+    scn, table = generate_scenario(seed=0, n_nodes=2, horizon=2,
+                                   budget_avg=0.0, trace=[0, 0])
+    rows, price = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0])
+    monkeypatch.setattr(harness, "latency_rows", lambda scn, table, slots,
+                        users: (rows[slots], price[slots]))
+    rec = simulate(scn, table, "osp", PolicyConfig(v=1.0))
+    assert rec.placement.tolist() == [1, 0] and rec.q.tolist() == [0.0, 1.0]
 
 
 COLUMNS = ("input_size", "workload", "access_rate", "container_size",
