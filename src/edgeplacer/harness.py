@@ -362,13 +362,7 @@ def _stay_bounds(decision, price, epoch_len: int):
         np.minimum(mins, column, out=mins)
     if epoch_len == 1:
         return mins, price, decision
-    # one numpy call per step along the shorter axis: epochs of a few slots
-    # add up slot by slot, and a few long epochs are reduced one by one
-    starts = range(0, len(price), epoch_len)
-    if epoch_len > len(starts):
-        parts = [(mins[s:s + epoch_len].sum(), price[s:s + epoch_len].min(),
-                  decision[s:s + epoch_len].sum(axis=0)) for s in starts]
-        return tuple(map(np.array, zip(*parts)))
+    # every epoch's slot p at once, one numpy call per slot of an epoch
     lows, cheapest, sums = (mins[::epoch_len].copy(),
                             price[::epoch_len].copy(),
                             decision[::epoch_len].copy())

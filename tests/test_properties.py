@@ -220,7 +220,7 @@ def test_a_stay_certificate_leaves_the_frame_dp_on_prev(case):
     rows, epoch_len, prices, anchor = case
     bounds = _stay_bounds(rows, np.array(prices), epoch_len)
     starts = range(0, len(rows), epoch_len)
-    # the pre-pass, on either of its paths, sums as the definition does
+    # the pre-pass sums as the definition does
     # (grid sums are exact in any order)
     assert [b.tolist() for b in bounds] == [
         [rows[s:s + epoch_len].min(axis=1).sum() for s in starts],
