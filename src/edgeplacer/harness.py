@@ -265,16 +265,21 @@ def _epochs(policy: str, frame_len: int, spec: PredictorSpec):
 # engine's anchors are q or w >= q >= 0) and j != prev dominated by i < j.
 # - Backward pass: with m >= 0 the first argmin k of moved has
 #   moved[k] >= stay[k], so tail[k] = stay[k] and every tail is
-#   min(stay, best): the second-smallest moved-in cost never matters.
+#   min(stay, best): the kernel never computes the second-smallest.
 #   Rounding is monotone, so by induction from the last layer the stay,
 #   moved and tail of i are no larger than j's at every layer; best is
 #   attained on an undominated node (domination is transitive), and the
 #   kept nodes' tails are the full DP's.
 # - Forward pass: the current node is prev, then a node chosen from the
-#   columns, so it is always a column. j's score is no smaller than i's
-#   (i's drops m when i is the current node), so j is never the
-#   lowest-index minimizer; the kept nodes keep their scores and their
-#   order, so the same node wins.
+#   columns, so it is always a column. At position 0 j's score is no
+#   smaller than i's (i's drops m when i is the current node), so j is
+#   never the lowest-index minimizer; the kept nodes keep their scores and
+#   their order, so the same node wins. A later position decides from the
+#   layer's best, its first argmin k and the current node's stay cost
+#   alone. k is never dominated (its dominator would be a lower-index
+#   minimizer), so all three are the full DP's and k keeps its order
+#   against the current node; with m >= 0 the rescan, which needs
+#   stay[k] > best, never runs.
 # A negative anchor can make moving cheaper than staying, so frame_decide,
 # which accepts one, always solves on every node.
 # Below the constant the pre-pass and the sub-row gathers cost more than the
@@ -601,9 +606,27 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     )
 
 
+# The most entries a run's (node_count, node_count) backhaul matrix or its
+# (horizon, node_count) latency rows may have: 2**25 float64s, 256 MiB each.
+# A config past it is a ConfigError before anything is allocated, not a
+# MemoryError from numpy.
+MAX_MATRIX_ENTRIES = 2 ** 25
+
+
 def _materialize(config: ExperimentConfig):
     """Draw the configured scenario; a value the scenario or the synthetic
-    trace rejects is reported as a ConfigError."""
+    trace rejects, or a node count or horizon whose matrices would pass
+    MAX_MATRIX_ENTRIES, is reported as a ConfigError."""
+    n, horizon = config.node_count, config.horizon
+    if n > 0 and n * n > MAX_MATRIX_ENTRIES:  # n < 1 is the scenario's
+        raise ConfigError(
+            f"scenario.node_count = {n} needs a {n} x {n} backhaul matrix, "
+            f"more than the {MAX_MATRIX_ENTRIES} entries a run may have")
+    if n > 0 and horizon * n > MAX_MATRIX_ENTRIES:
+        raise ConfigError(
+            f"scenario.horizon = {horizon} and scenario.node_count = {n} "
+            f"need {horizon} x {n} latency rows, more than the "
+            f"{MAX_MATRIX_ENTRIES} entries a run may have")
     trace = None
     if config.trace_path is not None:
         trace = read_trace_csv(config.trace_path)

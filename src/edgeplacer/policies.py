@@ -138,34 +138,56 @@ def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
     """frame_decide's DP on rows already multiplied by v; checks nothing.
     Every move at p costs the same, so the cheapest way into a node is to
     stay on it or to come from the cheapest other node: the backward pass
-    keeps each layer's smallest and second-smallest moved-in cost, O(N T)."""
-    # Backward pass. after[-1][i] is the cheapest completion of the frame
-    # with the service on node i at the next position the forward pass
-    # decides; a 1-slot frame has no completion and builds nothing.
-    after, tail = [], itertools.repeat(0.0)
+    keeps each layer's smallest moved-in cost best and its first node k,
+    O(N T). It computes the second-smallest only when moving into k costs
+    less than staying there, which takes a negative anchor (or price): with
+    m = anchor * price >= 0, rounding is monotone, so
+    fl(fl(x + m) + t) >= fl(x + t).
+
+    The forward pass scores position 0 in full. A later position's scores
+    are its layer's moved-in costs with the entry of the current node at
+    replaced by at's stay cost s, so the pass reads its decision off best
+    and k: from at != k it moves to k iff s > best, or s == best and
+    k < at; on k it stays iff s <= best. Only k == at with s > best, a
+    layer that needed the second-smallest, rescans, and there the backward
+    pass has already written s at k."""
+    # Backward pass. layers[-1] holds, for the next position the forward
+    # pass decides, each node's cheapest completion after it, the layer's
+    # moved-in costs, best and k; tail ends as position 0's completions. A
+    # 1-slot frame has no completion and builds nothing.
+    layers = []
+    tail = [0.0] * len(rows[0]) if len(rows) > 1 else None
     for p in range(len(rows) - 1, 0, -1):
         row, m = rows[p], anchor * prices[p]
-        stay = [x + t for x, t in zip(row, tail)]
         moved = [x + m + t for x, t in zip(row, tail)]
         best = min(moved)
         k = moved.index(best)
-        moved[k] = math.inf
-        second = min(moved)
-        tail = [s if s <= best else best for s in stay]
-        tail[k] = stay[k] if stay[k] <= second else second
-        after.append(tail)
+        stay_k = row[k] + tail[k]
+        layers.append((tail, moved, best, k))
+        tail = [s if (s := x + t) <= best else best for x, t in zip(row, tail)]
+        if stay_k > best:
+            moved[k] = math.inf
+            second = min(moved)
+            tail[k] = stay_k if stay_k <= second else second
+            moved[k] = stay_k
 
-    seq, at = [], prev
-    for p, row in enumerate(rows):
-        m = anchor * prices[p]
-        if after:
-            t = after.pop()
-            scores = [x + m + u for x, u in zip(row, t)]
-            scores[at] = row[at] + t[at]
-        else:
-            scores = [x + m for x in row]
-            scores[at] = row[at]
-        at = scores.index(min(scores))
+    row, m = rows[0], anchor * prices[0]
+    if tail is None:
+        scores = [x + m for x in row]
+        scores[prev] = row[prev]
+    else:
+        scores = [x + m + t for x, t in zip(row, tail)]
+        scores[prev] = row[prev] + tail[prev]
+    at = scores.index(min(scores))
+    seq = [at]
+    for row in itertools.islice(rows, 1, None):
+        tail, moved, best, k = layers.pop()
+        s = row[at] + tail[at]
+        if k != at:
+            if s > best or (s == best and k < at):
+                at = k
+        elif s > best:
+            at = moved.index(min(moved))
         seq.append(at)
     return seq
 

@@ -89,13 +89,13 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
     starts = np.arange(0, len(column), epoch_len)
     aheads = np.minimum(w, len(column) - 1 - starts)
     out = np.full((len(starts), w), -1, dtype=np.intp)
-    # Only the last few epochs see less than w slots ahead. A shorter
-    # markov1 path is not a prefix of a longer one, so every look-ahead
-    # length gets its own pass (np.unique would import numpy.ma, ~1 MB).
-    for ahead in range(1, w + 1):
+    # A shorter markov1 path is not a prefix of a longer one, so every
+    # look-ahead length that occurs gets its own pass. aheads never
+    # increases and at most w epochs, the last ones, see less than w slots
+    # ahead, so those and the first epoch hold every length (np.unique
+    # would import numpy.ma, ~1 MB).
+    for ahead in {aheads.item(0), *aheads[::-1][:w].tolist()} - {0}:
         epochs = np.flatnonzero(aheads == ahead)
-        if not len(epochs):
-            continue
         anchors = starts[epochs]
         if spec.kind == "oracle_noisy":
             truths = column[anchors[:, None] + np.arange(1, ahead + 1)]

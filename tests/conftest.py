@@ -97,8 +97,9 @@ def reference_synthetic_trace(seed, n_regions, length, stickiness=0.7):
 
 def reference_frame_decide(cfg, frame):
     """frame_decide as it was before the engine scaled its rows by v once per
-    run: every score multiplies v * latency itself, and the backward pass
-    calls min() per element and slices moved to find the second-smallest."""
+    run: every score multiplies v * latency itself, the backward pass calls
+    min() per element and slices moved to find the second-smallest, and the
+    forward pass scores every node at every position."""
     v, anchor, lat = cfg.v, frame.q_anchor, frame.latency
     after = []
     for p in range(len(lat) - 1, 0, -1):

@@ -272,6 +272,27 @@ def test_a_setting_that_overflows_a_run_is_a_config_error(
     assert setting.split("=")[0] in err and not out.exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "scenario.node_count=100000",  # a 10**10-entry backhaul matrix
+    "scenario.horizon=10000000",  # 4 * 10**7 latency entries
+])
+def test_a_scenario_too_large_to_allocate_is_a_config_error(
+        tmp_path, capsys, monkeypatch, setting):
+    # rejected before numpy allocates anything, not a MemoryError
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(harness, "synthetic_trace", no_allocation)
+    monkeypatch.setattr(harness, "generate_scenario", no_allocation)
+    config = write_config(tmp_path / "c.json")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert setting.split("=")[0] in err and not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--seed", "3"], ["--set", "policy.v=1"]])
 def test_an_override_into_a_section_that_is_no_object_is_a_config_error(
         tmp_path, capsys, flag):

@@ -632,6 +632,26 @@ def test_prediction_accuracy_matches_a_per_call_replay(policy, kind):
                                             "plm": 1}.get(policy, 0)
 
 
+def test_a_one_frame_run_predicts_as_a_per_call_replay(monkeypatch):
+    # frame_len == horizon: one epoch that predicts horizon - 1 slots ahead,
+    # the deepest look-ahead a run can have
+    config = base_config(policy="psp", horizon=60, frame_len=60,
+                         predictor=PredictorSpec(kind="markov1"))
+    made = []
+
+    def spy(*args):
+        made.append(predict_epochs(*args))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "predict_epochs", spy)
+    rec = run(config)
+    trace = harness._materialize(config)[1].trace
+    expected = reference_predict(config.predictor, trace[:1], trace[1:], 59,
+                                 config.node_count, 0)
+    assert [guesses.tolist() for guesses in made] == [[expected]]
+    assert len(rec.prediction_accuracy) == 59
+
+
 def test_invariant_checks_survive_optimize():
     script = (
         "import sys\n"

@@ -13,10 +13,11 @@
     grid of quarters small enough that every sum and product is exact, so
     ties are real ties, which integer latencies and v = 0 make common;
     weight anchors go negative, where moving can beat staying and the
-    solver needs each layer's second-smallest moved-in cost. On the same
-    frames, frame_decide and the kernel fed rows scaled by v in numpy, as
-    the engine feeds it, return the sequence of the DP that scaled every
-    element itself, kept in conftest.py as the reference.
+    solver needs each layer's second-smallest moved-in cost. On such frames
+    of up to 6 slots and 9 nodes, frame_decide and the kernel fed rows
+    scaled by v in numpy, as the engine feeds it, return the sequence of
+    the DP that scaled every element itself and scored every position in
+    full, kept in conftest.py as the reference.
 (c) A slot table with any bad entry is rejected when it is built.
 (d) Every predictor returns each epoch's regions in range, the same for a
     list trace as for a numpy view of it, and markov1's transition counts
@@ -135,9 +136,11 @@ def test_every_policy_meets_the_budget_and_replays(seed, nodes, horizon,
 
 
 @st.composite
-def frames(draw):
-    n = draw(st.integers(1, 6))
-    length = draw(st.integers(1, 4 if n <= 4 else 3))
+def frames(draw, max_nodes=6, max_len=None):
+    """A frame on the grid; by default one small enough to enumerate: up to
+    4 slots on up to 4 nodes, else 3."""
+    n = draw(st.integers(1, max_nodes))
+    length = draw(st.integers(1, max_len or (4 if n <= 4 else 3)))
     integer = draw(st.booleans())
     value = st.integers(0, 3).map(float) if integer else quarters
     latency = [draw(st.lists(value, min_size=n, max_size=n))
@@ -161,7 +164,23 @@ def test_frame_dp_equals_brute_force(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(frames())
+@given(frames(max_nodes=9, max_len=6))
+# the forward pass at position 1: staying on node 1 ties with moving to
+# the layer's first argmin k = 0, below it, so it moves ([1, 0]) ...
+@example((PolicyConfig(v=1.0),
+          FrameInput([[2.0, 0.0], [0.0, 1.0]], [0.0, 1.0], 1.0, 1), 0.0))
+# ... and staying on node 0 ties with k = 1, above it, so it stays
+@example((PolicyConfig(v=1.0),
+          FrameInput([[0.0, 2.0], [1.0, 0.0]], [0.0, 1.0], 1.0, 0), 0.0))
+# on k, where a negative anchor makes moving into k cheaper than staying:
+# the layer is rescanned and the service moves to node 1
+@example((PolicyConfig(v=1.0),
+          FrameInput([[0.0, 5.0, 5.0], [0.0, 0.5, 1.0]], [0.0, 1.0], -1.0,
+                     0), 0.0))
+# the backward pass: moving into k = 0 beats staying there, so node 0's
+# completion is the second-smallest moved-in cost, and [1, 0] wins
+@example((PolicyConfig(v=1.0),
+          FrameInput([[0.0, 0.0], [0.0, 1.0]], [0.0, 1.0], -1.0, 1), 0.0))
 def test_frame_dp_kernel_equals_the_reference(case):
     cfg, frame, _ = case
     expected = reference_frame_decide(cfg, frame)
