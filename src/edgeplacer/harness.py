@@ -22,9 +22,9 @@ from .costqueue import advance, bound_constant_B
 # max_slot_migration_cost is not used here; harness re-exports it
 from .model import (Scenario, SlotTable, _real, _seed, _whole, latency_rows,
                     max_slot_migration_cost)
-from .policies import (FrameInput, PolicyConfig, _frame_dp,
-                       brute_force_frame, brute_force_horizon, frame_decide,
-                       frame_objective, lm_decide, plm_decide)
+from .policies import (FrameInput, PolicyConfig, brute_force_frame,
+                       brute_force_horizon, frame_decide, frame_objective,
+                       frame_solver, lm_decide, plm_decide)
 from .predict import PredictorSpec, predict_epochs
 
 POLICIES = ("osp", "psp", "pspwu", "am", "nm", "lm", "plm")
@@ -157,6 +157,9 @@ def synthetic_trace(seed: int, n_regions: int, length: int,
         raise ValueError("stickiness must be in [0, 1]")
     if n_regions < 1 or length < 1:
         raise ValueError("need at least one region and one slot")
+    if length > MAX_MATRIX_ENTRIES:  # checked before the draws' allocation
+        raise ValueError(f"length {length} is past the {MAX_MATRIX_ENTRIES} "
+                         "slots a run may have")
     seq = np.random.SeedSequence((_seed(seed, "seed"), 1))
     k = n_regions - 1
     if k == 0:
@@ -259,126 +262,6 @@ def _epochs(policy: str, frame_len: int, spec: PredictorSpec):
     return epoch_len, lookahead
 
 
-# A multi-slot frame over at least this many nodes is decided by the frame DP
-# on its epoch's undominated nodes (_undominated) plus prev, and the result
-# is bit for bit the DP's on all nodes. Take m = anchor * price >= 0 (the
-# engine's anchors are q or w >= q >= 0) and j != prev dominated by i < j.
-# - Backward pass: with m >= 0 the first argmin k of moved has
-#   moved[k] >= stay[k], so tail[k] = stay[k] and every tail is
-#   min(stay, best): the kernel never computes the second-smallest.
-#   Rounding is monotone, so by induction from the last layer the stay,
-#   moved and tail of i are no larger than j's at every layer; best is
-#   attained on an undominated node (domination is transitive), and the
-#   kept nodes' tails are the full DP's.
-# - Forward pass: the current node is prev, then a node chosen from the
-#   columns, so it is always a column. At position 0 j's score is no
-#   smaller than i's (i's drops m when i is the current node), so j is
-#   never the lowest-index minimizer; the kept nodes keep their scores and
-#   their order, so the same node wins. A later position decides from the
-#   layer's best, its first argmin k and the current node's stay cost
-#   alone. k is never dominated (its dominator would be a lower-index
-#   minimizer), so all three are the full DP's and k keeps its order
-#   against the current node; with m >= 0 the rescan, which needs
-#   stay[k] > best, never runs.
-# A negative anchor can make moving cheaper than staying, so frame_decide,
-# which accepts one, always solves on every node.
-# Below the constant the pre-pass and the sub-row gathers cost more than the
-# columns they save the DP; 1-slot epochs (osp) have no backward pass to
-# save (CHANGES.md has the measurement).
-PRUNE_MIN_NODES = 16
-
-# An epoch of T slots with anchor a > 0 and prev a node stays on prev, and
-# the engine calls no kernel, when its stay certificate holds:
-#   L = fl(M + B') > R = fl(A' * (1 + delta)),  delta = T * STAY_SLACK,
-# with M = fl(a * the epoch's smallest price), and B' and A' float sums of
-# the epoch's row minima and of prev's entries in its decision rows D
-# (v-scaled latencies, >= 0, as the prices are): the backlog's charge for
-# the cheapest move outweighs all the latency a move could save, and the
-# DP returns [prev] * T. Take u = 2**-53 and TINY = 2**-1022. A float sum
-# of k terms >= 0, in any order, is within (1 -+ u)**(k - 1) of its exact
-# sum, as an addition errs by at most u relative, subnormals included; it
-# is exact while below TINY, where every float is a multiple of 2**-1074,
-# and, as rounding is monotone, it is at least min(TINY, its exact sum).
-# - The kernel, at position p with the service on prev: every tail is the
-#   float sum, nested to the right, of one completion's terms, and no more
-#   than the sum for staying. So prev scores at most the float sum of
-#   D[p:, prev], of exact sum A_p; a node i != prev scores the float sum of
-#   at most 2(T - p) terms of a sequence that moves at p, of exact sum at
-#   least M + B_p, B_p the sum of min_i D[q, i] over q >= p. Every move
-#   term fl(a * price) is >= M, the same rounded product.
-# - A, B are the exact sums of the epoch. As D[q, prev] >= min_i D[q, i],
-#   M + B > c * A gives M + B_p > c * A_p at every p for any c >= 1.
-# - A' >= TINY: R >= (1 - u) (1 + delta) A' >= (1 - u)**T (1 + delta) A
-#   and L <= (1 + u)**T (M + B), so M + B > c * A with
-#   c = (1 + delta) ((1 - u) / (1 + u))**T. Then i scores at least
-#   (1 - u)**(2T - 1) (M + B_p) > (1 + u)**(T - 1) A_p, prev's bound, as
-#   1 + delta >= ((1 + u) / (1 - u))**(3T - 1) (c >= 1 too) for any T
-#   below 2**40; T is at most the horizon.
-# - A' < TINY: prev's sums are exact and R >= A' = A. If M + B >= TINY,
-#   M + B_p >= TINY - (B - B_p) > A - (A - A_p); otherwise L = M + B
-#   exactly, and L > A. Either way M + B_p > A_p, and i scores at least
-#   min(TINY, M + B_p) > A_p.
-# So prev scores below every other node at every position. The inequality
-# must be strict: with A = M + B = 0 (a zero price) both sides are 0, and
-# a lower-index tie can win, as on one slot with D = [0, 0] and prev 1.
-# With a == 0 nothing is certified; moving can then be free.
-STAY_SLACK = 2.0 ** -50
-
-
-def _undominated(decision, epoch_len: int) -> list:
-    """Each epoch's undominated nodes, as lists in index order.
-
-    Node j is dominated in an epoch when some node i < j has a decision entry
-    no larger than j's at every slot of the epoch. Domination is transitive,
-    so the epoch's first node not yet dominated is undominated; it and every
-    node it dominates (itself included) leave the candidates, one such node
-    per epoch and pass. A partial last epoch is padded with rows equal across
-    nodes, which change no domination.
-    """
-    n = decision.shape[1]
-    pad = -len(decision) % epoch_len
-    if pad:
-        decision = np.concatenate((decision, np.zeros((pad, n))))
-    rows = decision.reshape(-1, epoch_len, n)
-    epochs = np.arange(len(rows))
-    alive = np.ones((len(rows), n), dtype=bool)
-    kept = np.zeros_like(alive)
-    while True:
-        first = alive.argmax(axis=1)  # 0 in an epoch with none left
-        found = alive[epochs, first]
-        if not found.any():
-            break
-        kept[epochs, first] |= found
-        alive &= ~(rows[epochs, :, first][:, :, None] <= rows).all(axis=1)
-    ends = np.count_nonzero(kept, axis=1).cumsum().tolist()
-    nodes = kept.nonzero()[1].tolist()
-    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
-
-
-def _stay_bounds(decision, price, epoch_len: int):
-    """The stay certificate's inputs for every epoch k, as arrays: the sum
-    of its rows' minima, its smallest price and, in row k of an (epochs, N)
-    array, its column sums. 1-slot epochs get price and decision themselves.
-    """
-    # decision.min(axis=1) walks a row of 6 entries per call of its inner
-    # loop, about 8x slower at N=6; a Fortran-order copy costs its size
-    mins = decision[:, 0].copy()
-    for column in decision.T[1:]:
-        np.minimum(mins, column, out=mins)
-    if epoch_len == 1:
-        return mins, price, decision
-    # every epoch's slot p at once, one numpy call per slot of an epoch
-    lows, cheapest, sums = (mins[::epoch_len].copy(),
-                            price[::epoch_len].copy(),
-                            decision[::epoch_len].copy())
-    for p in range(1, epoch_len):
-        k = len(price[p::epoch_len])  # a partial last epoch lacks slot p
-        lows[:k] += mins[p::epoch_len]
-        np.minimum(cheapest[:k], price[p::epoch_len], out=cheapest[:k])
-        sums[:k] += decision[p::epoch_len]
-    return lows, cheapest, sums
-
-
 def simulate(scn: Scenario, table: SlotTable, policy: str,
              policy_cfg: PolicyConfig | None = None,
              predictor: PredictorSpec | None = None) -> RunRecord:
@@ -389,21 +272,16 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     first slot from predicted user locations for its later slots (and for
     the next slot under plm); realized latency/cost and queue updates use the
     true user nodes. osp, psp and pspwu anchor on the queue, so each of
-    their epochs is decided once the slots before it are accounted; am, nm,
-    lm and plm never read it, so all their slots are decided first and the
-    run is accounted in one pass. An osp, psp or pspwu epoch whose stay
-    certificate holds, from sums of its rows found for all epochs at once,
-    stays on prev without a call to the frame DP kernel; it needs an
-    anchor > 0 and is exact (see STAY_SLACK). A multi-slot frame over
-    PRUNE_MIN_NODES nodes or more is decided by the kernel on its epoch's
-    undominated columns plus prev's only, which is exact because every
-    anchor is >= 0 (see PRUNE_MIN_NODES). Both go through one accounting
-    loop, which checks every slot against its epoch's start. A broken budget
-    inequality, backlog deviation bound or w >= q, or a placement outside
-    the nodes, raises InvariantError. A latency that is not finite, a sum
-    of the run's latencies or of a frame's latencies times v past the float
-    range, or move prices whose backlog and weight terms could pass it,
-    raises ConfigError before the first decision.
+    their epochs is decided, by one policies.frame_solver per run, once the
+    slots before it are accounted; am, nm, lm and plm never read it, so all
+    their slots are decided first and the run is accounted in one pass.
+    Both go through one accounting loop, which checks every slot against
+    its epoch's start. A broken budget inequality, backlog deviation bound
+    or w >= q, or a placement outside the nodes, raises InvariantError. A
+    latency that is not finite, a sum of the run's latencies or of a
+    frame's latencies times v past the float range, or move prices whose
+    backlog and weight terms could pass it, raises ConfigError before the
+    first decision.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -436,8 +314,8 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     # are computed anew. A frame's first slot is no epoch's target, so a
     # frame with no miss sees its realized rows; plm's slot is the previous
     # epoch's target, so plm reads its own row from realized. The frame
-    # policies' rows are scaled by v here, once per run, for the frame DP
-    # kernel; realized stays unscaled for the accounting. A row that
+    # policies' rows are scaled by v here, once per run, for the frame
+    # solver; realized stays unscaled for the accounting. A row that
     # overflows fails the bound below, so numpy need not warn of it.
     miss = made & ~hit
     with np.errstate(over="ignore", invalid="ignore"):
@@ -482,15 +360,9 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     prices = price.tolist()
     prev = initial = trace[0]
     frame = policy in ("osp", "psp", "pspwu")  # osp: 1-slot frames
-    if frame:
-        # An epoch's anchor is the queue or the weight, so it is decided
-        # only once the epochs before it are accounted.
+    if frame:  # each epoch decided once the ones before it are accounted
         starts, placements = range(0, horizon, epoch_len), []
-        kept = (_undominated(decision, epoch_len)
-                if epoch_len > 1 and scn.node_count >= PRUNE_MIN_NODES
-                else None)
-        lows, cheapest, sums = _stay_bounds(decision, price, epoch_len)
-        slack, n = 1.0 + epoch_len * STAY_SLACK, scn.node_count
+        solve = frame_solver(decision, price, epoch_len)
     else:
         # Queue-blind: no placement depends on the queue.
         starts = (0,)
@@ -526,26 +398,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         if frame:
             anchor = w if policy == "pspwu" else q
             negative_w_frames += anchor < 0
-            stop = start + epoch_len  # slicing ends it at the horizon
-            # the stay certificate (see STAY_SLACK); a prev outside the
-            # nodes is left to the placement check after the loop
-            if (anchor > 0 and 0 <= prev < n
-                    and anchor * cheapest.item(k) + lows.item(k)
-                    > sums.item(k, prev) * slack):
-                seq = [prev] * (min(stop, horizon) - start)
-            elif kept is None:
-                seq = _frame_dp(decision[start:stop].tolist(),
-                                prices[start:stop], anchor, prev)
-            else:
-                nodes = kept[k]
-                if prev not in nodes:
-                    nodes = sorted(nodes + [prev])
-                cols = _frame_dp(decision[start:stop].take(nodes, 1).tolist(),
-                                 prices[start:stop], anchor, nodes.index(prev))
-                # a column the kernel was not given is no node: -1 fails
-                # the placement check after the loop
-                width = len(nodes)
-                seq = [nodes[i] if 0 <= i < width else -1 for i in cols]
+            seq = solve(k, anchor, prev)
             placements += seq
         else:
             seq = placements

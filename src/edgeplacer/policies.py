@@ -6,28 +6,16 @@ from node i) and per-slot move prices, never from the slot data behind them.
 The frame DP is the drift-plus-penalty rule for all three budget-aware
 policies: it commits a frame of placements at once by minimizing
 v * latency + anchor * move price over the (possibly predicted) frame rows.
-The engine scales its decision rows by v once per run and calls the kernel,
-_frame_dp, directly; frame_decide is its checked public wrapper. On a
-multi-slot frame over harness.PRUNE_MIN_NODES nodes or more, the engine
-passes only the epoch's undominated columns plus prev's, with prev as a
-column index, and maps the result back to nodes. That returns the full
-DP's sequence only when anchor >= 0 (the proof is at PRUNE_MIN_NODES), so
-frame_decide, which accepts any anchor, always passes every column. Before
-either, the engine skips the kernel on an epoch whose anchor > 0 times its
-smallest move price, plus the sum of its rows' minima, exceeds prev's own
-row sum by a rounding margin: there every move costs more than staying,
-and the DP would return prev at every position (the proof is at
-harness.STAY_SLACK).
-The reactive osp is a 1-slot frame anchored on the queue backlog, psp a
-longer frame anchored on the same backlog, and pspwu anchors on the
-momentum-weighted surrogate instead. The engine's anchors are never
-negative (w >= q >= 0 at every slot); a negative anchor, which can make
-moving cheaper than staying, reaches the solver only from library callers
-and from verify's weight-anchor suite. Benchmarks: always-migrate and
-never-migrate need no rule of their own (the engine follows the user or
-holds the initial node); lazy-migrate and predictive-lazy-migrate are step
-functions. Brute-force enumerators serve as optimality oracles on small
-instances; the horizon oracle enumerates in numpy.
+frame_solver is its one path, shortcuts included: the engine builds it once
+per run, frame_decide once per frame. The reactive osp is a 1-slot frame
+anchored on the queue backlog, psp a longer frame anchored on the same
+backlog, and pspwu anchors on the momentum-weighted surrogate instead; the
+engine's anchors are never negative (w >= q >= 0 at every slot).
+Benchmarks: always-migrate and never-migrate need no rule of their own (the
+engine follows the user or holds the initial node); lazy-migrate and
+predictive-lazy-migrate are step functions. Brute-force enumerators serve
+as optimality oracles on small instances; the horizon oracle enumerates in
+numpy.
 """
 
 import itertools
@@ -97,10 +85,11 @@ class FrameInput:
             raise ValueError("latency rows must all have one length >= 1")
         if len(self.move_price) != len(self.latency):
             raise ValueError("move_price must have one price per latency row")
-        if not all(map(math.isfinite, itertools.chain(self.move_price,
-                                                      *self.latency))):
-            raise ValueError("latencies and move prices must be finite")
-        if not 0 <= _whole(self.prev_placement, "prev_placement") < n:
+        if not all(math.isfinite(x) and x >= 0 for x in  # -0.0 passes
+                   itertools.chain(self.move_price, *self.latency)):
+            raise ValueError("latencies and prices must be finite and >= 0")
+        self.prev_placement = _whole(self.prev_placement, "prev_placement")
+        if not 0 <= self.prev_placement < n:
             raise ValueError(f"prev_placement must be a node in [0, {n})")
         if not math.isfinite(_real(self.q_anchor, "q_anchor")):
             raise ValueError("q_anchor must be finite")
@@ -108,22 +97,20 @@ class FrameInput:
 
 def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     """Whole-frame placements minimizing the frame objective anchored on
-    q_anchor: the queue under osp (a 1-slot frame) and psp, the weight under
-    pspwu. Any finite anchor is solved exactly, a negative one too, although
-    the engine's are never negative.
-
-    Node i scores v * latency[p][i] at position p, plus anchor * move_price[p]
-    if the service moves there; the anchor * (theta_p - e_avg) terms of
-    frame_objective add the same amount to every sequence and are left out.
-    The result is the lexicographically smallest minimizer, as the
-    brute-force oracle's tie-break. This is the checked public wrapper of
-    _frame_dp, the kernel the engine calls on rows it scaled by v once per run.
-    ValueError if v times the frame's latencies can sum past the float range.
+    q_anchor: the queue under osp (a 1-slot frame) and psp, the weight
+    under pspwu, or any finite anchor, negative too. frame_solver decides
+    them on the rows scaled by v. Node i scores v * latency[p][i] at
+    position p, plus anchor * move_price[p] if the service moves there; the
+    anchor * (theta_p - e_avg) terms of frame_objective add the same amount
+    to every sequence and are left out. The result is the lexicographically
+    smallest minimizer, as the brute-force oracle's tie-break. ValueError if
+    v times the latencies can sum past the float range.
     """
     _check_scaled_sum(cfg, frame)
-    v = cfg.v
-    return _frame_dp([[v * x for x in row] for row in frame.latency],
-                     frame.move_price, frame.q_anchor, frame.prev_placement)
+    solve = frame_solver(np.array(frame.latency, dtype=float) * cfg.v,
+                         np.array(frame.move_price, dtype=float),
+                         len(frame.latency))
+    return solve(0, frame.q_anchor, frame.prev_placement)
 
 
 def _check_scaled_sum(cfg: PolicyConfig, frame: FrameInput) -> None:
@@ -135,12 +122,12 @@ def _check_scaled_sum(cfg: PolicyConfig, frame: FrameInput) -> None:
 
 
 def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
-    """frame_decide's DP on rows already multiplied by v; checks nothing.
+    """frame_solver's DP on rows already multiplied by v; checks nothing.
     Every move at p costs the same, so the cheapest way into a node is to
     stay on it or to come from the cheapest other node: the backward pass
     keeps each layer's smallest moved-in cost best and its first node k,
     O(N T). It computes the second-smallest only when moving into k costs
-    less than staying there, which takes a negative anchor (or price): with
+    less than staying there, which takes a negative anchor: with
     m = anchor * price >= 0, rounding is monotone, so
     fl(fl(x + m) + t) >= fl(x + t).
 
@@ -190,6 +177,166 @@ def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
             at = moved.index(min(moved))
         seq.append(at)
     return seq
+
+
+# A multi-slot frame over at least this many nodes is decided by the frame DP
+# on its epoch's undominated nodes (_undominated) plus prev, and the result
+# is bit for bit the DP's on all nodes. Take m = anchor * price >= 0 (the
+# engine's anchors are q or w >= q >= 0) and j != prev dominated by i < j.
+# - Backward pass: with m >= 0 the first argmin k of moved has
+#   moved[k] >= stay[k], so tail[k] = stay[k] and every tail is
+#   min(stay, best): the kernel never computes the second-smallest.
+#   Rounding is monotone, so by induction from the last layer the stay,
+#   moved and tail of i are no larger than j's at every layer; best is
+#   attained on an undominated node (domination is transitive), and the
+#   kept nodes' tails are the full DP's.
+# - Forward pass: the current node is prev, then a node chosen from the
+#   columns, so it is always a column. At position 0 j's score is no
+#   smaller than i's (i's drops m when i is the current node), so j is
+#   never the lowest-index minimizer; the kept nodes keep their scores and
+#   their order, so the same node wins. A later position decides from the
+#   layer's best, its first argmin k and the current node's stay cost
+#   alone. k is never dominated (its dominator would be a lower-index
+#   minimizer), so all three are the full DP's and k keeps its order
+#   against the current node; with m >= 0 the rescan, which needs
+#   stay[k] > best, never runs.
+# A negative anchor can make moving cheaper than staying, so frame_solver
+# solves one on every node.
+# Below the constant the pre-pass and the sub-row gathers cost more than the
+# columns they save the DP; 1-slot epochs (osp) have no backward pass to
+# save (CHANGES.md has the measurement).
+PRUNE_MIN_NODES = 16
+
+# An epoch of T slots with anchor a > 0 and prev a node stays on prev, and
+# frame_solver calls no kernel, when its stay certificate holds:
+#   L = fl(M + B') > R = fl(A' * (1 + delta)),  delta = T * STAY_SLACK,
+# with M = fl(a * the epoch's smallest price), and B' and A' float sums of
+# the epoch's row minima and of prev's entries in its decision rows D
+# (v-scaled latencies, >= 0, as the prices are): the backlog's charge for
+# the cheapest move outweighs all the latency a move could save, and the
+# DP returns [prev] * T. Take u = 2**-53 and TINY = 2**-1022. A float sum
+# of k terms >= 0, in any order, is within (1 -+ u)**(k - 1) of its exact
+# sum, as an addition errs by at most u relative, subnormals included; it
+# is exact while below TINY, where every float is a multiple of 2**-1074,
+# and, as rounding is monotone, it is at least min(TINY, its exact sum).
+# - The kernel, at position p with the service on prev: every tail is the
+#   float sum, nested to the right, of one completion's terms, and no more
+#   than the sum for staying. So prev scores at most the float sum of
+#   D[p:, prev], of exact sum A_p; a node i != prev scores the float sum of
+#   at most 2(T - p) terms of a sequence that moves at p, of exact sum at
+#   least M + B_p, B_p the sum of min_i D[q, i] over q >= p. Every move
+#   term fl(a * price) is >= M, the same rounded product.
+# - A, B are the exact sums of the epoch. As D[q, prev] >= min_i D[q, i],
+#   M + B > c * A gives M + B_p > c * A_p at every p for any c >= 1.
+# - A' >= TINY: R >= (1 - u) (1 + delta) A' >= (1 - u)**T (1 + delta) A
+#   and L <= (1 + u)**T (M + B), so M + B > c * A with
+#   c = (1 + delta) ((1 - u) / (1 + u))**T. Then i scores at least
+#   (1 - u)**(2T - 1) (M + B_p) > (1 + u)**(T - 1) A_p, prev's bound, as
+#   1 + delta >= ((1 + u) / (1 - u))**(3T - 1) (c >= 1 too) for any T
+#   below 2**40; T is at most the horizon or a frame's length.
+# - A' < TINY: prev's sums are exact and R >= A' = A. If M + B >= TINY,
+#   M + B_p >= TINY - (B - B_p) > A - (A - A_p); otherwise L = M + B
+#   exactly, and L > A. Either way M + B_p > A_p, and i scores at least
+#   min(TINY, M + B_p) > A_p.
+# So prev scores below every other node at every position. The inequality
+# must be strict: with A = M + B = 0 (a zero price) both sides are 0, and
+# a lower-index tie can win, as on one slot with D = [0, 0] and prev 1.
+# With a == 0 nothing is certified; moving can then be free.
+STAY_SLACK = 2.0 ** -50
+
+
+def _undominated(decision, epoch_len: int) -> list:
+    """Each epoch's undominated nodes, as lists in index order.
+
+    Node j is dominated in an epoch when some node i < j has a decision entry
+    no larger than j's at every slot of the epoch. Domination is transitive,
+    so the epoch's first node not yet dominated is undominated; it and every
+    node it dominates (itself included) leave the candidates, one such node
+    per epoch and pass. A partial last epoch is padded with rows equal across
+    nodes, which change no domination.
+    """
+    n = decision.shape[1]
+    pad = -len(decision) % epoch_len
+    if pad:
+        decision = np.concatenate((decision, np.zeros((pad, n))))
+    rows = decision.reshape(-1, epoch_len, n)
+    epochs = np.arange(len(rows))
+    alive = np.ones((len(rows), n), dtype=bool)
+    kept = np.zeros_like(alive)
+    while True:
+        first = alive.argmax(axis=1)  # 0 in an epoch with none left
+        found = alive[epochs, first]
+        if not found.any():
+            break
+        kept[epochs, first] |= found
+        alive &= ~(rows[epochs, :, first][:, :, None] <= rows).all(axis=1)
+    ends = np.count_nonzero(kept, axis=1).cumsum().tolist()
+    nodes = kept.nonzero()[1].tolist()
+    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _stay_bounds(decision, price, epoch_len: int):
+    """The stay certificate's inputs for every epoch k, as arrays: the sum
+    of its rows' minima, its smallest price and, in row k of an (epochs, N)
+    array, its column sums. 1-slot epochs get price and decision themselves.
+    """
+    # decision.min(axis=1) walks a row of 6 entries per call of its inner
+    # loop, about 8x slower at N=6; a Fortran-order copy costs its size
+    mins = decision[:, 0].copy()
+    for column in decision.T[1:]:
+        np.minimum(mins, column, out=mins)
+    if epoch_len == 1:
+        return mins, price, decision
+    # every epoch's slot p at once, one numpy call per slot of an epoch
+    lows, cheapest, sums = (mins[::epoch_len].copy(),
+                            price[::epoch_len].copy(),
+                            decision[::epoch_len].copy())
+    for p in range(1, epoch_len):
+        k = len(price[p::epoch_len])  # a partial last epoch lacks slot p
+        lows[:k] += mins[p::epoch_len]
+        np.minimum(cheapest[:k], price[p::epoch_len], out=cheapest[:k])
+        sums[:k] += decision[p::epoch_len]
+    return lows, cheapest, sums
+
+
+def frame_solver(rows, prices, epoch_len: int):
+    """The one path of the frame DP: solve(k, anchor, prev) places epoch k,
+    slots k * epoch_len to the next epoch's or the end, from node prev.
+    rows (H, N) are decision rows already scaled by v, prices (H,) the move
+    prices, all >= 0. An epoch takes the first way that applies, each bit
+    for bit the DP's sequence on all its columns:
+    - anchor > 0, prev a node and the stay certificate holds (anchor times
+      the smallest price, plus the sum of the rows' minima, exceeds prev's
+      row sum by a rounding margin; see STAY_SLACK): [prev] * T, no DP;
+    - anchor >= 0, two or more slots and PRUNE_MIN_NODES nodes or more:
+      the DP on its undominated columns plus prev's, prev as a column
+      index, mapped back to nodes (see PRUNE_MIN_NODES);
+    - otherwise, a negative anchor always: the DP on every column.
+    """
+    n, horizon = rows.shape[1], len(rows)
+    kept = (_undominated(rows, epoch_len)
+            if epoch_len > 1 and n >= PRUNE_MIN_NODES else None)
+    lows, cheapest, sums = _stay_bounds(rows, prices, epoch_len)
+    prices, slack = prices.tolist(), 1.0 + epoch_len * STAY_SLACK
+
+    def solve(k: int, anchor: float, prev: Placement) -> list[Placement]:
+        start, stop = k * epoch_len, (k + 1) * epoch_len  # stop may pass H
+        if (anchor > 0 and 0 <= prev < n
+                and anchor * cheapest.item(k) + lows.item(k)
+                > sums.item(k, prev) * slack):
+            return [prev] * (min(stop, horizon) - start)
+        if kept is None or anchor < 0:
+            return _frame_dp(rows[start:stop].tolist(), prices[start:stop],
+                             anchor, prev)
+        nodes = kept[k]
+        if prev not in nodes:
+            nodes = sorted(nodes + [prev])
+        cols = _frame_dp(rows[start:stop].take(nodes, 1).tolist(),
+                         prices[start:stop], anchor, nodes.index(prev))
+        # a column the kernel was not given maps to -1, which is no node
+        return [nodes[i] if 0 <= i < len(nodes) else -1 for i in cols]
+
+    return solve
 
 
 def frame_objective(cfg: PolicyConfig, frame: FrameInput, e_avg: float,

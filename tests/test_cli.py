@@ -412,6 +412,17 @@ def test_gen_trace_bad_value_is_config_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_gen_trace_past_the_longest_horizon_is_named(tmp_path, capsys):
+    # its draws would take 14.2 PiB; the length is refused before them
+    out = tmp_path / "trace.csv"
+    assert main(["gen-trace", "--out", str(out), "--length",
+                 "1000000000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: length 1000000000000000 is past the "
+        f"{harness.MAX_MATRIX_ENTRIES} slots a run may have\n")
+    assert not out.exists()
+
+
 def test_gen_trace_negative_seed_is_named(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert main(["gen-trace", "--out", str(out), "--seed", "-1"]) == 2

@@ -15,7 +15,7 @@ import pytest
 from conftest import (make_scenario, reference_predict,
                       reference_synthetic_trace)
 
-from edgeplacer import cli, harness
+from edgeplacer import cli, harness, policies
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
                                 InvariantError, RunRecord, TraceFormatError,
                                 apply_overrides, config_from_dict,
@@ -438,7 +438,7 @@ def test_weight_below_backlog_is_checked_for_every_policy(monkeypatch, policy):
 @pytest.mark.parametrize("policy", ("osp", "psp"))
 def test_placement_outside_the_nodes_is_checked(monkeypatch, policy, node):
     # node -1 would read the last node's latency if it went unchecked
-    monkeypatch.setattr(harness, "_frame_dp",
+    monkeypatch.setattr(policies, "_frame_dp",
                         lambda rows, prices, anchor, prev: [node] * len(rows))
     with pytest.raises(InvariantError, match=re.escape(
             f"slot 0: placement {node} is not a node in [0, 4)")):
@@ -450,14 +450,14 @@ def test_a_column_outside_a_pruned_frame_is_checked(monkeypatch, past):
     # Past the crossover the kernel sees an epoch's undominated columns
     # only. Neither -1 nor the column after its last may become a node:
     # nodes[-1] is the epoch's last undominated node.
-    n = harness.PRUNE_MIN_NODES
+    n = policies.PRUNE_MIN_NODES
     widths = []
 
     def kernel(rows, prices, anchor, prev):
         widths.append(len(rows[0]))
         return [len(rows[0]) if past else -1] * len(rows)
 
-    monkeypatch.setattr(harness, "_frame_dp", kernel)
+    monkeypatch.setattr(policies, "_frame_dp", kernel)
     with pytest.raises(InvariantError, match=re.escape(
             f"slot 0: placement -1 is not a node in [0, {n})")):
         run(base_config(policy="psp", node_count=n))
@@ -468,7 +468,7 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
     # Every run equals, bit for bit, the run whose every epoch goes to the
     # frame DP; the certificate is switched off by a row-minima sum of
     # -inf, which makes no left side larger than the right.
-    bounds, kernel, calls = harness._stay_bounds, harness._frame_dp, []
+    bounds, kernel, calls = policies._stay_bounds, policies._frame_dp, []
 
     def never(decision, price, epoch_len):
         lows, cheapest, sums = bounds(decision, price, epoch_len)
@@ -478,11 +478,11 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
         calls.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(harness, "_frame_dp", counted)
+    monkeypatch.setattr(policies, "_frame_dp", counted)
     spec = PredictorSpec(kind="moving_mode")  # wrong often enough
     epochs = certified = 0
     for nodes, frame_len, budget in itertools.product(
-            (3, 6, harness.PRUNE_MIN_NODES), (1, 3, 5),
+            (3, 6, policies.PRUNE_MIN_NODES), (1, 3, 5),
             (0.0, 0.03, 0.167, 0.417)):
         scn, table = generate_scenario(seed=nodes + frame_len, n_nodes=nodes,
                                        horizon=30, frame_len=frame_len,
@@ -493,11 +493,11 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
         for (policy, beta), v in itertools.product(cases, (0.0, 1.0, 50.0,
                                                            900.0)):
             cfg = PolicyConfig(v=v, beta=beta)
-            monkeypatch.setattr(harness, "_stay_bounds", never)
+            monkeypatch.setattr(policies, "_stay_bounds", never)
             calls.clear()
             want = simulate(scn, table, policy, cfg, spec)
             run_epochs = len(calls)  # every epoch called the kernel
-            monkeypatch.setattr(harness, "_stay_bounds", bounds)
+            monkeypatch.setattr(policies, "_stay_bounds", bounds)
             calls.clear()
             got = simulate(scn, table, policy, cfg, spec)
             epochs += run_epochs
@@ -861,6 +861,28 @@ def test_verify_frame_oracles_all_match():
     matches, total, mismatches = verify_frame_oracles(seed=3, instances=15,
                                                       anchor_low=-20.0)
     assert (matches, mismatches) == (total, [])
+
+
+def test_verify_frame_oracles_check_the_stay_certificate(monkeypatch):
+    # frame_decide decides through the engine's solver: some instances are
+    # certified with no kernel call, and a certificate that always holds
+    # shows up as mismatches
+    kernel, bounds, calls = policies._frame_dp, policies._stay_bounds, []
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    def always(decision, price, epoch_len):
+        lows, cheapest, sums = bounds(decision, price, epoch_len)
+        return np.full(len(lows), math.inf), cheapest, sums
+
+    monkeypatch.setattr(policies, "_frame_dp", counted)
+    assert verify_frame_oracles(1, 200)[:2] == (200, 200)
+    assert 0 < len(calls) < 200
+    monkeypatch.setattr(policies, "_stay_bounds", always)
+    matches, total, mismatches = verify_frame_oracles(1, 200)
+    assert matches < total == 200 and len(mismatches) == total - matches
 
 
 def test_verify_horizon_bound_mostly_holds():

@@ -45,6 +45,22 @@ def test_python_O_removes_no_check():
     assert not stripped, f"python -O removes: {', '.join(stripped)}"
 
 
+def test_harness_uses_no_private_name_of_policies():
+    # the frame solver's kernel, pruning and stay certificate have one
+    # home: the engine reaches them only through policies.frame_solver
+    package = Path(edgeplacer.__file__).parent
+    tree = ast.parse((package / "harness.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "policies" for alias in node.names]
+    read = [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "policies"]
+    assert "frame_solver" in imported
+    assert not [name for name in imported + read if name.startswith("_")]
+
+
 def test_readme_config_example_follows_the_schema():
     # README's config example and its sweep axes cannot keep a setting the
     # schema no longer has

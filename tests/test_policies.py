@@ -225,6 +225,14 @@ def test_frame_rejects_a_start_outside_the_nodes(prev):
         FrameInput([[5.0, 3.0, 1.0]], [1.0], 0.5, prev)
 
 
+def test_frame_takes_a_whole_float_start_as_its_node():
+    # prev_placement 1.0 is node 1; the kernel used to index its scores
+    # with the float and raise TypeError
+    frame = FrameInput([[1.0, 2.0]], [1.0], 0.5, 1.0)
+    assert frame.prev_placement == 1 and type(frame.prev_placement) is int
+    assert frame_decide(PolicyConfig(v=1.0), frame) == [0]
+
+
 @pytest.mark.parametrize("latency", [[[5.0, 3.0, 1.0], [1.0, 2.0]],
                                      [[], []]])
 def test_frame_rejects_ragged_or_empty_rows(latency):
@@ -257,6 +265,28 @@ def test_frame_rejects_a_non_finite_latency_or_price(bad, where):
         prices[1] = bad
     with pytest.raises(ValueError, match="must be finite"):
         FrameInput(latency, prices, 0.5, 0)
+
+
+@pytest.mark.parametrize("latency, prices", [
+    # equal rows at prices [-1, -1] from node 0 used to decide [1, 0]:
+    # two moves were cheaper than staying
+    ([[1.0, 1.0], [1.0, 1.0]], [-1.0, -1.0]),
+    ([[5.0, 3.0, 1.0], [-1.0, 2.0, 4.0]], [1.0, 2.0]),
+    ([[5.0, 3.0, 1.0], [1.0, 2.0, -5e-324]], [1.0, 2.0]),
+    ([[5.0, 3.0, 1.0], [1.0, 2.0, 4.0]], [1.0, -5e-324]),
+])
+def test_frame_rejects_a_negative_latency_or_price(latency, prices):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        FrameInput(latency, prices, 1.0, 0)
+
+
+def test_frame_accepts_negative_zeros():
+    # -0.0 == 0.0: a zero price makes the move free, and the service goes
+    # to node 0 and back
+    frame = FrameInput([[-0.0, 1.0], [1.0, -0.0]], [-0.0, -0.0], 1.0, 1)
+    cfg = PolicyConfig(v=1.0)
+    assert frame_decide(cfg, frame) == brute_force_frame(frame, 0.0, cfg)[0] \
+        == [0, 1]
 
 
 def test_frame_rejects_a_v_whose_scaled_latencies_sum_past_the_float_range():

@@ -64,20 +64,20 @@ from conftest import (reference_advance, reference_csv,
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeplacer import harness, predict
+from edgeplacer import harness, policies, predict
 from edgeplacer.costqueue import advance
 from edgeplacer.harness import (PER_SLOT_HEADER, POLICIES, SUMMARY_HEADER,
-                                PRUNE_MIN_NODES, STAY_SLACK, ConfigError,
-                                ExperimentConfig, RunRecord, _materialize,
-                                _stay_bounds, _undominated,
-                                generate_scenario, run, simulate,
-                                synthetic_trace,
+                                ConfigError, ExperimentConfig, RunRecord,
+                                _materialize, generate_scenario, run,
+                                simulate, synthetic_trace,
                                 write_per_slot_csv, write_summary_csv,
                                 write_trace_csv)
 from edgeplacer.model import SlotTable
-from edgeplacer.policies import (FrameInput, PolicyConfig, _frame_dp,
-                                 brute_force_frame, frame_decide,
-                                 frame_objective, lm_decide, plm_decide)
+from edgeplacer.policies import (PRUNE_MIN_NODES, STAY_SLACK, FrameInput,
+                                 PolicyConfig, _frame_dp, _stay_bounds,
+                                 _undominated, brute_force_frame,
+                                 frame_decide, frame_objective, lm_decide,
+                                 plm_decide)
 from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
                                 _transition_counts, predict_epochs)
 
@@ -136,11 +136,11 @@ def test_every_policy_meets_the_budget_and_replays(seed, nodes, horizon,
 
 
 @st.composite
-def frames(draw, max_nodes=6, max_len=None):
+def frames(draw, max_nodes=6, max_len=None, min_nodes=1, min_len=1):
     """A frame on the grid; by default one small enough to enumerate: up to
     4 slots on up to 4 nodes, else 3."""
-    n = draw(st.integers(1, max_nodes))
-    length = draw(st.integers(1, max_len or (4 if n <= 4 else 3)))
+    n = draw(st.integers(min_nodes, max_nodes))
+    length = draw(st.integers(min_len, max_len or (4 if n <= 4 else 3)))
     integer = draw(st.booleans())
     value = st.integers(0, 3).map(float) if integer else quarters
     latency = [draw(st.lists(value, min_size=n, max_size=n))
@@ -189,6 +189,16 @@ def test_frame_dp_kernel_equals_the_reference(case):
     rows = (np.array(frame.latency) * cfg.v).tolist()
     assert _frame_dp(rows, frame.move_price, frame.q_anchor,
                      frame.prev_placement) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames(min_nodes=PRUNE_MIN_NODES, max_nodes=PRUNE_MIN_NODES + 4,
+              min_len=2, max_len=4))
+def test_frame_decide_prunes_as_the_reference(case):
+    # past PRUNE_MIN_NODES a frame with an anchor >= 0 is solved on its
+    # undominated columns, and a negative anchor on every column
+    cfg, frame, _ = case
+    assert frame_decide(cfg, frame) == reference_frame_decide(cfg, frame)
 
 
 @st.composite
@@ -518,7 +528,7 @@ def test_an_accepted_config_decides_on_finite_rows(policy, seed, horizon, v,
                               trace_seed=seed, horizon=horizon,
                               backhaul_mbps=backhaul,
                               policy_cfg=PolicyConfig(v=v))
-    with mock.patch.object(harness, "_frame_dp", wraps=_frame_dp) as dp, \
+    with mock.patch.object(policies, "_frame_dp", wraps=_frame_dp) as dp, \
             mock.patch.object(harness, "lm_decide", wraps=lm_decide) as lm, \
             mock.patch.object(harness, "plm_decide", wraps=plm_decide) as plm:
         try:
