@@ -73,13 +73,14 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
     the next ahead = min(w, len(trace) - start - 1) regions.
 
     Returns an int array of shape (number of epochs, w). Row k holds the
-    regions predicted for slots start + 1 .. start + ahead, and -1 past
-    them. oracle_noisy keeps each true region of trace with its step's
-    accuracy and otherwise names a uniform other region; epoch k's draws
-    are those of numpy's default_rng(SeedSequence((rng_seed, k))), replayed
-    for all epochs at once in array arithmetic. moving_mode repeats the
-    mode of the last MODE_WINDOW regions of the history; markov1 follows the
-    most likely path of a first-order chain fitted on the history.
+    regions predicted for slots start + 1 .. start + ahead, and -1 past them;
+    one predictor call predicts w steps for every epoch, and each row is cut to
+    its ahead (see _markov1). oracle_noisy keeps each true region of trace with
+    its step's accuracy and otherwise names a uniform other region; epoch k's
+    draws are those of numpy's default_rng(SeedSequence((rng_seed, k))),
+    replayed for all epochs at once in array arithmetic. moving_mode repeats
+    the mode of the last MODE_WINDOW regions of the history; markov1 follows
+    the most likely path of a first-order chain fitted on the history.
     """
     if w < 0 or epoch_len < 1:
         raise ValueError("need w >= 0 and epoch_len >= 1")
@@ -88,24 +89,17 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
         raise ValueError("need one accuracy per look-ahead step")
     starts = np.arange(0, len(column), epoch_len)
     aheads = np.minimum(w, len(column) - 1 - starts)
-    out = np.full((len(starts), w), -1, dtype=np.intp)
-    # A shorter markov1 path is not a prefix of a longer one, so every
-    # look-ahead length that occurs gets its own pass. aheads never
-    # increases and at most w epochs, the last ones, see less than w slots
-    # ahead, so those and the first epoch hold every length (np.unique
-    # would import numpy.ma, ~1 MB).
-    for ahead in {aheads.item(0), *aheads[::-1][:w].tolist()} - {0}:
-        epochs = np.flatnonzero(aheads == ahead)
-        anchors = starts[epochs]
-        if spec.kind == "oracle_noisy":
-            truths = column[anchors[:, None] + np.arange(1, ahead + 1)]
-            rows = _oracle_noisy(spec, truths, n_regions, epochs)
-        elif spec.kind == "moving_mode":
-            rows = _moving_mode(column, anchors, ahead, n_regions)
-        else:
-            rows = _markov1(column, anchors, ahead, n_regions)
-        out[epochs, :ahead] = rows
-    return out
+    if w == 0:
+        return np.empty((len(starts), 0), dtype=np.intp)
+    if spec.kind == "oracle_noisy":
+        truths = column.take(starts[:, None] + np.arange(1, w + 1),
+                             mode="clip")
+        rows = _oracle_noisy(spec, truths, n_regions)
+    elif spec.kind == "moving_mode":
+        rows = _moving_mode(column, starts, w, n_regions)
+    else:
+        rows = _markov1(column, starts, w, n_regions, w - aheads)
+    return np.where(np.arange(w) < aheads[:, None], rows, -1)
 
 
 def _column(history, n_regions):
@@ -118,11 +112,11 @@ def _column(history, n_regions):
                     f"sequence of integer regions in [0, {n_regions})")
 
 
-def _oracle_noisy(spec, truths, n_regions, salts):
+def _oracle_noisy(spec, truths, n_regions):
     """Each true region, kept with its step's accuracy and otherwise
     replaced by a uniform other region. Row e draws what a generator seeded
-    from (rng_seed, salts[e]) would draw, replayed for all rows at once;
-    the rows the replay cannot match exactly are drawn by _drawn_row."""
+    from (rng_seed, e) would draw, replayed for all rows at once; the rows
+    the replay cannot match exactly are drawn by _drawn_row."""
     rows = np.array(truths)
     if n_regions == 1:
         return rows
@@ -130,9 +124,9 @@ def _oracle_noisy(spec, truths, n_regions, salts):
     if k > 0xFFFFFFFF:  # numpy leaves Lemire's 32-bit method
         redraw = np.ones(len(rows), dtype=bool)
     else:
-        redraw = _replay(spec, rows, k, salts)
+        redraw = _replay(spec, rows, k)
     for e in np.flatnonzero(redraw):
-        rows[e] = _drawn_row(spec, truths[e], n_regions, int(salts[e]))
+        rows[e] = _drawn_row(spec, truths[e], n_regions, int(e))
     return rows
 
 
@@ -159,11 +153,11 @@ _MULT_HI, _MULT_LO, _M32, _32 = np.uint64(
 _B0, _B1 = _MULT_LO & _M32, _MULT_LO >> _32  # 32-bit limbs of _MULT_LO
 
 
-def _replay(spec, rows, k, salts):
+def _replay(spec, rows, k):
     """Overwrite the missed regions of rows in place, as _drawn_row would
-    for each row's salt with n_regions = k + 1 in [2, 2**32], and return the
-    mask of rows it could not match: a salt beyond 32 bits or a Lemire
-    rejection, which draws again.
+    for row e's salt e (a run has under 2**32 epochs) with n_regions =
+    k + 1 in [2, 2**32], and return the mask of rows it could not match: a
+    Lemire rejection, which draws again.
 
     Per row and depth, Generator.random() is (raw >> 11) * 2**-53 of a fresh
     64-bit PCG64 output, and on a miss Generator.integers(k) is the high
@@ -172,12 +166,12 @@ def _replay(spec, rows, k, salts):
     k == 1 it draws nothing. Both happen in lock step for all rows.
     """
     e, w = rows.shape
-    raw = _pcg64_outputs(spec.rng_seed, salts, w + (w + 1) // 2)
     every = np.arange(e)
+    raw = _pcg64_outputs(spec.rng_seed, every, w + (w + 1) // 2)
     at = np.zeros(e, dtype=np.intp)  # next unread output of each row
     half = np.zeros(e, dtype=np.uint64)  # buffered high half, if any
     has_half = np.zeros(e, dtype=bool)
-    redraw = salts > 0xFFFFFFFF
+    redraw = np.zeros(e, dtype=bool)
     reject = np.uint64((2 ** 32 - k) % k)  # Lemire's threshold
     for s in range(w):
         miss = ~((raw[every, at] >> np.uint64(11)) * 2.0 ** -53
@@ -292,17 +286,21 @@ def _transition_counts(column, anchors, n):
         yield ends, 1.0 + counts.reshape(len(ends), n, n)
 
 
-def _markov1(column, anchors, w, n_regions):
-    """Most-likely path of length w after each anchor under a first-order
-    chain fitted on the column up to that anchor.
+def _markov1(column, anchors, w, n_regions, shortfalls):
+    """Most-likely path of w - shortfalls[b] steps after each anchor b
+    under a first-order chain fitted on the column up to it, in a row of w.
 
     Transition counts get Laplace +1 smoothing over all region pairs. The
     path maximizes the product of step probabilities; on ties the lowest
     region index wins at each step, so the result is the lexicographically
     smallest maximizer (backward max-product pass, forward reconstruction).
+    The chain is the same at every step, so the best probability after
+    step s depends only on the steps left: a path w - f steps long reads
+    step s off the w-step pass at s + f (w - 1 past its end), bit for bit.
     Costs O(len(column) + anchors * n_regions**2 * w) in all.
     """
-    paths = []
+    steps = np.minimum(shortfalls[:, None] + np.arange(w), w - 1)
+    paths, done = [], 0
     for ends, counts in _transition_counts(column, anchors, n_regions):
         probs = counts / counts.sum(axis=2, keepdims=True)
         # suffix[b, s, i]: best probability of steps s+1..w-1 given region
@@ -311,10 +309,12 @@ def _markov1(column, anchors, w, n_regions):
         for s in range(w - 2, -1, -1):
             suffix[:, s] = (probs * suffix[:, s + 1, None, :]).max(axis=2)
         epochs = np.arange(len(ends))
+        block, done = steps[done:done + len(ends)], done + len(ends)
         at = column[ends]
         path = np.empty((len(ends), w), dtype=np.intp)
         for s in range(w):
             # first occurrence = lowest region
-            at = path[:, s] = (probs[epochs, at] * suffix[:, s]).argmax(axis=1)
+            at = path[:, s] = (probs[epochs, at]
+                               * suffix[epochs, block[:, s]]).argmax(axis=1)
         paths.append(path)
     return np.concatenate(paths)

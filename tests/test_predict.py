@@ -110,18 +110,34 @@ def test_oracle_redraws_the_rows_the_replay_cannot_match(monkeypatch):
     got = predict_epochs(spec, trace, 3, n, 1)
     assert 20 < len(drawn) < 180
     assert got.tolist() == _reference_rows(spec, trace, 3, n, 1)
-    # a salt beyond 32 bits and more than 2**32 regions are drawn too
+    # more than 2**32 regions are drawn too
     drawn.clear()
     truths = np.array([[1, 2], [3, 4]])
-    rows = predict._oracle_noisy(spec, truths, 6, np.array([2 ** 32, 3]))
-    assert drawn == [2 ** 32]
-    assert rows[0].tolist() == reference_predict(spec, [0], [1, 2], 2, 6,
-                                                 2 ** 32)
-    rows = predict._oracle_noisy(spec, truths, 2 ** 32 + 2, np.array([0, 1]))
-    assert drawn == [2 ** 32, 0, 1]
+    rows = predict._oracle_noisy(spec, truths, 2 ** 32 + 2)
+    assert drawn == [0, 1]
     assert rows.tolist() == [reference_predict(spec, [0], truths[k], 2,
                                                2 ** 32 + 2, k)
                              for k in (0, 1)]
+
+
+@pytest.mark.parametrize("horizon", [1400, 200])
+@pytest.mark.parametrize("kind", predict.PREDICTOR_KINDS)
+def test_a_run_predicts_in_one_call(monkeypatch, kind, horizon):
+    # psp at the paper's and the golden runs' shape: 3-slot frames predict
+    # 2 slots ahead, but the last frame sees only 1; each kind's predictor
+    # is the function of its name
+    name, calls = f"_{kind}", []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = getattr(predict, name)
+    monkeypatch.setattr(predict, name, counted)
+    trace = np.random.default_rng(3).integers(6, size=horizon)
+    got = predict_epochs(PredictorSpec(kind=kind), trace, 2, 6, 3)
+    assert got[-1].tolist() == [got[-1, 0], -1] and got[-1, 0] >= 0
+    assert len(calls) == 1
 
 
 def test_moving_mode_uses_window_and_low_tie():
