@@ -20,8 +20,8 @@ import numpy as np
 
 from .costqueue import advance, bound_constant_B
 # max_slot_migration_cost is not used here; harness re-exports it
-from .model import (Scenario, SlotTable, _real, _seed, _whole, latency_rows,
-                    max_slot_migration_cost)
+from .model import (MAX_MATRIX_ENTRIES, Scenario, SlotTable, _real, _seed,
+                    _whole, latency_rows, max_slot_migration_cost)
 from .policies import (FrameInput, PolicyConfig, brute_force_frame,
                        brute_force_horizon, frame_decide, frame_objective,
                        frame_solver, lm_decide, plm_decide)
@@ -222,8 +222,14 @@ def generate_scenario(
     caller who wants links of different rates builds the Scenario itself.
     The user's associated node comes from trace, or from a default
     synthetic trace with the same seed. The defaults are ExperimentConfig's,
-    but for frame_len: one slot per frame.
+    but for frame_len: one slot per frame. The sizes and the trace are
+    checked before anything is allocated.
     """
+    n_nodes, horizon = _whole(n_nodes, "n_nodes"), _whole(horizon, "horizon")
+    _check_size(n_nodes, horizon, "n_nodes", "horizon", ValueError)
+    if trace is not None and (isinstance(trace, str) or not isinstance(
+            trace, (Sequence, np.ndarray))):
+        raise ValueError(f"trace must be a sequence of regions, got {trace!r}")
     rng = np.random.default_rng(np.random.SeedSequence((_seed(seed, "seed"), 0)))
     backhaul = np.full((n_nodes, n_nodes), _real(backhaul_mbps, "backhaul_mbps"))
     if homogeneous_capacity:
@@ -459,27 +465,26 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     )
 
 
-# The most entries a run's (node_count, node_count) backhaul matrix or its
-# (horizon, node_count) latency rows may have: 2**25 float64s, 256 MiB each.
-# A config past it is a ConfigError before anything is allocated, not a
-# MemoryError from numpy.
-MAX_MATRIX_ENTRIES = 2 ** 25
+def _check_size(n, horizon, n_name, horizon_name, error):
+    """Raise error, naming the settings, if the matrices of a run of
+    horizon slots on n nodes would pass MAX_MATRIX_ENTRIES."""
+    if n > 0 and n * n > MAX_MATRIX_ENTRIES:  # n < 1 is the scenario's
+        raise error(
+            f"{n_name} = {n} needs a {n} x {n} backhaul matrix, "
+            f"more than the {MAX_MATRIX_ENTRIES} entries a run may have")
+    if n > 0 and horizon * n > MAX_MATRIX_ENTRIES:
+        raise error(
+            f"{horizon_name} = {horizon} and {n_name} = {n} "
+            f"need {horizon} x {n} latency rows, more than the "
+            f"{MAX_MATRIX_ENTRIES} entries a run may have")
 
 
 def _materialize(config: ExperimentConfig):
     """Draw the configured scenario; a value the scenario or the synthetic
     trace rejects, or a node count or horizon whose matrices would pass
     MAX_MATRIX_ENTRIES, is reported as a ConfigError."""
-    n, horizon = config.node_count, config.horizon
-    if n > 0 and n * n > MAX_MATRIX_ENTRIES:  # n < 1 is the scenario's
-        raise ConfigError(
-            f"scenario.node_count = {n} needs a {n} x {n} backhaul matrix, "
-            f"more than the {MAX_MATRIX_ENTRIES} entries a run may have")
-    if n > 0 and horizon * n > MAX_MATRIX_ENTRIES:
-        raise ConfigError(
-            f"scenario.horizon = {horizon} and scenario.node_count = {n} "
-            f"need {horizon} x {n} latency rows, more than the "
-            f"{MAX_MATRIX_ENTRIES} entries a run may have")
+    _check_size(config.node_count, config.horizon, "scenario.node_count",
+                "scenario.horizon", ConfigError)
     trace = None
     if config.trace_path is not None:
         trace = read_trace_csv(config.trace_path)

@@ -28,6 +28,12 @@ MEGABYTES_PER_GIGABYTE = 1000.0
 # A placement is a plain node index in [0, node_count).
 Placement = int
 
+# The most entries a run's (node_count, node_count) backhaul matrix, its
+# (horizon, node_count) latency rows or its predictions may have: 2**25
+# float64s, 256 MiB each. A size past it is a ValueError (a ConfigError in
+# a config) before anything is allocated, not a MemoryError from numpy.
+MAX_MATRIX_ENTRIES = 2 ** 25
+
 
 def _real(value, name: str) -> float:
     """A float setting: a boolean or a string is rejected, not converted,
@@ -59,8 +65,20 @@ def _seed(value, name: str) -> int:
     return seed
 
 
+def _floats(name: str, values) -> np.ndarray:
+    """values as a float array: an integer or float array is converted as
+    numpy does, and any other input entry by entry through _real, so a
+    boolean, a string, any other object or an int past 2**1024 is a
+    ValueError that names the column."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float, copy=False)
+    entries = np.asarray(values, dtype=object)
+    return np.array([_real(x, name) for x in entries.flat],
+                    dtype=float).reshape(entries.shape)
+
+
 def _positive(name: str, values, shape: tuple) -> np.ndarray:
-    array = np.asarray(values, dtype=float)
+    array = _floats(name, values)
     if array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     if not (np.isfinite(array) & (array > 0)).all():
@@ -89,7 +107,7 @@ class Scenario:
         if not (math.isfinite(budget) and budget >= 0):
             raise ValueError("budget_avg must be finite and >= 0")
         object.__setattr__(self, "budget_avg", budget)
-        rate = np.array(self.backhaul_rate, dtype=float)
+        rate = np.array(_floats("backhaul_rate", self.backhaul_rate))
         if rate.shape != (self.node_count, self.node_count):
             raise ValueError("backhaul_rate must be node_count x node_count")
         off_diag = rate[~np.eye(self.node_count, dtype=bool)]
@@ -108,9 +126,10 @@ _DRAWN = ("input_size", "workload", "access_rate", "container_size",
 class SlotTable:
     """The per-slot draws of a run: one column per quantity, one entry per slot.
 
-    Checked once, when built: the columns are one-dimensional and equally
-    long, every drawn value is finite and positive, and every user node is an
-    integer in [0, node_count). Slicing with [a:b] gives those slots' table.
+    Checked once, when built: node_count is a whole number, the columns are
+    one-dimensional and equally long, every drawn value is a finite positive
+    number, and every user node is an integer in [0, node_count). Slicing
+    with [a:b] gives those slots' table.
     """
 
     node_count: int
@@ -122,6 +141,8 @@ class SlotTable:
     unit_migration_cost: np.ndarray  # cost units per GB moved
 
     def __post_init__(self):
+        object.__setattr__(self, "node_count",
+                           _whole(self.node_count, "node_count"))
         users = _indices(self.user_node, self.node_count,
                          "user_node must be integer nodes in [0, node_count)")
         object.__setattr__(self, "user_node", users)

@@ -85,8 +85,9 @@ class FrameInput:
             raise ValueError("latency rows must all have one length >= 1")
         if len(self.move_price) != len(self.latency):
             raise ValueError("move_price must have one price per latency row")
-        if not all(math.isfinite(x) and x >= 0 for x in  # -0.0 passes
-                   itertools.chain(self.move_price, *self.latency)):
+        if not all(math.isfinite(x) and x >= 0 for x in (  # -0.0 passes
+                _real(x, "a latency or price")
+                for x in itertools.chain(self.move_price, *self.latency))):
             raise ValueError("latencies and prices must be finite and >= 0")
         self.prev_placement = _whole(self.prev_placement, "prev_placement")
         if not 0 <= self.prev_placement < n:
@@ -115,7 +116,7 @@ def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
 
 def _check_scaled_sum(cfg: PolicyConfig, frame: FrameInput) -> None:
     """ValueError unless the frame's latencies times v sum below inf."""
-    top = max(abs(x) for row in frame.latency for x in row)
+    top = max(x for row in frame.latency for x in row)
     if not math.isfinite(len(frame.latency) * (cfg.v * top)):
         raise ValueError("v times the frame's latencies sums past the float "
                          "range; lower v")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _indices, _real, _seed
+from .model import MAX_MATRIX_ENTRIES, _indices, _real, _seed, _whole
 
 PREDICTOR_KINDS = ("oracle_noisy", "moving_mode", "markov1")
 
@@ -70,7 +70,9 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
     integer sequence in [0, n_regions), checked once here and read, not
     copied, when it is an intp array. Epoch k starts at slot
     start = k * epoch_len, knows the history trace[:start + 1] and predicts
-    the next ahead = min(w, len(trace) - start - 1) regions.
+    the next ahead = min(w, len(trace) - start - 1) regions. The
+    predictions, and moving_mode's and markov1's counts per region, may
+    not pass MAX_MATRIX_ENTRIES.
 
     Returns an int array of shape (number of epochs, w). Row k holds the
     regions predicted for slots start + 1 .. start + ahead, and -1 past them;
@@ -82,15 +84,24 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
     the mode of the last MODE_WINDOW regions of the history; markov1 follows
     the most likely path of a first-order chain fitted on the history.
     """
+    w, epoch_len = _whole(w, "w"), _whole(epoch_len, "epoch_len")
+    n_regions = _whole(n_regions, "n_regions")
     if w < 0 or epoch_len < 1:
         raise ValueError("need w >= 0 and epoch_len >= 1")
     column = _column(trace, n_regions)
     if spec.kind == "oracle_noisy" and len(spec.accuracies) < w:
         raise ValueError("need one accuracy per look-ahead step")
-    starts = np.arange(0, len(column), epoch_len)
-    aheads = np.minimum(w, len(column) - 1 - starts)
+    starts = np.arange(0, len(column), min(epoch_len, len(column)))
+    if len(starts) * w > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"{len(starts)} epochs of w = {w} predictions pass "
+                         f"the {MAX_MATRIX_ENTRIES} entries a run may have")
     if w == 0:
         return np.empty((len(starts), 0), dtype=np.intp)
+    if spec.kind != "oracle_noisy" and (
+            n_regions * max(n_regions, len(column)) > MAX_MATRIX_ENTRIES):
+        raise ValueError(f"{spec.kind}'s counts of {n_regions} regions pass "
+                         f"the {MAX_MATRIX_ENTRIES} entries a run may have")
+    aheads = np.minimum(w, len(column) - 1 - starts)
     if spec.kind == "oracle_noisy":
         truths = column.take(starts[:, None] + np.arange(1, w + 1),
                              mode="clip")

@@ -103,6 +103,23 @@ def test_a_negative_seed_is_rejected_by_name(draw, seed):
         draw(seed, 6, 10)
 
 
+def test_generate_scenario_checks_its_integer_arguments():
+    # a whole float is the whole number it stands for, as in Scenario; it
+    # used to raise TypeError from np.full
+    scn, table = generate_scenario(0, 2.0, np.float64(5.0))
+    want_scn, want = generate_scenario(0, 2, 5)
+    assert (scn.node_count, scn.horizon) == (2, 5)
+    assert np.array_equal(scn.compute_capacity, want_scn.compute_capacity)
+    assert np.array_equal(table.workload, want.workload)
+    # a fraction, a boolean, a trace that is no sequence and a backhaul
+    # matrix past MAX_MATRIX_ENTRIES are rejected before anything is drawn
+    for args in ((0, 2.5, 5), (0, 3, True), (0, 3, 5, 1, 0.1, 100.0, 5),
+                 (0, 3, 5, 1, 0.1, 100.0, "012"), (0, 10 ** 5, 5),
+                 (0, 2 ** 70, 5)):
+        with pytest.raises(ValueError):
+            generate_scenario(*args)
+
+
 def test_synthetic_trace_stay_rate():
     trace = synthetic_trace(11, 6, 10_000, stickiness=0.7)
     stays = sum(a == b for a, b in zip(trace[:-1], trace[1:]))

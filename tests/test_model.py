@@ -180,9 +180,18 @@ def test_scenario_validation():
     assert (whole.horizon, whole.frame_len) == (10, 2)
     assert type(whole.horizon) is type(whole.frame_len) is int
     for caps in ((8.0, -1.0, 8.0), (8.0, 0.0, 8.0), (8.0, math.nan, 8.0),
-                 (8.0, math.inf, 8.0), (8.0, 8.0)):
+                 (8.0, math.inf, 8.0), (8.0, 8.0), (8.0, 10 ** 400, 8.0),
+                 (8.0, True, 8.0), (8.0, "8", 8.0), (8.0, None, 8.0)):
         with pytest.raises(ValueError, match="compute_capacity"):
             make_scenario(caps=caps)
+    # a backhaul entry that is no number is named, not an OverflowError or
+    # TypeError from numpy, and is rejected on the diagonal too
+    for at in ((0, 1), (1, 1)):
+        for bad in (10 ** 400, True, "1", {"a": 1}):
+            rate = [[1.0, 1.0], [1.0, 1.0]]
+            rate[at[0]][at[1]] = bad
+            with pytest.raises(ValueError, match="^backhaul_rate "):
+                Scenario(**{**fields, "backhaul_rate": rate})
 
 
 def test_observation_validation():
@@ -203,6 +212,20 @@ def test_observation_validation():
                   [2.0, 2.0])
     with pytest.raises(ValueError, match="user_node"):
         SlotTable(3, [[0]], [[8.0]], [[4.0]], [[8.0]], [[50.0]], [[2.0]])
+    # an entry that is no number is named, not an OverflowError or a
+    # TypeError, and a string or a boolean is not converted
+    for bad in (10 ** 400, {"a": 1}, "1", True, None, [1.0]):
+        with pytest.raises(ValueError, match="^input_size "):
+            SlotTable(3, [0], [bad], [1.0], [1.0], [1.0], [1.0])
+        with pytest.raises(ValueError, match="^unit_migration_cost "):
+            SlotTable(3, [0], [1.0], [1.0], [1.0], [1.0], np.array([bad]))
+    # 2**70 is a float, and a numpy column of any real dtype converts
+    table = SlotTable(3, [0, 1], [2 ** 70, 1], np.float32([1.0, 2.0]),
+                      np.uint8([4, 4]), (8, 8.0), np.array([2, 3]))
+    assert table.input_size.tolist() == [2.0 ** 70, 1.0]
+    assert all(getattr(table, name).dtype == float for name in (
+        "input_size", "workload", "access_rate", "container_size",
+        "unit_migration_cost"))
     table = make_table(users=(0, 1, 2))
     assert table.trace == [0, 1, 2] and table[1:].trace == [1, 2]
 

@@ -1,7 +1,9 @@
 import ast
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,6 +45,34 @@ def test_python_O_removes_no_check():
         or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert package / "harness.py" in sources
     assert not stripped, f"python -O removes: {', '.join(stripped)}"
+
+
+def test_no_run_imports_numpy_ma():
+    # numpy.ma, about 1 MB that np.unique and a few other conveniences
+    # import, would add to every run's start-up time and peak memory; a
+    # fresh interpreter shows what the package, every policy, every
+    # predictor and verify import
+    script = """if True:
+        import contextlib, io, sys
+        from edgeplacer import ExperimentConfig, PredictorSpec, cli, run
+        from edgeplacer.harness import POLICIES
+        from edgeplacer.predict import PREDICTOR_KINDS
+        for policy in POLICIES:
+            run(ExperimentConfig(policy=policy, horizon=30))
+        for kind in PREDICTOR_KINDS:
+            run(ExperimentConfig(policy="psp", horizon=30,
+                                 predictor=PredictorSpec(kind=kind)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--instances", "5"]) == 0
+        print("numpy.ma" in sys.modules)
+    """
+    src = str(Path(edgeplacer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_harness_uses_no_private_name_of_policies():

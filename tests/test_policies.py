@@ -267,6 +267,20 @@ def test_frame_rejects_a_non_finite_latency_or_price(bad, where):
         FrameInput(latency, prices, 0.5, 0)
 
 
+@pytest.mark.parametrize("bad", [10 ** 400, True, "1", None, [1.0], {}])
+@pytest.mark.parametrize("where", ["latency", "price"])
+def test_frame_rejects_a_latency_or_price_that_is_no_float(bad, where):
+    # 10**400 used to raise OverflowError, a string or a list TypeError, and
+    # True passed as 1
+    latency, prices = [[5.0, 3.0, 1.0], [1.0, 2.0, 4.0]], [1.0, 2.0]
+    if where == "latency":
+        latency[1][0] = bad
+    else:
+        prices[1] = bad
+    with pytest.raises(ValueError, match="^a latency or price "):
+        FrameInput(latency, prices, 0.5, 0)
+
+
 @pytest.mark.parametrize("latency, prices", [
     # equal rows at prices [-1, -1] from node 0 used to decide [1, 0]:
     # two moves were cheaper than staying

@@ -224,6 +224,18 @@ def test_predict_epochs_rejects_bad_inputs():
                                    ([0, 1], 2, 2, 1), ([0, 2], 1, 2, 1),
                                    ([0, -1], 1, 2, 1), ([], 1, 2, 1),
                                    ([0.0, 1.0], 1, 2, 1), ([[0, 1]], 1, 2, 1),
-                                   ([0, 1], 1, 0, 1)):
+                                   ([0, 1], 1, 0, 1), ([0, 1, 2], 1, 3, 1.5),
+                                   ([0, 1], 1.5, 2, 1), ([0, 1], 1, None, 1),
+                                   ([0, 1], True, 2, 1), ([0, 1], 1, "2", 1)):
         with pytest.raises(ValueError):
             predict_epochs(spec, trace, w, n, epoch_len)
+    # a whole float is the whole number it stands for, and an epoch longer
+    # than the trace is one epoch
+    assert predict_epochs(spec, [0, 1, 1], 1.0, np.float64(2.0),
+                          2 ** 70).tolist() == [[1]]
+    # predictions, or moving_mode's and markov1's counts per region, past
+    # MAX_MATRIX_ENTRIES are refused before they are allocated
+    for kind in ("moving_mode", "markov1"):
+        for w, n in ((2 ** 70, 2), (2 ** 25, 2), (1, 2 ** 40)):
+            with pytest.raises(ValueError, match="entries a run may have"):
+                predict_epochs(replace(spec, kind=kind), [0, 1], w, n, 1)

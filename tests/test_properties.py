@@ -42,6 +42,9 @@
     the float maximum and backhaul_mbps down to the smallest
     subnormal, either runs with every decision on finite rows and finite
     summaries, or is rejected with ConfigError.
+(k) Every library entry point, fed a value of any kind in one scalar
+    setting or in one entry of one numeric column or row, returns or
+    raises ValueError, never another exception.
 (i) The engine's pre-pass keeps exactly each epoch's nodes that no earlier
     node dominates, and the frame DP on those columns plus prev, mapped
     back to nodes, returns the sequence of the DP on all columns, for any
@@ -51,6 +54,7 @@
     at equality, which the strict inequality leaves to the DP, it can move.
 """
 
+import copy
 import math
 import sys
 from unittest import mock
@@ -72,7 +76,7 @@ from edgeplacer.harness import (PER_SLOT_HEADER, POLICIES, SUMMARY_HEADER,
                                 simulate, synthetic_trace,
                                 write_per_slot_csv, write_summary_csv,
                                 write_trace_csv)
-from edgeplacer.model import SlotTable
+from edgeplacer.model import Scenario, SlotTable
 from edgeplacer.policies import (PRUNE_MIN_NODES, STAY_SLACK, FrameInput,
                                  PolicyConfig, _frame_dp, _stay_bounds,
                                  _undominated, brute_force_frame,
@@ -543,3 +547,71 @@ def test_an_accepted_config_decides_on_finite_rows(policy, seed, horizon, v,
     assert np.isfinite([rec.avg_latency, rec.avg_cost, rec.avg_queue,
                         rec.final_queue]).all()
     assert np.isfinite(rec.latency).all()
+
+
+# Values of every kind, bad and good: 10**400 is past the float range and
+# 2**70 past int64
+BOUNDARY_VALUES = [
+    True, False, np.bool_(True), "1", "0.5", "", None, math.nan, math.inf,
+    -math.inf, 10 ** 400, 2 ** 70, 1e308, -0.0, -1, 0, 1, 2, 3, 0.5, 2.0, [],
+    [1], [[1.0]], {}, {"a": 1}, np.float64(2.0), np.int64(3), np.uint8(1),
+    np.float32(0.5)]
+# Each entry point with valid small arguments; every scalar argument and
+# one entry of every list argument takes each value in turn
+BOUNDARY_CALLS = [
+    (ExperimentConfig, dict(
+        policy="psp", scenario_seed=0, node_count=3, horizon=6, frame_len=3,
+        budget_avg=0.1, backhaul_mbps=100.0, homogeneous_capacity=False,
+        trace_path=None, trace_seed=1, trace_stickiness=0.7, sweep_axis="v",
+        sweep_values=[1.0, 2.0])),
+    (PolicyConfig, dict(v=10.0, theta=0.0, beta=0.5)),
+    (PredictorSpec, dict(kind="oracle_noisy", accuracies=[0.9, 0.8],
+                         rng_seed=0)),
+    (Scenario, dict(node_count=2, backhaul_rate=[[1.0, 2.0], [2.0, 1.0]],
+                    budget_avg=0.1, horizon=5, compute_capacity=[8.0, 8.0],
+                    frame_len=2)),
+    (SlotTable, dict(node_count=3, user_node=[0, 2], input_size=[1.0, 2.0],
+                     workload=[1.0, 2.0], access_rate=[1.0, 2.0],
+                     container_size=[1.0, 2.0],
+                     unit_migration_cost=[1.0, 2.0])),
+    (FrameInput, dict(latency=[[1.0, 2.0], [3.0, 4.0]], move_price=[1.0, 1.0],
+                      q_anchor=0.5, prev_placement=0)),
+    (synthetic_trace, dict(seed=0, n_regions=3, length=6, stickiness=0.7))
+] + [(generate_scenario, dict(seed=0, n_nodes=2, horizon=4, frame_len=2,
+                              budget_avg=0.1, backhaul_mbps=100.0,
+                              trace=trace, homogeneous_capacity=False))
+     for trace in (None, [0, 1, 1, 0])  # no trace is a scalar setting
+] + [(predict_epochs, dict(spec=PredictorSpec(kind=kind), trace=[0, 1, 2, 1],
+                           w=2, n_regions=3, epoch_len=2))
+     for kind in PREDICTOR_KINDS]
+
+
+def boundary_slots(kwargs):
+    """The argument paths a value goes to: each scalar argument, and the
+    last entry of the first row of each list argument."""
+    for key, arg in kwargs.items():
+        if isinstance(arg, list):
+            yield (key, 0, -1) if isinstance(arg[0], list) else (key, -1)
+        elif not isinstance(arg, PredictorSpec):
+            yield (key,)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(value=st.sampled_from(BOUNDARY_VALUES))
+def test_any_library_input_ends_in_a_result_or_a_value_error(value):
+    # about 100 calls per value; every value of the pool is drawn
+    for build, kwargs in BOUNDARY_CALLS:
+        for path in boundary_slots(kwargs):
+            args = copy.deepcopy(kwargs)
+            *parents, last = path
+            holder = args
+            for key in parents:
+                holder = holder[key]
+            holder[last] = value
+            try:
+                build(**args)
+            except ValueError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{build.__name__} with {path} = {value!r} "
+                            f"raised {exc!r}")
