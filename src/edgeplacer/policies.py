@@ -85,9 +85,9 @@ class FrameInput:
             raise ValueError("latency rows must all have one length >= 1")
         if len(self.move_price) != len(self.latency):
             raise ValueError("move_price must have one price per latency row")
-        if not all(math.isfinite(x) and x >= 0 for x in (  # -0.0 passes
-                _real(x, "a latency or price")
-                for x in itertools.chain(self.move_price, *self.latency))):
+        entries = [_real(x, "a latency or price") for x in
+                   itertools.chain(self.move_price, *self.latency)]
+        if not all(math.isfinite(x) and x >= 0 for x in entries):  # -0.0 ok
             raise ValueError("latencies and prices must be finite and >= 0")
         self.prev_placement = _whole(self.prev_placement, "prev_placement")
         if not 0 <= self.prev_placement < n:

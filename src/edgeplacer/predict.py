@@ -91,6 +91,7 @@ def predict_epochs(spec: PredictorSpec, trace, w: int, n_regions: int,
     column = _column(trace, n_regions)
     if spec.kind == "oracle_noisy" and len(spec.accuracies) < w:
         raise ValueError("need one accuracy per look-ahead step")
+    # an epoch longer than the trace is its one epoch
     starts = np.arange(0, len(column), min(epoch_len, len(column)))
     if len(starts) * w > MAX_MATRIX_ENTRIES:
         raise ValueError(f"{len(starts)} epochs of w = {w} predictions pass "
