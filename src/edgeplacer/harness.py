@@ -88,6 +88,14 @@ class RunRecord:
         return list(zip(range(len(self.q)), *(c.tolist() for c in columns)))
 
 
+def _flag(value, name: str, error=ValueError) -> bool:
+    """A boolean setting: True or False only, so that a truthy "no" or a
+    number is an error rather than a yes."""
+    if not isinstance(value, bool):
+        raise error(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run or sweep needs, mirrored by the JSON config schema.
@@ -121,9 +129,12 @@ class ExperimentConfig:
             setattr(self, name, _whole(getattr(self, name), name))
         for name in ("budget_avg", "backhaul_mbps", "trace_stickiness"):
             setattr(self, name, _real(getattr(self, name), name))
-        if not isinstance(self.homogeneous_capacity, bool):
-            raise ConfigError("homogeneous_capacity must be true or false, "
-                              f"got {self.homogeneous_capacity!r}")
+        _flag(self.homogeneous_capacity, "homogeneous_capacity", ConfigError)
+        for name, kind in (("policy_cfg", PolicyConfig),
+                           ("predictor", PredictorSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got "
+                                  f"{getattr(self, name)!r}")
         path = self.trace_path
         if path is not None and not isinstance(path, str):
             raise ConfigError(f"trace_path must be a path, got {path!r}")
@@ -232,7 +243,7 @@ def generate_scenario(
         raise ValueError(f"trace must be a sequence of regions, got {trace!r}")
     rng = np.random.default_rng(np.random.SeedSequence((_seed(seed, "seed"), 0)))
     backhaul = np.full((n_nodes, n_nodes), _real(backhaul_mbps, "backhaul_mbps"))
-    if homogeneous_capacity:
+    if _flag(homogeneous_capacity, "homogeneous_capacity"):
         caps = np.full(n_nodes, rng.uniform(*CAPACITY_GHZ))
     else:
         caps = rng.uniform(*CAPACITY_GHZ, n_nodes)

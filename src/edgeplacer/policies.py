@@ -8,9 +8,11 @@ policies: it commits a frame of placements at once by minimizing
 v * latency + anchor * move price over the (possibly predicted) frame rows.
 frame_solver is its one path, shortcuts included: the engine builds it once
 per run, frame_decide once per frame. The reactive osp is a 1-slot frame
-anchored on the queue backlog, psp a longer frame anchored on the same
-backlog, and pspwu anchors on the momentum-weighted surrogate instead; the
-engine's anchors are never negative (w >= q >= 0 at every slot).
+anchored on the queue backlog, which frame_solver decides from the row's
+two smallest entries unless rounding ties them; psp is a longer frame
+anchored on the same backlog, and pspwu anchors on the momentum-weighted
+surrogate instead. The engine's anchors are never negative (w >= q >= 0 at
+every slot).
 Benchmarks: always-migrate and never-migrate need no rule of their own (the
 engine follows the user or holds the initial node); lazy-migrate and
 predictive-lazy-migrate are step functions. Brute-force enumerators serve
@@ -204,8 +206,8 @@ def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
 # A negative anchor can make moving cheaper than staying, so frame_solver
 # solves one on every node.
 # Below the constant the pre-pass and the sub-row gathers cost more than the
-# columns they save the DP; 1-slot epochs (osp) have no backward pass to
-# save (CHANGES.md has the measurement).
+# columns they save the DP (CHANGES.md has the measurement); 1-slot epochs
+# (osp) are decided without the DP, from each row's two smallest entries.
 PRUNE_MIN_NODES = 16
 
 # An epoch of T slots with anchor a > 0 and prev a node stays on prev, and
@@ -279,15 +281,14 @@ def _undominated(decision, epoch_len: int) -> list:
 def _stay_bounds(decision, price, epoch_len: int):
     """The stay certificate's inputs for every epoch k, as arrays: the sum
     of its rows' minima, its smallest price and, in row k of an (epochs, N)
-    array, its column sums. 1-slot epochs get price and decision themselves.
+    array, its column sums. frame_solver needs them for epochs of two or
+    more slots only: its rule for 1-slot epochs covers the certificate.
     """
     # decision.min(axis=1) walks a row of 6 entries per call of its inner
     # loop, about 8x slower at N=6; a Fortran-order copy costs its size
     mins = decision[:, 0].copy()
     for column in decision.T[1:]:
         np.minimum(mins, column, out=mins)
-    if epoch_len == 1:
-        return mins, price, decision
     # every epoch's slot p at once, one numpy call per slot of an epoch
     lows, cheapest, sums = (mins[::epoch_len].copy(),
                             price[::epoch_len].copy(),
@@ -306,17 +307,62 @@ def frame_solver(rows, prices, epoch_len: int):
     rows (H, N) are decision rows already scaled by v, prices (H,) the move
     prices, all >= 0. An epoch takes the first way that applies, each bit
     for bit the DP's sequence on all its columns:
-    - anchor > 0, prev a node and the stay certificate holds (anchor times
-      the smallest price, plus the sum of the rows' minima, exceeds prev's
-      row sum by a rounding margin; see STAY_SLACK): [prev] * T, no DP;
+    - one slot, anchor >= 0 and prev a node: the node read off the row's
+      two smallest entries, with no DP, unless the move term's rounding
+      ties entries that the row orders (see the comment below);
+    - two or more slots, anchor > 0, prev a node and the stay certificate
+      holds (anchor times the smallest price, plus the sum of the rows'
+      minima, exceeds prev's row sum by a rounding margin; see
+      STAY_SLACK): [prev] * T, no DP;
     - anchor >= 0, two or more slots and PRUNE_MIN_NODES nodes or more:
       the DP on its undominated columns plus prev's, prev as a column
       index, mapped back to nodes (see PRUNE_MIN_NODES);
     - otherwise, a negative anchor always: the DP on every column.
     """
     n, horizon = rows.shape[1], len(rows)
-    kept = (_undominated(rows, epoch_len)
-            if epoch_len > 1 and n >= PRUNE_MIN_NODES else None)
+    if epoch_len == 1:
+        # A 1-slot epoch k is decided from its row D = rows[k]: its minimum
+        # lo, its first argmin f and lo2, the smallest entry at an index
+        # other than f (inf on one node), found for every row at once. The
+        # kernel scores prev D[prev] and every other node i fl(D[i] + m),
+        # m = anchor * price as it computes it, and takes the first smallest
+        # score. Rounding is monotone, so D[i] >= x gives
+        # fl(D[i] + m) >= fl(x + m), and m >= 0 gives fl(x + m) >= x:
+        # - prev == f: a node before f scores at least its entry, above lo,
+        #   and a node after f at least lo, so prev wins;
+        # - prev != f: f scores s = fl(lo + m) and no node but prev less, so
+        #   prev wins if D[prev] < s. If fl(lo2 + m) > s, every node but f
+        #   and prev scores more than s: f wins if D[prev] > s and the lower
+        #   of prev and f on a tie.
+        # Every other case goes to the kernel: a tie that fl(x + m) makes of
+        # entries that x orders (fl(lo2 + m) == s), a negative anchor (which
+        # the engine never passes) and a prev that is no node. A 1-slot
+        # epoch the stay certificate holds for is one the rule keeps on prev
+        # (L > R >= D[prev] with L = s), so these epochs need no certificate.
+        lo, lo2 = rows[:, 0].copy(), np.full(horizon, math.inf)
+        for column in rows.T[1:]:
+            np.minimum(lo2, np.maximum(lo, column), out=lo2)
+            np.minimum(lo, column, out=lo)
+        first = (rows == lo[:, None]).argmax(axis=1).tolist()
+        lo, lo2, prices = lo.tolist(), lo2.tolist(), prices.tolist()
+
+        def solve_slot(k: int, anchor: float,
+                       prev: Placement) -> list[Placement]:
+            if anchor >= 0 and 0 <= prev < n:
+                f = first[k]
+                if prev == f:
+                    return [prev]
+                m = anchor * prices[k]
+                s, x = lo[k] + m, rows.item(k, prev)
+                if x < s:
+                    return [prev]
+                if lo2[k] + m > s:
+                    return [f if x > s else min(prev, f)]
+            return _frame_dp(rows[k:k + 1].tolist(), prices[k:k + 1], anchor,
+                             prev)
+
+        return solve_slot
+    kept = _undominated(rows, epoch_len) if n >= PRUNE_MIN_NODES else None
     lows, cheapest, sums = _stay_bounds(rows, prices, epoch_len)
     prices, slack = prices.tolist(), 1.0 + epoch_len * STAY_SLACK
 

@@ -75,6 +75,15 @@ def test_generate_scenario_capacity_modes():
     assert scn.compute_capacity.shape == (4,)
 
 
+def test_generate_scenario_takes_a_boolean_capacity_mode_only():
+    # ExperimentConfig's rule: "no" is truthy and used to draw one capacity
+    # for every node
+    for value in ("no", 1, None, np.bool_(True)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"homogeneous_capacity must be true or false, got {value!r}")):
+            generate_scenario(0, 3, 5, homogeneous_capacity=value)
+
+
 def test_generate_scenario_takes_one_backhaul_rate():
     scn, _ = generate_scenario(seed=1, n_nodes=3, horizon=5, backhaul_mbps=64)
     assert (scn.backhaul_rate[~np.eye(3, dtype=bool)] == 64.0).all()
@@ -454,9 +463,14 @@ def test_weight_below_backlog_is_checked_for_every_policy(monkeypatch, policy):
 @pytest.mark.parametrize("node", (-1, 4))
 @pytest.mark.parametrize("policy", ("osp", "psp"))
 def test_placement_outside_the_nodes_is_checked(monkeypatch, policy, node):
-    # node -1 would read the last node's latency if it went unchecked
-    monkeypatch.setattr(policies, "_frame_dp",
-                        lambda rows, prices, anchor, prev: [node] * len(rows))
+    # node -1 would read the last node's latency if it went unchecked. The
+    # fault enters where the engine gets its placements, which every epoch
+    # passes: osp's 1-slot epochs mostly never reach the kernel.
+    def faulty(rows, prices, epoch_len):
+        return lambda k, anchor, prev: [node] * len(
+            rows[k * epoch_len:(k + 1) * epoch_len])
+
+    monkeypatch.setattr(harness, "frame_solver", faulty)
     with pytest.raises(InvariantError, match=re.escape(
             f"slot 0: placement {node} is not a node in [0, 4)")):
         run(base_config(policy=policy))
@@ -483,13 +497,22 @@ def test_a_column_outside_a_pruned_frame_is_checked(monkeypatch, past):
 
 def test_the_stay_certificate_changes_no_run(monkeypatch):
     # Every run equals, bit for bit, the run whose every epoch goes to the
-    # frame DP; the certificate is switched off by a row-minima sum of
-    # -inf, which makes no left side larger than the right.
+    # frame DP. With frames of two slots or more the certificate is switched
+    # off by a row-minima sum of -inf, which makes no left side larger than
+    # the right; 1-slot epochs, which the solver decides by its own rule,
+    # are compared with a solver that calls the kernel on every epoch.
     bounds, kernel, calls = policies._stay_bounds, policies._frame_dp, []
+    solver = harness.frame_solver
 
     def never(decision, price, epoch_len):
         lows, cheapest, sums = bounds(decision, price, epoch_len)
         return np.full(len(lows), -math.inf), cheapest, sums
+
+    def kernel_only(rows, prices, epoch_len):
+        assert epoch_len == 1
+        prices = prices.tolist()
+        return lambda k, anchor, prev: policies._frame_dp(
+            rows[k:k + 1].tolist(), prices[k:k + 1], anchor, prev)
 
     def counted(*args):
         calls.append(None)
@@ -510,10 +533,15 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
         for (policy, beta), v in itertools.product(cases, (0.0, 1.0, 50.0,
                                                            900.0)):
             cfg = PolicyConfig(v=v, beta=beta)
-            monkeypatch.setattr(policies, "_stay_bounds", never)
+            if frame_len == 1:
+                monkeypatch.setattr(harness, "frame_solver", kernel_only)
+            else:
+                monkeypatch.setattr(policies, "_stay_bounds", never)
             calls.clear()
             want = simulate(scn, table, policy, cfg, spec)
             run_epochs = len(calls)  # every epoch called the kernel
+            assert run_epochs == len(range(0, scn.horizon, frame_len))
+            monkeypatch.setattr(harness, "frame_solver", solver)
             monkeypatch.setattr(policies, "_stay_bounds", bounds)
             calls.clear()
             got = simulate(scn, table, policy, cfg, spec)
@@ -524,6 +552,23 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
                 assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
                         else repr(a) == repr(b)), (policy, f.name)
     assert certified > 0.2 * epochs
+
+
+@pytest.mark.parametrize("seed", (0, 41))
+def test_a_paper_config_osp_run_calls_no_kernel(monkeypatch, seed):
+    # At the paper's N=6, H=1400 with a binding budget, frame_solver decides
+    # every 1-slot epoch from its row's two smallest entries; the kernel is
+    # left for the rounding ties that no slot of these runs has.
+    calls = []
+    kernel = policies._frame_dp
+    monkeypatch.setattr(policies, "_frame_dp",
+                        lambda *args: calls.append(None) or kernel(*args))
+    config = ExperimentConfig(policy="osp", scenario_seed=seed,
+                              trace_seed=seed + 1, budget_avg=0.03,
+                              policy_cfg=PolicyConfig(v=50.0, theta=50.0))
+    rec = run(config)
+    assert calls == [] and len(rec.placement) == 1400
+    assert 0 < np.count_nonzero(np.diff(rec.placement)) < 1400
 
 
 @pytest.mark.parametrize("policy", ("psp", "pspwu", "plm"))
@@ -811,6 +856,19 @@ def test_a_setting_out_of_range_is_rejected_by_the_run(setting, value, named):
     config = build_owner(setting, value)
     with pytest.raises(ConfigError, match=re.escape(named)):
         run(config)
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("policy_cfg", 5, "PolicyConfig"),
+    ("policy_cfg", {"v": 1.0}, "PolicyConfig"),
+    ("predictor", "x", "PredictorSpec"),
+    ("predictor", None, "PredictorSpec")])
+def test_a_config_takes_its_policy_and_predictor_settings_as_objects(
+        name, value, kind):
+    # they used to be accepted and to fail the run with an AttributeError
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{name} must be a {kind}, got {value!r}")):
+        ExperimentConfig(policy="psp", horizon=10, **{name: value})
 
 
 def test_a_config_holds_the_defaults_of_its_owners():

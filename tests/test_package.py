@@ -47,6 +47,18 @@ def test_python_O_removes_no_check():
     assert not stripped, f"python -O removes: {', '.join(stripped)}"
 
 
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml promises Python 3.10. feature_version is best-effort:
+    # ast rejects much, not all, of the syntax newer than 3.10 (except*,
+    # for one), and a 3.10 interpreter remains the real check.
+    root = Path(__file__).resolve().parents[1]
+    sources = [path for part in ("src", "tests", "bench", "demos")
+               for path in sorted((root / part).rglob("*.py"))]
+    assert len(sources) > 20
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_no_run_imports_numpy_ma():
     # numpy.ma, about 1 MB that np.unique and a few other conveniences
     # import, would add to every run's start-up time and peak memory; a

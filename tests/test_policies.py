@@ -8,12 +8,14 @@ from conftest import make_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edgeplacer import policies
 from edgeplacer.harness import (ExperimentConfig, generate_scenario,
                                 random_frame_instance, run, simulate)
 from edgeplacer.model import latency_rows
 from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
                                  brute_force_horizon, frame_decide,
-                                 frame_objective, lm_decide, plm_decide)
+                                 frame_objective, frame_solver, lm_decide,
+                                 plm_decide)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -150,6 +152,25 @@ def test_single_slot_frame_equals_reactive_rule():
         scores = osp_scores(cfg, q, rows[0], prices[0], prev)
         seq = frame_decide(cfg, FrameInput(rows, prices, q, prev))
         assert seq == [scores.index(min(scores))]
+
+
+def test_a_rounding_tie_sends_a_one_slot_epoch_to_the_kernel(monkeypatch):
+    # Node 1 holds the row's smallest entry, but with m = 2**54 both 1 + m
+    # and 2 + m round to 2**54: node 0 ties node 1 and wins as the lower
+    # index, which a precomputed argmin would miss. The rule sees
+    # lo2 + m == lo + m and leaves the slot to the kernel.
+    calls, kernel = [], policies._frame_dp
+    monkeypatch.setattr(policies, "_frame_dp",
+                        lambda *args: calls.append(args) or kernel(*args))
+    row, m = [2.0, 1.0, 2.0 ** 56], 2.0 ** 54
+    assert 1.0 + m == 2.0 + m == m
+    solve = frame_solver(np.array([row]), np.array([1.0]), 1)
+    assert solve(0, m, 2) == [0] and len(calls) == 1
+    # without the tie (a smaller anchor) the rule moves to node 1 alone
+    assert solve(0, 2.0 ** 50, 2) == [1] and len(calls) == 1
+    frame = FrameInput([row], [1.0], m, 2)
+    assert frame_decide(PolicyConfig(v=1.0), frame) == [0] == \
+        brute_force_frame(frame, 0.0, PolicyConfig(v=1.0))[0]
 
 
 def test_zero_anchor_frame_is_per_slot_latency_greedy():

@@ -55,6 +55,7 @@
 """
 
 import copy
+import itertools
 import math
 import sys
 from unittest import mock
@@ -80,8 +81,8 @@ from edgeplacer.model import Scenario, SlotTable
 from edgeplacer.policies import (PRUNE_MIN_NODES, STAY_SLACK, FrameInput,
                                  PolicyConfig, _frame_dp, _stay_bounds,
                                  _undominated, brute_force_frame,
-                                 frame_decide, frame_objective, lm_decide,
-                                 plm_decide)
+                                 frame_decide, frame_objective, frame_solver,
+                                 lm_decide, plm_decide)
 from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
                                 _transition_counts, predict_epochs)
 
@@ -285,6 +286,43 @@ def test_at_equality_the_certificate_leaves_the_frame_to_the_dp(monkeypatch):
                         users: (rows[slots], price[slots]))
     rec = simulate(scn, table, "osp", PolicyConfig(v=1.0))
     assert rec.placement.tolist() == [1, 0] and rec.q.tolist() == [0.0, 1.0]
+
+
+@st.composite
+def grid_rows(draw):
+    """Up to 4 slots of decision rows on up to 6 nodes, and their prices,
+    on the grid."""
+    n, horizon = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    value = st.integers(0, 3).map(float) if draw(st.booleans()) else quarters
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                         min_size=horizon, max_size=horizon))
+    return rows, draw(st.lists(value, min_size=horizon, max_size=horizon))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_rows())
+@example(([[1.5]], [0.25]))  # one node: no second-smallest entry
+@example(([[2.0, 1.0, 3.0], [0.0, 0.0, 0.0]], [0.0, 1.0]))  # and all tied
+def test_a_one_slot_epoch_decides_as_the_kernel(case):
+    # frame_solver decides 1-slot epochs without the kernel, from each row's
+    # two smallest entries. Grid rows tie often; the anchor 5e-324 makes
+    # move terms of 0 or a few subnormals, which part only entries of 0, and
+    # 1e17 rounds the moved entries together.
+    rows, prices = case
+    solve = frame_solver(np.array(rows), np.array(prices), 1)
+    for k, anchor, prev in itertools.product(
+            range(len(rows)), (0.0, 5e-324, 0.25, 1.0, 2.5, 1e17),
+            range(len(rows[0]))):
+        assert solve(k, anchor, prev) == _frame_dp(
+            rows[k:k + 1], prices[k:k + 1], anchor, prev)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames(max_nodes=8, max_len=1))
+def test_a_one_slot_frame_decide_equals_brute_force(case):
+    cfg, frame, e_avg = case
+    assert frame_decide(cfg, frame) == brute_force_frame(frame, e_avg,
+                                                         cfg)[0]
 
 
 COLUMNS = ("input_size", "workload", "access_rate", "container_size",
@@ -532,14 +570,18 @@ def test_an_accepted_config_decides_on_finite_rows(policy, seed, horizon, v,
                               trace_seed=seed, horizon=horizon,
                               backhaul_mbps=backhaul,
                               policy_cfg=PolicyConfig(v=v))
-    with mock.patch.object(policies, "_frame_dp", wraps=_frame_dp) as dp, \
+    # the frame policies' solver gets every decision row its epochs read,
+    # also those of the 1-slot epochs it decides without the kernel
+    with mock.patch.object(harness, "frame_solver",
+                           wraps=policies.frame_solver) as solver, \
             mock.patch.object(harness, "lm_decide", wraps=lm_decide) as lm, \
             mock.patch.object(harness, "plm_decide", wraps=plm_decide) as plm:
         try:
             rec = run(config)
         except ConfigError:
             return
-    rows = [row for call in dp.call_args_list for row in call.args[0]]
+    rows = [row for call in solver.call_args_list
+            for row in call.args[0].tolist()]
     rows += [call.args[1] for call in lm.call_args_list]
     rows += [row for call in plm.call_args_list for row in call.args[:2]
              if row is not None]
