@@ -4,7 +4,8 @@ The queue tracks cumulative overrun of the per-slot migration budget:
 q(t+1) = max(q(t) + e(t) - e_avg, 0). Keeping it stable is what enforces
 the long-term budget. The weight w(t) is a queue surrogate with recursive
 memory of past backlog changes (momentum weighted by beta); with beta = 0
-and zero initial state it coincides with the queue exactly.
+and zero initial state it coincides with the queue exactly. advance is the
+reference step, which harness.simulate inlines bit for bit.
 """
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costqueue import advance, bound_constant_B
+from .costqueue import bound_constant_B
 # max_slot_migration_cost is not used here; harness re-exports it
 from .model import (MAX_MATRIX_ENTRIES, Scenario, SlotTable, _real, _seed,
                     _whole, latency_rows, max_slot_migration_cost)
@@ -292,13 +292,15 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     their epochs is decided, by one policies.frame_solver per run, once the
     slots before it are accounted; am, nm, lm and plm never read it, so all
     their slots are decided first and the run is accounted in one pass.
-    Both go through one accounting loop, which checks every slot against
-    its epoch's start. A broken budget inequality, backlog deviation bound
-    or w >= q, or a placement outside the nodes, raises InvariantError. A
-    latency that is not finite, a sum of the run's latencies or of a
-    frame's latencies times v past the float range, or move prices whose
-    backlog and weight terms could pass it, raises ConfigError before the
-    first decision.
+    Both go through one loop that steps costqueue.advance's recursion
+    inline. The run's columns are then checked once: the earliest slot past
+    its epoch's backlog deviation bound or with w < q (the bound first), a
+    placement outside the nodes or a broken budget inequality raises
+    InvariantError. A beta outside [0, 1] or a negative or NaN budget is a
+    ValueError. A latency that is not finite, a sum of the run's latencies
+    or of a frame's latencies times v past the float range, or move prices
+    whose backlog and weight terms could pass it, raises ConfigError before
+    the first decision.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -377,103 +379,104 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     prices = price.tolist()
     prev = initial = trace[0]
     frame = policy in ("osp", "psp", "pspwu")  # osp: 1-slot frames
-    if frame:  # each epoch decided once the ones before it are accounted
-        starts, placements = range(0, horizon, epoch_len), []
+    # No queue-blind placement depends on the queue: they make one epoch.
+    epochs = len(range(0, horizon, epoch_len)) if frame else 1
+    if frame:
         solve = frame_solver(decision, price, epoch_len)
-    else:
-        # Queue-blind: no placement depends on the queue.
-        starts = (0,)
-        if policy == "am":
-            placements = trace[:horizon]
-        elif policy == "nm":
-            placements = [initial] * horizon
-        elif policy == "lm":
-            placements, at, lm_acc = [], initial, 0.0
-            for t in range(horizon):
-                at, lm_acc = lm_decide(lm_acc, realized[t].tolist(), prices[t],
-                                       trace[t], at)
-                placements.append(at)
-        else:  # plm, which reads the next slot's row unless it is the last
-            placements, at = [], initial
-            for t in range(horizon):
-                nxt = decision[t + 1].tolist() if t + 1 < horizon else None
-                at = plm_decide(realized[t].tolist(), nxt, prices[t],
-                                trace[t], at)
-                placements.append(at)
+    elif policy == "am":
+        blind = trace[:horizon]
+    elif policy == "nm":
+        blind = [initial] * horizon
+    elif policy == "lm":
+        blind, at, lm_acc = [], initial, 0.0
+        for t in range(horizon):
+            at, lm_acc = lm_decide(lm_acc, realized[t].tolist(), prices[t],
+                                   trace[t], at)
+            blind.append(at)
+    else:  # plm, which reads the next slot's row unless it is the last
+        blind, at = [], initial
+        for t in range(horizon):
+            nxt = decision[t + 1].tolist() if t + 1 < horizon else None
+            at = plm_decide(realized[t].tolist(), nxt, prices[t], trace[t], at)
+            blind.append(at)
 
     q = w = w_prev = 0.0
     beta = cfg.beta
-    costs, qs, ws = [], [], []  # every slot's cost, and q and w before it
-    overrun = 0.0  # queue recursion without the clamp, same op order as the queue
-    negative_w_frames = 0
-    # Holding the epoch-start backlog fixed is off by at most epoch_len * w_q.
-    w_q = max(e_avg, top)
-    dev_bound = epoch_len * w_q
-    dev_limit = dev_bound + 1e-9 * max(1.0, dev_bound)
-
-    for k, start in enumerate(starts):
-        if frame:
-            anchor = w if policy == "pspwu" else q
-            negative_w_frames += anchor < 0
-            seq = solve(k, anchor, prev)
-            placements += seq
-        else:
-            seq = placements
-
-        for t, placement in enumerate(seq, start):
-            if t % epoch_len == 0:  # an epoch starts here
-                q_start = q
-            cost = prices[t] if placement != prev else 0.0
-            costs.append(cost)
+    if not (e_avg >= 0.0 and 0.0 <= beta <= 1.0):  # cfg is mutable
+        raise ValueError("queue inputs must be >= 0 and beta in [0, 1]")
+    placements, qs, ws = [], [], []  # q and w before each slot
+    unpriced = iter(prices)  # zip takes one price per placement it reads
+    for k in range(epochs):
+        seq = solve(k, w if policy == "pspwu" else q, prev) if frame else blind
+        placements += seq
+        # advance's expressions in its order, without its input checks
+        for placement, p in zip(seq, unpriced):
             qs.append(q)
             ws.append(w)
-            q, w, w_prev = advance(q, w, w_prev, cost, e_avg, beta)
-            overrun = overrun + (cost - e_avg)
-            prev = placement
-            if not abs(q - q_start) <= dev_limit:
-                raise InvariantError(
-                    f"slot {t}: backlog {q!r} drifted from the epoch "
-                    f"start {q_start!r} beyond {epoch_len} * w_q = {dev_bound!r}")
-            # w' - q' = (w - q) + beta * max(w - w_prev, 0) and w = q = 0 at
-            # the start. In floats w' = fl(fl(w + d) + beta * m) with
-            # d = fl(q' - q). Rounding is monotone, so w >= q gives
-            # w' >= fl(q + d), and fl(q + d) == q' for every queue step: the
-            # clamp (d = -q), a step of at most q either way (d is exact,
-            # Fast2Sum) and a larger rise (d is off by at most half an ulp of
-            # q', and q + d rounds back to q'). The check needs no tolerance.
-            if not w >= q:
-                raise InvariantError(f"slot {t}: weight {w!r} fell below the "
-                                     f"backlog {q!r}")
+            q_next = q + ((p if placement != prev else 0.0) - e_avg)
+            if q_next < 0.0:
+                q_next = 0.0
+            rise = w - w_prev
+            w_prev, w = w, w + (q_next - q) + beta * (0.0 if rise < 0.0 else rise)
+            q, prev = q_next, placement
+    avg_queue = math.fsum(qs) / horizon
+    qs, ws = np.array(qs + [q]), np.array(ws + [w])  # and after the last
 
     placement = np.array(placements)
-    # A negative node would wrap in the latency gather below.
-    bad = np.flatnonzero((placement < 0) | (placement >= scn.node_count))
+    cost = np.where(np.diff(placement, prepend=initial) != 0, price, 0.0)
+    total_cost = _check_run(placement, cost, qs, ws, e_avg, epoch_len,
+                            max(e_avg, top), scn.node_count)
+    anchors = (ws if policy == "pspwu" else qs)[:horizon:epoch_len]
+    latency = realized[np.arange(horizon), placement]
+    return RunRecord(
+        placement=placement, latency=latency, cost=cost, q=qs[:-1],
+        w=ws[:-1], avg_latency=math.fsum(latency) / horizon,
+        avg_cost=total_cost / horizon, avg_queue=avg_queue, final_queue=q,
+        prediction_accuracy=accuracy,
+        negative_w_frames=int(np.count_nonzero(anchors < 0)) if frame else 0)
+
+
+def _check_run(placement, cost, q, w, e_avg, epoch_len, w_q, node_count):
+    """simulate's invariant checks over a run's columns; the total cost."""
+    # Holding the epoch-start backlog fixed is off by at most epoch_len * w_q.
+    dev_bound = epoch_len * w_q
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails a compare
+        start = np.repeat(q[:-1:epoch_len], epoch_len)[:len(cost)]
+        drift = ~(abs(q[1:] - start) <= dev_bound + 1e-9 * max(1.0, dev_bound))
+        # w' - q' = (w - q) + beta * max(w - w_prev, 0) and w = q = 0 at
+        # the start. In floats w' = fl(fl(w + d) + beta * m) with
+        # d = fl(q' - q). Rounding is monotone, so w >= q gives
+        # w' >= fl(q + d), and fl(q + d) == q' for every queue step: the
+        # clamp (d = -q), a step of at most q either way (d is exact,
+        # Fast2Sum) and a larger rise (d is off by at most half an ulp of
+        # q', and q + d rounds back to q'). The check needs no tolerance.
+        low = ~(w[1:] >= q[1:])
+        # Telescoped budget guarantee: the clamp only ever raises the
+        # backlog, so q dominates the unclamped overrun sum. Float-exact:
+        # accumulate is the queue's per-slot addition in its order.
+        overrun = float(np.add.accumulate(cost - e_avg)[-1])
+    t = (drift | low).argmax()  # 0 if every slot passes
+    if drift[t]:
+        raise InvariantError(
+            f"slot {t}: backlog {float(q[t + 1])!r} drifted from the epoch "
+            f"start {float(start[t])!r} beyond {epoch_len} * w_q = {dev_bound!r}")
+    if low[t]:
+        raise InvariantError(f"slot {t}: weight {float(w[t + 1])!r} fell "
+                             f"below the backlog {float(q[t + 1])!r}")
+    # A negative node would wrap in the latency gather.
+    bad = np.flatnonzero((placement < 0) | (placement >= node_count))
     if bad.size:
         raise InvariantError(f"slot {bad[0]}: placement {placement[bad[0]]} "
-                             f"is not a node in [0, {scn.node_count})")
-    # Telescoped budget guarantee: the clamp only ever raises the backlog, so
-    # q dominates the unclamped overrun sum. Float-exact because both sides
-    # apply the identical per-slot addition (rounding is monotone).
-    if not q >= overrun:
-        raise InvariantError(f"final backlog {q!r} is below the "
+                             f"is not a node in [0, {node_count})")
+    if not q[-1] >= overrun:
+        raise InvariantError(f"final backlog {float(q[-1])!r} is below the "
                              f"unclamped overrun {overrun!r}")
-    total_cost = math.fsum(costs)
-    rhs = horizon * e_avg + q
+    total_cost = math.fsum(cost[cost != 0.0].tolist())  # zeros add nothing
+    rhs = len(cost) * e_avg + float(q[-1])
     if not total_cost <= rhs + 1e-9 * max(1.0, rhs):
         raise InvariantError(f"total cost {total_cost!r} exceeds "
                              f"H * e_avg + Q(H) = {rhs!r}")
-
-    latency = realized[np.arange(horizon), placement]
-    return RunRecord(
-        placement=placement, latency=latency, cost=np.array(costs),
-        q=np.array(qs), w=np.array(ws),
-        avg_latency=math.fsum(latency) / horizon,
-        avg_cost=total_cost / horizon,
-        avg_queue=math.fsum(qs) / horizon,
-        final_queue=q,
-        negative_w_frames=negative_w_frames,
-        prediction_accuracy=accuracy,
-    )
+    return total_cost
 
 
 def _check_size(n, horizon, n_name, horizon_name, error):
@@ -740,7 +743,7 @@ HORIZON_SLACK = 0.10
 
 
 def random_frame_instance(rng, anchor_low=0.0, grid=False):
-    """Small random frame problem for DP-vs-enumeration checks.
+    """Small random frame problem, 1-4 slots, for DP-vs-enumeration checks.
 
     By default the latencies and prices are a generated scenario's and the
     tunables and anchor uniform floats. With grid, the latencies and prices
@@ -749,7 +752,7 @@ def random_frame_instance(rng, anchor_low=0.0, grid=False):
     the ties and near-ties that float draws almost never make are common.
     """
     n = int(rng.integers(2, 6))
-    length = int(rng.integers(2, 5))
+    length = int(rng.integers(1, 5))
     if grid:
         top, step = (3, 1.0) if rng.random() < 0.5 else (40, 0.25)
         values = rng.integers(0, top + 1, (length, n + 1)) * step

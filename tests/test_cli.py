@@ -100,9 +100,10 @@ def test_run_bad_value_is_config_error(tmp_path, capsys, override):
 
 
 def test_run_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
-    real = harness.advance
-    monkeypatch.setattr(harness, "advance",
-                        lambda *args: (0.0, *real(*args)[1:]))
+    real = harness._check_run
+    monkeypatch.setattr(harness, "_check_run",
+                        lambda placement, cost, q, *rest: real(
+                            placement, cost, 0 * q, *rest))
     config = write_config(tmp_path / "c.json", policy={"name": "am"},
                           scenario={"budget_avg": 0.0})
     assert main(["run", "--config", str(config),

@@ -15,7 +15,8 @@ import pytest
 from conftest import (make_scenario, reference_predict,
                       reference_synthetic_trace)
 
-from edgeplacer import cli, harness, policies
+import edgeplacer
+from edgeplacer import cli, costqueue, harness, policies
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
                                 InvariantError, RunRecord, TraceFormatError,
                                 apply_overrides, config_from_dict,
@@ -443,21 +444,98 @@ def test_queue_blind_placements_ignore_the_budget_and_beta():
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_deviation_bound_is_checked_for_every_policy(monkeypatch, policy):
-    real = harness.advance
-    monkeypatch.setattr(harness, "advance",
-                        lambda q, *rest: (q + 1e6, *real(q, *rest)[1:]))
+    # The fault enters the run's columns where simulate checks them: each
+    # slot's backlog inflated by 1e6 more than the one before it.
+    real = harness._check_run
+
+    def inflated(placement, cost, q, *rest):
+        return real(placement, cost, q + 1e6 * np.arange(len(q)), *rest)
+
+    monkeypatch.setattr(harness, "_check_run", inflated)
     with pytest.raises(InvariantError, match="w_q"):
         run(base_config(policy=policy))
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_weight_below_backlog_is_checked_for_every_policy(monkeypatch, policy):
-    real = harness.advance
-    # advance returns (q, w, w_prev) and the new w_prev is the old w
-    monkeypatch.setattr(harness, "advance",
-                        lambda *args: (real(*args)[0], -1.0, args[1]))
+    real = harness._check_run
+    monkeypatch.setattr(harness, "_check_run",
+                        lambda placement, cost, q, w, *rest: real(
+                            placement, cost, q, np.full_like(w, -1.0), *rest))
     with pytest.raises(InvariantError, match="weight -1.0 fell below"):
         run(base_config(policy=policy))
+
+
+@pytest.mark.parametrize("policy", ("osp", "psp"))
+@pytest.mark.parametrize("weight_slot, drift_slot, message", [
+    (3, 5, r"slot 3: weight -1\.0 fell below"),
+    (3, 3, r"slot 3: backlog .* drifted"),  # one slot: the drift first
+])
+def test_the_earliest_broken_slot_is_named(monkeypatch, policy, weight_slot,
+                                           drift_slot, message):
+    # The columns hold each slot's q and w before it and after the last, so
+    # slot t's outcome is entry t + 1.
+    real = harness._check_run
+
+    def faulty(placement, cost, q, w, *rest):
+        q, w = q.copy(), w.copy()
+        w[weight_slot + 1] = -1.0
+        q[drift_slot + 1] += 1e6
+        return real(placement, cost, q, w, *rest)
+
+    monkeypatch.setattr(harness, "_check_run", faulty)
+    with pytest.raises(InvariantError, match=message):
+        run(base_config(policy=policy))
+
+
+@pytest.mark.parametrize("bad", (math.inf, math.nan))
+def test_a_non_finite_backlog_is_an_invariant_error(monkeypatch, bad):
+    # inf - inf in the drift check must not end in a RuntimeWarning, which
+    # the tier-1 settings turn into an error
+    real = harness._check_run
+
+    def faulty(placement, cost, q, w, *rest):
+        q, w = q.copy(), w.copy()
+        q[5:] = w[5:] = bad
+        return real(placement, cost, q, w, *rest)
+
+    monkeypatch.setattr(harness, "_check_run", faulty)
+    with pytest.raises(InvariantError, match="slot 4: backlog"):
+        run(base_config(policy="psp"))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_beta_set_after_construction_is_refused(policy):
+    # PolicyConfig is mutable, so simulate checks the queue's inputs once
+    # per run, as advance does at each call.
+    config = base_config(policy=policy)
+    config.policy_cfg.beta = 2.0
+    with pytest.raises(ValueError, match=re.escape(
+            "queue inputs must be >= 0 and beta in [0, 1]")):
+        run(config)
+
+
+def test_a_run_makes_no_advance_call_and_checks_once(monkeypatch):
+    # The engine steps advance's expressions inline and checks the run's
+    # columns in one call: spies on every module that exposes advance count
+    # no call in a paper-config run of any policy.
+    real, real_check = costqueue.advance, harness._check_run
+    calls, checks = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def counted_check(*args):
+        checks.append(len(args[0]))
+        return real_check(*args)
+
+    for module in (costqueue, edgeplacer, harness):
+        monkeypatch.setattr(module, "advance", counted, raising=False)
+    monkeypatch.setattr(harness, "_check_run", counted_check)
+    for policy in POLICIES:
+        assert len(run(ExperimentConfig(policy=policy)).q) == 1400
+    assert calls == [] and checks == [1400] * len(POLICIES)
 
 
 @pytest.mark.parametrize("node", (-1, 4))
@@ -718,8 +796,9 @@ def test_invariant_checks_survive_optimize():
     script = (
         "import sys\n"
         "from edgeplacer import harness\n"
-        "real = harness.advance\n"
-        "harness.advance = lambda *args: (0.0, *real(*args)[1:])\n"
+        "real = harness._check_run\n"
+        "harness._check_run = lambda placement, cost, q, *rest: real(\n"
+        "    placement, cost, 0 * q, *rest)\n"
         "config = harness.ExperimentConfig(policy='am', node_count=4,\n"
         "                                  horizon=120, budget_avg=0.0)\n"
         "try:\n"
@@ -958,6 +1037,26 @@ def test_verify_frame_oracles_check_the_stay_certificate(monkeypatch):
     monkeypatch.setattr(policies, "_stay_bounds", always)
     matches, total, mismatches = verify_frame_oracles(1, 200)
     assert matches < total == 200 and len(mismatches) == total - matches
+
+
+def test_both_frame_suites_draw_one_slot_frames(monkeypatch, capsys):
+    # A 1-slot frame is decided by frame_solver's 1-slot rule, which verify
+    # checks against enumeration only if its suites draw such frames. The
+    # CLI's default seed 1 runs the queue suite at seed 1 and the weight
+    # suite at seed 2.
+    real, lengths = harness.random_frame_instance, []
+
+    def spy(rng, anchor_low=0.0, grid=False):
+        cfg, frame, e_avg = real(rng, anchor_low, grid)
+        lengths.append((anchor_low, len(frame.latency)))
+        return cfg, frame, e_avg
+
+    monkeypatch.setattr(harness, "random_frame_instance", spy)
+    assert cli.main(["verify"]) == 0
+    assert "200/200 oracle matches\n100/100" in capsys.readouterr().out
+    for anchor_low, count in ((0.0, 200), (-20.0, 100)):
+        drawn = [n for low, n in lengths if low == anchor_low]
+        assert len(drawn) == count and set(drawn) == {1, 2, 3, 4}
 
 
 def test_verify_horizon_bound_mostly_holds():
