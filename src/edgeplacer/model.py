@@ -18,7 +18,6 @@ latencies in seconds, migration prices in cost units per GB.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +76,14 @@ def _floats(name: str, values) -> np.ndarray:
                     dtype=float).reshape(entries.shape)
 
 
+def _owned(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of array: a validated object keeps no array that a
+    caller holds, and a write into one of its own raises ValueError."""
+    array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 def _positive(name: str, values, shape: tuple) -> np.ndarray:
     array = _floats(name, values)
     if array.shape != shape:
@@ -88,7 +95,11 @@ def _positive(name: str, values, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fixed system description: nodes, links, capacities, budget, timing."""
+    """Fixed system description: nodes, links, capacities, budget, timing.
+
+    backhaul_rate and compute_capacity are the scenario's own read-only
+    copies of the arrays it was given.
+    """
 
     node_count: int
     backhaul_rate: np.ndarray     # N x N Mbit/s, diagonal set to inf
@@ -113,9 +124,10 @@ class Scenario:
         off_diag = rate[~np.eye(self.node_count, dtype=bool)]
         _positive("off-diagonal backhaul_rate", off_diag, off_diag.shape)
         np.fill_diagonal(rate, math.inf)
+        rate.setflags(write=False)  # np.array copied it
         object.__setattr__(self, "backhaul_rate", rate)
-        object.__setattr__(self, "compute_capacity", _positive(
-            "compute_capacity", self.compute_capacity, (self.node_count,)))
+        object.__setattr__(self, "compute_capacity", _owned(_positive(
+            "compute_capacity", self.compute_capacity, (self.node_count,))))
 
 
 _DRAWN = ("input_size", "workload", "access_rate", "container_size",
@@ -128,8 +140,9 @@ class SlotTable:
 
     Checked once, when built: node_count is a whole number, the columns are
     one-dimensional and equally long, every drawn value is a finite positive
-    number, and every user node is an integer in [0, node_count). Slicing
-    with [a:b] gives those slots' table.
+    number, and every user node is an integer in [0, node_count). Each
+    column is the table's own read-only copy, so no caller can change a
+    validated table. Slicing with [a:b] gives those slots' table.
     """
 
     node_count: int
@@ -145,18 +158,18 @@ class SlotTable:
                            _whole(self.node_count, "node_count"))
         users = _indices(self.user_node, self.node_count,
                          "user_node must be integer nodes in [0, node_count)")
-        object.__setattr__(self, "user_node", users)
+        object.__setattr__(self, "user_node", _owned(users))
         for name in _DRAWN:
-            object.__setattr__(self, name, _positive(name, getattr(self, name),
-                                                     users.shape))
+            object.__setattr__(self, name, _owned(_positive(
+                name, getattr(self, name), users.shape)))
 
     def __getitem__(self, slots: slice) -> "SlotTable":
         return SlotTable(self.node_count, self.user_node[slots],
                          *(getattr(self, name)[slots] for name in _DRAWN))
 
-    @cached_property
+    @property
     def trace(self) -> list[int]:
-        """The realized user node of every slot."""
+        """The realized user node of every slot, a new list on each read."""
         return self.user_node.tolist()
 
 

@@ -32,7 +32,7 @@ from .model import Placement, _real, _whole
 ENUM_GUARD = 1_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyConfig:
     """Tunables of the budget-aware policies; the benchmarks have none.
 
@@ -55,7 +55,7 @@ class PolicyConfig:
             value = _real(getattr(self, f.name), f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
-            setattr(self, f.name, value)
+            object.__setattr__(self, f.name, value)
         if self.v < 0:
             raise ValueError("v must be >= 0")
         if self.theta < 0:
@@ -64,7 +64,7 @@ class PolicyConfig:
             raise ValueError("beta must be in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameInput:
     """One frame's decision problem, assembled at the frame's first slot.
 
@@ -91,7 +91,8 @@ class FrameInput:
                    itertools.chain(self.move_price, *self.latency)]
         if not all(math.isfinite(x) and x >= 0 for x in entries):  # -0.0 ok
             raise ValueError("latencies and prices must be finite and >= 0")
-        self.prev_placement = _whole(self.prev_placement, "prev_placement")
+        object.__setattr__(self, "prev_placement",
+                           _whole(self.prev_placement, "prev_placement"))
         if not 0 <= self.prev_placement < n:
             raise ValueError(f"prev_placement must be a node in [0, {n})")
         if not math.isfinite(_real(self.q_anchor, "q_anchor")):

@@ -4,6 +4,7 @@ import json
 import math
 import numbers
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -549,3 +550,133 @@ def test_any_config_ends_in_a_result_or_a_named_error(tmp_path_factory,
         for row in out.read_text().splitlines()[1:]:
             axis, _, *cells = row.split(",")
             assert all(math.isfinite(float(x)) for x in [axis, *cells] if x)
+
+
+# Fields int() reads but a trace file may not hold, and fields no integer
+# reader takes; none holds a comma, a quote or a newline, which would change
+# the row csv reads.
+BAD_TRACE_FIELDS = ["1_0", "٣", "+3", "²", "", " ", "-", "--1", "x", "1.0",
+                    "0x1", "1e3", "nan"]
+TRACE_NODES, TRACE_HORIZON = 4, 12
+
+
+@st.composite
+def broken_trace_files(draw):
+    """A trace file's text with one fault, and the start of the error line
+    the run must end with ({path} stands for the file's path)."""
+    regions = draw(st.lists(st.integers(0, TRACE_NODES - 1), min_size=1,
+                            max_size=TRACE_HORIZON))
+    rows = [f"{t},{r}" for t, r in enumerate(regions)]
+    at = draw(st.integers(0, len(rows) - 1))  # the faulty row
+    where = f"trace error: {{path}}:{at + 2}: "
+    fault = draw(st.sampled_from(["field", "count", "order", "negative",
+                                  "range", "empty", "header", "no rows"]))
+    if fault == "field":
+        bad = draw(st.sampled_from(BAD_TRACE_FIELDS))
+        rows[at] = draw(st.sampled_from([f"{at},{bad}", f"{bad},0"]))
+        error = where + "non-integer entry"
+    elif fault == "count":
+        rows[at] = draw(st.sampled_from(["", f"{at}", f"{at},0,0"]))
+        error = where + "expected 2 fields"
+    elif fault == "order":
+        slot = draw(st.integers(0, 10 ** 6).filter(lambda s: s != at))
+        rows[at] = f"{slot},0"
+        error = where + "slots must count up from 0"
+    elif fault == "negative":
+        rows[at] = f"{at},-{draw(st.integers(1, 2 ** 70))}"
+        error = where + "negative region"
+    elif fault == "range":
+        region = draw(st.integers(TRACE_NODES, 2 ** 70))
+        rows[at] = f"{at},{region}"
+        error = where + f"region {region} out of range for {TRACE_NODES} nodes"
+    elif fault == "empty":
+        return "", "trace error: trace file {path} is empty"
+    elif fault == "header":
+        header = draw(st.sampled_from(["", "region,slot", "slot", "t,region"]))
+        return "\n".join([header] + rows) + "\n", (
+            "trace error: trace file {path} must start with slot,region")
+    else:
+        return "slot,region\n", "trace error: trace file {path} has no rows"
+    return "\n".join(["slot,region"] + rows) + "\n", error
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(trace=broken_trace_files())
+@example(trace=("slot,region\n0,1_0\n1,٣\n2,+3\n",
+                "trace error: {path}:2: non-integer entry"))
+@example(trace=("slot,region\n0,1\n1,4\n",
+                "trace error: {path}:3: region 4 out of range for 4 nodes"))
+def test_any_broken_trace_file_exits_3_naming_it(tmp_path_factory, trace):
+    text, error = trace
+    folder = tmp_path_factory.mktemp("trace")
+    path, out = folder / "trace.csv", folder / "o.csv"
+    path.write_bytes(text.encode())
+    config = write_config(folder / "c.json", trace={
+        "kind": "file", "path": str(path)}, scenario={
+        "node_count": TRACE_NODES, "horizon": TRACE_HORIZON})
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(config), "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert err.getvalue().startswith(error.format(path=path))
+    assert err.getvalue().count("\n") == 1
+
+
+# Each flag's accepted values and values it must refuse with exit 2.
+ARGV_VALUES = {
+    "gen-trace": {
+        "--seed": (["0", "3"], ["-1", "x", "1.5", ""]),
+        "--regions": (["1", "4"], ["0", "-3", "x", "2.0"]),
+        "--length": (["1", "20"], ["0", "-1", "x", "1e3",
+                                   "1000000000000000"]),
+        "--stickiness": (["0", "0.5", "1"], ["2", "-0.1", "nan", "inf",
+                                             "-inf", "x"]),
+    },
+    "verify": {
+        "--seed": (["0", "1"], ["-1", "x", "0.5", ""]),
+        "--instances": (["1", "2"], ["0", "-5", "x", "1.5", ""]),
+    },
+}
+
+
+@st.composite
+def refused_argvs(draw):
+    """gen-trace or verify argv with at least one refused flag value."""
+    command = draw(st.sampled_from(sorted(ARGV_VALUES)))
+    flags = ARGV_VALUES[command]
+    bad = draw(st.sets(st.sampled_from(sorted(flags)), min_size=1))
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        accepted, refused = flags[flag]
+        if flag in bad:
+            argv += [flag, draw(st.sampled_from(refused))]
+        elif draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(accepted))]
+    return argv
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(argv=refused_argvs())
+@example(argv=["verify", "--instances", "0"])
+@example(argv=["gen-trace", "--length", "0"])
+def test_any_refused_gen_trace_or_verify_argv_exits_2(tmp_path_factory, argv):
+    # nothing runs and nothing is written: the suites would fail the test
+    out = tmp_path_factory.mktemp("argv") / "trace.csv"
+    if argv[0] == "gen-trace":
+        argv = argv + ["--out", str(out)]
+
+    def suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(harness, "verify_frame_oracles", suite), \
+            mock.patch.object(harness, "verify_horizon_bound", suite), \
+            contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses argv this way
+            code = exc.code
+    assert code == 2 and not out.exists() and stdout.getvalue() == ""
+    assert stderr.getvalue() and "Traceback" not in stderr.getvalue()

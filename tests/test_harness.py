@@ -27,7 +27,7 @@ from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
 from edgeplacer.model import latency_rows
 from edgeplacer.policies import (FrameInput, PolicyConfig, frame_decide,
                                  plm_decide)
-from edgeplacer.predict import PredictorSpec, predict_epochs
+from edgeplacer.predict import PREDICTOR_KINDS, PredictorSpec, predict_epochs
 
 
 COLUMNS = ("user_node", "input_size", "workload", "access_rate",
@@ -350,6 +350,148 @@ def test_file_trace_sweep_reads_the_trace_once(tmp_path, monkeypatch):
     assert reads == [str(path)]
 
 
+# Runs on one scenario share its materialization. Each test below empties
+# the shared entry first, so none depends on what an earlier test left.
+
+def assert_same_record(got, want):
+    # every column bit for bit, every summary by its repr
+    for f in dataclasses.fields(RunRecord):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+@pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+def test_a_run_on_the_shared_materialization_equals_a_fresh_one(kind):
+    predictor = PredictorSpec(kind=kind, accuracies=(0.9, 0.8), rng_seed=5)
+    configs = [base_config(policy=policy, horizon=60, predictor=predictor,
+                           policy_cfg=PolicyConfig(v=30.0, beta=0.5))
+               for policy in POLICIES]
+    fresh = []
+    for config in configs:
+        harness._last_materialized = None
+        fresh.append(run(config))
+    harness._last_materialized = None
+    shared = [run(configs[0])]
+    entry = harness._last_materialized
+    shared += [run(config) for config in configs[1:]]
+    assert harness._last_materialized is entry  # six runs drew nothing
+    for got, want in zip(shared, fresh):
+        assert_same_record(got, want)
+    # a sweep right after a run on the same scenario
+    config = replace(configs[1], sweep_axis="v", sweep_values=(1.0, 50.0))
+    harness._last_materialized = None
+    want = sweep(config)
+    harness._last_materialized = None
+    run(configs[0])
+    entry = harness._last_materialized
+    got = sweep(config)
+    assert harness._last_materialized is entry
+    assert [v for v, _ in got] == [v for v, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert_same_record(a, b)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The calls of harness.synthetic_trace and harness.generate_scenario,
+    by name, with the shared entry emptied."""
+    calls = []
+    for name in ("synthetic_trace", "generate_scenario"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, real=real, name=name,
+                            **kw: calls.append(name) or real(*a, **kw))
+    monkeypatch.setattr(harness, "_last_materialized", None)
+    return calls
+
+
+def test_consecutive_runs_on_one_scenario_draw_it_once(draws):
+    for policy in POLICIES:
+        run(base_config(policy=policy, policy_cfg=PolicyConfig(v=7.0)))
+    assert draws == ["synthetic_trace", "generate_scenario"]
+
+
+def test_runs_that_alternate_between_scenarios_draw_each_time(draws):
+    for seed in (2, 5, 2, 5, 2):
+        run(base_config(scenario_seed=seed))
+    assert draws == ["synthetic_trace", "generate_scenario"] * 5
+
+
+@pytest.mark.parametrize("name, value", [
+    ("scenario_seed", 5), ("node_count", 5), ("horizon", 90),
+    ("frame_len", 2), ("budget_avg", 0.06), ("backhaul_mbps", 120.0),
+    ("homogeneous_capacity", True), ("trace_seed", 4),
+    ("trace_stickiness", 0.5),
+])
+def test_a_change_in_any_scenario_field_draws_again(draws, name, value):
+    config = base_config()
+    scn, table = harness._materialize(config)
+    changed = replace(config, **{name: value})
+    other = harness._materialize(changed)
+    assert draws == ["synthetic_trace", "generate_scenario"] * 2
+    assert other[0] is not scn and other[1] is not table
+    assert harness._materialize(changed) is other
+    assert len(draws) == 4
+
+
+def test_a_budget_of_minus_zero_is_not_the_budget_of_zero(draws):
+    # the two compare equal, but the scenario keeps the sign it was given
+    scn, _ = harness._materialize(base_config(budget_avg=0.0))
+    other, _ = harness._materialize(base_config(budget_avg=-0.0))
+    assert len(draws) == 4
+    assert math.copysign(1.0, other.budget_avg) == -1.0 != \
+        math.copysign(1.0, scn.budget_avg)
+
+
+def test_a_trace_file_is_read_on_every_run(tmp_path, monkeypatch, draws):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, [0, 1, 2, 3] * 30)
+    reads = []
+    real = harness.read_trace_csv
+    monkeypatch.setattr(harness, "read_trace_csv",
+                        lambda p: reads.append(p) or real(p))
+    config = base_config(policy="am", trace_path=str(path))
+    assert run(config).placement.tolist() == [0, 1, 2, 3] * 30
+    write_trace_csv(path, [3, 2] * 60)
+    assert run(config).placement.tolist() == [3, 2] * 60
+    assert reads == [str(path)] * 2
+    assert draws == ["generate_scenario"] * 2
+    assert harness._last_materialized is None
+
+
+def test_an_error_is_not_shared(draws):
+    # a config that fails leaves the entry as it was
+    config = base_config()
+    pair = harness._materialize(config)
+    with pytest.raises(ConfigError):
+        harness._materialize(replace(config, trace_stickiness=2.0))
+    assert harness._materialize(config) is pair
+    assert draws == ["synthetic_trace", "generate_scenario",
+                     "synthetic_trace"]
+
+
+def test_a_shared_materialization_is_read_only():
+    harness._last_materialized = None
+    scn, table = harness._materialize(base_config())
+    for array in [getattr(table, name) for name in COLUMNS] + [
+            scn.backhaul_rate, scn.compute_capacity]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.budget_avg = 1.0
+
+
+@pytest.mark.parametrize("obj, name", [
+    (PolicyConfig(), "v"), (ExperimentConfig(), "horizon"),
+    (FrameInput([[1.0, 2.0]], [1.0], 0.5, 1), "prev_placement"),
+])
+def test_configs_are_frozen(obj, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, getattr(obj, name))
+
+
 def test_summary_csv_writes_numpy_sweep_values_as_numbers(tmp_path):
     # a library caller's numpy scalars print as numbers, not np.float64(...)
     config = base_config(policy="osp", sweep_axis="v",
@@ -401,6 +543,26 @@ def test_trace_csv_rejects_malformed(tmp_path):
             read_trace_csv(p)
     with pytest.raises(TraceFormatError):
         read_trace_csv(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("field", ["1_0", "٣", "+3", "²", "-",
+                                   "--1", "1.0", "0x1", ""])
+def test_a_trace_entry_is_plain_decimal_digits(tmp_path, field):
+    # int() reads 1_0 as 10 and Arabic-Indic three or +3 as 3
+    path = tmp_path / "trace.csv"
+    path.write_bytes(f"slot,region\n0,1\n1,{field}\n".encode())
+    with pytest.raises(TraceFormatError, match=re.escape(
+            f"{path}:3: non-integer entry")):
+        read_trace_csv(path)
+    path.write_bytes(f"slot,region\n0,1\n{field},1\n".encode())
+    with pytest.raises(TraceFormatError, match=re.escape(
+            f"{path}:3: non-integer entry")):
+        read_trace_csv(path)
+    # blanks around the digits are stripped, as in the header
+    path.write_text("slot,region\n 0 ,\t1 \n1,-1\n")
+    with pytest.raises(TraceFormatError, match=re.escape(
+            f"{path}:3: negative region")):
+        read_trace_csv(path)
 
 
 def test_file_trace_feeds_run(tmp_path):
@@ -506,10 +668,13 @@ def test_a_non_finite_backlog_is_an_invariant_error(monkeypatch, bad):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_a_beta_set_after_construction_is_refused(policy):
-    # PolicyConfig is mutable, so simulate checks the queue's inputs once
-    # per run, as advance does at each call.
+    # PolicyConfig is frozen; object.__setattr__ still gets round that, so
+    # simulate checks the queue's inputs once per run, as advance does at
+    # each call.
     config = base_config(policy=policy)
-    config.policy_cfg.beta = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.policy_cfg.beta = 2.0
+    object.__setattr__(config.policy_cfg, "beta", 2.0)
     with pytest.raises(ValueError, match=re.escape(
             "queue inputs must be >= 0 and beta in [0, 1]")):
         run(config)
@@ -625,10 +790,7 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
             got = simulate(scn, table, policy, cfg, spec)
             epochs += run_epochs
             certified += run_epochs - len(calls)
-            for f in dataclasses.fields(RunRecord):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
-                        else repr(a) == repr(b)), (policy, f.name)
+            assert_same_record(got, want)
     assert certified > 0.2 * epochs
 
 

@@ -230,6 +230,35 @@ def test_observation_validation():
     assert table.trace == [0, 1, 2] and table[1:].trace == [1, 2]
 
 
+def test_a_validated_object_keeps_no_array_its_caller_holds():
+    # writing -1.0 into the caller's arrays after construction leaves the
+    # table and the scenario as they were validated; their own arrays are
+    # read-only, and trace is a new list on each read
+    users = np.array([0, 1, 2])
+    columns = [np.full(3, value) for value in (8.0, 4.0, 8.0, 50.0, 2.0)]
+    table = SlotTable(3, users, *columns)
+    rate, caps = np.full((3, 3), 64.0), np.array([8.0, 9.0, 10.0])
+    scn = Scenario(node_count=3, backhaul_rate=rate, budget_avg=0.1,
+                   horizon=3, compute_capacity=caps)
+    for array in (*columns, rate, caps):
+        array[:] = -1.0
+    users[:] = 0
+    assert table.workload.tolist() == [4.0] * 3
+    assert [getattr(table, name)[0] for name in (
+        "input_size", "access_rate", "container_size",
+        "unit_migration_cost")] == [8.0, 8.0, 50.0, 2.0]
+    assert table.user_node.tolist() == [0, 1, 2]
+    assert scn.compute_capacity.tolist() == [8.0, 9.0, 10.0]
+    assert scn.backhaul_rate[0, 1] == 64.0
+    for array in (table.user_node, table.workload, table[1:].workload,
+                  scn.compute_capacity, scn.backhaul_rate):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    trace = table.trace
+    trace[0] = 2
+    assert table.trace == [0, 1, 2] and table.trace is not table.trace
+
+
 @pytest.mark.parametrize("users", [
     [0.5, 1.7, 2.9], ["1", "0", "2"], [True, False, True]])
 def test_slot_table_rejects_user_nodes_that_are_no_integers(users):
