@@ -503,9 +503,9 @@ _MATERIAL_FIELDS = ("scenario_seed", "node_count", "horizon", "frame_len",
                     "trace_seed", "trace_stickiness")
 
 # (key, (Scenario, SlotTable)) of the last synthetic-trace config that
-# materialized, or None. Runs of several policies on one scenario share the
-# pair; its arrays are read-only and its configs frozen, so no run can
-# change what the next one reads.
+# materialized, or None after any other call. Runs of several policies on
+# one scenario share the pair; its arrays are read-only and its configs
+# frozen, so no run can change what the next one reads.
 _last_materialized = None
 
 
@@ -521,8 +521,10 @@ def _materialize(config: ExperimentConfig):
     MAX_MATRIX_ENTRIES, is reported as a ConfigError.
 
     A config with no trace file that reads as the last one that
-    materialized gets the same pair without a new draw. A trace file is
-    read again on every call, as it may have changed since.
+    materialized gets the same pair without a new draw. Any other call
+    empties the entry first and stores a synthetic-trace pair once it is
+    drawn. A trace file is read again on every call, as it may have
+    changed since.
     """
     global _last_materialized
     _check_size(config.node_count, config.horizon, "scenario.node_count",
@@ -530,10 +532,12 @@ def _materialize(config: ExperimentConfig):
     key = trace = None
     if config.trace_path is None:
         key = _material_key(config)
-        last = _last_materialized
-        if last is not None and last[0] == key:
-            return last[1]
-    else:
+        if _last_materialized is not None and _last_materialized[0] == key:
+            return _last_materialized[1]
+    # a miss lets the last pair go before the next is drawn, so that at most
+    # one is held at a time
+    _last_materialized = None
+    if config.trace_path is not None:
         trace = read_trace_csv(config.trace_path)
         # read_trace_csv holds slot t to line t + 2; a node_count below 1 is
         # left to the scenario check, which reports it as a config problem
@@ -761,17 +765,12 @@ def read_trace_csv(path: str) -> list[int]:
         raise TraceFormatError(f"trace file {path} is empty") from None
     if [h.strip() for h in header] != ["slot", "region"]:
         raise TraceFormatError(f"trace file {path} must start with slot,region")
-    # In ASCII text with no "_" and no "+", int() reads exactly the fields
-    # _decimal reads, at a third of its cost
-    text = "".join(lines)
-    parse = (int if text.isascii() and "_" not in text and "+" not in text
-             else _decimal)
     regions = []
     for lineno, row in enumerate(reader):
         if len(row) != 2:
             raise TraceFormatError(f"{path}:{lineno + 2}: expected 2 fields")
         try:
-            slot, region = parse(row[0]), parse(row[1])
+            slot, region = _decimal(row[0]), _decimal(row[1])
         except ValueError:
             raise TraceFormatError(f"{path}:{lineno + 2}: non-integer entry") from None
         if slot != lineno:

@@ -3,8 +3,10 @@ per-call predictor formulas that batch predictions are checked against, the
 frame DP that scaled v * latency element by element and that the kernel is
 checked against, the queue step and lazy-migrate rule written with max()
 that their compares are checked against, the per-slot record loop that
-the engine's columns are checked against, and the csv.writer that the CSV
-writers are checked against."""
+the engine's columns are checked against, the csv.writer that the CSV
+writers are checked against, and a fixture that empties harness's shared
+materialization before every test, so that no test reads what another
+left there."""
 
 import csv
 import io
@@ -12,11 +14,18 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
+from edgeplacer import harness
 from edgeplacer.harness import _epochs
 from edgeplacer.model import Scenario, SlotTable, latency_rows
 from edgeplacer.policies import FrameInput, plm_decide
 from edgeplacer.predict import MODE_WINDOW, predict_epochs
+
+
+@pytest.fixture(autouse=True)
+def no_shared_materialization(monkeypatch):
+    monkeypatch.setattr(harness, "_last_materialized", None)
 
 
 def make_scenario(n=3, backhaul=64.0, budget=0.1, horizon=10, frame_len=1,

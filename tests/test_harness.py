@@ -350,8 +350,8 @@ def test_file_trace_sweep_reads_the_trace_once(tmp_path, monkeypatch):
     assert reads == [str(path)]
 
 
-# Runs on one scenario share its materialization. Each test below empties
-# the shared entry first, so none depends on what an earlier test left.
+# Runs on one scenario share its materialization; conftest empties the
+# shared entry before every test.
 
 def assert_same_record(got, want):
     # every column bit for bit, every summary by its repr
@@ -397,13 +397,12 @@ def test_a_run_on_the_shared_materialization_equals_a_fresh_one(kind):
 @pytest.fixture
 def draws(monkeypatch):
     """The calls of harness.synthetic_trace and harness.generate_scenario,
-    by name, with the shared entry emptied."""
+    by name."""
     calls = []
     for name in ("synthetic_trace", "generate_scenario"):
         real = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *a, real=real, name=name,
                             **kw: calls.append(name) or real(*a, **kw))
-    monkeypatch.setattr(harness, "_last_materialized", None)
     return calls
 
 
@@ -462,18 +461,36 @@ def test_a_trace_file_is_read_on_every_run(tmp_path, monkeypatch, draws):
 
 
 def test_an_error_is_not_shared(draws):
-    # a config that fails leaves the entry as it was
+    # a config that fails stores nothing, and the next call draws again
     config = base_config()
-    pair = harness._materialize(config)
+    harness._materialize(config)
     with pytest.raises(ConfigError):
         harness._materialize(replace(config, trace_stickiness=2.0))
-    assert harness._materialize(config) is pair
+    assert harness._last_materialized is None
+    harness._materialize(config)
     assert draws == ["synthetic_trace", "generate_scenario",
-                     "synthetic_trace"]
+                     "synthetic_trace",
+                     "synthetic_trace", "generate_scenario"]
+
+
+def test_a_miss_lets_the_last_pair_go_before_the_next_draw(tmp_path,
+                                                           monkeypatch):
+    # so that at most one shared pair is alive at a time
+    held = []
+    for name in ("synthetic_trace", "read_trace_csv"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, real=real: held.append(
+            harness._last_materialized) or real(*a))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, [0, 1, 2, 3] * 30)
+    for config in (base_config(scenario_seed=2), base_config(scenario_seed=5),
+                   base_config(trace_path=str(path))):
+        harness._materialize(config)
+    assert held == [None] * 3
+    assert harness._last_materialized is None
 
 
 def test_a_shared_materialization_is_read_only():
-    harness._last_materialized = None
     scn, table = harness._materialize(base_config())
     for array in [getattr(table, name) for name in COLUMNS] + [
             scn.backhaul_rate, scn.compute_capacity]:
