@@ -22,9 +22,9 @@ from .costqueue import bound_constant_B
 # max_slot_migration_cost is not used here; harness re-exports it
 from .model import (MAX_MATRIX_ENTRIES, Scenario, SlotTable, _real, _seed,
                     _whole, latency_rows, max_slot_migration_cost)
-from .policies import (FrameInput, PolicyConfig, brute_force_frame,
-                       brute_force_horizon, frame_decide, frame_objective,
-                       frame_solver, lm_decide, plm_decide)
+from .policies import (PRUNE_MIN_NODES, FrameInput, PolicyConfig,
+                       brute_force_frame, brute_force_horizon, frame_decide,
+                       frame_objective, frame_solver, lm_decide, plm_decide)
 from .predict import PredictorSpec, predict_epochs
 
 POLICIES = ("osp", "psp", "pspwu", "am", "nm", "lm", "plm")
@@ -794,60 +794,58 @@ HORIZON_BUDGET = 0.1
 HORIZON_SLACK = 0.10
 
 
-def random_frame_instance(rng, anchor_low=0.0, grid=False):
-    """Small random frame problem, 1-4 slots, for DP-vs-enumeration checks.
+def random_frame_instance(rng, anchor_low=0.0, grid=False, wide=False):
+    """Random frame problem (cfg, frame) for DP-vs-enumeration checks: 2-5
+    nodes and 1-4 slots or, with wide, PRUNE_MIN_NODES to 4 more nodes and
+    2-3 slots, where frame_solver prunes.
 
-    By default the latencies and prices are a generated scenario's and the
-    tunables and anchor uniform floats. With grid, the latencies and prices
-    are whole numbers 0-3 or quarters 0-10, v is one of 0, 1, 2.5 and 10,
-    and the anchor, theta and e_avg are quarters: every sum is exact, so
-    the ties and near-ties that float draws almost never make are common.
+    By default the latencies and prices are a generated scenario's and v
+    and the anchor uniform floats. With grid, the latencies and prices are
+    whole numbers 0-3 or quarters 0-10, v is one of 0, 1, 2.5 and 10, and
+    the anchor is a quarter: every sum is exact, so the ties and near-ties
+    that float draws almost never make are common.
     """
-    n = int(rng.integers(2, 6))
-    length = int(rng.integers(1, 5))
+    n, length = ((int(rng.integers(PRUNE_MIN_NODES, PRUNE_MIN_NODES + 5)),
+                  int(rng.integers(2, 4))) if wide else
+                 (int(rng.integers(2, 6)), int(rng.integers(1, 5))))
     if grid:
         top, step = (3, 1.0) if rng.random() < 0.5 else (40, 0.25)
         values = rng.integers(0, top + 1, (length, n + 1)) * step
-        cfg = PolicyConfig(v=float(rng.choice((0.0, 1.0, 2.5, 10.0))),
-                           theta=int(rng.integers(41)) / 4)
+        cfg = PolicyConfig(v=float(rng.choice((0.0, 1.0, 2.5, 10.0))))
         anchor = int(rng.integers(math.ceil(4 * anchor_low),
                                   math.floor(4 * ANCHOR_HIGH) + 1)) / 4
-        frame = FrameInput(values[:, :n].tolist(), values[:, n].tolist(),
-                           anchor, int(rng.integers(n)))
-        return cfg, frame, int(rng.integers(41)) / 4
-    scn, table = generate_scenario(
-        seed=int(rng.integers(2 ** 31)), n_nodes=n, horizon=length,
-        frame_len=length, budget_avg=float(rng.uniform(0.0, 0.5)))
-    cfg = PolicyConfig(v=float(rng.uniform(0.0, 100.0)),
-                       theta=float(rng.uniform(0.0, 100.0)))
+        return cfg, FrameInput(values[:, :n].tolist(), values[:, n].tolist(),
+                               anchor, int(rng.integers(n)))
+    scn, table = generate_scenario(seed=int(rng.integers(2 ** 31)), n_nodes=n,
+                                   horizon=length, frame_len=length)
+    cfg = PolicyConfig(v=float(rng.uniform(0.0, 100.0)))
     rows, prices = latency_rows(scn, table, slice(None), table.trace)
-    frame = FrameInput(rows.tolist(), prices.tolist(),
-                       float(rng.uniform(anchor_low, ANCHOR_HIGH)),
-                       int(rng.integers(n)))
-    return cfg, frame, scn.budget_avg
+    return cfg, FrameInput(rows.tolist(), prices.tolist(),
+                           float(rng.uniform(anchor_low, ANCHOR_HIGH)),
+                           int(rng.integers(n)))
 
 
 def verify_frame_oracles(seed: int = 1, instances: int = 200,
                          anchor_low: float = 0.0):
     """Compare the frame solver against exhaustive enumeration.
 
-    Every other instance is drawn on the exact grid. Negative anchor_low
-    exercises the weight-anchored variant. Returns (matches, instances,
-    mismatch descriptions).
+    Every other instance is drawn on the exact grid, every tenth wide on
+    it. Negative anchor_low exercises the weight-anchored variant. Returns
+    (matches, instances, mismatch descriptions).
     """
     rng = np.random.default_rng(seed)
     matches, mismatches = 0, []
     for idx in range(instances):
-        cfg, frame, e_avg = random_frame_instance(rng, anchor_low,
-                                                  grid=idx % 2 == 1)
+        cfg, frame = random_frame_instance(rng, anchor_low, grid=idx % 2 == 1,
+                                           wide=idx % 10 == 9)
         seq = frame_decide(cfg, frame)
-        obj = frame_objective(cfg, frame, e_avg, seq)
-        best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
+        best_seq, best_obj = brute_force_frame(frame, cfg)
         if seq == best_seq:
             matches += 1
         else:
             mismatches.append(
-                f"instance {idx}: dp={seq} obj={obj!r}, "
+                f"instance {idx}: dp={seq} "
+                f"obj={frame_objective(cfg, frame, seq)!r}, "
                 f"oracle={best_seq} obj={best_obj!r}")
     return matches, instances, mismatches
 

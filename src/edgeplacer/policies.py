@@ -16,8 +16,8 @@ every slot).
 Benchmarks: always-migrate and never-migrate need no rule of their own (the
 engine follows the user or holds the initial node); lazy-migrate and
 predictive-lazy-migrate are step functions. Brute-force enumerators serve
-as optimality oracles on small instances; the horizon oracle enumerates in
-numpy.
+as optimality oracles on small instances; both enumerate in numpy, through
+one helper.
 """
 
 import itertools
@@ -37,13 +37,9 @@ class PolicyConfig:
     """Tunables of the budget-aware policies; the benchmarks have none.
 
     v trades latency against queue backlog; beta is the weight-update
-    memory. theta was meant to weight the earlier, better-predicted
-    in-frame slots more heavily, but as written it adds
-    anchor * theta * (T - p) to every edge of frame position p. Every
-    sequence crosses one edge per position, so theta shifts all frame
-    objectives by the same constant. frame_decide reads neither theta nor
-    e_avg, so theta moves no placement; it changes only the value
-    frame_objective reports.
+    memory. theta, meant to weight the better-predicted early slots, adds
+    anchor * theta * (T - p) at frame position p, the same for every
+    sequence, so it moves no placement: it is validated and read by nothing.
     """
 
     v: float = 10.0
@@ -72,10 +68,11 @@ class FrameInput:
     for the realized user node, later rows for predicted ones); move_price[p]
     prices any move at p. q_anchor is the backlog (or weight) frozen for the
     frame; prev_placement is where the service sat before the frame began.
+    The rows are kept as tuples of the validated floats, the frame's own.
     """
 
-    latency: list
-    move_price: list
+    latency: tuple
+    move_price: tuple
     q_anchor: float = 0.0
     prev_placement: Placement = 0
 
@@ -91,6 +88,10 @@ class FrameInput:
                    itertools.chain(self.move_price, *self.latency)]
         if not all(math.isfinite(x) and x >= 0 for x in entries):  # -0.0 ok
             raise ValueError("latencies and prices must be finite and >= 0")
+        length = len(self.move_price)
+        object.__setattr__(self, "move_price", tuple(entries[:length]))
+        object.__setattr__(self, "latency", tuple(
+            tuple(entries[a:a + n]) for a in range(length, len(entries), n)))
         object.__setattr__(self, "prev_placement",
                            _whole(self.prev_placement, "prev_placement"))
         if not 0 <= self.prev_placement < n:
@@ -104,11 +105,10 @@ def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     q_anchor: the queue under osp (a 1-slot frame) and psp, the weight
     under pspwu, or any finite anchor, negative too. frame_solver decides
     them on the rows scaled by v. Node i scores v * latency[p][i] at
-    position p, plus anchor * move_price[p] if the service moves there; the
-    anchor * (theta_p - e_avg) terms of frame_objective add the same amount
-    to every sequence and are left out. The result is the lexicographically
-    smallest minimizer, as the brute-force oracle's tie-break. ValueError if
-    v times the latencies can sum past the float range.
+    position p, plus anchor * move_price[p] if the service moves there, as
+    frame_objective scores it. The result is the lexicographically smallest
+    minimizer, as the brute-force oracle's tie-break. ValueError if v times
+    the latencies can sum past the float range.
     """
     _check_scaled_sum(cfg, frame)
     solve = frame_solver(np.array(frame.latency, dtype=float) * cfg.v,
@@ -387,44 +387,63 @@ def frame_solver(rows, prices, epoch_len: int):
     return solve
 
 
-def frame_objective(cfg: PolicyConfig, frame: FrameInput, e_avg: float,
-                    seq) -> float:
-    """Evaluate the frame objective of an arbitrary placement sequence: at
-    position p, anchor * (move price if moved - e_avg + theta * (T - p)) plus
-    v * latency.
-
-    Forward slot-order accumulation, also the oracle's, so equal sequences
-    yield bit-identical objectives.
+def frame_objective(cfg: PolicyConfig, frame: FrameInput, seq) -> float:
+    """The frame DP's objective of a placement sequence, each entry a node
+    (a whole number in [0, n), or ValueError): at position p, v * latency,
+    plus anchor * move price if the service moves there. The paper's
+    anchor * (theta * (T - p) - e_avg) terms add the same to every sequence
+    and are left out. Summed forward in slot order, as the oracle sums, so
+    equal sequences yield bit-identical objectives.
     """
-    length = len(frame.latency)
-    if len(seq) != length:
+    if len(seq) != len(frame.latency):
         raise ValueError("sequence length must match frame length")
-    total = 0.0
-    j = frame.prev_placement
-    for p, i in enumerate(seq):
-        moved = frame.move_price[p] if j != i else 0.0
-        theta_p = cfg.theta * (length - p)
-        total += (frame.q_anchor * (moved - e_avg + theta_p)
-                  + cfg.v * frame.latency[p][i])
+    total, j, n = 0.0, frame.prev_placement, len(frame.latency[0])
+    for row, price, i in zip(frame.latency, frame.move_price, seq):
+        i = _whole(i, "a placement")
+        if not 0 <= i < n:
+            raise ValueError(f"a placement must be a node in [0, {n})")
+        stay = cfg.v * row[i]
+        total += stay if i == j else frame.q_anchor * price + stay
         j = i
     return total
 
 
-def brute_force_frame(frame: FrameInput, e_avg: float,
+def brute_force_frame(frame: FrameInput,
                       cfg: PolicyConfig) -> tuple[list[Placement], float]:
-    """Exhaustive frame oracle: the exact minimizer, lexicographically first.
-    ValueError as frame_decide's if v times the latencies can overflow."""
+    """Exhaustive frame oracle: frame_objective's minimizer, the
+    lexicographically first, and its objective, bit for bit. ValueError as
+    frame_decide's if v times the latencies can overflow."""
     _check_scaled_sum(cfg, frame)
-    n = len(frame.latency[0])
-    length = len(frame.latency)
-    if n ** length > ENUM_GUARD:
+    stay = np.array(frame.latency) * cfg.v
+    sums = _sequence_sums(stay, [frame.q_anchor * p for p in frame.move_price],
+                          frame.prev_placement)
+    return _first_minimum(sums, stay.shape[1], len(stay))
+
+
+def _sequence_sums(stay, charge, initial: Placement):
+    """Every placement sequence's sum from node initial, in lexicographic
+    order. At slot t a sequence on node i adds stay[t][i] if it was on i,
+    else fl(charge[t] + stay[t][i]): the float additions of a loop over
+    each sequence, in its order. ENUM_GUARD sequences take arrays of 8 MB.
+    """
+    n = stay.shape[1]
+    if n ** len(stay) > ENUM_GUARD:
         raise ValueError("instance exceeds enumeration guard")
-    best_seq, best = None, math.inf
-    for seq in itertools.product(range(n), repeat=length):
-        c = frame_objective(cfg, frame, e_avg, seq)
-        if c < best:
-            best, best_seq = c, list(seq)
-    return best_seq, best
+    nodes, total = np.arange(n), np.zeros(1)
+    last = np.array([initial])  # sum j of each block ends on last[j]
+    with np.errstate(over="ignore"):  # a float loop overflows to inf, too
+        for row, m in zip(stay, charge):
+            terms = np.where(last[:, None] != nodes, m + row, row)
+            total = (total.reshape(-1, len(last), 1) + terms).ravel()
+            last = nodes
+    return total
+
+
+def _first_minimum(sums, n: int, length: int):
+    """(sequence, value) of sums' lowest-index minimum, the sequence its
+    index's base-n digits, the first slot's the most significant."""
+    i = int(sums.argmin())
+    return [i // n ** p % n for p in reversed(range(length))], float(sums[i])
 
 
 def lm_decide(acc: float, row, price: float, user: Placement,
@@ -476,37 +495,19 @@ def brute_force_horizon(latency, move_price, e_avg: float, initial: Placement):
     Returns (None, inf) when nothing is feasible. The latency weight plays
     no role here: the budget enters as a hard constraint, not a penalty.
 
-    The sequences are enumerated in numpy, in itertools.product order: slot
-    by slot, each sequence's cost and latency sums grow by every node's
-    move term and row entry, the same float additions in the same order as
-    a loop over each sequence. At ENUM_GUARD sequences that is a few arrays
-    of 8 MB.
+    Each sequence's cost and latency sums are enumerated in numpy, with the
+    float additions of a loop over it (_sequence_sums).
     """
     horizon = len(latency)
     if horizon < 1:
         raise ValueError("need at least one slot")
-    n = len(latency[0])
-    if n ** horizon > ENUM_GUARD:
-        raise ValueError("instance exceeds enumeration guard")
+    rows = np.asarray(latency, dtype=float)
+    cost = _sequence_sums(np.zeros_like(rows), move_price, initial)
+    lat = _sequence_sums(rows, np.zeros(horizon), initial)
     budget = e_avg * horizon
     # tiny slack so float re-association cannot reject a boundary sequence
     budget_eps = 1e-12 * max(1.0, budget)
-    nodes = np.arange(n)
-    cost = lat = np.zeros(1)
-    at = np.array([initial])  # each sequence's last node
-    for t in range(horizon):
-        cost = (cost[:, None]
-                + np.where(at[:, None] != nodes, move_price[t], 0.0)).ravel()
-        lat = (lat[:, None] + np.asarray(latency[t], dtype=float)).ravel()
-        at = np.tile(nodes, len(at))
     # a NaN or inf latency is never the minimizer, as a loop's < skips it
     lat[~((cost <= budget + budget_eps) & (lat < math.inf))] = math.inf
-    index = int(lat.argmin())
-    best = float(lat[index])
-    if best == math.inf:
-        return None, math.inf
-    seq = []
-    for _ in range(horizon):  # index's base-n digits, the last slot's last
-        index, i = divmod(index, n)
-        seq.append(i)
-    return seq[::-1], best / horizon
+    seq, best = _first_minimum(lat, rows.shape[1], horizon)
+    return (seq, best / horizon) if best < math.inf else (None, math.inf)

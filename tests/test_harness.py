@@ -25,8 +25,8 @@ from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
                                 synthetic_trace, verify_frame_oracles,
                                 verify_horizon_bound, write_trace_csv)
 from edgeplacer.model import latency_rows
-from edgeplacer.policies import (FrameInput, PolicyConfig, frame_decide,
-                                 plm_decide)
+from edgeplacer.policies import (PRUNE_MIN_NODES, FrameInput, PolicyConfig,
+                                 frame_decide, plm_decide)
 from edgeplacer.predict import PREDICTOR_KINDS, PredictorSpec, predict_epochs
 
 
@@ -1218,6 +1218,48 @@ def test_verify_frame_oracles_check_the_stay_certificate(monkeypatch):
     assert matches < total == 200 and len(mismatches) == total - matches
 
 
+def test_verify_reaches_every_solver_path(monkeypatch):
+    # frame_solver decides an epoch by its 1-slot rule, by the kernel where
+    # that rule leaves a 1-slot epoch to it, by the stay certificate, by the
+    # DP on undominated columns or by the DP on every column; verify checks
+    # a path against enumeration only where its suites reach it. An anchor
+    # >= 0 on PRUNE_MIN_NODES nodes or more is pruned, so the full DP sees
+    # that many only in the weight suite, whose anchors go down to -20.
+    kernel, decide = policies._frame_dp, harness.frame_decide
+    widths, paths = [], set()
+
+    def counted(rows, *args):
+        widths.append(len(rows[0]))
+        return kernel(rows, *args)
+
+    def spy(cfg, frame):
+        widths.clear()
+        seq = decide(cfg, frame)
+        n, length = len(frame.latency[0]), len(frame.latency)
+        wide = n >= PRUNE_MIN_NODES
+        if length == 1:
+            paths.add("1-slot kernel" if widths else "1-slot rule")
+        elif not widths:
+            paths.add("stay certificate")
+        elif wide and frame.q_anchor >= 0:
+            assert len(widths) == 1 and widths[0] < n
+            paths.add("pruned DP")
+        else:
+            assert widths == [n]
+            paths.add("full DP, wide" if wide else "full DP")
+        return seq
+
+    monkeypatch.setattr(policies, "_frame_dp", counted)
+    monkeypatch.setattr(harness, "frame_decide", spy)
+    every = {"1-slot rule", "1-slot kernel", "stay certificate", "pruned DP",
+             "full DP"}
+    assert verify_frame_oracles(1, 200)[:2] == (200, 200)
+    assert paths == every
+    paths.clear()
+    assert verify_frame_oracles(1, 100, anchor_low=-20.0)[:2] == (100, 100)
+    assert paths == every | {"full DP, wide"}
+
+
 def test_both_frame_suites_draw_one_slot_frames(monkeypatch, capsys):
     # A 1-slot frame is decided by frame_solver's 1-slot rule, which verify
     # checks against enumeration only if its suites draw such frames. The
@@ -1225,10 +1267,10 @@ def test_both_frame_suites_draw_one_slot_frames(monkeypatch, capsys):
     # suite at seed 2.
     real, lengths = harness.random_frame_instance, []
 
-    def spy(rng, anchor_low=0.0, grid=False):
-        cfg, frame, e_avg = real(rng, anchor_low, grid)
+    def spy(rng, anchor_low=0.0, **kwargs):
+        cfg, frame = real(rng, anchor_low, **kwargs)
         lengths.append((anchor_low, len(frame.latency)))
-        return cfg, frame, e_avg
+        return cfg, frame
 
     monkeypatch.setattr(harness, "random_frame_instance", spy)
     assert cli.main(["verify"]) == 0

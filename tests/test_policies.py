@@ -8,14 +8,15 @@ from conftest import make_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeplacer import policies
+from edgeplacer import harness, policies
 from edgeplacer.harness import (ExperimentConfig, generate_scenario,
-                                random_frame_instance, run, simulate)
+                                random_frame_instance, run, simulate,
+                                verify_frame_oracles)
 from edgeplacer.model import latency_rows
-from edgeplacer.policies import (FrameInput, PolicyConfig, brute_force_frame,
-                                 brute_force_horizon, frame_decide,
-                                 frame_objective, frame_solver, lm_decide,
-                                 plm_decide)
+from edgeplacer.policies import (PRUNE_MIN_NODES, FrameInput, PolicyConfig,
+                                 brute_force_frame, brute_force_horizon,
+                                 frame_decide, frame_objective, frame_solver,
+                                 lm_decide, plm_decide)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -73,7 +74,7 @@ def test_osp_zero_v_stays_put():
 def test_osp_matches_explicit_score_minimum():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        cfg, frame, _ = random_frame_instance(rng)
+        cfg, frame = random_frame_instance(rng)
         row, price = frame.latency[0], frame.move_price[0]
         q = frame.q_anchor
         prev = frame.prev_placement
@@ -104,20 +105,19 @@ def test_frame_dp_matches_oracle_fixed_instance():
                              frame_len=3, budget_avg=0.1)
     cfg = PolicyConfig(v=10.0, theta=50.0)
     seq = frame_decide(cfg, frame)
-    best_seq, best_obj = brute_force_frame(frame, scn.budget_avg, cfg)
+    best_seq, best_obj = brute_force_frame(frame, cfg)
     assert seq == best_seq
-    assert frame_objective(cfg, frame, scn.budget_avg, seq) == best_obj
+    assert frame_objective(cfg, frame, seq) == best_obj
 
 
 def test_frame_dp_matches_oracle_random():
     rng = np.random.default_rng(123)
     for _ in range(60):
-        cfg, frame, e_avg = random_frame_instance(rng)
+        cfg, frame = random_frame_instance(rng)
         seq = frame_decide(cfg, frame)
-        best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
+        best_seq, best_obj = brute_force_frame(frame, cfg)
         assert seq == best_seq
-        obj = frame_objective(cfg, frame, e_avg, seq)
-        assert abs(obj - best_obj) <= 1e-9 * max(1.0, abs(best_obj))
+        assert frame_objective(cfg, frame, seq) == best_obj
 
 
 def test_weight_anchored_dp_matches_oracle():
@@ -126,16 +126,16 @@ def test_weight_anchored_dp_matches_oracle():
                              frame_len=2, budget_avg=0.1)
     cfg = PolicyConfig(v=10.0, theta=20.0)
     seq = frame_decide(cfg, frame)
-    best_seq, _ = brute_force_frame(frame, scn.budget_avg, cfg)
+    best_seq, _ = brute_force_frame(frame, cfg)
     assert seq == best_seq
 
 
 def test_weight_anchored_dp_accepts_negative_anchor():
     rng = np.random.default_rng(321)
     for _ in range(40):
-        cfg, frame, e_avg = random_frame_instance(rng, anchor_low=-20.0)
+        cfg, frame = random_frame_instance(rng, anchor_low=-20.0)
         seq = frame_decide(cfg, frame)
-        best_seq, _ = brute_force_frame(frame, e_avg, cfg)
+        best_seq, _ = brute_force_frame(frame, cfg)
         assert seq == best_seq
 
 
@@ -170,13 +170,13 @@ def test_a_rounding_tie_sends_a_one_slot_epoch_to_the_kernel(monkeypatch):
     assert solve(0, 2.0 ** 50, 2) == [1] and len(calls) == 1
     frame = FrameInput([row], [1.0], m, 2)
     assert frame_decide(PolicyConfig(v=1.0), frame) == [0] == \
-        brute_force_frame(frame, 0.0, PolicyConfig(v=1.0))[0]
+        brute_force_frame(frame, PolicyConfig(v=1.0))[0]
 
 
 def test_zero_anchor_frame_is_per_slot_latency_greedy():
     rng = np.random.default_rng(17)
     for _ in range(30):
-        cfg, frame, e_avg = random_frame_instance(rng)
+        cfg, frame = random_frame_instance(rng)
         frame = replace(frame, q_anchor=0.0)
         seq = frame_decide(cfg, frame)
         for p, row in enumerate(frame.latency):
@@ -191,19 +191,19 @@ def test_migration_strictly_dominated_stays_put():
                                  frame_len=2, budget_avg=0.05)
         seq = frame_decide(cfg, frame)
         assert seq == [prev, prev]
-        best_seq, _ = brute_force_frame(frame, scn.budget_avg, cfg)
+        best_seq, _ = brute_force_frame(frame, cfg)
         assert best_seq == seq
 
 
 def test_scale_invariance_of_decisions():
-    # scaling v, anchor, latencies, costs, budget and theta together (powers
-    # of two, so float scaling is exact) must not move any argmin
+    # scaling v, anchor, latencies and costs together (powers of two, so
+    # float scaling is exact) must not move any argmin
     rng = np.random.default_rng(77)
     for c in (2.0, 4.0, 0.5):
         for _ in range(20):
-            cfg, frame, e_avg = random_frame_instance(rng)
+            cfg, frame = random_frame_instance(rng)
             seq = frame_decide(cfg, frame)
-            scaled_cfg = replace(cfg, v=cfg.v * c, theta=cfg.theta * c)
+            scaled_cfg = replace(cfg, v=cfg.v * c)
             scaled_frame = FrameInput(
                 [[lat * c for lat in row] for row in frame.latency],
                 [price * c for price in frame.move_price],
@@ -235,7 +235,7 @@ def test_all_tie_frame_breaks_to_lowest_indices():
     scn, frame = drawn_frame(0.0, 2, seed=8, n_nodes=3, horizon=3, frame_len=3)
     cfg = PolicyConfig(v=0.0, theta=30.0)
     seq = frame_decide(cfg, frame)
-    best_seq, _ = brute_force_frame(frame, scn.budget_avg, cfg)
+    best_seq, _ = brute_force_frame(frame, cfg)
     assert seq == best_seq == [0, 0, 0]
 
 
@@ -320,7 +320,7 @@ def test_frame_accepts_negative_zeros():
     # to node 0 and back
     frame = FrameInput([[-0.0, 1.0], [1.0, -0.0]], [-0.0, -0.0], 1.0, 1)
     cfg = PolicyConfig(v=1.0)
-    assert frame_decide(cfg, frame) == brute_force_frame(frame, 0.0, cfg)[0] \
+    assert frame_decide(cfg, frame) == brute_force_frame(frame, cfg)[0] \
         == [0, 1]
 
 
@@ -331,14 +331,75 @@ def test_frame_rejects_a_v_whose_scaled_latencies_sum_past_the_float_range():
     with pytest.raises(ValueError, match="float range"):
         frame_decide(cfg, frame)
     with pytest.raises(ValueError, match="float range"):
-        brute_force_frame(frame, 0.0, cfg)
+        brute_force_frame(frame, cfg)
     assert frame_decide(replace(cfg, v=1e300), frame) == [0, 0, 0]
 
 
 def test_brute_force_frame_guard():
     _, frame = drawn_frame(1.0, 0, seed=1, n_nodes=10, horizon=7, frame_len=7)
     with pytest.raises(ValueError):
-        brute_force_frame(frame, 0.1, PolicyConfig())
+        brute_force_frame(frame, PolicyConfig())
+
+
+def test_a_frame_owns_its_rows():
+    # a write into the caller's lists after construction used to reach the
+    # frame: frame_decide then moved to the negative entries ([1, 1])
+    latency, prices = [[1.0, 2.0], [1.0, 2.0]], [1.0, 1.0]
+    frame, cfg = FrameInput(latency, prices, 0.5, 0), PolicyConfig(v=1.0)
+    decided = frame_decide(cfg, frame), brute_force_frame(frame, cfg)
+    assert decided == ([0, 0], ([0, 0], 2.0))
+    latency[0][1] = latency[1][1] = prices[0] = -5.0
+    assert (frame_decide(cfg, frame), brute_force_frame(frame, cfg)) == decided
+    # the rows are tuples of the validated floats
+    frame = FrameInput([[1, 2]], [np.float64(3.0)], 1, 0)
+    assert frame.latency == ((1.0, 2.0),) and frame.move_price == (3.0,)
+    assert {type(x) for x in (*frame.latency[0], *frame.move_price)} == {float}
+
+
+@pytest.mark.parametrize("node", [-1, 2, True, 1.5])
+def test_frame_objective_rejects_a_placement_that_is_no_node(node):
+    # -1 used to wrap to the last node and True to count as node 1
+    frame = FrameInput([[1.0, 4.0]], [1.0], 1.0, 0)
+    with pytest.raises(ValueError, match="^a placement "):
+        frame_objective(PolicyConfig(v=1.0), frame, [node])
+
+
+def test_frame_objective_takes_a_whole_float_as_its_node():
+    # [1.0] used to raise TypeError
+    frame, cfg = FrameInput([[1.0, 4.0]], [1.0], 1.0, 0), PolicyConfig(v=1.0)
+    assert frame_objective(cfg, frame, [1.0]) == 5.0
+    assert frame_objective(cfg, frame, [0]) == 1.0
+
+
+def reference_brute_force_frame(frame, cfg):
+    """brute_force_frame as the loop over every sequence that it was
+    before it enumerated them in numpy."""
+    best_seq, best = None, math.inf
+    for seq in itertools.product(range(len(frame.latency[0])),
+                                 repeat=len(frame.latency)):
+        c = frame_objective(cfg, frame, seq)
+        if c < best:
+            best, best_seq = c, list(seq)
+    return best_seq, best
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_frame_oracle_enumerates_as_the_loop_did(monkeypatch, seed):
+    # every instance of verify's two frame suites, the wide ones included
+    real, drawn = harness.random_frame_instance, []
+
+    def spy(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "random_frame_instance", spy)
+    verify_frame_oracles(seed, 200)
+    verify_frame_oracles(seed, 100, anchor_low=-20.0)
+    assert len(drawn) == 300
+    assert sum(len(f.latency[0]) >= PRUNE_MIN_NODES for _, f in drawn) == 30
+    for cfg, frame in drawn:
+        assert repr(brute_force_frame(frame, cfg)) == repr(
+            reference_brute_force_frame(frame, cfg))
 
 
 # --- benchmarks -------------------------------------------------------------

@@ -153,19 +153,18 @@ def frames(draw, max_nodes=6, max_len=None, min_nodes=1, min_len=1):
     prices = draw(st.lists(value, min_size=length, max_size=length))
     anchor = draw(st.integers(-200, 200)) / 4  # half of them negative
     prev = draw(st.integers(0, n - 1))
-    cfg = PolicyConfig(v=draw(st.sampled_from((0.0, 1.0, 2.5, 10.0))),
-                       theta=draw(quarters))
-    return cfg, FrameInput(latency, prices, anchor, prev), draw(quarters)
+    cfg = PolicyConfig(v=draw(st.sampled_from((0.0, 1.0, 2.5, 10.0))))
+    return cfg, FrameInput(latency, prices, anchor, prev)
 
 
 @settings(max_examples=200, deadline=None)
 @given(frames())
 def test_frame_dp_equals_brute_force(case):
-    cfg, frame, e_avg = case
+    cfg, frame = case
     seq = frame_decide(cfg, frame)
-    best_seq, best_obj = brute_force_frame(frame, e_avg, cfg)
+    best_seq, best_obj = brute_force_frame(frame, cfg)
     assert seq == best_seq
-    assert frame_objective(cfg, frame, e_avg, seq) == best_obj
+    assert frame_objective(cfg, frame, seq) == best_obj
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,21 +172,21 @@ def test_frame_dp_equals_brute_force(case):
 # the forward pass at position 1: staying on node 1 ties with moving to
 # the layer's first argmin k = 0, below it, so it moves ([1, 0]) ...
 @example((PolicyConfig(v=1.0),
-          FrameInput([[2.0, 0.0], [0.0, 1.0]], [0.0, 1.0], 1.0, 1), 0.0))
+          FrameInput([[2.0, 0.0], [0.0, 1.0]], [0.0, 1.0], 1.0, 1)))
 # ... and staying on node 0 ties with k = 1, above it, so it stays
 @example((PolicyConfig(v=1.0),
-          FrameInput([[0.0, 2.0], [1.0, 0.0]], [0.0, 1.0], 1.0, 0), 0.0))
+          FrameInput([[0.0, 2.0], [1.0, 0.0]], [0.0, 1.0], 1.0, 0)))
 # on k, where a negative anchor makes moving into k cheaper than staying:
 # the layer is rescanned and the service moves to node 1
 @example((PolicyConfig(v=1.0),
           FrameInput([[0.0, 5.0, 5.0], [0.0, 0.5, 1.0]], [0.0, 1.0], -1.0,
-                     0), 0.0))
+                     0)))
 # the backward pass: moving into k = 0 beats staying there, so node 0's
 # completion is the second-smallest moved-in cost, and [1, 0] wins
 @example((PolicyConfig(v=1.0),
-          FrameInput([[0.0, 0.0], [0.0, 1.0]], [0.0, 1.0], -1.0, 1), 0.0))
+          FrameInput([[0.0, 0.0], [0.0, 1.0]], [0.0, 1.0], -1.0, 1)))
 def test_frame_dp_kernel_equals_the_reference(case):
-    cfg, frame, _ = case
+    cfg, frame = case
     expected = reference_frame_decide(cfg, frame)
     assert frame_decide(cfg, frame) == expected
     # the engine's call: rows scaled by v once in numpy, no FrameInput
@@ -202,7 +201,7 @@ def test_frame_dp_kernel_equals_the_reference(case):
 def test_frame_decide_prunes_as_the_reference(case):
     # past PRUNE_MIN_NODES a frame with an anchor >= 0 is solved on its
     # undominated columns, and a negative anchor on every column
-    cfg, frame, _ = case
+    cfg, frame = case
     assert frame_decide(cfg, frame) == reference_frame_decide(cfg, frame)
 
 
@@ -320,9 +319,8 @@ def test_a_one_slot_epoch_decides_as_the_kernel(case):
 @settings(max_examples=200, deadline=None)
 @given(frames(max_nodes=8, max_len=1))
 def test_a_one_slot_frame_decide_equals_brute_force(case):
-    cfg, frame, e_avg = case
-    assert frame_decide(cfg, frame) == brute_force_frame(frame, e_avg,
-                                                         cfg)[0]
+    cfg, frame = case
+    assert frame_decide(cfg, frame) == brute_force_frame(frame, cfg)[0]
 
 
 COLUMNS = ("input_size", "workload", "access_rate", "container_size",
