@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costqueue import bound_constant_B
-# max_slot_migration_cost is not used here; harness re-exports it
+# max_slot_migration_cost is not used here: bench/run.py's run_stats reads
+# it as harness.max_slot_migration_cost for sim.frame_dev_frac_max
 from .model import (MAX_MATRIX_ENTRIES, Scenario, SlotTable, _real, _seed,
                     _whole, latency_rows, max_slot_migration_cost)
 from .policies import (PRUNE_MIN_NODES, FrameInput, PolicyConfig,
@@ -293,15 +293,17 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     their epochs is decided, by one policies.frame_solver per run, once the
     slots before it are accounted; am, nm, lm and plm never read it, so all
     their slots are decided first and the run is accounted in one pass.
-    Both go through one loop that steps costqueue.advance's recursion
-    inline. The run's columns are then checked once: the earliest slot past
-    its epoch's backlog deviation bound or with w < q (the bound first), a
-    placement outside the nodes or a broken budget inequality raises
-    InvariantError. A beta outside [0, 1] or a negative or NaN budget is a
-    ValueError. A latency that is not finite, a sum of the run's latencies
-    or of a frame's latencies times v past the float range, or move prices
-    whose backlog and weight terms could pass it, raises ConfigError before
-    the first decision.
+    Both go through one loop that steps, from q = w = w_prev = 0, the
+    budget queue q(t+1) = max(q + e(t) - e_avg, 0) and the momentum weight
+    w(t+1) = w + (q(t+1) - q) + beta * max(w - w_prev, 0). The run's
+    columns are then checked once: the earliest slot past its epoch's
+    backlog deviation bound or with w < q (the bound first), a placement
+    outside the nodes or a broken budget inequality raises InvariantError.
+    A beta outside [0, 1] or a negative or NaN budget is a ValueError. A
+    latency that is not finite, a sum of the run's latencies or of a
+    frame's latencies times v past the float range, or move prices whose
+    backlog and weight terms could pass it, raises ConfigError before the
+    first decision.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -411,7 +413,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     for k in range(epochs):
         seq = solve(k, w if policy == "pspwu" else q, prev) if frame else blind
         placements += seq
-        # advance's expressions in its order, without its input checks
+        # The recursion, with compares in place of max(x, 0.0), a builtin call
         for placement, p in zip(seq, unpriced):
             qs.append(q)
             ws.append(w)
@@ -848,6 +850,13 @@ def verify_frame_oracles(seed: int = 1, instances: int = 200,
                 f"obj={frame_objective(cfg, frame, seq)!r}, "
                 f"oracle={best_seq} obj={best_obj!r}")
     return matches, instances, mismatches
+
+
+def bound_constant_B(e_avg: float, e_max: float) -> float:
+    """Constant (e_avg^2 + e_max^2) / 2 appearing in the drift upper bound."""
+    if e_avg < 0 or e_max < 0:
+        raise ValueError("costs must be nonnegative")
+    return 0.5 * (e_avg * e_avg + e_max * e_max)
 
 
 def verify_horizon_bound(seed: int = 1, instances: int = 20):

@@ -393,8 +393,10 @@ def frame_objective(cfg: PolicyConfig, frame: FrameInput, seq) -> float:
     plus anchor * move price if the service moves there. The paper's
     anchor * (theta * (T - p) - e_avg) terms add the same to every sequence
     and are left out. Summed forward in slot order, as the oracle sums, so
-    equal sequences yield bit-identical objectives.
+    equal sequences yield bit-identical objectives. ValueError as
+    frame_decide's if v times the latencies can overflow.
     """
+    _check_scaled_sum(cfg, frame)
     if len(seq) != len(frame.latency):
         raise ValueError("sequence length must match frame length")
     total, j, n = 0.0, frame.prev_placement, len(frame.latency[0])

@@ -134,8 +134,9 @@ def reference_frame_decide(cfg, frame):
 
 
 def reference_advance(q, w, w_prev, e, e_avg, beta):
-    """advance as it was before it clamped with compares: two calls of the
-    builtin max()."""
+    """One slot's step of the budget queue and the momentum weight, which
+    simulate inlines with compares, written with two calls of the builtin
+    max(): the slot's cost e turns (q, w, w_prev) into the next triple."""
     if not (q >= 0.0 and e >= 0.0 and e_avg >= 0.0 and 0.0 <= beta <= 1.0):
         raise ValueError("queue inputs must be >= 0 and beta in [0, 1]")
     q_next = max(q + (e - e_avg), 0.0)

@@ -15,15 +15,15 @@ import pytest
 from conftest import (make_scenario, reference_predict,
                       reference_synthetic_trace)
 
-import edgeplacer
-from edgeplacer import cli, costqueue, harness, policies
+from edgeplacer import cli, harness, policies
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
                                 InvariantError, RunRecord, TraceFormatError,
-                                apply_overrides, config_from_dict,
-                                generate_scenario, max_slot_migration_cost,
-                                read_trace_csv, run, simulate, sweep,
-                                synthetic_trace, verify_frame_oracles,
-                                verify_horizon_bound, write_trace_csv)
+                                apply_overrides, bound_constant_B,
+                                config_from_dict, generate_scenario,
+                                max_slot_migration_cost, read_trace_csv, run,
+                                simulate, sweep, synthetic_trace,
+                                verify_frame_oracles, verify_horizon_bound,
+                                write_trace_csv)
 from edgeplacer.model import latency_rows
 from edgeplacer.policies import (PRUNE_MIN_NODES, FrameInput, PolicyConfig,
                                  frame_decide, plm_decide)
@@ -686,8 +686,7 @@ def test_a_non_finite_backlog_is_an_invariant_error(monkeypatch, bad):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_a_beta_set_after_construction_is_refused(policy):
     # PolicyConfig is frozen; object.__setattr__ still gets round that, so
-    # simulate checks the queue's inputs once per run, as advance does at
-    # each call.
+    # simulate checks the queue's inputs once per run.
     config = base_config(policy=policy)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.policy_cfg.beta = 2.0
@@ -697,27 +696,19 @@ def test_a_beta_set_after_construction_is_refused(policy):
         run(config)
 
 
-def test_a_run_makes_no_advance_call_and_checks_once(monkeypatch):
-    # The engine steps advance's expressions inline and checks the run's
-    # columns in one call: spies on every module that exposes advance count
-    # no call in a paper-config run of any policy.
-    real, real_check = costqueue.advance, harness._check_run
-    calls, checks = [], []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+def test_a_run_checks_its_columns_once(monkeypatch):
+    # The engine steps the queue inline and checks the run's columns in one
+    # call per paper-config run of any policy.
+    real_check, checks = harness._check_run, []
 
     def counted_check(*args):
         checks.append(len(args[0]))
         return real_check(*args)
 
-    for module in (costqueue, edgeplacer, harness):
-        monkeypatch.setattr(module, "advance", counted, raising=False)
     monkeypatch.setattr(harness, "_check_run", counted_check)
     for policy in POLICIES:
         assert len(run(ExperimentConfig(policy=policy)).q) == 1400
-    assert calls == [] and checks == [1400] * len(POLICIES)
+    assert checks == [1400] * len(POLICIES)
 
 
 @pytest.mark.parametrize("node", (-1, 4))
@@ -1278,6 +1269,12 @@ def test_both_frame_suites_draw_one_slot_frames(monkeypatch, capsys):
     for anchor_low, count in ((0.0, 200), (-20.0, 100)):
         drawn = [n for low, n in lengths if low == anchor_low]
         assert len(drawn) == count and set(drawn) == {1, 2, 3, 4}
+
+
+def test_bound_constant():
+    assert bound_constant_B(10, 20) == 250.0
+    assert bound_constant_B(0, 0) == 0.0
+    assert bound_constant_B(1, 1) == 1.0
 
 
 def test_verify_horizon_bound_mostly_holds():

@@ -1,11 +1,15 @@
 import ast
+import importlib
 import inspect
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import edgeplacer
 from edgeplacer.harness import SWEEP_AXES, config_from_dict
@@ -13,7 +17,7 @@ from edgeplacer.harness import SWEEP_AXES, config_from_dict
 PUBLIC = {
     "ACCURACY_PRESETS", "BUDGET_PRESETS", "ExperimentConfig", "FrameInput",
     "PolicyConfig", "PredictorSpec", "RunRecord", "Scenario", "SlotTable",
-    "advance", "bound_constant_B", "brute_force_frame",
+    "bound_constant_B", "brute_force_frame",
     "brute_force_horizon", "frame_decide", "frame_objective",
     "generate_scenario", "latency_rows", "lm_decide",
     "max_slot_migration_cost", "plm_decide", "predict_epochs", "run",
@@ -22,11 +26,11 @@ PUBLIC = {
 
 
 def test_public_names():
-    assert len(edgeplacer.__all__) == len(PUBLIC) == 25
+    assert len(edgeplacer.__all__) == len(PUBLIC) == 24
     assert set(edgeplacer.__all__) == PUBLIC
     assert all(hasattr(edgeplacer, name) for name in PUBLIC)
     # no exported name hides the submodule it shares a name with
-    for name in ("costqueue", "harness", "model", "policies", "predict"):
+    for name in ("harness", "model", "policies", "predict"):
         module = getattr(edgeplacer, name)
         assert inspect.ismodule(module)
         assert module is sys.modules[f"edgeplacer.{name}"]
@@ -57,6 +61,10 @@ def test_every_source_file_parses_as_python_3_10():
     assert len(sources) > 20
     for path in sources:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+    # the guard itself: 3.11's except* is refused
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
 
 
 def test_no_run_imports_numpy_ma():
@@ -112,3 +120,24 @@ def test_readme_config_example_follows_the_schema():
     config_from_dict(json.loads(example.group(1)))
     axes = re.search(r"^- `sweep\.axis`: `([^`]*)`", readme, re.M)
     assert tuple(a.strip() for a in axes.group(1).split("|")) == SWEEP_AXES
+
+
+def test_the_bench_finds_every_name_it_reads_but_twelve():
+    # bench/spans.py wraps package names given as strings and reports one
+    # the package no longer has as absent, its span reading 0. These twelve
+    # are absent today; a refactor that hides one more span fails here.
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                               / "bench" / "spans.py"))
+    absent = {f"{module}.{attr}"
+              for module, attr, _ in spans["SPANS"] + spans["COUNTERS"]
+              if getattr(importlib.import_module(f"edgeplacer.{module}"),
+                         attr, None) is None}
+    assert absent == {
+        "harness.predict", "harness.osp_decide", "harness.psp_frame_decide",
+        "harness.pspwu_frame_decide", "harness.am_decide",
+        "harness.nm_decide", "harness.slot_outcome", "harness.advance",
+        "policies.service_latency", "policies.migration_cost",
+        "model.service_latency", "model.migration_cost"}
+    # bench/run.py's run_stats reads it through getattr for
+    # sim.frame_dev_frac_max
+    assert callable(edgeplacer.harness.max_slot_migration_cost)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -325,14 +326,21 @@ def test_frame_accepts_negative_zeros():
 
 
 def test_frame_rejects_a_v_whose_scaled_latencies_sum_past_the_float_range():
-    # each row times v is finite, but a 3-slot sum of them is not
-    frame = FrameInput([[8.5, 9.0]] * 3, [1.0] * 3, 0.0, 0)
-    cfg = PolicyConfig(v=1e307)
-    with pytest.raises(ValueError, match="float range"):
-        frame_decide(cfg, frame)
-    with pytest.raises(ValueError, match="float range"):
-        brute_force_frame(frame, cfg)
-    assert frame_decide(replace(cfg, v=1e300), frame) == [0, 0, 0]
+    # each row times v is finite, but a 3-slot sum of them is not; and a
+    # 2-slot sum at v = 1e308, which frame_objective used to score inf
+    for v, latency, below in ((1e307, [[8.5, 9.0]] * 3, [0, 0, 0]),
+                              (1e308, [[10.0, 1.0]] * 2, [1, 1])):
+        frame = FrameInput(latency, [1.0] * len(latency), 0.0, 0)
+        cfg = PolicyConfig(v=v)
+        for call in (frame_decide, lambda c, f: brute_force_frame(f, c),
+                     lambda c, f: frame_objective(c, f, below)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "v times the frame's latencies sums past the float "
+                    "range; lower v")):
+                call(cfg, frame)
+        assert frame_decide(replace(cfg, v=1e300), frame) == below
+        assert math.isfinite(frame_objective(replace(cfg, v=1e300), frame,
+                                             below))
 
 
 def test_brute_force_frame_guard():

@@ -2,12 +2,12 @@
 
 (a) Every policy meets the telescoped budget inequality, keeps the
     momentum weight at or above the backlog and the backlog at or above 0
-    at every slot, records the queue state that advance replays from the
-    slot costs, and replays identically on random small configs. Its
-    columns and summaries equal those of the per-slot record loop the
-    engine had before, kept in conftest.py as the reference. Some configs
-    have enough nodes that the engine decides multi-slot frames on their
-    undominated nodes.
+    at every slot, records the queue state that conftest.py's reference
+    step replays from the slot costs, and replays identically on random
+    small configs. Its columns and summaries equal those of the per-slot
+    record loop the engine had before, kept in conftest.py as the
+    reference. Some configs have enough nodes that the engine decides
+    multi-slot frames on their undominated nodes.
 (b) The frame solver returns the brute-force oracle's sequence and
     objective on random latency tables of up to 6 nodes. Values lie on a
     grid of quarters small enough that every sum and product is exact, so
@@ -28,11 +28,10 @@
 (e) The synthetic trace replayed from one raw block equals the per-slot
     generator loop it had before, kept in conftest.py as the reference,
     for any seed, region count, stickiness and length.
-(f) The queue step and the lazy-migrate accumulator, which clamp with
-    compares, return what their max() forms, kept in
-    conftest.py as the reference, return, bit for bit: signed zeros, steps
-    that land on 0 or below it, flat weights, NaN weights and beta at 0
-    and 1 included.
+(f) The lazy-migrate accumulator, which clamps with a compare, returns
+    what its max() form, kept in conftest.py as the reference, returns,
+    bit for bit: signed zeros, steps that land on 0 or below it and NaN
+    gaps included.
 (g) The summary, per-slot and trace CSV writers write the bytes csv.writer,
     kept in conftest.py as the reference, writes for the same rows: signed
     zeros, 1e-05 and 1e16 (where repr switches notation), the smallest
@@ -44,7 +43,10 @@
     summaries, or is rejected with ConfigError.
 (k) Every library entry point, fed a value of any kind in one scalar
     setting or in one entry of one numeric column or row, returns or
-    raises ValueError, never another exception.
+    raises ValueError, never another exception. Once a value type has
+    accepted its arguments, a write of any value into one of its fields or
+    entries, or into an argument the caller still holds, raises or
+    changes no run and no frame decision.
 (i) The engine's pre-pass keeps exactly each epoch's nodes that no earlier
     node dominates, and the frame DP on those columns plus prev, mapped
     back to nodes, returns the sequence of the DP on all columns, for any
@@ -55,6 +57,7 @@
 """
 
 import copy
+import dataclasses
 import itertools
 import math
 import sys
@@ -70,11 +73,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeplacer import harness, policies, predict
-from edgeplacer.costqueue import advance
 from edgeplacer.harness import (PER_SLOT_HEADER, POLICIES, SUMMARY_HEADER,
                                 ConfigError, ExperimentConfig, RunRecord,
                                 _materialize, generate_scenario, run,
-                                simulate, synthetic_trace,
+                                simulate, sweep, synthetic_trace,
                                 write_per_slot_csv, write_summary_csv,
                                 write_trace_csv)
 from edgeplacer.model import Scenario, SlotTable
@@ -117,12 +119,13 @@ def test_every_policy_meets_the_budget_and_replays(seed, nodes, horizon,
         # nonnegative term, so no frame anchor is ever negative
         assert ((rec.w >= rec.q) & (rec.q >= 0.0)).all(), policy
         assert rec.negative_w_frames == 0
-        # the columns hold the queue state before each slot: advance,
-        # replayed from zero over the slot costs, gives every (q, w)
+        # the columns hold the queue state before each slot: the reference
+        # step, replayed from zero over the slot costs, gives every (q, w)
         q = w = w_prev = 0.0
         for t, cost in enumerate(rec.cost.tolist()):
             assert (rec.q[t], rec.w[t]) == (q, w), (policy, t)
-            q, w, w_prev = advance(q, w, w_prev, cost, budget, beta)
+            q, w, w_prev = reference_advance(q, w, w_prev, cost, budget,
+                                             beta)
         assert rec.final_queue == q, policy
         again = run(config)
         assert again.per_slot == rec.per_slot
@@ -468,34 +471,16 @@ def test_synthetic_trace_equals_the_per_slot_loop(seed, n, stickiness, length):
         reference_synthetic_trace(seed, n, length, stickiness))
 
 
-# Signed zeros, quarters (exact sums, so steps land on 0 and weights tie)
-# and any float; the weights may also be infinite or NaN.
+# Signed zeros, quarters (exact sums, so steps land on 0 and entries tie)
+# and any float; the latencies may also be infinite or NaN.
 zeros = st.sampled_from((0.0, -0.0))
 amounts = st.one_of(zeros, quarters, st.floats(0.0, 1e300))
-weights = st.one_of(zeros, st.integers(-40, 40).map(lambda k: k / 4),
-                    st.floats())
+latencies = st.one_of(zeros, st.integers(-40, 40).map(lambda k: k / 4),
+                      st.floats())
 
 
 @settings(max_examples=500, deadline=None)
-@given(q=amounts, w=weights, w_prev=weights, flat=st.booleans(), e=amounts,
-       e_avg=amounts, beta=st.one_of(st.sampled_from((0.0, 1.0)),
-                                     st.floats(0.0, 1.0)))
-@example(q=1.0, w=1.0, w_prev=0.0, flat=False, e=0.0, e_avg=1.0, beta=1.0)
-@example(q=1.0, w=2.0, w_prev=0.5, flat=False, e=0.25, e_avg=2.0, beta=0.0)
-@example(q=-0.0, w=-0.0, w_prev=0.0, flat=False, e=-0.0, e_avg=0.0,
-         beta=1.0)
-@example(q=0.0, w=math.nan, w_prev=1.0, flat=True, e=0.5, e_avg=0.25,
-         beta=1.0)
-@example(q=0.0, w=1.0, w_prev=math.nan, flat=False, e=0.0, e_avg=0.0,
-         beta=0.5)
-def test_advance_equals_its_max_form(q, w, w_prev, flat, e, e_avg, beta):
-    w_prev = w if flat else w_prev
-    assert repr(advance(q, w, w_prev, e, e_avg, beta)) == repr(
-        reference_advance(q, w, w_prev, e, e_avg, beta))
-
-
-@settings(max_examples=500, deadline=None)
-@given(acc=amounts, here=weights, there=weights, price=amounts,
+@given(acc=amounts, here=latencies, there=latencies, price=amounts,
        user=st.integers(0, 1), prev=st.integers(0, 1))
 @example(acc=-0.0, here=0.0, there=-0.0, price=1.0, user=0, prev=1)
 @example(acc=0.25, here=math.nan, there=1.0, price=1.0, user=0, prev=1)
@@ -655,3 +640,89 @@ def test_any_library_input_ends_in_a_result_or_a_value_error(value):
             except Exception as exc:
                 pytest.fail(f"{build.__name__} with {path} = {value!r} "
                             f"raised {exc!r}")
+
+
+# Each value type with arguments a caller builds it from and keeps, and
+# what a run or a frame decision makes of it
+WRITE_SCENARIO = dict(
+    node_count=3, backhaul_rate=[[1.0, 2.0, 4.0], [2.0, 1.0, 3.0],
+                                 [4.0, 3.0, 1.0]],
+    budget_avg=0.05, horizon=6, compute_capacity=[8.0, 4.0, 6.0], frame_len=3)
+WRITE_TABLE = dict(
+    node_count=3, user_node=[0, 2, 1, 1, 0, 2],
+    input_size=[5.0, 9.0, 6.0, 7.0, 8.0, 5.5],
+    workload=[2.0, 20.0, 9.0, 4.0, 12.0, 7.0],
+    access_rate=[5.0, 10.0, 7.0, 6.0, 9.0, 8.0],
+    container_size=[25.0, 50.0, 30.0, 45.0, 35.0, 40.0],
+    unit_migration_cost=[2.0, 10.0, 5.0, 3.0, 8.0, 6.0])
+WRITE_CASES = [
+    (Scenario, WRITE_SCENARIO, lambda scn: simulate(
+        scn, SlotTable(**WRITE_TABLE), "pspwu", PolicyConfig(beta=0.5))),
+    (SlotTable, WRITE_TABLE, lambda table: simulate(
+        Scenario(**WRITE_SCENARIO), table, "pspwu", PolicyConfig(beta=0.5))),
+    (PolicyConfig, dict(v=10.0, theta=0.0, beta=0.5), lambda cfg: run(
+        ExperimentConfig(policy="pspwu", node_count=3, horizon=12,
+                         policy_cfg=cfg))),
+    (PredictorSpec, dict(kind="oracle_noisy", accuracies=[0.9, 0.5],
+                         rng_seed=3), lambda spec: run(
+        ExperimentConfig(policy="psp", node_count=3, horizon=12,
+                         predictor=spec))),
+    (FrameInput, dict(latency=[[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]],
+                      move_price=[1.0, 0.5], q_anchor=0.5, prev_placement=0),
+     lambda frame: (frame_decide(PolicyConfig(v=1.0), frame),
+                    brute_force_frame(frame, PolicyConfig(v=1.0)))),
+    (ExperimentConfig, dict(policy="pspwu", policy_cfg=PolicyConfig(beta=0.5),
+                            node_count=3, horizon=12, sweep_axis="v",
+                            sweep_values=[1.0, 20.0]), sweep),
+]
+
+
+def outcome(result):
+    """A run's, a sweep's or a frame decision's result as comparable text."""
+    if isinstance(result, RunRecord):
+        return repr((result.per_slot, result.avg_latency, result.avg_cost,
+                     result.avg_queue, result.final_queue,
+                     result.prediction_accuracy))
+    if isinstance(result, list) and isinstance(result[0], tuple):
+        return [(v, outcome(rec)) for v, rec in result]
+    return repr(result)
+
+
+def writes(target):
+    """Setters of every field of a dataclass and every entry of an array,
+    list or tuple reachable from target, a dict's values included."""
+    if isinstance(target, dict):
+        for entry in target.values():
+            yield from writes(entry)
+    elif dataclasses.is_dataclass(target):
+        for f in dataclasses.fields(target):
+            yield lambda value, name=f.name: setattr(target, name, value)
+            yield from writes(getattr(target, f.name))
+    elif isinstance(target, np.ndarray):
+        for index in np.ndindex(target.shape):
+            yield lambda value, i=index: target.__setitem__(i, value)
+    elif isinstance(target, (list, tuple)):
+        for i, entry in enumerate(target):
+            yield lambda value, i=i: target.__setitem__(i, value)
+            yield from writes(entry)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(value=st.sampled_from(BOUNDARY_VALUES), arrays=st.booleans())
+def test_an_accepted_value_ignores_every_later_write(value, arrays):
+    # Once a value type has accepted its arguments, each write into one of
+    # its fields or arrays, or into an argument list or array the caller
+    # still holds, raises or leaves the run or frame decision as it was.
+    # FrameInput and ExperimentConfig's sweep_values take lists only.
+    for build, kwargs, use in WRITE_CASES:
+        as_array = arrays and build in (Scenario, SlotTable, PredictorSpec)
+        held = {key: np.array(arg) if as_array and isinstance(arg, list)
+                else copy.deepcopy(arg) for key, arg in kwargs.items()}
+        made = build(**held)
+        before = outcome(use(made))
+        for write in itertools.chain(writes(made), writes(held)):
+            try:
+                write(value)
+            except Exception:
+                continue
+            assert outcome(use(made)) == before, (build.__name__, value)
