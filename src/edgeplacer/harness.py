@@ -11,10 +11,11 @@ configurations replay bit-identically.
 """
 
 import csv
+import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -280,6 +281,92 @@ def _epochs(policy: str, frame_len: int, spec: PredictorSpec):
     return epoch_len, lookahead
 
 
+# The run inputs of the last run, kept for the next runs on its
+# (Scenario, SlotTable) pair: (pair key, realized, price, prediction key,
+# predictions), every array read-only, or None once _materialize misses.
+# The pair key is the table, which compares by identity and is held alive
+# here, and the values of the scenario that latency_rows reads; the
+# prediction key is the epoch shape and the PredictorSpec's values. A run
+# that misses a key empties what depends on it before building its own, so
+# that one of each is kept at a time.
+_last_inputs = None
+
+
+def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
+                spec: PredictorSpec):
+    """(epoch_len, realized, price, predictions) of a run of policy, the
+    predictions being (accuracy, slots, guessed).
+
+    realized and price are the latency rows of the realized user nodes and
+    the move prices of the run's slots. The epochs decide from the decision
+    rows: realized with each wrongly predicted slot's row, slots[j],
+    replaced by its predicted node's row, guessed[j]. accuracy is
+    RunRecord.prediction_accuracy. No prediction and no realized row
+    depends on a decision, so they are kept, read-only, for the next run on
+    the pair: realized and price for any run, the predictions for a run of
+    the same epoch shape and predictor.
+    """
+    global _last_inputs
+    horizon = scn.horizon
+    epoch_len, lookahead = _epochs(policy, scn.frame_len, spec)
+    # A frame past the horizon decides as one of horizon slots; the cap
+    # keeps arrays sized by the frame within the run's.
+    epoch_len, lookahead = min(epoch_len, horizon), min(lookahead, horizon)
+    if len(table.user_node) < horizon:
+        raise TraceFormatError("slot table shorter than horizon")
+    users = table.user_node[:horizon]
+    key = (table, horizon, scn.backhaul_rate.tobytes(),
+           scn.compute_capacity.tobytes())
+    if _last_inputs is None or _last_inputs[0] != key:
+        _last_inputs = None
+        # a row that overflows fails simulate's bound, so numpy need not
+        # warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            realized, price = latency_rows(scn, table, slice(0, horizon),
+                                           users)
+        realized.setflags(write=False)
+        price.setflags(write=False)
+        _last_inputs = key, realized, price, None, None
+    _, realized, price, last_shape, predicted = _last_inputs
+    shape = epoch_len, lookahead, astuple(spec)
+    if shape != last_shape:
+        _last_inputs, predicted = (key, realized, price, None, None), None
+        # guesses[k, s - 1] is epoch k's prediction of slot
+        # target[k, s - 1] = k * epoch_len + s, or -1 past the horizon; no
+        # slot is the target of two epochs. A frame's first slot is no
+        # epoch's target, so a frame with no miss sees its realized rows;
+        # plm's slot is the previous epoch's target, so plm reads its own
+        # row from realized.
+        guesses = predict_epochs(spec, users, lookahead, scn.node_count,
+                                 epoch_len)
+        target = (np.arange(0, horizon, epoch_len)[:, None]
+                  + np.arange(1, lookahead + 1))
+        made = guesses >= 0
+        hit = made & (guesses == users.take(target, mode="clip"))
+        attempts = made.sum(axis=0)
+        depths = np.count_nonzero(attempts)
+        accuracy = tuple((hit.sum(axis=0)[:depths]
+                          / attempts[:depths]).tolist())
+        miss = made & ~hit
+        slots = target[miss]
+        with np.errstate(over="ignore", invalid="ignore"):
+            guessed = latency_rows(scn, table, slots, guesses[miss])[0]
+        slots.setflags(write=False)
+        guessed.setflags(write=False)
+        predicted = accuracy, slots, guessed
+        _last_inputs = key, realized, price, shape, predicted
+    return epoch_len, realized, price, predicted
+
+
+def _python_rows(array):
+    """The rows of a 2-D array as lists, made 256 at a time. Only one block
+    of them is alive at a time, and freed before the next is made, so a
+    run's rows neither hold its whole table twice nor wake the cyclic
+    collector, which thousands of live lists do."""
+    for start in range(0, len(array), 256):
+        yield from array[start:start + 256].tolist()
+
+
 def simulate(scn: Scenario, table: SlotTable, policy: str,
              policy_cfg: PolicyConfig | None = None,
              predictor: PredictorSpec | None = None) -> RunRecord:
@@ -304,49 +391,39 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     frame's latencies times v past the float range, or move prices whose
     backlog and weight terms could pass it, raises ConfigError before the
     first decision.
+
+    The realized rows and the move prices come from _run_inputs, which
+    keeps them for the next runs on the same (Scenario, SlotTable) pair,
+    and so do the predictions and their rows for the next runs of the same
+    epoch shape and predictor: runs that differ only in the policy, v, beta
+    or the budget build the rows once, and psp and pspwu predict once. Each
+    frame-policy run scales its own decision rows by v; lm and plm read the
+    realized rows as lists, made 256 at a time.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
     e_avg = scn.budget_avg
     horizon = scn.horizon
-    epoch_len, lookahead = _epochs(policy, scn.frame_len, spec)
-    # A frame past the horizon decides as one of horizon slots; the cap
-    # keeps arrays sized by the frame within the run's.
-    epoch_len, lookahead = min(epoch_len, horizon), min(lookahead, horizon)
-    trace = table.trace
-    if len(trace) < horizon:
-        raise TraceFormatError("slot table shorter than horizon")
-
-    # No prediction and no realized row depends on a decision: the run's
-    # are made once, before the loop. guesses[k, s - 1] is epoch k's
-    # prediction of slot target[k, s - 1] = k * epoch_len + s, or -1 past
-    # the horizon; no slot is the target of two epochs.
-    users = table.user_node[:horizon]
-    guesses = predict_epochs(spec, users, lookahead, scn.node_count,
-                             epoch_len)
-    target = (np.arange(0, horizon, epoch_len)[:, None]
-              + np.arange(1, lookahead + 1))
-    made = guesses >= 0
-    hit = made & (guesses == users.take(target, mode="clip"))
-    attempts = made.sum(axis=0)
-    depths = np.count_nonzero(attempts)
-    accuracy = tuple((hit.sum(axis=0)[:depths] / attempts[:depths]).tolist())
-    # Epochs decide from the realized rows with each wrongly predicted
-    # slot's row overwritten by its predicted node's row; only those rows
-    # are computed anew. A frame's first slot is no epoch's target, so a
-    # frame with no miss sees its realized rows; plm's slot is the previous
-    # epoch's target, so plm reads its own row from realized. The frame
-    # policies' rows are scaled by v here, once per run, for the frame
-    # solver; realized stays unscaled for the accounting. A row that
-    # overflows fails the bound below, so numpy need not warn of it.
-    miss = made & ~hit
-    with np.errstate(over="ignore", invalid="ignore"):
-        realized, price = latency_rows(scn, table, slice(0, horizon), users)
-        decision = realized.copy()
-        decision[target[miss]] = latency_rows(scn, table, target[miss],
-                                              guesses[miss])[0]
-        if policy in ("osp", "psp", "pspwu"):
-            decision *= cfg.v
+    epoch_len, realized, price, (accuracy, slots, guessed) = \
+        _run_inputs(scn, table, policy, spec)
+    frame = policy in ("osp", "psp", "pspwu")  # osp: 1-slot frames
+    # high is the largest decision entry, NaN if any is
+    if frame:
+        # The frame policies' decision rows, scaled by v once per run for
+        # the frame solver; realized stays unscaled for the accounting. A
+        # row that overflows fails the bound below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            decision = realized * cfg.v
+            decision[slots] = guessed * cfg.v
+        high = float(decision.max())
+    elif slots.size:  # plm: realized, but for its missed rows
+        kept = np.ones((horizon, 1), dtype=bool)
+        kept[slots] = False
+        # max carries a NaN through, and so does np.maximum
+        high = float(np.maximum(realized.max(where=kept, initial=-math.inf),
+                                guessed.max()))
+    else:
+        high = float(realized.max())
     # One bound rules out every overflow of a latency or cost sum. Entries
     # are >= 0 or NaN, and max carries a NaN through. The backlog is at most
     # horizon * top and the weight at most horizon**2 * top (each rise of w
@@ -356,7 +433,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     # every partial sum of their fsum, add to at most horizon * max.
     top = float(price.max())
     moves = horizon * horizon * top * top  # top * top: ** raises on overflow
-    if not (math.isfinite(epoch_len * (float(decision.max()) + moves))
+    if not (math.isfinite(epoch_len * (high + moves))
             and math.isfinite(horizon * float(realized.max()))):
         bad = np.flatnonzero(~np.isfinite(realized).all(axis=1))
         if bad.size:
@@ -380,8 +457,8 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
             "scenario.backhaul_mbps")
 
     prices = price.tolist()
+    trace = table.trace
     prev = initial = trace[0]
-    frame = policy in ("osp", "psp", "pspwu")  # osp: 1-slot frames
     # No queue-blind placement depends on the queue: they make one epoch.
     epochs = len(range(0, horizon, epoch_len)) if frame else 1
     if frame:
@@ -392,16 +469,18 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         blind = [initial] * horizon
     elif policy == "lm":
         blind, at, lm_acc = [], initial, 0.0
-        for t in range(horizon):
-            at, lm_acc = lm_decide(lm_acc, realized[t].tolist(), prices[t],
-                                   trace[t], at)
+        for row, p, user in zip(_python_rows(realized), prices, trace):
+            at, lm_acc = lm_decide(lm_acc, row, p, user, at)
             blind.append(at)
-    else:  # plm, which reads the next slot's row unless it is the last
-        blind, at = [], initial
-        for t in range(horizon):
-            nxt = decision[t + 1].tolist() if t + 1 < horizon else None
-            at = plm_decide(realized[t].tolist(), nxt, prices[t], trace[t], at)
+    else:  # plm, which reads the next slot's decision row unless it is last
+        missed = dict(zip(slots.tolist(), guessed.tolist()))
+        rows = _python_rows(realized)
+        blind, at, row = [], initial, next(rows)
+        for t, (nxt, p, user) in enumerate(
+                zip(itertools.chain(rows, [None]), prices, trace), 1):
+            at = plm_decide(row, missed.get(t, nxt), p, user, at)
             blind.append(at)
+            row = nxt
 
     q = w = w_prev = 0.0
     beta = cfg.beta
@@ -528,7 +607,7 @@ def _materialize(config: ExperimentConfig):
     drawn. A trace file is read again on every call, as it may have
     changed since.
     """
-    global _last_materialized
+    global _last_materialized, _last_inputs
     _check_size(config.node_count, config.horizon, "scenario.node_count",
                 "scenario.horizon", ConfigError)
     key = trace = None
@@ -536,9 +615,9 @@ def _materialize(config: ExperimentConfig):
         key = _material_key(config)
         if _last_materialized is not None and _last_materialized[0] == key:
             return _last_materialized[1]
-    # a miss lets the last pair go before the next is drawn, so that at most
-    # one is held at a time
-    _last_materialized = None
+    # a miss lets the last pair, and the run inputs built on it, go before
+    # the next is drawn, so that at most one is held at a time
+    _last_materialized = _last_inputs = None
     if config.trace_path is not None:
         trace = read_trace_csv(config.trace_path)
         # read_trace_csv holds slot t to line t + 2; a node_count below 1 is

@@ -22,6 +22,7 @@ one helper.
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,9 +66,10 @@ class FrameInput:
     """One frame's decision problem, assembled at the frame's first slot.
 
     latency[p][i] is the time to serve frame position p from node i (row 0
-    for the realized user node, later rows for predicted ones); move_price[p]
-    prices any move at p. q_anchor is the backlog (or weight) frozen for the
-    frame; prev_placement is where the service sat before the frame began.
+    for the realized user node, later rows for predicted ones), a sequence
+    of rows or a 2-D numpy array; move_price[p] prices any move at p.
+    q_anchor is the backlog (or weight) frozen for the frame;
+    prev_placement is where the service sat before the frame began.
     The rows are kept as tuples of the validated floats, the frame's own.
     """
 
@@ -77,7 +79,12 @@ class FrameInput:
     prev_placement: Placement = 0
 
     def __post_init__(self):
-        if not self.latency:
+        # len() and not truth: a numpy table has none
+        if not (_sequence(self.latency) and all(map(_sequence, self.latency))
+                and _sequence(self.move_price)):
+            raise ValueError("latency must be a sequence of rows and "
+                             "move_price a sequence")
+        if len(self.latency) == 0:
             raise ValueError("frame must contain at least one slot")
         n = len(self.latency[0])
         if n < 1 or any(len(row) != n for row in self.latency):
@@ -98,6 +105,14 @@ class FrameInput:
             raise ValueError(f"prev_placement must be a node in [0, {n})")
         if not math.isfinite(_real(self.q_anchor, "q_anchor")):
             raise ValueError("q_anchor must be finite")
+
+
+def _sequence(value) -> bool:
+    """Whether value is a sequence other than a string, or a numpy array
+    of at least one dimension."""
+    if isinstance(value, np.ndarray):
+        return value.ndim > 0
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
 def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:

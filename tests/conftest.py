@@ -5,8 +5,8 @@ checked against, the queue step and lazy-migrate rule written with max()
 that their compares are checked against, the per-slot record loop that
 the engine's columns are checked against, the csv.writer that the CSV
 writers are checked against, and a fixture that empties harness's shared
-materialization before every test, so that no test reads what another
-left there."""
+materialization and the run inputs shared on it before every test, so that
+no test reads what another left there."""
 
 import csv
 import io
@@ -26,6 +26,7 @@ from edgeplacer.predict import MODE_WINDOW, predict_epochs
 @pytest.fixture(autouse=True)
 def no_shared_materialization(monkeypatch):
     monkeypatch.setattr(harness, "_last_materialized", None)
+    monkeypatch.setattr(harness, "_last_inputs", None)
 
 
 def make_scenario(n=3, backhaul=64.0, budget=0.1, horizon=10, frame_len=1,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (make_scenario, reference_predict,
+from conftest import (make_scenario, reference_predict, reference_simulate,
                       reference_synthetic_trace)
 
 from edgeplacer import cli, harness, policies
@@ -329,12 +329,25 @@ def test_sweep_matches_individual_runs_and_is_ordered():
     ("pspwu", "beta", None, (0.0, 0.65)),
 ])
 def test_sweep_points_match_individual_runs(policy, axis, field, values):
+    # the points share the scenario and the run inputs; each equals a run
+    # that shares nothing
     config = base_config(policy=policy, sweep_axis=axis, sweep_values=values)
     for v, rec in sweep(config):
         solo = (replace(config, **{field: v}) if field else
                 replace(config, policy_cfg=replace(config.policy_cfg,
                                                    **{axis: v})))
-        assert rec.per_slot == run(solo).per_slot
+        assert_same_record(rec, cold_run(solo))
+
+
+@pytest.mark.parametrize("policy", ("psp", "pspwu"))
+def test_a_v_sweep_on_pruned_frames_equals_cold_runs(policy):
+    # PRUNE_MIN_NODES nodes: each point's solver prunes its own scaled rows
+    config = base_config(policy=policy, node_count=PRUNE_MIN_NODES,
+                         policy_cfg=PolicyConfig(beta=0.5), sweep_axis="v",
+                         sweep_values=(0.0, 5.0, 500.0))
+    for v, rec in sweep(config):
+        assert_same_record(rec, cold_run(replace(
+            config, policy_cfg=replace(config.policy_cfg, v=v))))
 
 
 def test_file_trace_sweep_reads_the_trace_once(tmp_path, monkeypatch):
@@ -350,8 +363,8 @@ def test_file_trace_sweep_reads_the_trace_once(tmp_path, monkeypatch):
     assert reads == [str(path)]
 
 
-# Runs on one scenario share its materialization; conftest empties the
-# shared entry before every test.
+# Runs on one scenario share its materialization and the run inputs built
+# on it; conftest empties both shared entries before every test.
 
 def assert_same_record(got, want):
     # every column bit for bit, every summary by its repr
@@ -363,23 +376,31 @@ def assert_same_record(got, want):
             assert repr(a) == repr(b), f.name
 
 
+def cold_run(config):
+    """run(config) with both shared entries emptied first."""
+    harness._last_materialized = harness._last_inputs = None
+    return run(config)
+
+
 @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
 def test_a_run_on_the_shared_materialization_equals_a_fresh_one(kind):
     predictor = PredictorSpec(kind=kind, accuracies=(0.9, 0.8), rng_seed=5)
     configs = [base_config(policy=policy, horizon=60, predictor=predictor,
                            policy_cfg=PolicyConfig(v=30.0, beta=0.5))
                for policy in POLICIES]
-    fresh = []
-    for config in configs:
-        harness._last_materialized = None
-        fresh.append(run(config))
-    harness._last_materialized = None
-    shared = [run(configs[0])]
-    entry = harness._last_materialized
-    shared += [run(config) for config in configs[1:]]
-    assert harness._last_materialized is entry  # six runs drew nothing
-    for got, want in zip(shared, fresh):
-        assert_same_record(got, want)
+    fresh = [cold_run(config) for config in configs]
+    # in the bench's order and in reverse, so that each policy both builds
+    # the inputs and reads them built by another
+    for order in (range(len(POLICIES)), reversed(range(len(POLICIES)))):
+        order = list(order)
+        cold_run(configs[order[0]])
+        pair, realized = harness._last_materialized, harness._last_inputs[1]
+        shared = {i: run(configs[i]) for i in order[1:]}
+        # six runs drew nothing and read the same realized rows
+        assert harness._last_materialized is pair
+        assert harness._last_inputs[1] is realized
+        for i, got in shared.items():
+            assert_same_record(got, fresh[i])
     # a sweep right after a run on the same scenario
     config = replace(configs[1], sweep_axis="v", sweep_values=(1.0, 50.0))
     harness._last_materialized = None
@@ -475,19 +496,119 @@ def test_an_error_is_not_shared(draws):
 
 def test_a_miss_lets_the_last_pair_go_before_the_next_draw(tmp_path,
                                                            monkeypatch):
-    # so that at most one shared pair is alive at a time
+    # so that at most one shared pair, and its run inputs, is alive at a
+    # time
     held = []
     for name in ("synthetic_trace", "read_trace_csv"):
         real = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *a, real=real: held.append(
-            harness._last_materialized) or real(*a))
+            (harness._last_materialized, harness._last_inputs)) or real(*a))
     path = tmp_path / "trace.csv"
     write_trace_csv(path, [0, 1, 2, 3] * 30)
     for config in (base_config(scenario_seed=2), base_config(scenario_seed=5),
                    base_config(trace_path=str(path))):
-        harness._materialize(config)
-    assert held == [None] * 3
+        run(config)
+    assert held == [(None, None)] * 3
     assert harness._last_materialized is None
+    assert harness._last_inputs is not None  # the file run's own
+
+
+def test_shared_run_inputs_are_read_only():
+    rec = run(base_config(policy="osp"))
+    # osp, which predicts nothing, keeps the realized rows; psp and plm each
+    # kept their missed slots and rows while they ran
+    arrays = list(harness._last_inputs[1:3])
+    for policy in ("psp", "plm"):
+        run(base_config(policy=policy, predictor=PredictorSpec(
+            accuracies=(0.6, 0.6), rng_seed=3)))
+        arrays += harness._last_inputs[4][1:3]
+    assert arrays[0] is harness._last_inputs[1]
+    assert all(array.size for array in arrays)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    # the run's own columns are its own
+    for array in (rec.latency, rec.cost, rec.placement):
+        array[0] = array[0]
+
+
+def test_a_seven_policy_pass_builds_its_inputs_once(monkeypatch):
+    # the realized rows once for all seven runs, the predictions once for
+    # psp and pspwu, which share their epoch shape and predictor
+    calls = {"latency_rows": [], "predict_epochs": []}
+
+    def spy(fn):
+        def call(*args):
+            calls[fn.__name__].append(args[2])  # the slots, or w
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(harness, "latency_rows", spy(latency_rows))
+    monkeypatch.setattr(harness, "predict_epochs", spy(predict_epochs))
+    for policy in POLICIES:
+        run(base_config(policy=policy, policy_cfg=PolicyConfig(
+            v=50.0, beta=0.65 if policy == "pspwu" else 0.0)))
+    assert [slots for slots in calls["latency_rows"]
+            if isinstance(slots, slice)] == [slice(0, 120)]
+    # osp predicts 0 steps ahead, psp and pspwu 2, am, nm and lm 0 and plm
+    # 1: one set of predictions is kept at a time
+    assert calls["predict_epochs"] == [0, 2, 0, 1]
+
+
+@pytest.mark.parametrize("count", (0, 1, 255, 256, 257, 600))
+def test_python_rows_are_the_arrays_rows(count):
+    array = np.arange(count * 3, dtype=float).reshape(count, 3)
+    rows = list(harness._python_rows(array))
+    assert rows == array.tolist()
+    assert all(type(x) is float for row in rows for x in row)
+
+
+@pytest.mark.parametrize("policy", ("lm", "plm"))
+def test_lm_and_plm_read_their_rows_across_blocks(policy):
+    # 600 slots are made as rows in three blocks of at most 256; plm's
+    # look-ahead reads the next block's first row at the end of a block,
+    # here replaced by a missed prediction that turns slot 255's decision
+    config = base_config(policy=policy, scenario_seed=9, horizon=600,
+                         predictor=PredictorSpec(accuracies=(0.5,),
+                                                 rng_seed=2))
+    rec = run(config)
+    if policy == "plm":
+        assert 256 in harness._last_inputs[4][1].tolist()
+    ref = reference_simulate(*harness._materialize(config), policy,
+                             config.policy_cfg, config.predictor)
+    assert rec.per_slot == [tuple(row) for row in ref["per_slot"]]
+    assert rec.avg_latency == ref["avg_latency"]
+
+
+def test_a_run_on_another_pair_builds_its_own_inputs(monkeypatch):
+    # the entry is kept for the table and the scenario values the rows
+    # read; any other pair empties it before building its own
+    scn, table = generate_scenario(seed=3, n_nodes=4, horizon=50,
+                                   frame_len=2)
+    held = []
+    monkeypatch.setattr(harness, "latency_rows", lambda *a: held.append(
+        harness._last_inputs) or latency_rows(*a))
+    want = simulate(scn, table, "psp")
+    # the realized rows are built first, then the missed rows
+    assert len(held) == 2 and held[0] is None and held[1][4] is None
+    # a budget, a frame length or v reads the same realized rows
+    entry = harness._last_inputs
+    simulate(replace(scn, budget_avg=0.2), table, "psp")
+    simulate(scn, table, "psp", PolicyConfig(v=3.0))
+    assert harness._last_inputs is entry and len(held) == 2
+    simulate(replace(scn, frame_len=3), table, "psp")
+    assert len(held) == 3  # the new frame length's missed rows
+    assert harness._last_inputs[1] is entry[1]
+    assert_same_record(simulate(scn, table, "psp"), want)
+    faster = replace(scn, compute_capacity=scn.compute_capacity * 2)
+    other_table = generate_scenario(seed=4, n_nodes=4, horizon=50)[1]
+    for changed in ((faster, table), (scn, other_table), (scn, table[:]),
+                    (replace(scn, horizon=40), table)):
+        held.clear()
+        got = simulate(*changed, "psp")
+        assert held[0] is None
+        harness._last_inputs = None
+        assert_same_record(got, simulate(*changed, "psp"))
 
 
 def test_a_shared_materialization_is_read_only():

@@ -263,6 +263,24 @@ def test_frame_rejects_ragged_or_empty_rows(latency):
         FrameInput(latency, [1.0, 1.0], 0.5, 0)
 
 
+@pytest.mark.parametrize("latency, prices", [
+    ([[0.0]], [0.0]), ([[1.0, 2.0]], [1.0]),
+    ([[3.0, 1.0, 2.0], [1.0, 2.0, 0.5]], [0.5, 2.0]),
+])
+def test_an_array_table_equals_its_list_twin(latency, prices):
+    # a numpy table used to fail its truth test: ambiguous for a 1 x 2
+    # table, empty for the 1 x 1 zero table
+    listed = FrameInput(latency, prices, 0.5, 0)
+    arrayed = FrameInput(np.array(latency), np.array(prices), 0.5, 0)
+    assert arrayed == listed
+    assert {type(x) for x in (*arrayed.latency[0], *arrayed.move_price)} == \
+        {float}
+    cfg = PolicyConfig(v=2.0)
+    assert frame_decide(cfg, arrayed) == frame_decide(cfg, listed)
+    with pytest.raises(ValueError, match="at least one slot"):
+        FrameInput(np.empty((0, len(latency[0]))), [], 0.5, 0)
+
+
 def test_frame_rejects_a_price_per_row_mismatch():
     # a short move_price used to end in a bare IndexError
     with pytest.raises(ValueError, match="one price per latency row"):

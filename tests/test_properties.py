@@ -608,7 +608,12 @@ BOUNDARY_CALLS = [
      for trace in (None, [0, 1, 1, 0])  # no trace is a scalar setting
 ] + [(predict_epochs, dict(spec=PredictorSpec(kind=kind), trace=[0, 1, 2, 1],
                            w=2, n_regions=3, epoch_len=2))
-     for kind in PREDICTOR_KINDS]
+     for kind in PREDICTOR_KINDS
+] + [(FrameInput, dict(latency=table, move_price=[1.0], q_anchor=0.5,
+                       prev_placement=0))
+     # a numpy table takes each value in place of the whole table
+     for table in (np.array([[0.0]]), np.array([[1.0, 2.0]]),
+                   np.empty((0, 2)))]
 
 
 def boundary_slots(kwargs):
@@ -713,9 +718,10 @@ def test_an_accepted_value_ignores_every_later_write(value, arrays):
     # Once a value type has accepted its arguments, each write into one of
     # its fields or arrays, or into an argument list or array the caller
     # still holds, raises or leaves the run or frame decision as it was.
-    # FrameInput and ExperimentConfig's sweep_values take lists only.
+    # ExperimentConfig's sweep_values take lists only.
     for build, kwargs, use in WRITE_CASES:
-        as_array = arrays and build in (Scenario, SlotTable, PredictorSpec)
+        as_array = arrays and build in (Scenario, SlotTable, PredictorSpec,
+                                        FrameInput)
         held = {key: np.array(arg) if as_array and isinstance(arg, list)
                 else copy.deepcopy(arg) for key, arg in kwargs.items()}
         made = build(**held)
