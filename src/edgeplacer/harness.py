@@ -384,8 +384,9 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     budget queue q(t+1) = max(q + e(t) - e_avg, 0) and the momentum weight
     w(t+1) = w + (q(t+1) - q) + beta * max(w - w_prev, 0). The run's
     columns are then checked once: the earliest slot past its epoch's
-    backlog deviation bound or with w < q (the bound first), a placement
-    outside the nodes or a broken budget inequality raises InvariantError.
+    backlog deviation bound, with q < 0 or with w < q (in that order at
+    one slot), a placement outside the nodes or a broken budget inequality
+    raises InvariantError. So every anchor the solver gets is >= 0.
     A beta outside [0, 1] or a negative or NaN budget is a ValueError. A
     latency that is not finite, a sum of the run's latencies or of a
     frame's latencies times v past the float range, or move prices whose
@@ -534,15 +535,20 @@ def _check_run(placement, cost, q, w, e_avg, epoch_len, w_q, node_count):
         # Fast2Sum) and a larger rise (d is off by at most half an ulp of
         # q', and q + d rounds back to q'). The check needs no tolerance.
         low = ~(w[1:] >= q[1:])
+        # Lindley's clamp keeps q >= 0, and with w >= q so is w.
+        negative = ~(q[1:] >= 0.0)
         # Telescoped budget guarantee: the clamp only ever raises the
         # backlog, so q dominates the unclamped overrun sum. Float-exact:
         # accumulate is the queue's per-slot addition in its order.
         overrun = float(np.add.accumulate(cost - e_avg)[-1])
-    t = (drift | low).argmax()  # 0 if every slot passes
+    t = (drift | negative | low).argmax()  # 0 if every slot passes
     if drift[t]:
         raise InvariantError(
             f"slot {t}: backlog {float(q[t + 1])!r} drifted from the epoch "
             f"start {float(start[t])!r} beyond {epoch_len} * w_q = {dev_bound!r}")
+    if negative[t]:
+        raise InvariantError(
+            f"slot {t}: backlog {float(q[t + 1])!r} is negative")
     if low[t]:
         raise InvariantError(f"slot {t}: weight {float(w[t + 1])!r} fell "
                              f"below the backlog {float(q[t + 1])!r}")
@@ -875,16 +881,17 @@ HORIZON_BUDGET = 0.1
 HORIZON_SLACK = 0.10
 
 
-def random_frame_instance(rng, anchor_low=0.0, grid=False, wide=False):
+def random_frame_instance(rng, grid=False, wide=False):
     """Random frame problem (cfg, frame) for DP-vs-enumeration checks: 2-5
     nodes and 1-4 slots or, with wide, PRUNE_MIN_NODES to 4 more nodes and
     2-3 slots, where frame_solver prunes.
 
     By default the latencies and prices are a generated scenario's and v
-    and the anchor uniform floats. With grid, the latencies and prices are
-    whole numbers 0-3 or quarters 0-10, v is one of 0, 1, 2.5 and 10, and
-    the anchor is a quarter: every sum is exact, so the ties and near-ties
-    that float draws almost never make are common.
+    and the anchor uniform floats, the anchor in [0, ANCHOR_HIGH). With
+    grid, the latencies and prices are whole numbers 0-3 or quarters 0-10,
+    v is one of 0, 1, 2.5 and 10, and the anchor is a quarter: every sum is
+    exact, so the ties and near-ties that float draws almost never make are
+    common.
     """
     n, length = ((int(rng.integers(PRUNE_MIN_NODES, PRUNE_MIN_NODES + 5)),
                   int(rng.integers(2, 4))) if wide else
@@ -893,8 +900,7 @@ def random_frame_instance(rng, anchor_low=0.0, grid=False, wide=False):
         top, step = (3, 1.0) if rng.random() < 0.5 else (40, 0.25)
         values = rng.integers(0, top + 1, (length, n + 1)) * step
         cfg = PolicyConfig(v=float(rng.choice((0.0, 1.0, 2.5, 10.0))))
-        anchor = int(rng.integers(math.ceil(4 * anchor_low),
-                                  math.floor(4 * ANCHOR_HIGH) + 1)) / 4
+        anchor = int(rng.integers(0, math.floor(4 * ANCHOR_HIGH) + 1)) / 4
         return cfg, FrameInput(values[:, :n].tolist(), values[:, n].tolist(),
                                anchor, int(rng.integers(n)))
     scn, table = generate_scenario(seed=int(rng.integers(2 ** 31)), n_nodes=n,
@@ -902,22 +908,20 @@ def random_frame_instance(rng, anchor_low=0.0, grid=False, wide=False):
     cfg = PolicyConfig(v=float(rng.uniform(0.0, 100.0)))
     rows, prices = latency_rows(scn, table, slice(None), table.trace)
     return cfg, FrameInput(rows.tolist(), prices.tolist(),
-                           float(rng.uniform(anchor_low, ANCHOR_HIGH)),
+                           float(rng.uniform(0.0, ANCHOR_HIGH)),
                            int(rng.integers(n)))
 
 
-def verify_frame_oracles(seed: int = 1, instances: int = 200,
-                         anchor_low: float = 0.0):
+def verify_frame_oracles(seed: int = 1, instances: int = 200):
     """Compare the frame solver against exhaustive enumeration.
 
     Every other instance is drawn on the exact grid, every tenth wide on
-    it. Negative anchor_low exercises the weight-anchored variant. Returns
-    (matches, instances, mismatch descriptions).
+    it. Returns (matches, instances, mismatch descriptions).
     """
     rng = np.random.default_rng(seed)
     matches, mismatches = 0, []
     for idx in range(instances):
-        cfg, frame = random_frame_instance(rng, anchor_low, grid=idx % 2 == 1,
+        cfg, frame = random_frame_instance(rng, grid=idx % 2 == 1,
                                            wide=idx % 10 == 9)
         seq = frame_decide(cfg, frame)
         best_seq, best_obj = brute_force_frame(frame, cfg)

@@ -11,8 +11,8 @@ per run, frame_decide once per frame. The reactive osp is a 1-slot frame
 anchored on the queue backlog, which frame_solver decides from the row's
 two smallest entries unless rounding ties them; psp is a longer frame
 anchored on the same backlog, and pspwu anchors on the momentum-weighted
-surrogate instead. The engine's anchors are never negative (w >= q >= 0 at
-every slot).
+surrogate instead. No anchor is negative: the engine's are q >= 0 and
+w >= q, which simulate checks at every slot, and FrameInput refuses one.
 Benchmarks: always-migrate and never-migrate need no rule of their own (the
 engine follows the user or holds the initial node); lazy-migrate and
 predictive-lazy-migrate are step functions. Brute-force enumerators serve
@@ -68,8 +68,8 @@ class FrameInput:
     latency[p][i] is the time to serve frame position p from node i (row 0
     for the realized user node, later rows for predicted ones), a sequence
     of rows or a 2-D numpy array; move_price[p] prices any move at p.
-    q_anchor is the backlog (or weight) frozen for the frame;
-    prev_placement is where the service sat before the frame began.
+    q_anchor, finite and >= 0, is the backlog (or weight) frozen for the
+    frame; prev_placement is where the service sat before the frame began.
     The rows are kept as tuples of the validated floats, the frame's own.
     """
 
@@ -103,8 +103,10 @@ class FrameInput:
                            _whole(self.prev_placement, "prev_placement"))
         if not 0 <= self.prev_placement < n:
             raise ValueError(f"prev_placement must be a node in [0, {n})")
-        if not math.isfinite(_real(self.q_anchor, "q_anchor")):
-            raise ValueError("q_anchor must be finite")
+        anchor = _real(self.q_anchor, "q_anchor")
+        if not (math.isfinite(anchor) and anchor >= 0):  # -0.0 ok
+            raise ValueError("q_anchor must be finite and >= 0")
+        object.__setattr__(self, "q_anchor", anchor)
 
 
 def _sequence(value) -> bool:
@@ -118,9 +120,9 @@ def _sequence(value) -> bool:
 def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     """Whole-frame placements minimizing the frame objective anchored on
     q_anchor: the queue under osp (a 1-slot frame) and psp, the weight
-    under pspwu, or any finite anchor, negative too. frame_solver decides
-    them on the rows scaled by v. Node i scores v * latency[p][i] at
-    position p, plus anchor * move_price[p] if the service moves there, as
+    under pspwu, or any finite anchor >= 0. frame_solver decides them on
+    the rows scaled by v. Node i scores v * latency[p][i] at position p,
+    plus anchor * move_price[p] if the service moves there, as
     frame_objective scores it. The result is the lexicographically smallest
     minimizer, as the brute-force oracle's tie-break. ValueError if v times
     the latencies can sum past the float range.
@@ -141,41 +143,32 @@ def _check_scaled_sum(cfg: PolicyConfig, frame: FrameInput) -> None:
 
 
 def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
-    """frame_solver's DP on rows already multiplied by v; checks nothing.
-    Every move at p costs the same, so the cheapest way into a node is to
-    stay on it or to come from the cheapest other node: the backward pass
-    keeps each layer's smallest moved-in cost best and its first node k,
-    O(N T). It computes the second-smallest only when moving into k costs
-    less than staying there, which takes a negative anchor: with
-    m = anchor * price >= 0, rounding is monotone, so
-    fl(fl(x + m) + t) >= fl(x + t).
+    """frame_solver's DP on rows already multiplied by v; checks nothing,
+    and takes anchor >= 0. Every move at p costs the same, so the cheapest
+    way into a node is to stay on it or to come from the cheapest other
+    node: the backward pass keeps each layer's smallest moved-in cost best
+    and its first node k, O(N T). Staying on k costs no more than moving
+    into it: with m = anchor * price >= 0, rounding is monotone, so
+    fl(fl(x + m) + t) >= fl(x + t), and each completion is
+    min(stay, best).
 
     The forward pass scores position 0 in full. A later position's scores
     are its layer's moved-in costs with the entry of the current node at
     replaced by at's stay cost s, so the pass reads its decision off best
     and k: from at != k it moves to k iff s > best, or s == best and
-    k < at; on k it stays iff s <= best. Only k == at with s > best, a
-    layer that needed the second-smallest, rescans, and there the backward
-    pass has already written s at k."""
+    k < at; on k it stays, as s <= best."""
     # Backward pass. layers[-1] holds, for the next position the forward
     # pass decides, each node's cheapest completion after it, the layer's
-    # moved-in costs, best and k; tail ends as position 0's completions. A
-    # 1-slot frame has no completion and builds nothing.
+    # best and k; tail ends as position 0's completions. A 1-slot frame has
+    # no completion and builds nothing.
     layers = []
     tail = [0.0] * len(rows[0]) if len(rows) > 1 else None
     for p in range(len(rows) - 1, 0, -1):
         row, m = rows[p], anchor * prices[p]
         moved = [x + m + t for x, t in zip(row, tail)]
         best = min(moved)
-        k = moved.index(best)
-        stay_k = row[k] + tail[k]
-        layers.append((tail, moved, best, k))
+        layers.append((tail, best, moved.index(best)))
         tail = [s if (s := x + t) <= best else best for x, t in zip(row, tail)]
-        if stay_k > best:
-            moved[k] = math.inf
-            second = min(moved)
-            tail[k] = stay_k if stay_k <= second else second
-            moved[k] = stay_k
 
     row, m = rows[0], anchor * prices[0]
     if tail is None:
@@ -187,13 +180,10 @@ def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
     at = scores.index(min(scores))
     seq = [at]
     for row in itertools.islice(rows, 1, None):
-        tail, moved, best, k = layers.pop()
+        tail, best, k = layers.pop()
         s = row[at] + tail[at]
-        if k != at:
-            if s > best or (s == best and k < at):
-                at = k
-        elif s > best:
-            at = moved.index(min(moved))
+        if k != at and (s > best or (s == best and k < at)):
+            at = k
         seq.append(at)
     return seq
 
@@ -202,9 +192,7 @@ def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
 # on its epoch's undominated nodes (_undominated) plus prev, and the result
 # is bit for bit the DP's on all nodes. Take m = anchor * price >= 0 (the
 # engine's anchors are q or w >= q >= 0) and j != prev dominated by i < j.
-# - Backward pass: with m >= 0 the first argmin k of moved has
-#   moved[k] >= stay[k], so tail[k] = stay[k] and every tail is
-#   min(stay, best): the kernel never computes the second-smallest.
+# - Backward pass: every tail is min(stay, best) (see _frame_dp).
 #   Rounding is monotone, so by induction from the last layer the stay,
 #   moved and tail of i are no larger than j's at every layer; best is
 #   attained on an undominated node (domination is transitive), and the
@@ -217,10 +205,7 @@ def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
 #   layer's best, its first argmin k and the current node's stay cost
 #   alone. k is never dominated (its dominator would be a lower-index
 #   minimizer), so all three are the full DP's and k keeps its order
-#   against the current node; with m >= 0 the rescan, which needs
-#   stay[k] > best, never runs.
-# A negative anchor can make moving cheaper than staying, so frame_solver
-# solves one on every node.
+#   against the current node.
 # Below the constant the pre-pass and the sub-row gathers cost more than the
 # columns they save the DP (CHANGES.md has the measurement); 1-slot epochs
 # (osp) are decided without the DP, from each row's two smallest entries.
@@ -321,19 +306,19 @@ def frame_solver(rows, prices, epoch_len: int):
     """The one path of the frame DP: solve(k, anchor, prev) places epoch k,
     slots k * epoch_len to the next epoch's or the end, from node prev.
     rows (H, N) are decision rows already scaled by v, prices (H,) the move
-    prices, all >= 0. An epoch takes the first way that applies, each bit
-    for bit the DP's sequence on all its columns:
-    - one slot, anchor >= 0 and prev a node: the node read off the row's
-      two smallest entries, with no DP, unless the move term's rounding
-      ties entries that the row orders (see the comment below);
+    prices, all >= 0, and so is every anchor. An epoch takes the first way
+    that applies, each bit for bit the DP's sequence on all its columns:
+    - one slot and prev a node: the node read off the row's two smallest
+      entries, with no DP, unless the move term's rounding ties entries
+      that the row orders (see the comment below);
     - two or more slots, anchor > 0, prev a node and the stay certificate
       holds (anchor times the smallest price, plus the sum of the rows'
       minima, exceeds prev's row sum by a rounding margin; see
       STAY_SLACK): [prev] * T, no DP;
-    - anchor >= 0, two or more slots and PRUNE_MIN_NODES nodes or more:
-      the DP on its undominated columns plus prev's, prev as a column
-      index, mapped back to nodes (see PRUNE_MIN_NODES);
-    - otherwise, a negative anchor always: the DP on every column.
+    - two or more slots and PRUNE_MIN_NODES nodes or more: the DP on its
+      undominated columns plus prev's, prev as a column index, mapped back
+      to nodes (see PRUNE_MIN_NODES);
+    - otherwise the DP on every column.
     """
     n, horizon = rows.shape[1], len(rows)
     if epoch_len == 1:
@@ -351,10 +336,10 @@ def frame_solver(rows, prices, epoch_len: int):
         #   and prev scores more than s: f wins if D[prev] > s and the lower
         #   of prev and f on a tie.
         # Every other case goes to the kernel: a tie that fl(x + m) makes of
-        # entries that x orders (fl(lo2 + m) == s), a negative anchor (which
-        # the engine never passes) and a prev that is no node. A 1-slot
-        # epoch the stay certificate holds for is one the rule keeps on prev
-        # (L > R >= D[prev] with L = s), so these epochs need no certificate.
+        # entries that x orders (fl(lo2 + m) == s) and a prev that is no
+        # node. A 1-slot epoch the stay certificate holds for is one the
+        # rule keeps on prev (L > R >= D[prev] with L = s), so these epochs
+        # need no certificate.
         lo, lo2 = rows[:, 0].copy(), np.full(horizon, math.inf)
         for column in rows.T[1:]:
             np.minimum(lo2, np.maximum(lo, column), out=lo2)
@@ -364,7 +349,7 @@ def frame_solver(rows, prices, epoch_len: int):
 
         def solve_slot(k: int, anchor: float,
                        prev: Placement) -> list[Placement]:
-            if anchor >= 0 and 0 <= prev < n:
+            if 0 <= prev < n:
                 f = first[k]
                 if prev == f:
                     return [prev]
@@ -388,7 +373,7 @@ def frame_solver(rows, prices, epoch_len: int):
                 and anchor * cheapest.item(k) + lows.item(k)
                 > sums.item(k, prev) * slack):
             return [prev] * (min(stop, horizon) - start)
-        if kept is None or anchor < 0:
+        if kept is None:
             return _frame_dp(rows[start:stop].tolist(), prices[start:stop],
                              anchor, prev)
         nodes = kept[k]

@@ -4,13 +4,14 @@ import json
 import math
 import numbers
 import os
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeplacer import harness
+from edgeplacer import harness, policies
 from edgeplacer.cli import main
 from edgeplacer.harness import read_trace_csv
 
@@ -464,36 +465,19 @@ def test_verify_command(tmp_path, capsys):
     assert "horizon bound holds" in out
 
 
-def frame_decide_without_second(cfg, frame):
-    """frame_decide with a fault: the backward pass keeps only each layer's
-    smallest moved-in cost, so under a negative anchor a node may "move"
-    into itself at the (negative) move price."""
-    v, anchor, lat = cfg.v, frame.q_anchor, frame.latency
-    after = []
-    for p in range(len(lat) - 1, 0, -1):
-        tail = after[-1] if after else [0.0] * len(lat[p])
-        m = anchor * frame.move_price[p]
-        best = min(v * x + m + t for x, t in zip(lat[p], tail))
-        after.append([min(v * x + t, best) for x, t in zip(lat[p], tail)])
-    seq, at = [], frame.prev_placement
-    for p, row in enumerate(lat):
-        m = anchor * frame.move_price[p]
-        scores = [v * x + (m if i != at else 0.0) for i, x in enumerate(row)]
-        if after:
-            scores = [s + t for s, t in zip(scores, after.pop())]
-        at = scores.index(min(scores))
-        seq.append(at)
-    return seq
+def test_verify_catches_an_anchor_blind_solver(capsys, monkeypatch):
+    # The frame solver with a fault: it prices every move at 0, whatever
+    # the anchor. Both frame suites must see it, the second one too.
+    def anchor_blind(cfg, frame):
+        return policies.frame_decide(cfg, replace(frame, q_anchor=0.0))
 
-
-def test_verify_catches_a_solver_without_the_second_smallest_cost(
-        capsys, monkeypatch):
-    monkeypatch.setattr(harness, "frame_decide", frame_decide_without_second)
+    monkeypatch.setattr(harness, "frame_decide", anchor_blind)
     assert main(["verify", "--instances", "200"]) == 4
     out = capsys.readouterr().out.splitlines()
-    matches, total = out[1].split()[0].split("/")
     assert out[1].endswith("oracle matches (weight anchor)")
-    assert int(matches) < int(total) == 100
+    for line, total in zip(out, (200, 100)):
+        matches, drawn = line.split()[0].split("/")
+        assert int(matches) < int(drawn) == total
 
 
 # The config keys the fuzz below sets: every schema key and the settings the

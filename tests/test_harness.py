@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (make_scenario, reference_predict, reference_simulate,
-                      reference_synthetic_trace)
+from conftest import (make_scenario, reference_advance, reference_predict,
+                      reference_simulate, reference_synthetic_trace)
 
 from edgeplacer import cli, harness, policies
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
@@ -804,6 +804,57 @@ def test_a_non_finite_backlog_is_an_invariant_error(monkeypatch, bad):
         run(base_config(policy="psp"))
 
 
+def unclamped_columns(cost, e_avg, beta, lift=2.0 ** 20):
+    """q and w before each slot and after the last, stepped by
+    reference_advance with the clamp left out: the state is lifted by lift,
+    so q + e - e_avg never reaches 0. On quarters every step is exact."""
+    q = w = w_prev = lift
+    qs, ws = [q], [w]
+    for e in cost:
+        q, w, w_prev = reference_advance(q, w, w_prev, e, e_avg, beta)
+        qs.append(q)
+        ws.append(w)
+    return np.array(qs) - lift, np.array(ws) - lift
+
+
+# One move from node 0 at slot 0, priced 1, then none, against a budget of
+# 0.5 a slot: without the clamp the backlog reads 0.5, 0, -0.5, ... after
+# slots 0, 1, 2. Every other check passes these columns: no backlog drifts
+# past 2 * w_q = 2 within a 2-slot epoch, w = q at beta 0, and the budget
+# inequality is tight, as the final backlog is the unclamped overrun.
+UNCLAMPED = dict(placement=np.ones(8, dtype=np.int64),
+                 cost=np.array([1.0] + [0.0] * 7), e_avg=0.5, epoch_len=2,
+                 w_q=1.0, node_count=2)
+
+
+def check_unclamped(q, w):
+    """_check_run on UNCLAMPED's run with the columns q and w."""
+    c = UNCLAMPED
+    return harness._check_run(c["placement"], c["cost"], q, w, c["e_avg"],
+                              c["epoch_len"], c["w_q"], c["node_count"])
+
+
+def test_a_negative_backlog_is_an_invariant_error():
+    q, w = unclamped_columns(UNCLAMPED["cost"], UNCLAMPED["e_avg"], 0.0)
+    assert q.tolist() == [0.0, 0.5, 0.0, -0.5, -1.0, -1.5, -2.0, -2.5, -3.0]
+    with pytest.raises(InvariantError, match=re.escape(
+            "slot 2: backlog -0.5 is negative")):
+        check_unclamped(q, w)
+    # the same slot also past the drift bound: the drift is named first
+    q[3] -= 1e6
+    with pytest.raises(InvariantError, match=re.escape(
+            "slot 2: backlog -1000000.5 drifted")):
+        check_unclamped(q, w)
+    # the weight stays above the backlog, and its run still raises
+    q, w = unclamped_columns(UNCLAMPED["cost"], UNCLAMPED["e_avg"], 1.0)
+    assert (w >= q).all() and q[3] < 0
+    with pytest.raises(InvariantError, match="slot 2: backlog -0.5 "):
+        check_unclamped(q, w)
+    # the clamped columns pass
+    q = np.maximum(q, 0.0)
+    assert check_unclamped(q, q) == 1.0
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_a_beta_set_after_construction_is_refused(policy):
     # PolicyConfig is frozen; object.__setattr__ still gets round that, so
@@ -1083,17 +1134,15 @@ def test_a_one_frame_run_predicts_as_a_per_call_replay(monkeypatch):
     assert len(rec.prediction_accuracy) == 59
 
 
-def test_invariant_checks_survive_optimize():
+def raises_under_optimize(code):
+    """Whether code, run by python -O after importing sys, numpy as np and
+    edgeplacer.harness, raises InvariantError."""
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "from edgeplacer import harness\n"
-        "real = harness._check_run\n"
-        "harness._check_run = lambda placement, cost, q, *rest: real(\n"
-        "    placement, cost, 0 * q, *rest)\n"
-        "config = harness.ExperimentConfig(policy='am', node_count=4,\n"
-        "                                  horizon=120, budget_avg=0.0)\n"
         "try:\n"
-        "    harness.run(config)\n"
+        + "".join(f"    {line}\n" for line in code.splitlines()) +
         "except harness.InvariantError:\n"
         "    print('raised, optimize =', sys.flags.optimize)\n"
     )
@@ -1103,7 +1152,27 @@ def test_invariant_checks_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised, optimize = 1"
+    return proc.stdout.strip() == "raised, optimize = 1"
+
+
+def test_invariant_checks_survive_optimize():
+    assert raises_under_optimize(
+        "real = harness._check_run\n"
+        "harness._check_run = lambda placement, cost, q, *rest: real(\n"
+        "    placement, cost, 0 * q, *rest)\n"
+        "config = harness.ExperimentConfig(policy='am', node_count=4,\n"
+        "                                  horizon=120, budget_avg=0.0)\n"
+        "harness.run(config)")
+
+
+def test_the_backlog_check_survives_optimize():
+    q, w = unclamped_columns(UNCLAMPED["cost"], UNCLAMPED["e_avg"], 0.0)
+    c = UNCLAMPED
+    assert raises_under_optimize(
+        f"harness._check_run(np.array({c['placement'].tolist()}), "
+        f"np.array({c['cost'].tolist()}), np.array({q.tolist()}), "
+        f"np.array({w.tolist()}), {c['e_avg']}, {c['epoch_len']}, "
+        f"{c['w_q']}, {c['node_count']})")
 
 
 def test_config_from_dict_full():
@@ -1303,8 +1372,7 @@ def test_apply_overrides():
 def test_verify_frame_oracles_all_match():
     matches, total, mismatches = verify_frame_oracles(seed=2, instances=25)
     assert (matches, mismatches) == (total, [])
-    matches, total, mismatches = verify_frame_oracles(seed=3, instances=15,
-                                                      anchor_low=-20.0)
+    matches, total, mismatches = verify_frame_oracles(seed=3, instances=15)
     assert (matches, mismatches) == (total, [])
 
 
@@ -1334,9 +1402,9 @@ def test_verify_reaches_every_solver_path(monkeypatch):
     # frame_solver decides an epoch by its 1-slot rule, by the kernel where
     # that rule leaves a 1-slot epoch to it, by the stay certificate, by the
     # DP on undominated columns or by the DP on every column; verify checks
-    # a path against enumeration only where its suites reach it. An anchor
-    # >= 0 on PRUNE_MIN_NODES nodes or more is pruned, so the full DP sees
-    # that many only in the weight suite, whose anchors go down to -20.
+    # a path against enumeration only where its suites reach it. A frame of
+    # two or more slots on PRUNE_MIN_NODES nodes or more is always pruned,
+    # so the full DP sees fewer nodes.
     kernel, decide = policies._frame_dp, harness.frame_decide
     widths, paths = [], set()
 
@@ -1353,12 +1421,12 @@ def test_verify_reaches_every_solver_path(monkeypatch):
             paths.add("1-slot kernel" if widths else "1-slot rule")
         elif not widths:
             paths.add("stay certificate")
-        elif wide and frame.q_anchor >= 0:
+        elif wide:
             assert len(widths) == 1 and widths[0] < n
             paths.add("pruned DP")
         else:
             assert widths == [n]
-            paths.add("full DP, wide" if wide else "full DP")
+            paths.add("full DP")
         return seq
 
     monkeypatch.setattr(policies, "_frame_dp", counted)
@@ -1368,28 +1436,27 @@ def test_verify_reaches_every_solver_path(monkeypatch):
     assert verify_frame_oracles(1, 200)[:2] == (200, 200)
     assert paths == every
     paths.clear()
-    assert verify_frame_oracles(1, 100, anchor_low=-20.0)[:2] == (100, 100)
-    assert paths == every | {"full DP, wide"}
+    assert verify_frame_oracles(2, 100)[:2] == (100, 100)
+    assert paths == every
 
 
 def test_both_frame_suites_draw_one_slot_frames(monkeypatch, capsys):
     # A 1-slot frame is decided by frame_solver's 1-slot rule, which verify
     # checks against enumeration only if its suites draw such frames. The
-    # CLI's default seed 1 runs the queue suite at seed 1 and the weight
-    # suite at seed 2.
+    # CLI's default seed 1 runs the suite at seed 1 and again at seed 2.
     real, lengths = harness.random_frame_instance, []
 
-    def spy(rng, anchor_low=0.0, **kwargs):
-        cfg, frame = real(rng, anchor_low, **kwargs)
-        lengths.append((anchor_low, len(frame.latency)))
+    def spy(rng, **kwargs):
+        cfg, frame = real(rng, **kwargs)
+        lengths.append(len(frame.latency))
         return cfg, frame
 
     monkeypatch.setattr(harness, "random_frame_instance", spy)
     assert cli.main(["verify"]) == 0
     assert "200/200 oracle matches\n100/100" in capsys.readouterr().out
-    for anchor_low, count in ((0.0, 200), (-20.0, 100)):
-        drawn = [n for low, n in lengths if low == anchor_low]
-        assert len(drawn) == count and set(drawn) == {1, 2, 3, 4}
+    assert len(lengths) == 300
+    for drawn in (lengths[:200], lengths[200:]):
+        assert set(drawn) == {1, 2, 3, 4}
 
 
 def test_bound_constant():

@@ -11,9 +11,8 @@
 (b) The frame solver returns the brute-force oracle's sequence and
     objective on random latency tables of up to 6 nodes. Values lie on a
     grid of quarters small enough that every sum and product is exact, so
-    ties are real ties, which integer latencies and v = 0 make common;
-    weight anchors go negative, where moving can beat staying and the
-    solver needs each layer's second-smallest moved-in cost. On such frames
+    ties are real ties, which integer latencies and v = 0 make common,
+    and anchors lie in [0, 50], as every anchor is >= 0. On such frames
     of up to 6 slots and 9 nodes, frame_decide and the kernel fed rows
     scaled by v in numpy, as the engine feeds it, return the sequence of
     the DP that scaled every element itself and scored every position in
@@ -154,7 +153,7 @@ def frames(draw, max_nodes=6, max_len=None, min_nodes=1, min_len=1):
     latency = [draw(st.lists(value, min_size=n, max_size=n))
                for _ in range(length)]
     prices = draw(st.lists(value, min_size=length, max_size=length))
-    anchor = draw(st.integers(-200, 200)) / 4  # half of them negative
+    anchor = draw(st.integers(0, 200)) / 4
     prev = draw(st.integers(0, n - 1))
     cfg = PolicyConfig(v=draw(st.sampled_from((0.0, 1.0, 2.5, 10.0))))
     return cfg, FrameInput(latency, prices, anchor, prev)
@@ -179,15 +178,14 @@ def test_frame_dp_equals_brute_force(case):
 # ... and staying on node 0 ties with k = 1, above it, so it stays
 @example((PolicyConfig(v=1.0),
           FrameInput([[0.0, 2.0], [1.0, 0.0]], [0.0, 1.0], 1.0, 0)))
-# on k, where a negative anchor makes moving into k cheaper than staying:
-# the layer is rescanned and the service moves to node 1
+# anchor 0: moves are free, so from node 1 [0, 0] ties with [1, 0] and,
+# the lower index, wins
 @example((PolicyConfig(v=1.0),
-          FrameInput([[0.0, 5.0, 5.0], [0.0, 0.5, 1.0]], [0.0, 1.0], -1.0,
-                     0)))
-# the backward pass: moving into k = 0 beats staying there, so node 0's
-# completion is the second-smallest moved-in cost, and [1, 0] wins
+          FrameInput([[0.0, 0.0], [0.0, 1.0]], [0.0, 1.0], 0.0, 1)))
+# the smallest anchor above 0: 1 + 5e-324 rounds to 1, so moves are free
+# here too and [0, 0] wins from node 1; the stay certificate must not hold
 @example((PolicyConfig(v=1.0),
-          FrameInput([[0.0, 0.0], [0.0, 1.0]], [0.0, 1.0], -1.0, 1)))
+          FrameInput([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], 5e-324, 1)))
 def test_frame_dp_kernel_equals_the_reference(case):
     cfg, frame = case
     expected = reference_frame_decide(cfg, frame)
@@ -202,8 +200,8 @@ def test_frame_dp_kernel_equals_the_reference(case):
 @given(frames(min_nodes=PRUNE_MIN_NODES, max_nodes=PRUNE_MIN_NODES + 4,
               min_len=2, max_len=4))
 def test_frame_decide_prunes_as_the_reference(case):
-    # past PRUNE_MIN_NODES a frame with an anchor >= 0 is solved on its
-    # undominated columns, and a negative anchor on every column
+    # past PRUNE_MIN_NODES a frame of two or more slots is solved on its
+    # undominated columns, at every anchor in [0, 50]
     cfg, frame = case
     assert frame_decide(cfg, frame) == reference_frame_decide(cfg, frame)
 
@@ -601,6 +599,9 @@ BOUNDARY_CALLS = [
                      unit_migration_cost=[1.0, 2.0])),
     (FrameInput, dict(latency=[[1.0, 2.0], [3.0, 4.0]], move_price=[1.0, 1.0],
                       q_anchor=0.5, prev_placement=0)),
+    # a negative anchor is refused whatever the other arguments hold
+    (FrameInput, dict(latency=[[1.0, 2.0], [3.0, 4.0]], move_price=[1.0, 1.0],
+                      q_anchor=-1.0, prev_placement=0)),
     (synthetic_trace, dict(seed=0, n_regions=3, length=6, stickiness=0.7))
 ] + [(generate_scenario, dict(seed=0, n_nodes=2, horizon=4, frame_len=2,
                               budget_avg=0.1, backhaul_mbps=100.0,
