@@ -4,10 +4,11 @@ A run wires together a scenario (fixed parameters plus a per-slot table of
 draws), a placement policy, the budget queue, and (for the predictive
 policies) a mobility predictor. The queue-reading policies decide epoch by
 epoch: osp one slot, psp and pspwu a whole frame at the frame's first slot
-using predicted user locations. The queue-blind benchmarks decide the whole
-run before the queue steps. Realized metrics and queue updates always use
-the true trace. Everything is driven by explicit seeds, so identical
-configurations replay bit-identically.
+using predicted user locations, the queue stepped slot by slot in between.
+The queue-blind benchmarks decide the whole run first; at beta == 0 their
+backlog is then one fold of the run's cost column. Realized metrics and
+queue updates always use the true trace. Everything is driven by explicit
+seeds, so identical configurations replay bit-identically.
 """
 
 import csv
@@ -380,18 +381,22 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     their epochs is decided, by one policies.frame_solver per run, once the
     slots before it are accounted; am, nm, lm and plm never read it, so all
     their slots are decided first and the run is accounted in one pass.
-    Both go through one loop that steps, from q = w = w_prev = 0, the
-    budget queue q(t+1) = max(q + e(t) - e_avg, 0) and the momentum weight
-    w(t+1) = w + (q(t+1) - q) + beta * max(w - w_prev, 0). The run's
-    columns are then checked once: the earliest slot past its epoch's
-    backlog deviation bound, with q < 0 or with w < q (in that order at
-    one slot), a placement outside the nodes or a broken budget inequality
-    raises InvariantError. So every anchor the solver gets is >= 0.
-    A beta outside [0, 1] or a negative or NaN budget is a ValueError. A
-    latency that is not finite, a sum of the run's latencies or of a
-    frame's latencies times v past the float range, or move prices whose
-    backlog and weight terms could pass it, raises ConfigError before the
-    first decision.
+    The frame policies, and a queue-blind run at beta > 0, go through one
+    loop that steps, from q = w = w_prev = 0, the budget queue
+    q(t+1) = max(q + e(t) - e_avg, 0) and the momentum weight
+    w(t+1) = w + (q(t+1) - q) + beta * max(w - w_prev, 0). A queue-blind
+    run at beta == 0 skips it: its q is Lindley's recursion folded over
+    its cost column with the loop's additions in the loop's order
+    (_lindley), and its w a copy of q, which the loop's w equals bit for
+    bit at beta == 0. Either way the run's columns are then checked once:
+    the earliest slot past its epoch's backlog deviation bound, with q < 0
+    or with w < q (in that order at one slot), a placement outside the
+    nodes or a broken budget inequality raises InvariantError. So every
+    anchor the solver gets is >= 0. Before the first decision, a latency
+    that is not finite, a sum of the run's latencies or of a frame's
+    latencies times v past the float range, or move prices whose backlog
+    and weight terms could pass it, raises ConfigError, and then a beta
+    outside [0, 1] or a negative or NaN budget a ValueError.
 
     The realized rows and the move prices come from _run_inputs, which
     keeps them for the next runs on the same (Scenario, SlotTable) pair,
@@ -457,11 +462,16 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
             "past the float range; lower policy.v or raise "
             "scenario.backhaul_mbps")
 
-    prices = price.tolist()
+    beta = cfg.beta
+    # PolicyConfig is frozen, but object.__setattr__ still gets round it
+    if not (e_avg >= 0.0 and 0.0 <= beta <= 1.0):
+        raise ValueError("queue inputs must be >= 0 and beta in [0, 1]")
     trace = table.trace
     prev = initial = trace[0]
-    # No queue-blind placement depends on the queue: they make one epoch.
-    epochs = len(range(0, horizon, epoch_len)) if frame else 1
+    # a queue-blind run at beta == 0 folds its backlog from its costs
+    loop = frame or beta > 0.0
+    # the loop, lm and plm read the prices as Python floats, am and nm not
+    prices = price.tolist() if loop or policy in ("lm", "plm") else None
     if frame:
         solve = frame_solver(decision, price, epoch_len)
     elif policy == "am":
@@ -483,41 +493,67 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
             blind.append(at)
             row = nxt
 
-    q = w = w_prev = 0.0
-    beta = cfg.beta
-    # PolicyConfig is frozen, but object.__setattr__ still gets round it
-    if not (e_avg >= 0.0 and 0.0 <= beta <= 1.0):
-        raise ValueError("queue inputs must be >= 0 and beta in [0, 1]")
-    placements, qs, ws = [], [], []  # q and w before each slot
-    unpriced = iter(prices)  # zip takes one price per placement it reads
-    for k in range(epochs):
-        seq = solve(k, w if policy == "pspwu" else q, prev) if frame else blind
-        placements += seq
-        # The recursion, with compares in place of max(x, 0.0), a builtin call
-        for placement, p in zip(seq, unpriced):
-            qs.append(q)
-            ws.append(w)
-            q_next = q + ((p if placement != prev else 0.0) - e_avg)
-            if q_next < 0.0:
-                q_next = 0.0
-            rise = w - w_prev
-            w_prev, w = w, w + (q_next - q) + beta * (0.0 if rise < 0.0 else rise)
-            q, prev = q_next, placement
-    avg_queue = math.fsum(qs) / horizon
-    qs, ws = np.array(qs + [q]), np.array(ws + [w])  # and after the last
+    if loop:
+        # No queue-blind placement depends on the queue: they make one epoch.
+        epochs = len(range(0, horizon, epoch_len)) if frame else 1
+        q = w = w_prev = 0.0
+        placements, qs, ws = [], [], []  # q and w before each slot
+        unpriced = iter(prices)  # zip takes one price per placement it reads
+        for k in range(epochs):
+            seq = solve(k, w if policy == "pspwu" else q, prev) if frame \
+                else blind
+            placements += seq
+            # The recursion, with compares in place of max(x, 0.0), a
+            # builtin call
+            for placement, p in zip(seq, unpriced):
+                qs.append(q)
+                ws.append(w)
+                q_next = q + ((p if placement != prev else 0.0) - e_avg)
+                if q_next < 0.0:
+                    q_next = 0.0
+                rise = w - w_prev
+                w_prev, w = w, w + (q_next - q) + beta * (0.0 if rise < 0.0
+                                                          else rise)
+                q, prev = q_next, placement
+        avg_queue = math.fsum(qs) / horizon
+        qs, ws = np.array(qs + [q]), np.array(ws + [w])  # and after the last
+        placement = np.array(placements)
+        cost = np.where(np.diff(placement, prepend=initial) != 0, price, 0.0)
+    else:
+        # A queue-blind run at beta == 0: its backlog is a fold of its cost
+        # column, and w == q bit for bit (see _check_run), kept as a copy.
+        placement = np.array(blind)
+        cost = np.where(np.diff(placement, prepend=initial) != 0, price, 0.0)
+        qs = _lindley((cost - e_avg).tolist())
+        q = qs[-1]
+        avg_queue = math.fsum(qs[:-1]) / horizon
+        qs = np.array(qs)
+        ws = qs.copy()
 
-    placement = np.array(placements)
-    cost = np.where(np.diff(placement, prepend=initial) != 0, price, 0.0)
     total_cost = _check_run(placement, cost, qs, ws, e_avg, epoch_len,
                             max(e_avg, top), scn.node_count)
     anchors = (ws if policy == "pspwu" else qs)[:horizon:epoch_len]
     latency = realized[np.arange(horizon), placement]
     return RunRecord(
         placement=placement, latency=latency, cost=cost, q=qs[:-1],
-        w=ws[:-1], avg_latency=math.fsum(latency) / horizon,
+        w=ws[:-1], avg_latency=math.fsum(latency.tolist()) / horizon,
         avg_cost=total_cost / horizon, avg_queue=avg_queue, final_queue=q,
         prediction_accuracy=accuracy,
         negative_w_frames=int(np.count_nonzero(anchors < 0)) if frame else 0)
+
+
+def _lindley(drift: list) -> list:
+    """Lindley's recursion q(t+1) = max(q(t) + d(t), 0) from q(0) = 0 over
+    the drift column d = cost - e_avg: q before each slot and after the
+    last. The engine loop's additions in its order, so bit for bit its q."""
+    q, qs = 0.0, [0.0]
+    append = qs.append
+    for d in drift:
+        q += d
+        if q < 0.0:
+            q = 0.0
+        append(q)
+    return qs
 
 
 def _check_run(placement, cost, q, w, e_avg, epoch_len, w_q, node_count):

@@ -144,42 +144,40 @@ def _check_scaled_sum(cfg: PolicyConfig, frame: FrameInput) -> None:
 
 def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
     """frame_solver's DP on rows already multiplied by v; checks nothing,
-    and takes anchor >= 0. Every move at p costs the same, so the cheapest
-    way into a node is to stay on it or to come from the cheapest other
-    node: the backward pass keeps each layer's smallest moved-in cost best
-    and its first node k, O(N T). Staying on k costs no more than moving
-    into it: with m = anchor * price >= 0, rounding is monotone, so
-    fl(fl(x + m) + t) >= fl(x + t), and each completion is
+    and takes anchor >= 0 and prev a node. Every move at p costs the same,
+    so the cheapest way into a node is to stay on it or to come from the
+    cheapest other node: the backward pass keeps each layer's smallest
+    moved-in cost best and its first node k, O(N T). Staying on k costs no
+    more than moving into it: with m = anchor * price >= 0, rounding is
+    monotone, so fl(fl(x + m) + t) >= fl(x + t), and each completion is
     min(stay, best).
 
-    The forward pass scores position 0 in full. A later position's scores
-    are its layer's moved-in costs with the entry of the current node at
+    The forward pass starts on prev, a node. Each position's scores are
+    its layer's moved-in costs with the entry of the current node at
     replaced by at's stay cost s, so the pass reads its decision off best
     and k: from at != k it moves to k iff s > best, or s == best and
     k < at; on k it stays, as s <= best."""
     # Backward pass. layers[-1] holds, for the next position the forward
     # pass decides, each node's cheapest completion after it, the layer's
-    # best and k; tail ends as position 0's completions. A 1-slot frame has
-    # no completion and builds nothing.
-    layers = []
-    tail = [0.0] * len(rows[0]) if len(rows) > 1 else None
-    for p in range(len(rows) - 1, 0, -1):
+    # best and k. Nothing follows the last position: its completions are
+    # 0.0 and its costs add none, which changes at most the sign of a zero,
+    # and no compare tells the two zeros apart.
+    row, m = rows[-1], anchor * prices[-1]
+    moved = [x + m for x in row]
+    best = min(moved)
+    layers = [([0.0] * len(row), best, moved.index(best))]
+    tail = [x if x <= best else best for x in row]
+    for p in range(len(rows) - 2, -1, -1):
         row, m = rows[p], anchor * prices[p]
         moved = [x + m + t for x, t in zip(row, tail)]
         best = min(moved)
         layers.append((tail, best, moved.index(best)))
-        tail = [s if (s := x + t) <= best else best for x, t in zip(row, tail)]
+        if p:  # position 0's completions are never read
+            tail = [s if (s := x + t) <= best else best
+                    for x, t in zip(row, tail)]
 
-    row, m = rows[0], anchor * prices[0]
-    if tail is None:
-        scores = [x + m for x in row]
-        scores[prev] = row[prev]
-    else:
-        scores = [x + m + t for x, t in zip(row, tail)]
-        scores[prev] = row[prev] + tail[prev]
-    at = scores.index(min(scores))
-    seq = [at]
-    for row in itertools.islice(rows, 1, None):
+    at, seq = prev, []
+    for row in rows:
         tail, best, k = layers.pop()
         s = row[at] + tail[at]
         if k != at and (s > best or (s == best and k < at)):
@@ -198,21 +196,18 @@ def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
 #   attained on an undominated node (domination is transitive), and the
 #   kept nodes' tails are the full DP's.
 # - Forward pass: the current node is prev, then a node chosen from the
-#   columns, so it is always a column. At position 0 j's score is no
-#   smaller than i's (i's drops m when i is the current node), so j is
-#   never the lowest-index minimizer; the kept nodes keep their scores and
-#   their order, so the same node wins. A later position decides from the
-#   layer's best, its first argmin k and the current node's stay cost
-#   alone. k is never dominated (its dominator would be a lower-index
-#   minimizer), so all three are the full DP's and k keeps its order
-#   against the current node.
+#   columns, so it is always a column. Every position, position 0 among
+#   them, decides from the layer's best, its first argmin k and the
+#   current node's stay cost alone. k is never dominated (its dominator
+#   would be a lower-index minimizer), so all three are the full DP's and
+#   k keeps its order against the current node.
 # Below the constant the pre-pass and the sub-row gathers cost more than the
 # columns they save the DP (CHANGES.md has the measurement); 1-slot epochs
 # (osp) are decided without the DP, from each row's two smallest entries.
 PRUNE_MIN_NODES = 16
 
-# An epoch of T slots with anchor a > 0 and prev a node stays on prev, and
-# frame_solver calls no kernel, when its stay certificate holds:
+# An epoch of T slots with anchor a > 0 stays on prev, and frame_solver
+# calls no kernel, when its stay certificate holds:
 #   L = fl(M + B') > R = fl(A' * (1 + delta)),  delta = T * STAY_SLACK,
 # with M = fl(a * the epoch's smallest price), and B' and A' float sums of
 # the epoch's row minima and of prev's entries in its decision rows D
@@ -306,15 +301,16 @@ def frame_solver(rows, prices, epoch_len: int):
     """The one path of the frame DP: solve(k, anchor, prev) places epoch k,
     slots k * epoch_len to the next epoch's or the end, from node prev.
     rows (H, N) are decision rows already scaled by v, prices (H,) the move
-    prices, all >= 0, and so is every anchor. An epoch takes the first way
-    that applies, each bit for bit the DP's sequence on all its columns:
-    - one slot and prev a node: the node read off the row's two smallest
-      entries, with no DP, unless the move term's rounding ties entries
-      that the row orders (see the comment below);
-    - two or more slots, anchor > 0, prev a node and the stay certificate
-      holds (anchor times the smallest price, plus the sum of the rows'
-      minima, exceeds prev's row sum by a rounding margin; see
-      STAY_SLACK): [prev] * T, no DP;
+    prices, all >= 0, and so is every anchor; prev is a node. An epoch
+    takes the first way that applies, each bit for bit the DP's sequence
+    on all its columns:
+    - one slot: the node read off the row's two smallest entries, with no
+      DP, unless the move term's rounding ties entries that the row orders
+      (see the comment below);
+    - two or more slots, anchor > 0 and the stay certificate holds
+      (anchor times the smallest price, plus the sum of the rows' minima,
+      exceeds prev's row sum by a rounding margin; see STAY_SLACK):
+      [prev] * T, no DP;
     - two or more slots and PRUNE_MIN_NODES nodes or more: the DP on its
       undominated columns plus prev's, prev as a column index, mapped back
       to nodes (see PRUNE_MIN_NODES);
@@ -325,21 +321,24 @@ def frame_solver(rows, prices, epoch_len: int):
         # A 1-slot epoch k is decided from its row D = rows[k]: its minimum
         # lo, its first argmin f and lo2, the smallest entry at an index
         # other than f (inf on one node), found for every row at once. The
-        # kernel scores prev D[prev] and every other node i fl(D[i] + m),
-        # m = anchor * price as it computes it, and takes the first smallest
-        # score. Rounding is monotone, so D[i] >= x gives
-        # fl(D[i] + m) >= fl(x + m), and m >= 0 gives fl(x + m) >= x:
+        # kernel starts on prev and moves to the first node of smallest
+        # moved-in cost fl(D[i] + m), m = anchor * price as it computes it,
+        # iff prev's stay cost D[prev] is larger, or equal and that node
+        # comes first: it takes the first smallest of the scores D[prev]
+        # for prev and fl(D[i] + m) for every other node i. Rounding is monotone, so
+        # D[i] >= x gives fl(D[i] + m) >= fl(x + m), and m >= 0 gives
+        # fl(x + m) >= x:
         # - prev == f: a node before f scores at least its entry, above lo,
         #   and a node after f at least lo, so prev wins;
         # - prev != f: f scores s = fl(lo + m) and no node but prev less, so
         #   prev wins if D[prev] < s. If fl(lo2 + m) > s, every node but f
         #   and prev scores more than s: f wins if D[prev] > s and the lower
         #   of prev and f on a tie.
-        # Every other case goes to the kernel: a tie that fl(x + m) makes of
-        # entries that x orders (fl(lo2 + m) == s) and a prev that is no
-        # node. A 1-slot epoch the stay certificate holds for is one the
-        # rule keeps on prev (L > R >= D[prev] with L = s), so these epochs
-        # need no certificate.
+        # The other case goes to the kernel: a tie that fl(x + m) makes of
+        # entries that x orders (fl(lo2 + m) == s). A 1-slot epoch the stay
+        # certificate holds for is one the rule keeps on prev
+        # (L > R >= D[prev] with L = s), so these epochs need no
+        # certificate.
         lo, lo2 = rows[:, 0].copy(), np.full(horizon, math.inf)
         for column in rows.T[1:]:
             np.minimum(lo2, np.maximum(lo, column), out=lo2)
@@ -349,16 +348,15 @@ def frame_solver(rows, prices, epoch_len: int):
 
         def solve_slot(k: int, anchor: float,
                        prev: Placement) -> list[Placement]:
-            if 0 <= prev < n:
-                f = first[k]
-                if prev == f:
-                    return [prev]
-                m = anchor * prices[k]
-                s, x = lo[k] + m, rows.item(k, prev)
-                if x < s:
-                    return [prev]
-                if lo2[k] + m > s:
-                    return [f if x > s else min(prev, f)]
+            f = first[k]
+            if prev == f:
+                return [prev]
+            m = anchor * prices[k]
+            s, x = lo[k] + m, rows.item(k, prev)
+            if x < s:
+                return [prev]
+            if lo2[k] + m > s:
+                return [f if x > s else min(prev, f)]
             return _frame_dp(rows[k:k + 1].tolist(), prices[k:k + 1], anchor,
                              prev)
 
@@ -369,8 +367,7 @@ def frame_solver(rows, prices, epoch_len: int):
 
     def solve(k: int, anchor: float, prev: Placement) -> list[Placement]:
         start, stop = k * epoch_len, (k + 1) * epoch_len  # stop may pass H
-        if (anchor > 0 and 0 <= prev < n
-                and anchor * cheapest.item(k) + lows.item(k)
+        if (anchor > 0 and anchor * cheapest.item(k) + lows.item(k)
                 > sums.item(k, prev) * slack):
             return [prev] * (min(stop, horizon) - start)
         if kept is None:

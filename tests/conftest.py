@@ -1,12 +1,13 @@
 """Shared helpers that hand-construct scenarios, slot tables and rows, the
 per-call predictor formulas that batch predictions are checked against, the
-frame DP that scaled v * latency element by element and that the kernel is
-checked against, the queue step and lazy-migrate rule written with max()
-that their compares are checked against, the per-slot record loop that
-the engine's columns are checked against, the csv.writer that the CSV
-writers are checked against, and a fixture that empties harness's shared
-materialization and the run inputs shared on it before every test, so that
-no test reads what another left there."""
+frame DP that scaled v * latency element by element and the kernel that
+scored position 0 in full, which the kernel is checked against, the queue
+step and lazy-migrate rule written with max() that their compares and the
+queue-blind runs' backlog fold are checked against, the per-slot record
+loop that the engine's columns are checked against, the csv.writer that
+the CSV writers are checked against, and a fixture that empties
+harness's shared materialization and the run inputs shared on it before
+every test, so that no test reads what another left there."""
 
 import csv
 import io
@@ -130,6 +131,56 @@ def reference_frame_decide(cfg, frame):
         if after:
             scores = [s + t for s, t in zip(scores, after.pop())]
         at = scores.index(min(scores))
+        seq.append(at)
+    return seq
+
+
+def reference_frame_dp(rows, prices, anchor, prev):
+    """policies._frame_dp as it was before its forward pass started at
+    prev, verbatim: its backward pass stops at position 1 and it scores
+    position 0 in full.
+
+    frame_solver's DP on rows already multiplied by v; checks nothing,
+    and takes anchor >= 0. Every move at p costs the same, so the cheapest
+    way into a node is to stay on it or to come from the cheapest other
+    node: the backward pass keeps each layer's smallest moved-in cost best
+    and its first node k, O(N T). Staying on k costs no more than moving
+    into it: with m = anchor * price >= 0, rounding is monotone, so
+    fl(fl(x + m) + t) >= fl(x + t), and each completion is
+    min(stay, best).
+
+    The forward pass scores position 0 in full. A later position's scores
+    are its layer's moved-in costs with the entry of the current node at
+    replaced by at's stay cost s, so the pass reads its decision off best
+    and k: from at != k it moves to k iff s > best, or s == best and
+    k < at; on k it stays, as s <= best."""
+    # Backward pass. layers[-1] holds, for the next position the forward
+    # pass decides, each node's cheapest completion after it, the layer's
+    # best and k; tail ends as position 0's completions. A 1-slot frame has
+    # no completion and builds nothing.
+    layers = []
+    tail = [0.0] * len(rows[0]) if len(rows) > 1 else None
+    for p in range(len(rows) - 1, 0, -1):
+        row, m = rows[p], anchor * prices[p]
+        moved = [x + m + t for x, t in zip(row, tail)]
+        best = min(moved)
+        layers.append((tail, best, moved.index(best)))
+        tail = [s if (s := x + t) <= best else best for x, t in zip(row, tail)]
+
+    row, m = rows[0], anchor * prices[0]
+    if tail is None:
+        scores = [x + m for x in row]
+        scores[prev] = row[prev]
+    else:
+        scores = [x + m + t for x, t in zip(row, tail)]
+        scores[prev] = row[prev] + tail[prev]
+    at = scores.index(min(scores))
+    seq = [at]
+    for row in itertools.islice(rows, 1, None):
+        tail, best, k = layers.pop()
+        s = row[at] + tail[at]
+        if k != at and (s > best or (s == best and k < at)):
+            at = k
         seq.append(at)
     return seq
 

@@ -742,6 +742,35 @@ def test_queue_blind_placements_ignore_the_budget_and_beta():
         assert len(placements(policy)) > 1, policy
 
 
+@pytest.mark.parametrize("kind", ("oracle_noisy", "markov1"))
+@pytest.mark.parametrize("budget", (0.0, 0.03, 0.167, 0.417))
+@pytest.mark.parametrize("beta", (0.0, 0.65, 1.0))
+def test_every_queue_blind_run_equals_the_record_loop(beta, budget, kind):
+    # At beta == 0 the backlog is folded from the cost column and w copied
+    # from it; at beta > 0 the engine loop steps both. Either way every
+    # column and summary is the per-slot record loop's, bit for bit, at
+    # budgets that clamp the backlog every few slots or never, and q and w
+    # are columns of their own.
+    for policy in ("am", "nm", "lm", "plm"):
+        config = ExperimentConfig(
+            policy=policy, scenario_seed=5, budget_avg=budget,
+            policy_cfg=PolicyConfig(beta=beta),
+            predictor=PredictorSpec(kind=kind, accuracies=(0.7,)))
+        rec = run(config)
+        ref = reference_simulate(*harness._materialize(config), policy,
+                                 config.policy_cfg, config.predictor)
+        assert rec.per_slot == [tuple(row) for row in ref["per_slot"]]
+        assert [x.hex() for x in rec.q.tolist()] == [
+            row[4].hex() for row in ref["per_slot"]]
+        for name in ("avg_latency", "avg_cost", "avg_queue", "final_queue",
+                     "prediction_accuracy"):
+            assert getattr(rec, name) == ref[name], (policy, name)
+        assert rec.negative_w_frames == 0
+        q = rec.q.tolist()
+        rec.w[:] = -1.0
+        assert rec.q.tolist() == q, policy
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_deviation_bound_is_checked_for_every_policy(monkeypatch, policy):
     # The fault enters the run's columns where simulate checks them: each

@@ -53,6 +53,15 @@
 (j) On the same grid frames, for any anchor >= 0 and any prev, a frame
     whose stay certificate holds is one where the frame DP stays on prev;
     at equality, which the strict inequality leaves to the DP, it can move.
+(l) On grid frames of up to 5 slots and 7 nodes, with anchors 0, -0.0,
+    the smallest subnormal, quarters and 1e17, the kernel whose forward
+    pass starts on prev returns, from every prev, the sequence of the
+    kernel that scored position 0 in full, kept in conftest.py as the
+    reference.
+(m) The backlog fold of a queue-blind run equals, bit for bit, the
+    reference step replayed over the same costs: with clamps every few
+    slots or none, a zero budget, subnormal and exact-zero drifts, and
+    one slot.
 """
 
 import copy
@@ -65,9 +74,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (reference_advance, reference_csv,
-                      reference_frame_decide, reference_lm_decide,
-                      reference_predict, reference_simulate,
-                      reference_synthetic_trace)
+                      reference_frame_decide, reference_frame_dp,
+                      reference_lm_decide, reference_predict,
+                      reference_simulate, reference_synthetic_trace)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -289,10 +298,11 @@ def test_at_equality_the_certificate_leaves_the_frame_to_the_dp(monkeypatch):
 
 
 @st.composite
-def grid_rows(draw):
-    """Up to 4 slots of decision rows on up to 6 nodes, and their prices,
-    on the grid."""
-    n, horizon = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+def grid_rows(draw, max_nodes=6, max_len=4):
+    """Up to max_len slots of decision rows on up to max_nodes nodes, and
+    their prices, on the grid."""
+    n = draw(st.integers(1, max_nodes))
+    horizon = draw(st.integers(1, max_len))
     value = st.integers(0, 3).map(float) if draw(st.booleans()) else quarters
     rows = draw(st.lists(st.lists(value, min_size=n, max_size=n),
                          min_size=horizon, max_size=horizon))
@@ -322,6 +332,55 @@ def test_a_one_slot_epoch_decides_as_the_kernel(case):
 def test_a_one_slot_frame_decide_equals_brute_force(case):
     cfg, frame = case
     assert frame_decide(cfg, frame) == brute_force_frame(frame, cfg)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_rows(max_nodes=7, max_len=5),
+       st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1e17)), quarters))
+# position 0 of one slot: from node 1 the stay cost 0 ties with moving to
+# node 0, below it, so the kernel moves there ...
+@example(([[0.0, 0.0]], [0.0]), 1.0)
+# ... and of two slots, where prev's stay cost 1 + 0 ties with node 0's
+# moved-in cost 0 + 1 + 0, and a -0.0 anchor adds a -0.0 move term
+@example(([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0]), 1.0)
+@example(([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]), -0.0)
+def test_the_kernel_starting_on_prev_decides_as_the_reference(case, anchor):
+    # The kernel's forward pass applies the rule of the later positions to
+    # position 0 as well, from prev; the reference scores position 0 in
+    # full. Grid values tie often, 5e-324 makes move terms of 0 or a few
+    # subnormals and 1e17 rounds the moved entries together.
+    rows, prices = case
+    for prev in range(len(rows[0])):
+        assert _frame_dp(rows, prices, anchor, prev) == reference_frame_dp(
+            rows, prices, anchor, prev), prev
+
+
+# The smallest subnormal and drifts that cancel exactly, budgets at which
+# the backlog clamps every few slots or never (0 with costs >= 0), and
+# float costs up to 10.
+blind_costs = st.one_of(st.sampled_from((0.0, 5e-324, 1e-323, 0.03, 0.167)),
+                        st.floats(0.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((0.0, 5e-324, 0.03, 0.167, 0.417)),
+       st.lists(blind_costs, min_size=1, max_size=80))
+@example(0.167, [0.0])  # one slot, clamped
+@example(0.0, [0.0])  # one slot, no drift
+@example(0.167, [0.0, 3.0, 0.0, 0.0] * 10)  # a clamp every few slots
+@example(5e-324, [0.0, 1e-323, 5e-324, 0.0, 0.0])  # subnormal drifts
+@example(0.03, [0.03] * 5)  # exact-zero drifts
+def test_the_backlog_fold_equals_the_reference_step(e_avg, costs):
+    # simulate folds a queue-blind run's backlog at beta == 0 from its
+    # drift column cost - e_avg, made in numpy; every q before a slot and
+    # the one after the last is the reference step's, bit for bit.
+    folded = harness._lindley((np.array(costs) - e_avg).tolist())
+    q = w = w_prev = 0.0
+    stepped = [q]
+    for cost in costs:
+        q, w, w_prev = reference_advance(q, w, w_prev, cost, e_avg, 0.0)
+        stepped.append(q)
+    assert [x.hex() for x in folded] == [x.hex() for x in stepped]
 
 
 COLUMNS = ("input_size", "workload", "access_rate", "container_size",
