@@ -5,8 +5,8 @@ draws), a placement policy, the budget queue, and (for the predictive
 policies) a mobility predictor. The queue-reading policies decide epoch by
 epoch: osp one slot, psp and pspwu a whole frame at the frame's first slot
 using predicted user locations, the queue stepped slot by slot in between.
-The queue-blind benchmarks decide the whole run first; at beta == 0 their
-backlog is then one fold of the run's cost column. Realized metrics and
+The queue-blind benchmarks decide the whole run first; their backlog and
+weight are then one fold of the run's cost column. Realized metrics and
 queue updates always use the true trace. Everything is driven by explicit
 seeds, so identical configurations replay bit-identically.
 """
@@ -379,24 +379,21 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     the next slot under plm); realized latency/cost and queue updates use the
     true user nodes. osp, psp and pspwu anchor on the queue, so each of
     their epochs is decided, by one policies.frame_solver per run, once the
-    slots before it are accounted; am, nm, lm and plm never read it, so all
-    their slots are decided first and the run is accounted in one pass.
-    The frame policies, and a queue-blind run at beta > 0, go through one
-    loop that steps, from q = w = w_prev = 0, the budget queue
-    q(t+1) = max(q + e(t) - e_avg, 0) and the momentum weight
-    w(t+1) = w + (q(t+1) - q) + beta * max(w - w_prev, 0). A queue-blind
-    run at beta == 0 skips it: its q is Lindley's recursion folded over
-    its cost column with the loop's additions in the loop's order
-    (_lindley), and its w a copy of q, which the loop's w equals bit for
-    bit at beta == 0. Either way the run's columns are then checked once:
-    the earliest slot past its epoch's backlog deviation bound, with q < 0
-    or with w < q (in that order at one slot), a placement outside the
-    nodes or a broken budget inequality raises InvariantError. So every
-    anchor the solver gets is >= 0. Before the first decision, a latency
-    that is not finite, a sum of the run's latencies or of a frame's
-    latencies times v past the float range, or move prices whose backlog
-    and weight terms could pass it, raises ConfigError, and then a beta
-    outside [0, 1] or a negative or NaN budget a ValueError.
+    slots before it are accounted: one loop steps, from q = w = w_prev = 0,
+    the budget queue q(t+1) = max(q + e(t) - e_avg, 0) and the momentum
+    weight w(t+1) = w + (q(t+1) - q) + beta * max(w - w_prev, 0). am, nm,
+    lm and plm never read the queue, so all their slots are decided first
+    and q and w are folded from the run's cost column (_fold_queue), bit
+    for bit the loop's at every beta. Either way the run's columns are then
+    checked once: the earliest slot past its epoch's backlog deviation
+    bound, with q < 0 or with w < q (in that order at one slot), a
+    placement outside the nodes or a broken budget inequality raises
+    InvariantError. So every anchor the solver gets is >= 0. Before the
+    first decision, a latency that is not finite, a sum of the run's
+    latencies or of a frame's latencies times v past the float range, or
+    move prices whose backlog and weight terms could pass it, raises
+    ConfigError, and then a beta outside [0, 1] or a negative or NaN budget
+    a ValueError.
 
     The realized rows and the move prices come from _run_inputs, which
     keeps them for the next runs on the same (Scenario, SlotTable) pair,
@@ -457,10 +454,12 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                 f"{table.unit_migration_cost[t]:g}, is too large for "
                 f"{horizon} slots: the backlog or the weight times it could "
                 "pass the float range")
-        raise ConfigError(
-            "the run's latencies, or a frame's latencies times policy.v, sum "
-            "past the float range; lower policy.v or raise "
-            "scenario.backhaul_mbps")
+        if frame and not math.isfinite(epoch_len * (high + moves)):
+            raise ConfigError(
+                "a frame's latencies times policy.v sum past the float "
+                "range; lower policy.v or raise scenario.backhaul_mbps")
+        raise ConfigError("the run's latencies sum past the float range; "
+                          "raise scenario.backhaul_mbps")
 
     beta = cfg.beta
     # PolicyConfig is frozen, but object.__setattr__ still gets round it
@@ -468,40 +467,13 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
         raise ValueError("queue inputs must be >= 0 and beta in [0, 1]")
     trace = table.trace
     prev = initial = trace[0]
-    # a queue-blind run at beta == 0 folds its backlog from its costs
-    loop = frame or beta > 0.0
-    # the loop, lm and plm read the prices as Python floats, am and nm not
-    prices = price.tolist() if loop or policy in ("lm", "plm") else None
     if frame:
         solve = frame_solver(decision, price, epoch_len)
-    elif policy == "am":
-        blind = trace[:horizon]
-    elif policy == "nm":
-        blind = [initial] * horizon
-    elif policy == "lm":
-        blind, at, lm_acc = [], initial, 0.0
-        for row, p, user in zip(_python_rows(realized), prices, trace):
-            at, lm_acc = lm_decide(lm_acc, row, p, user, at)
-            blind.append(at)
-    else:  # plm, which reads the next slot's decision row unless it is last
-        missed = dict(zip(slots.tolist(), guessed.tolist()))
-        rows = _python_rows(realized)
-        blind, at, row = [], initial, next(rows)
-        for t, (nxt, p, user) in enumerate(
-                zip(itertools.chain(rows, [None]), prices, trace), 1):
-            at = plm_decide(row, missed.get(t, nxt), p, user, at)
-            blind.append(at)
-            row = nxt
-
-    if loop:
-        # No queue-blind placement depends on the queue: they make one epoch.
-        epochs = len(range(0, horizon, epoch_len)) if frame else 1
         q = w = w_prev = 0.0
         placements, qs, ws = [], [], []  # q and w before each slot
-        unpriced = iter(prices)  # zip takes one price per placement it reads
-        for k in range(epochs):
-            seq = solve(k, w if policy == "pspwu" else q, prev) if frame \
-                else blind
+        unpriced = iter(price.tolist())  # zip takes one price per placement
+        for k in range(len(range(0, horizon, epoch_len))):
+            seq = solve(k, w if policy == "pspwu" else q, prev)
             placements += seq
             # The recursion, with compares in place of max(x, 0.0), a
             # builtin call
@@ -515,37 +487,55 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
                 w_prev, w = w, w + (q_next - q) + beta * (0.0 if rise < 0.0
                                                           else rise)
                 q, prev = q_next, placement
-        avg_queue = math.fsum(qs) / horizon
-        qs, ws = np.array(qs + [q]), np.array(ws + [w])  # and after the last
-        placement = np.array(placements)
-        cost = np.where(np.diff(placement, prepend=initial) != 0, price, 0.0)
-    else:
-        # A queue-blind run at beta == 0: its backlog is a fold of its cost
-        # column, and w == q bit for bit (see _check_run), kept as a copy.
-        placement = np.array(blind)
-        cost = np.where(np.diff(placement, prepend=initial) != 0, price, 0.0)
-        qs = _lindley((cost - e_avg).tolist())
-        q = qs[-1]
-        avg_queue = math.fsum(qs[:-1]) / horizon
-        qs = np.array(qs)
-        ws = qs.copy()
+        qs.append(q)  # and after the last
+        ws.append(w)
+    elif policy == "am":
+        placements = trace[:horizon]
+    elif policy == "nm":
+        placements = [initial] * horizon
+    elif policy == "lm":
+        placements, at, lm_acc = [], initial, 0.0
+        for row, p, user in zip(_python_rows(realized), price.tolist(),
+                                trace):
+            at, lm_acc = lm_decide(lm_acc, row, p, user, at)
+            placements.append(at)
+    else:  # plm, which reads the next slot's decision row unless it is last
+        missed = dict(zip(slots.tolist(), guessed.tolist()))
+        rows = _python_rows(realized)
+        placements, at, row = [], initial, next(rows)
+        for t, (nxt, p, user) in enumerate(
+                zip(itertools.chain(rows, [None]), price.tolist(), trace), 1):
+            at = plm_decide(row, missed.get(t, nxt), p, user, at)
+            placements.append(at)
+            row = nxt
 
+    placement = np.array(placements)
+    cost = np.where(np.diff(placement, prepend=initial) != 0, price, 0.0)
+    if not frame:  # no placement read the queue: fold it from the costs
+        qs, ws = _fold_queue((cost - e_avg).tolist(), beta)
+    q = qs[-1]
+    avg_queue = math.fsum(qs[:-1]) / horizon
+    copy_w = ws is qs  # the fold's w at beta == 0: copied, not converted
+    qs = np.array(qs)
+    ws = qs.copy() if copy_w else np.array(ws)
     total_cost = _check_run(placement, cost, qs, ws, e_avg, epoch_len,
                             max(e_avg, top), scn.node_count)
-    anchors = (ws if policy == "pspwu" else qs)[:horizon:epoch_len]
     latency = realized[np.arange(horizon), placement]
+    # _check_run has proven q >= 0 and w >= q, so no anchor is negative
     return RunRecord(
         placement=placement, latency=latency, cost=cost, q=qs[:-1],
         w=ws[:-1], avg_latency=math.fsum(latency.tolist()) / horizon,
         avg_cost=total_cost / horizon, avg_queue=avg_queue, final_queue=q,
-        prediction_accuracy=accuracy,
-        negative_w_frames=int(np.count_nonzero(anchors < 0)) if frame else 0)
+        prediction_accuracy=accuracy, negative_w_frames=0)
 
 
-def _lindley(drift: list) -> list:
-    """Lindley's recursion q(t+1) = max(q(t) + d(t), 0) from q(0) = 0 over
-    the drift column d = cost - e_avg: q before each slot and after the
-    last. The engine loop's additions in its order, so bit for bit its q."""
+def _fold_queue(drift: list, beta: float):
+    """(q, w) lists of a run whose placements never read the queue: the
+    budget queue, Lindley's recursion q(t+1) = max(q(t) + d(t), 0) from
+    q(0) = 0 over the drift column d = cost - e_avg, and the momentum
+    weight over it, before each slot and after the last. The engine loop's
+    float operations in its order, so bit for bit its q and w; at
+    beta == 0 its w is q, and the q list is returned as both."""
     q, qs = 0.0, [0.0]
     append = qs.append
     for d in drift:
@@ -553,7 +543,15 @@ def _lindley(drift: list) -> list:
         if q < 0.0:
             q = 0.0
         append(q)
-    return qs
+    if beta == 0.0:
+        return qs, qs
+    w = w_prev = 0.0
+    ws = [w]
+    for q, q_next in zip(qs, qs[1:]):
+        rise = w - w_prev
+        w_prev, w = w, w + (q_next - q) + beta * (0.0 if rise < 0.0 else rise)
+        ws.append(w)
+    return qs, ws
 
 
 def _check_run(placement, cost, q, w, e_avg, epoch_len, w_q, node_count):

@@ -262,6 +262,7 @@ def test_a_frame_past_the_horizon_runs_as_one_of_the_horizon(tmp_path, nodes):
     ("psp", 30, "policy.v=1e307"),  # a frame's sum of them does
     ("osp", 30, "scenario.backhaul_mbps=1e-310"),  # the backhaul term does
     ("osp", 1400, "scenario.backhaul_mbps=1e-305"),  # their sum does
+    ("am", 1400, "scenario.backhaul_mbps=1e-305"),  # and so for am
 ])
 def test_a_setting_that_overflows_a_run_is_a_config_error(
         tmp_path, capsys, policy, horizon, setting):
@@ -273,6 +274,9 @@ def test_a_setting_that_overflows_a_run_is_a_config_error(
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert setting.split("=")[0] in err and not out.exists()
+    # a queue-blind run never reads v, so lowering it cannot help
+    if policy not in ("osp", "psp", "pspwu"):
+        assert "policy.v" not in err
 
 
 @pytest.mark.parametrize("setting", [

@@ -19,8 +19,12 @@ README_EXAMPLES = re.findall(r"^```python\n(.*?)^```$",
 def run_python(args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # pyproject's filterwarnings acts only in the test process: a warning in
+    # a demo or an example is fatal here too
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W",
+         "error::DeprecationWarning", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -746,11 +746,11 @@ def test_queue_blind_placements_ignore_the_budget_and_beta():
 @pytest.mark.parametrize("budget", (0.0, 0.03, 0.167, 0.417))
 @pytest.mark.parametrize("beta", (0.0, 0.65, 1.0))
 def test_every_queue_blind_run_equals_the_record_loop(beta, budget, kind):
-    # At beta == 0 the backlog is folded from the cost column and w copied
-    # from it; at beta > 0 the engine loop steps both. Either way every
-    # column and summary is the per-slot record loop's, bit for bit, at
-    # budgets that clamp the backlog every few slots or never, and q and w
-    # are columns of their own.
+    # The backlog and the weight are folded from the cost column at every
+    # beta, w a copy of q at beta == 0. Every column and summary is the
+    # per-slot record loop's, bit for bit, at budgets that clamp the
+    # backlog every few slots or never, and q and w are columns of their
+    # own.
     for policy in ("am", "nm", "lm", "plm"):
         config = ExperimentConfig(
             policy=policy, scenario_seed=5, budget_avg=budget,
@@ -760,8 +760,9 @@ def test_every_queue_blind_run_equals_the_record_loop(beta, budget, kind):
         ref = reference_simulate(*harness._materialize(config), policy,
                                  config.policy_cfg, config.predictor)
         assert rec.per_slot == [tuple(row) for row in ref["per_slot"]]
-        assert [x.hex() for x in rec.q.tolist()] == [
-            row[4].hex() for row in ref["per_slot"]]
+        for i, name in ((4, "q"), (5, "w")):
+            assert [x.hex() for x in getattr(rec, name).tolist()] == [
+                row[i].hex() for row in ref["per_slot"]], (policy, name)
         for name in ("avg_latency", "avg_cost", "avg_queue", "final_queue",
                      "prediction_accuracy"):
             assert getattr(rec, name) == ref[name], (policy, name)
@@ -769,6 +770,28 @@ def test_every_queue_blind_run_equals_the_record_loop(beta, budget, kind):
         q = rec.q.tolist()
         rec.w[:] = -1.0
         assert rec.q.tolist() == q, policy
+
+
+@pytest.mark.parametrize("policy", ("am", "lm", "plm"))
+def test_a_queue_blind_run_folds_its_queue_at_beta_above_zero(monkeypatch,
+                                                              policy):
+    # No beta sends a queue-blind run through the engine loop: its q and w
+    # come from one fold of its costs, and no frame solver is built.
+    calls = []
+    fold = harness._fold_queue
+
+    def counted(*args):
+        calls.append(args)
+        return fold(*args)
+
+    def no_solver(*args):
+        raise AssertionError("a queue-blind run built a frame solver")
+
+    monkeypatch.setattr(harness, "_fold_queue", counted)
+    monkeypatch.setattr(harness, "frame_solver", no_solver)
+    rec = run(base_config(policy=policy, policy_cfg=PolicyConfig(beta=0.65)))
+    assert len(calls) == 1 and calls[0][1] == 0.65
+    assert (rec.w > rec.q).any()  # the momentum term was stepped
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -58,10 +58,10 @@
     pass starts on prev returns, from every prev, the sequence of the
     kernel that scored position 0 in full, kept in conftest.py as the
     reference.
-(m) The backlog fold of a queue-blind run equals, bit for bit, the
-    reference step replayed over the same costs: with clamps every few
-    slots or none, a zero budget, subnormal and exact-zero drifts, and
-    one slot.
+(m) The backlog and weight fold of a queue-blind run equals, bit for
+    bit, the reference step replayed over the same costs at beta 0, 0.65
+    and 1: with clamps every few slots or none, a zero budget, subnormal
+    and exact-zero drifts, and one slot.
 """
 
 import copy
@@ -371,16 +371,20 @@ blind_costs = st.one_of(st.sampled_from((0.0, 5e-324, 1e-323, 0.03, 0.167)),
 @example(5e-324, [0.0, 1e-323, 5e-324, 0.0, 0.0])  # subnormal drifts
 @example(0.03, [0.03] * 5)  # exact-zero drifts
 def test_the_backlog_fold_equals_the_reference_step(e_avg, costs):
-    # simulate folds a queue-blind run's backlog at beta == 0 from its
-    # drift column cost - e_avg, made in numpy; every q before a slot and
-    # the one after the last is the reference step's, bit for bit.
-    folded = harness._lindley((np.array(costs) - e_avg).tolist())
-    q = w = w_prev = 0.0
-    stepped = [q]
-    for cost in costs:
-        q, w, w_prev = reference_advance(q, w, w_prev, cost, e_avg, 0.0)
-        stepped.append(q)
-    assert [x.hex() for x in folded] == [x.hex() for x in stepped]
+    # simulate folds a queue-blind run's backlog and weight from its drift
+    # column cost - e_avg, made in numpy; every q and w before a slot and
+    # the pair after the last is the reference step's, bit for bit.
+    drift = (np.array(costs) - e_avg).tolist()
+    for beta in (0.0, 0.65, 1.0):
+        folded = harness._fold_queue(drift, beta)
+        q = w = w_prev = 0.0
+        stepped = [q], [w]
+        for cost in costs:
+            q, w, w_prev = reference_advance(q, w, w_prev, cost, e_avg, beta)
+            stepped[0].append(q)
+            stepped[1].append(w)
+        for got, want in zip(folded, stepped):
+            assert [x.hex() for x in got] == [x.hex() for x in want], beta
 
 
 COLUMNS = ("input_size", "workload", "access_rate", "container_size",
