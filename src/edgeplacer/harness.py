@@ -302,7 +302,9 @@ def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
     the move prices of the run's slots. The epochs decide from the decision
     rows: realized with each wrongly predicted slot's row, slots[j],
     replaced by its predicted node's row, guessed[j]. accuracy is
-    RunRecord.prediction_accuracy. No prediction and no realized row
+    RunRecord.prediction_accuracy. realized and guessed are each checked
+    once, when built: a row that is not finite raises ConfigError
+    (_refuse_non_finite) and is not kept. No prediction and no realized row
     depends on a decision, so they are kept, read-only, for the next run on
     the pair: realized and price for any run, the predictions for a run of
     the same epoch shape and predictor.
@@ -320,11 +322,11 @@ def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
            scn.compute_capacity.tobytes())
     if _last_inputs is None or _last_inputs[0] != key:
         _last_inputs = None
-        # a row that overflows fails simulate's bound, so numpy need not
-        # warn of it
+        # a row that overflows is refused here, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
             realized, price = latency_rows(scn, table, slice(0, horizon),
                                            users)
+        _refuse_non_finite(realized, range(horizon), table)
         realized.setflags(write=False)
         price.setflags(write=False)
         _last_inputs = key, realized, price, None, None
@@ -352,11 +354,25 @@ def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
         slots = target[miss]
         with np.errstate(over="ignore", invalid="ignore"):
             guessed = latency_rows(scn, table, slots, guesses[miss])[0]
+        _refuse_non_finite(guessed, slots, table)
         slots.setflags(write=False)
         guessed.setflags(write=False)
         predicted = accuracy, slots, guessed
         _last_inputs = key, realized, price, shape, predicted
     return epoch_len, realized, price, predicted
+
+
+def _refuse_non_finite(rows, slots, table: SlotTable):
+    """Raise ConfigError, naming its slot, at the first of rows that holds a
+    latency that is not finite; rows[j] is the row of slot slots[j]."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        t = int(slots[bad[0]])
+        raise ConfigError(
+            f"slot {t}: a latency is not finite, of input_size "
+            f"{table.input_size[t]:g}, workload {table.workload[t]:g}, "
+            f"access_rate {table.access_rate[t]:g} and the scenario's "
+            "rates; raise scenario.backhaul_mbps")
 
 
 def _python_rows(array):
@@ -389,19 +405,21 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     bound, with q < 0 or with w < q (in that order at one slot), a
     placement outside the nodes or a broken budget inequality raises
     InvariantError. So every anchor the solver gets is >= 0. Before the
-    first decision, a latency that is not finite, a sum of the run's
-    latencies or of a frame's latencies times v past the float range, or
-    move prices whose backlog and weight terms could pass it, raises
-    ConfigError, and then a beta outside [0, 1] or a negative or NaN budget
-    a ValueError.
+    first decision, a ConfigError is raised, in this order, by a realized
+    or a predicted row that is not finite (_run_inputs, naming its slot),
+    move prices whose backlog and weight terms could pass the float range,
+    a frame policy's frame latencies times v that could sum past it, and
+    the run's latencies summing past it; then a beta outside [0, 1] or a
+    negative or NaN budget raises ValueError.
 
     The realized rows and the move prices come from _run_inputs, which
-    keeps them for the next runs on the same (Scenario, SlotTable) pair,
-    and so do the predictions and their rows for the next runs of the same
-    epoch shape and predictor: runs that differ only in the policy, v, beta
-    or the budget build the rows once, and psp and pspwu predict once. Each
-    frame-policy run scales its own decision rows by v; lm and plm read the
-    realized rows as lists, made 256 at a time.
+    checks them once and keeps them for the next runs on the same
+    (Scenario, SlotTable) pair, and so do the predictions and their rows
+    for the next runs of the same epoch shape and predictor: runs that
+    differ only in the policy, v, beta or the budget build the rows once,
+    and psp and pspwu predict once. Each frame-policy run scales its own
+    decision rows by v; lm and plm read the realized rows as lists, made
+    256 at a time.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
@@ -410,54 +428,34 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     epoch_len, realized, price, (accuracy, slots, guessed) = \
         _run_inputs(scn, table, policy, spec)
     frame = policy in ("osp", "psp", "pspwu")  # osp: 1-slot frames
-    # high is the largest decision entry, NaN if any is
-    if frame:
-        # The frame policies' decision rows, scaled by v once per run for
-        # the frame solver; realized stays unscaled for the accounting. A
-        # row that overflows fails the bound below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            decision = realized * cfg.v
-            decision[slots] = guessed * cfg.v
-        high = float(decision.max())
-    elif slots.size:  # plm: realized, but for its missed rows
-        kept = np.ones((horizon, 1), dtype=bool)
-        kept[slots] = False
-        # max carries a NaN through, and so does np.maximum
-        high = float(np.maximum(realized.max(where=kept, initial=-math.inf),
-                                guessed.max()))
-    else:
-        high = float(realized.max())
-    # One bound rules out every overflow of a latency or cost sum. Entries
-    # are >= 0 or NaN, and max carries a NaN through. The backlog is at most
-    # horizon * top and the weight at most horizon**2 * top (each rise of w
-    # is at most the one before plus top), so a move term, anchor * price,
-    # is at most horizon**2 * top**2. A frame DP score adds at most
-    # epoch_len decision entries and move terms; the run's latencies, and so
-    # every partial sum of their fsum, add to at most horizon * max.
+    # Three bounds rule out every overflow of a latency or cost sum; the
+    # rows are finite (_run_inputs) and >= 0. The backlog is at most horizon * top and the
+    # weight at most horizon**2 * top (each rise of w is at most the one
+    # before plus top), so a move term, anchor * price, is at most
+    # horizon**2 * top**2. A frame DP score adds at most epoch_len decision
+    # entries and move terms; the run's latencies, and so every partial sum
+    # of their fsum, add to at most horizon * max.
     top = float(price.max())
     moves = horizon * horizon * top * top  # top * top: ** raises on overflow
-    if not (math.isfinite(epoch_len * (high + moves))
-            and math.isfinite(horizon * float(realized.max()))):
-        bad = np.flatnonzero(~np.isfinite(realized).all(axis=1))
-        if bad.size:
-            t = bad[0]
-            raise ConfigError(
-                f"slot {t}: a latency is not finite, of input_size "
-                f"{table.input_size[t]:g}, workload {table.workload[t]:g}, "
-                f"access_rate {table.access_rate[t]:g} and the scenario's "
-                "rates; raise scenario.backhaul_mbps")
-        if not math.isfinite(epoch_len * moves):
-            t = int(price.argmax())
-            raise ConfigError(
-                f"slot {t}: move price {top:g}, of container_size "
-                f"{table.container_size[t]:g} and unit_migration_cost "
-                f"{table.unit_migration_cost[t]:g}, is too large for "
-                f"{horizon} slots: the backlog or the weight times it could "
-                "pass the float range")
-        if frame and not math.isfinite(epoch_len * (high + moves)):
+    if not math.isfinite(epoch_len * moves):
+        t = int(price.argmax())
+        raise ConfigError(
+            f"slot {t}: move price {top:g}, of container_size "
+            f"{table.container_size[t]:g} and unit_migration_cost "
+            f"{table.unit_migration_cost[t]:g}, is too large for "
+            f"{horizon} slots: the backlog or the weight times it could "
+            "pass the float range")
+    if frame:
+        # The frame policies' decision rows, scaled by v once per run for
+        # the frame solver; realized stays unscaled for the accounting
+        with np.errstate(over="ignore"):
+            decision = realized * cfg.v
+            decision[slots] = guessed * cfg.v
+        if not math.isfinite(epoch_len * (float(decision.max()) + moves)):
             raise ConfigError(
                 "a frame's latencies times policy.v sum past the float "
                 "range; lower policy.v or raise scenario.backhaul_mbps")
+    if not math.isfinite(horizon * float(realized.max())):
         raise ConfigError("the run's latencies sum past the float range; "
                           "raise scenario.backhaul_mbps")
 

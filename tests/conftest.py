@@ -5,11 +5,13 @@ scored position 0 in full, which the kernel is checked against, the queue
 step and lazy-migrate rule written with max() that their compares and the
 queue-blind runs' backlog fold are checked against, the per-slot record
 loop that the engine's columns are checked against, the csv.writer that
-the CSV writers are checked against, and a fixture that empties
+the CSV writers are checked against, a library scenario with one link too
+slow for a float latency, and a fixture that empties
 harness's shared materialization and the run inputs shared on it before
 every test, so that no test reads what another left there."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -45,6 +47,20 @@ def make_table(users=(0,), n=3, input_size=8.0, workload=4.0,
     return SlotTable(n, list(users), [input_size] * slots, [workload] * slots,
                      [access_rate] * slots, [container] * slots,
                      [unit_cost] * slots)
+
+
+def slow_link_pair(rate=1e-320, trace=tuple(2 + t % 2 for t in range(30)),
+                   frame_len=3, seed=0):
+    """A library (Scenario, SlotTable) pair of 4 nodes and len(trace) slots,
+    the user on node trace[t] in slot t, whose link 0-1 runs at rate
+    Mbit/s. At 1e-320 a row of a user on node 0 or 1 holds an infinite
+    backhaul time, so the default trace's realized rows are finite and a
+    prediction that misses into node 0 or 1 has a row that is not."""
+    scn, table = harness.generate_scenario(seed, 4, len(trace), frame_len,
+                                           trace=list(trace))
+    backhaul = np.array(scn.backhaul_rate)
+    backhaul[0, 1] = backhaul[1, 0] = rate
+    return dataclasses.replace(scn, backhaul_rate=backhaul), table
 
 
 def make_rows(users=(0,), n=3, backhaul=64.0, caps=None, **draws):

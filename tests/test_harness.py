@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (make_scenario, reference_advance, reference_predict,
-                      reference_simulate, reference_synthetic_trace)
+                      reference_simulate, reference_synthetic_trace,
+                      slow_link_pair)
 
 from edgeplacer import cli, harness, policies
 from edgeplacer.harness import (POLICIES, ConfigError, ExperimentConfig,
@@ -609,6 +610,33 @@ def test_a_run_on_another_pair_builds_its_own_inputs(monkeypatch):
         assert held[0] is None
         harness._last_inputs = None
         assert_same_record(got, simulate(*changed, "psp"))
+
+
+SLOT_ERROR = r"^slot \d+: a latency is not finite"
+
+
+def test_a_refused_row_is_never_kept():
+    # psp and plm predict in different shapes; each refusal keeps the
+    # pair's realized rows, which are finite, and no prediction
+    scn, table = slow_link_pair()
+    spec = PredictorSpec(accuracies=(0.0, 0.0, 0.0))
+    simulate(scn, table, "osp", predictor=spec)
+    realized = harness._last_inputs[1]
+    for policy in ("psp", "psp", "plm", "plm"):
+        with pytest.raises(ConfigError, match=SLOT_ERROR):
+            simulate(scn, table, policy, predictor=spec)
+        assert harness._last_inputs[3] is None
+        assert harness._last_inputs[1] is realized
+    # a pair whose realized rows are refused keeps no inputs at all, and
+    # the next run of its config draws nothing and is refused again
+    config = base_config(policy="osp", horizon=30, backhaul_mbps=1e-310)
+    pairs = []
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=SLOT_ERROR):
+            run(config)
+        assert harness._last_inputs is None
+        pairs.append(harness._last_materialized[1])
+    assert pairs[0] is pairs[1]
 
 
 def test_a_shared_materialization_is_read_only():

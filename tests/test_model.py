@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_rows, make_scenario, make_table
+from conftest import make_rows, make_scenario, make_table, slow_link_pair
 
-from edgeplacer.harness import POLICIES, simulate, synthetic_trace
+from edgeplacer.harness import (POLICIES, ConfigError, simulate,
+                                synthetic_trace)
 from edgeplacer.model import Scenario, SlotTable, latency_rows
 from edgeplacer.policies import PolicyConfig
 from edgeplacer.predict import PredictorSpec
@@ -279,6 +280,21 @@ def test_a_latency_that_is_not_finite_names_its_slot_not_v():
 
 
 @pytest.mark.parametrize("policy", POLICIES)
+def test_a_mispredicted_row_that_is_not_finite_names_its_slot_not_v(policy):
+    # every realized row is finite; every prediction misses, and a miss
+    # into node 0 or 1 reads a row with an infinite backhaul time
+    scn, table = slow_link_pair()
+    spec = PredictorSpec(accuracies=(0.0, 0.0, 0.0))
+    if policy not in ("psp", "pspwu", "plm"):  # they read no predicted row
+        simulate(scn, table, policy, predictor=spec)
+        return
+    with pytest.raises(ConfigError, match=r"^slot \d+: a latency is not "
+                       "finite") as err:
+        simulate(scn, table, policy, predictor=spec)
+    assert "policy.v" not in str(err.value)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
 def test_a_move_price_past_the_float_range_names_its_slot_not_v(policy):
     # prices near 1e306 over 400 slots: am's backlog and the frame
     # policies' latency fsum used to overflow, while nm, lm and plm ran on
@@ -291,6 +307,22 @@ def test_a_move_price_past_the_float_range_names_its_slot_not_v(policy):
                        ) as err:
         simulate(make_scenario(horizon=400, frame_len=3), table, policy)
     assert "policy.v" not in str(err.value)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_only_a_frame_run_bounds_a_latency_plus_a_move_term(policy):
+    # one slot whose latency, 1e308 s, and move term bound, price**2 =
+    # 1.44e308, are each finite but not their sum: only the frame DP adds a
+    # latency to a move term
+    scn = make_scenario(horizon=1, caps=(1.0,) * 3)
+    price_root = 1e77 * 1000 ** 0.5
+    table = SlotTable(3, [0], [8.0], [1e308], [8.0], [1.2 * price_root],
+                      [price_root])
+    if policy in ("osp", "psp", "pspwu"):
+        with pytest.raises(ConfigError, match="policy.v"):
+            simulate(scn, table, policy)
+    else:
+        assert simulate(scn, table, policy).avg_latency == 1e308
 
 
 @pytest.mark.parametrize("build, name", [

@@ -40,6 +40,9 @@
     the float maximum and backhaul_mbps down to the smallest
     subnormal, either runs with every decision on finite rows and finite
     summaries, or is rejected with ConfigError.
+    On a library scenario with one link down to the smallest subnormal
+    rate and an oracle of accuracy 0, 0.5 or 1, a run of any policy whose
+    ConfigError names policy.v does not name it at v = 0.
 (k) Every library entry point, fed a value of any kind in one scalar
     setting or in one entry of one numeric column or row, returns or
     raises ValueError, never another exception. Once a value type has
@@ -76,7 +79,8 @@ import pytest
 from conftest import (reference_advance, reference_csv,
                       reference_frame_decide, reference_frame_dp,
                       reference_lm_decide, reference_predict,
-                      reference_simulate, reference_synthetic_trace)
+                      reference_simulate, reference_synthetic_trace,
+                      slow_link_pair)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -633,6 +637,35 @@ def test_an_accepted_config_decides_on_finite_rows(policy, seed, horizon, v,
     assert np.isfinite([rec.avg_latency, rec.avg_cost, rec.avg_queue,
                         rec.final_queue]).all()
     assert np.isfinite(rec.latency).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(policy=st.sampled_from(POLICIES), seed=st.integers(0, 99),
+       rate=st.sampled_from((5e-324, 1e-320, 1e-310, 1.0)),
+       accuracy=st.sampled_from((0.0, 0.5, 1.0)),
+       # a user on nodes 2 and 3 only has finite realized rows at any rate
+       trace=st.one_of(st.lists(st.integers(2, 3), min_size=1, max_size=30),
+                       st.lists(st.integers(0, 3), min_size=1, max_size=30)),
+       frame_len=st.integers(1, 4),
+       v=st.one_of(st.sampled_from((10.0, 1e307, 1e308, sys.float_info.max)),
+                   st.floats(0.0, sys.float_info.max)))
+@example(policy="psp", seed=0, rate=1e-320, accuracy=0.0,
+         trace=[2 + t % 2 for t in range(30)], frame_len=3,
+         v=10.0)  # only a mispredicted row is not finite
+def test_lowering_v_to_0_clears_a_v_error(policy, seed, rate, accuracy,
+                                          trace, frame_len, v):
+    scn, table = slow_link_pair(rate, trace, frame_len, seed)
+    spec = PredictorSpec(accuracies=(accuracy,) * 3)
+
+    def error(v):
+        try:
+            simulate(scn, table, policy, PolicyConfig(v=v), spec)
+        except ConfigError as exc:
+            return str(exc)
+        return ""
+
+    if "policy.v" in error(v):
+        assert "policy.v" not in error(0.0)
 
 
 # Values of every kind, bad and good: 10**400 is past the float range and
