@@ -26,7 +26,8 @@ from .model import (MAX_MATRIX_ENTRIES, Scenario, SlotTable, _real, _seed,
                     _whole, latency_rows, max_slot_migration_cost)
 from .policies import (PRUNE_MIN_NODES, FrameInput, PolicyConfig,
                        brute_force_frame, brute_force_horizon, frame_decide,
-                       frame_objective, frame_solver, lm_decide, plm_decide)
+                       frame_objective, frame_solver, kept_columns,
+                       lm_decide, plm_decide)
 from .predict import PredictorSpec, predict_epochs
 
 POLICIES = ("osp", "psp", "pspwu", "am", "nm", "lm", "plm")
@@ -284,25 +285,31 @@ def _epochs(policy: str, frame_len: int, spec: PredictorSpec):
 
 # The run inputs of the last run, kept for the next runs on its
 # (Scenario, SlotTable) pair: (pair key, realized, price, prediction key,
-# predictions), every array read-only, or None once _materialize misses.
-# The pair key is the table, which compares by identity and is held alive
-# here, and the values of the scenario that latency_rows reads; the
-# prediction key is the epoch shape and the PredictorSpec's values. A run
-# that misses a key empties what depends on it before building its own, so
-# that one of each is kept at a time.
+# predictions), every array read-only and every kept set a tuple, or None
+# once _materialize misses. The pair key is the table, which compares by
+# identity and is held alive here, and the values of the scenario that
+# latency_rows reads; the prediction key is the epoch shape and the
+# PredictorSpec's values. A run that misses a key empties what depends on
+# it before building its own, so that one of each is kept at a time. Like
+# _last_materialized, it assumes one thread: a run reads the entry once,
+# but runs in two threads would empty and replace each other's.
 _last_inputs = None
 
 
 def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
                 spec: PredictorSpec):
     """(epoch_len, realized, price, predictions) of a run of policy, the
-    predictions being (accuracy, slots, guessed).
+    predictions being (accuracy, slots, guessed, kept).
 
     realized and price are the latency rows of the realized user nodes and
     the move prices of the run's slots. The epochs decide from the decision
     rows: realized with each wrongly predicted slot's row, slots[j],
-    replaced by its predicted node's row, guessed[j]. accuracy is
-    RunRecord.prediction_accuracy. realized and guessed are each checked
+    replaced by its predicted node's row, guessed[j], all times v. kept is
+    policies.kept_columns of those rows before the factor v, which
+    frame_solver reads at every v, or None where the frame DP reads every
+    column (1-slot epochs or fewer than PRUNE_MIN_NODES nodes). accuracy is
+    RunRecord.prediction_accuracy. A table whose node count is not the
+    scenario's raises ValueError. realized and guessed are each checked
     once, when built: a row that is not finite raises ConfigError
     (_refuse_non_finite) and is not kept. No prediction and no realized row
     depends on a decision, so they are kept, read-only, for the next run on
@@ -320,8 +327,14 @@ def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
     users = table.user_node[:horizon]
     key = (table, horizon, scn.backhaul_rate.tobytes(),
            scn.compute_capacity.tobytes())
-    if _last_inputs is None or _last_inputs[0] != key:
-        _last_inputs = None
+    entry = _last_inputs  # read once, so that one run reads one entry
+    if entry is None or entry[0] != key:
+        # checked at a miss only: a hit's table is the one checked, and
+        # its key's rates hold node_count**2 entries
+        _last_inputs = entry = None
+        if table.node_count != scn.node_count:
+            raise ValueError(f"the slot table has {table.node_count} nodes "
+                             f"and the scenario {scn.node_count}")
         # a row that overflows is refused here, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
             realized, price = latency_rows(scn, table, slice(0, horizon),
@@ -329,11 +342,11 @@ def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
         _refuse_non_finite(realized, range(horizon), table)
         realized.setflags(write=False)
         price.setflags(write=False)
-        _last_inputs = key, realized, price, None, None
-    _, realized, price, last_shape, predicted = _last_inputs
+        _last_inputs = entry = key, realized, price, None, None
+    _, realized, price, last_shape, predicted = entry
     shape = epoch_len, lookahead, astuple(spec)
     if shape != last_shape:
-        _last_inputs, predicted = (key, realized, price, None, None), None
+        _last_inputs = key, realized, price, None, None
         # guesses[k, s - 1] is epoch k's prediction of slot
         # target[k, s - 1] = k * epoch_len + s, or -1 past the horizon; no
         # slot is the target of two epochs. A frame's first slot is no
@@ -357,7 +370,10 @@ def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
         _refuse_non_finite(guessed, slots, table)
         slots.setflags(write=False)
         guessed.setflags(write=False)
-        predicted = accuracy, slots, guessed
+        unscaled = realized.copy()
+        unscaled[slots] = guessed
+        predicted = (accuracy, slots, guessed,
+                     kept_columns(unscaled, epoch_len))
         _last_inputs = key, realized, price, shape, predicted
     return epoch_len, realized, price, predicted
 
@@ -404,7 +420,8 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     checked once: the earliest slot past its epoch's backlog deviation
     bound, with q < 0 or with w < q (in that order at one slot), a
     placement outside the nodes or a broken budget inequality raises
-    InvariantError. So every anchor the solver gets is >= 0. Before the
+    InvariantError. So every anchor the solver gets is >= 0. A slot table
+    whose node count is not the scenario's raises ValueError. Before the
     first decision, a ConfigError is raised, in this order, by a realized
     or a predicted row that is not finite (_run_inputs, naming its slot),
     move prices whose backlog and weight terms could pass the float range,
@@ -417,15 +434,17 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     (Scenario, SlotTable) pair, and so do the predictions and their rows
     for the next runs of the same epoch shape and predictor: runs that
     differ only in the policy, v, beta or the budget build the rows once,
-    and psp and pspwu predict once. Each frame-policy run scales its own
-    decision rows by v; lm and plm read the realized rows as lists, made
-    256 at a time.
+    and psp and pspwu predict once. With them comes each epoch's kept
+    columns, pruned once from the decision rows before the factor v, which
+    every psp and pspwu run on them reads at any v. Each frame-policy run
+    scales its own decision rows by v; lm and plm read the realized rows as
+    lists, made 256 at a time.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
     e_avg = scn.budget_avg
     horizon = scn.horizon
-    epoch_len, realized, price, (accuracy, slots, guessed) = \
+    epoch_len, realized, price, (accuracy, slots, guessed, kept) = \
         _run_inputs(scn, table, policy, spec)
     frame = policy in ("osp", "psp", "pspwu")  # osp: 1-slot frames
     # Three bounds rule out every overflow of a latency or cost sum; the
@@ -466,7 +485,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     trace = table.trace
     prev = initial = trace[0]
     if frame:
-        solve = frame_solver(decision, price, epoch_len)
+        solve = frame_solver(decision, price, epoch_len, kept)
         q = w = w_prev = 0.0
         placements, qs, ws = [], [], []  # q and w before each slot
         unpriced = iter(price.tolist())  # zip takes one price per placement

@@ -7,11 +7,12 @@ The frame DP is the drift-plus-penalty rule for all three budget-aware
 policies: it commits a frame of placements at once by minimizing
 v * latency + anchor * move price over the (possibly predicted) frame rows.
 frame_solver is its one path, shortcuts included: the engine builds it once
-per run, frame_decide once per frame. The reactive osp is a 1-slot frame
-anchored on the queue backlog, which frame_solver decides from the row's
-two smallest entries unless rounding ties them; psp is a longer frame
-anchored on the same backlog, and pspwu anchors on the momentum-weighted
-surrogate instead. No anchor is negative: the engine's are q >= 0 and
+per run, frame_decide once per frame, and the columns it prunes to
+(kept_columns) the engine builds once for every run on the same rows. The
+reactive osp is a 1-slot frame anchored on the queue backlog, which
+frame_solver decides from the row's two smallest entries unless rounding
+ties them; psp is a longer frame anchored on the same backlog, and pspwu
+anchors on the momentum-weighted surrogate instead. No anchor is negative: the engine's are q >= 0 and
 w >= q, which simulate checks at every slot, and FrameInput refuses one.
 Benchmarks: always-migrate and never-migrate need no rule of their own (the
 engine follows the user or holds the initial node); lazy-migrate and
@@ -121,16 +122,18 @@ def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     """Whole-frame placements minimizing the frame objective anchored on
     q_anchor: the queue under osp (a 1-slot frame) and psp, the weight
     under pspwu, or any finite anchor >= 0. frame_solver decides them on
-    the rows scaled by v. Node i scores v * latency[p][i] at position p,
+    the rows scaled by v, pruned, as the engine prunes, by the kept columns
+    of the unscaled rows. Node i scores v * latency[p][i] at position p,
     plus anchor * move_price[p] if the service moves there, as
     frame_objective scores it. The result is the lexicographically smallest
     minimizer, as the brute-force oracle's tie-break. ValueError if v times
     the latencies can sum past the float range.
     """
     _check_scaled_sum(cfg, frame)
-    solve = frame_solver(np.array(frame.latency, dtype=float) * cfg.v,
-                         np.array(frame.move_price, dtype=float),
-                         len(frame.latency))
+    latency, length = np.array(frame.latency, dtype=float), len(frame.latency)
+    solve = frame_solver(latency * cfg.v,
+                         np.array(frame.move_price, dtype=float), length,
+                         kept_columns(latency, length))
     return solve(0, frame.q_anchor, frame.prev_placement)
 
 
@@ -187,20 +190,31 @@ def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
 
 
 # A multi-slot frame over at least this many nodes is decided by the frame DP
-# on its epoch's undominated nodes (_undominated) plus prev, and the result
-# is bit for bit the DP's on all nodes. Take m = anchor * price >= 0 (the
-# engine's anchors are q or w >= q >= 0) and j != prev dominated by i < j.
+# on a set S of its epoch's columns plus prev, and the result is bit for bit
+# the DP's on all nodes whenever S holds every undominated node of the
+# decision rows (_undominated); kept_columns builds S. Take m = anchor *
+# price >= 0 (the engine's anchors are q or w >= q >= 0) and j != prev
+# dominated by i < j.
 # - Backward pass: every tail is min(stay, best) (see _frame_dp).
 #   Rounding is monotone, so by induction from the last layer the stay,
 #   moved and tail of i are no larger than j's at every layer; best is
-#   attained on an undominated node (domination is transitive), and the
-#   kept nodes' tails are the full DP's.
+#   attained on an undominated node (domination is transitive, so every
+#   node is dominated by an undominated one or is one), which S holds, and
+#   the tails of S's nodes are the full DP's.
 # - Forward pass: the current node is prev, then a node chosen from the
 #   columns, so it is always a column. Every position, position 0 among
 #   them, decides from the layer's best, its first argmin k and the
 #   current node's stay cost alone. k is never dominated (its dominator
-#   would be a lower-index minimizer), so all three are the full DP's and
-#   k keeps its order against the current node.
+#   would be a lower-index minimizer), so S holds it; no column before k
+#   ties it, as that node would be a lower-index minimizer too. So all
+#   three are the full DP's and k keeps its order against the current node.
+# The engine prunes once per set of decision rows before the factor v
+# (_run_inputs), and every run of psp or pspwu on them, at any v, reuses
+# that set. It is a superset of each run's own: rounding is monotone, so for
+# v >= 0, a <= b gives fl(v * a) <= fl(v * b), and a node dominated in the
+# unscaled rows is dominated, by the same node, in every scaled copy. Node
+# 0 is never dominated, which covers v = 0, where every scaled entry is 0
+# and node 0 is the only undominated node.
 # Below the constant the pre-pass and the sub-row gathers cost more than the
 # columns they save the DP (CHANGES.md has the measurement); 1-slot epochs
 # (osp) are decided without the DP, from each row's two smallest entries.
@@ -274,6 +288,19 @@ def _undominated(decision, epoch_len: int) -> list:
     return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
 
+def kept_columns(rows, epoch_len: int):
+    """The columns frame_solver's DP reads in each epoch of epoch_len slots
+    of rows (H, N), >= 0: a tuple per epoch of its undominated nodes in
+    index order (_undominated), or None where the DP reads every column,
+    in epochs of one slot or below PRUNE_MIN_NODES nodes. The rows may be
+    the decision rows or the same rows before the factor v >= 0; the sets
+    of the unscaled rows serve every v (see PRUNE_MIN_NODES).
+    """
+    if epoch_len < 2 or rows.shape[1] < PRUNE_MIN_NODES:
+        return None
+    return tuple(map(tuple, _undominated(rows, epoch_len)))
+
+
 def _stay_bounds(decision, price, epoch_len: int):
     """The stay certificate's inputs for every epoch k, as arrays: the sum
     of its rows' minima, its smallest price and, in row k of an (epochs, N)
@@ -297,13 +324,15 @@ def _stay_bounds(decision, price, epoch_len: int):
     return lows, cheapest, sums
 
 
-def frame_solver(rows, prices, epoch_len: int):
+def frame_solver(rows, prices, epoch_len: int, kept=None):
     """The one path of the frame DP: solve(k, anchor, prev) places epoch k,
     slots k * epoch_len to the next epoch's or the end, from node prev.
     rows (H, N) are decision rows already scaled by v, prices (H,) the move
-    prices, all >= 0, and so is every anchor; prev is a node. An epoch
-    takes the first way that applies, each bit for bit the DP's sequence
-    on all its columns:
+    prices, all >= 0, and so is every anchor; prev is a node. kept is
+    kept_columns of rows, or of the same rows before the factor v, which
+    the engine builds once for every run on them; None reads every column.
+    An epoch takes the first way that applies, each bit for bit the DP's
+    sequence on all its columns:
     - one slot: the node read off the row's two smallest entries, with no
       DP, unless the move term's rounding ties entries that the row orders
       (see the comment below);
@@ -311,12 +340,12 @@ def frame_solver(rows, prices, epoch_len: int):
       (anchor times the smallest price, plus the sum of the rows' minima,
       exceeds prev's row sum by a rounding margin; see STAY_SLACK):
       [prev] * T, no DP;
-    - two or more slots and PRUNE_MIN_NODES nodes or more: the DP on its
-      undominated columns plus prev's, prev as a column index, mapped back
-      to nodes (see PRUNE_MIN_NODES);
+    - two or more slots and a kept set: the DP on the epoch's kept columns
+      plus prev's, prev as a column index, mapped back to nodes (see
+      PRUNE_MIN_NODES);
     - otherwise the DP on every column.
     """
-    n, horizon = rows.shape[1], len(rows)
+    horizon = len(rows)
     if epoch_len == 1:
         # A 1-slot epoch k is decided from its row D = rows[k]: its minimum
         # lo, its first argmin f and lo2, the smallest entry at an index
@@ -361,7 +390,6 @@ def frame_solver(rows, prices, epoch_len: int):
                              prev)
 
         return solve_slot
-    kept = _undominated(rows, epoch_len) if n >= PRUNE_MIN_NODES else None
     lows, cheapest, sums = _stay_bounds(rows, prices, epoch_len)
     prices, slack = prices.tolist(), 1.0 + epoch_len * STAY_SLACK
 
@@ -375,7 +403,7 @@ def frame_solver(rows, prices, epoch_len: int):
                              anchor, prev)
         nodes = kept[k]
         if prev not in nodes:
-            nodes = sorted(nodes + [prev])
+            nodes = sorted(nodes + (prev,))
         cols = _frame_dp(rows[start:stop].take(nodes, 1).tolist(),
                          prices[start:stop], anchor, nodes.index(prev))
         # a column the kernel was not given maps to -1, which is no node

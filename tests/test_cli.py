@@ -51,6 +51,18 @@ def test_run_missing_config_names_path(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("text", ["[]", "3", '"osp"', "null"])
+def test_run_refuses_a_config_that_is_no_object(tmp_path, capsys, text):
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    code = main(["run", "--config", str(config),
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: config file {config} must hold a JSON object\n")
+    assert not (tmp_path / "o.csv").exists()
+
 @pytest.mark.parametrize("kind", ["dir", "latin1"])
 def test_run_unreadable_config_names_path(tmp_path, capsys, kind):
     config = tmp_path / "c.json"

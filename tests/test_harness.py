@@ -342,7 +342,8 @@ def test_sweep_points_match_individual_runs(policy, axis, field, values):
 
 @pytest.mark.parametrize("policy", ("psp", "pspwu"))
 def test_a_v_sweep_on_pruned_frames_equals_cold_runs(policy):
-    # PRUNE_MIN_NODES nodes: each point's solver prunes its own scaled rows
+    # PRUNE_MIN_NODES nodes: the points share the kept columns pruned once
+    # from the unscaled rows, which a cold run builds for itself
     config = base_config(policy=policy, node_count=PRUNE_MIN_NODES,
                          policy_cfg=PolicyConfig(beta=0.5), sweep_axis="v",
                          sweep_values=(0.0, 5.0, 500.0))
@@ -531,6 +532,16 @@ def test_shared_run_inputs_are_read_only():
     # the run's own columns are its own
     for array in (rec.latency, rec.cost, rec.placement):
         array[0] = array[0]
+    # below PRUNE_MIN_NODES psp keeps no columns; at it, a tuple of tuples
+    assert harness._last_inputs[4][3] is None  # plm's
+    run(base_config(policy="psp", node_count=PRUNE_MIN_NODES))
+    kept = harness._last_inputs[4][3]
+    assert type(kept) is tuple and kept
+    assert all(type(nodes) is tuple and nodes for nodes in kept)
+    with pytest.raises(TypeError):
+        kept[0] = ()
+    with pytest.raises(TypeError):
+        kept[0][0] = 1
 
 
 def test_a_seven_policy_pass_builds_its_inputs_once(monkeypatch):
@@ -555,6 +566,36 @@ def test_a_seven_policy_pass_builds_its_inputs_once(monkeypatch):
     # 1: one set of predictions is kept at a time
     assert calls["predict_epochs"] == [0, 2, 0, 1]
 
+
+
+def test_the_kept_columns_are_pruned_once_per_prediction_set(monkeypatch):
+    # from the decision rows before the factor v, so that psp, pspwu and
+    # every point of a v sweep on them share one set; 1-slot epochs and
+    # fewer than PRUNE_MIN_NODES nodes prune nothing
+    calls, real = [], policies._undominated
+    monkeypatch.setattr(policies, "_undominated", lambda rows, epoch_len: (
+        calls.append(rows.copy()) or real(rows, epoch_len)))
+    spec = PredictorSpec(accuracies=(0.6, 0.6), rng_seed=3)
+    wide = dict(node_count=PRUNE_MIN_NODES, predictor=spec)
+    run(base_config(policy="psp", **wide))
+    run(base_config(policy="pspwu", policy_cfg=PolicyConfig(beta=0.65),
+                    **wide))
+    assert len(calls) == 1
+    _, realized, _, _, (_, slots, guessed, kept) = harness._last_inputs
+    unscaled = realized.copy()
+    unscaled[slots] = guessed
+    assert slots.size and np.array_equal(calls[0], unscaled)
+    assert kept == tuple(map(tuple, real(unscaled, 3)))
+    calls.clear()
+    harness._last_materialized = harness._last_inputs = None
+    sweep(base_config(policy="psp", sweep_axis="v",
+                      sweep_values=(0.0, 5.0, 500.0), **wide))
+    assert len(calls) == 1
+    calls.clear()
+    run(base_config(policy="osp", **wide))
+    for policy in POLICIES:
+        run(base_config(policy=policy, node_count=6, predictor=spec))
+    assert not calls
 
 @pytest.mark.parametrize("count", (0, 1, 255, 256, 257, 600))
 def test_python_rows_are_the_arrays_rows(count):
@@ -611,6 +652,38 @@ def test_a_run_on_another_pair_builds_its_own_inputs(monkeypatch):
         harness._last_inputs = None
         assert_same_record(got, simulate(*changed, "psp"))
 
+
+
+def test_simulate_refuses_an_unknown_policy():
+    scn, table = generate_scenario(seed=3, n_nodes=4, horizon=20)
+    with pytest.raises(ConfigError, match="^unknown policy 'bogus'$"):
+        simulate(scn, table, "bogus")
+
+
+def test_simulate_refuses_a_slot_table_shorter_than_the_horizon():
+    scn, table = generate_scenario(seed=3, n_nodes=4, horizon=20)
+    with pytest.raises(TraceFormatError,
+                       match="^slot table shorter than horizon$"):
+        simulate(scn, table[:19], "osp")
+    assert harness._last_inputs is None
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_slot_table_of_another_node_count_is_refused(policy):
+    # a 6-node scenario with a 3-node table used to run, and the reverse was
+    # refused only by chance, as a user node outside [0, 3)
+    scn6, table6 = generate_scenario(seed=3, n_nodes=6, horizon=30,
+                                     frame_len=2)
+    scn3, table3 = generate_scenario(seed=3, n_nodes=3, horizon=30,
+                                     frame_len=2)
+    for scn, table, want in ((scn6, table3, "3 nodes and the scenario 6"),
+                             (scn3, table6, "6 nodes and the scenario 3")):
+        simulate(scn, generate_scenario(seed=4, n_nodes=scn.node_count,
+                                        horizon=30)[1], policy)
+        with pytest.raises(ValueError,
+                           match=f"^the slot table has {want}$"):
+            simulate(scn, table, policy)
+        assert harness._last_inputs is None
 
 SLOT_ERROR = r"^slot \d+: a latency is not finite"
 
@@ -969,7 +1042,7 @@ def test_placement_outside_the_nodes_is_checked(monkeypatch, policy, node):
     # node -1 would read the last node's latency if it went unchecked. The
     # fault enters where the engine gets its placements, which every epoch
     # passes: osp's 1-slot epochs mostly never reach the kernel.
-    def faulty(rows, prices, epoch_len):
+    def faulty(rows, prices, epoch_len, kept):
         return lambda k, anchor, prev: [node] * len(
             rows[k * epoch_len:(k + 1) * epoch_len])
 
@@ -1011,8 +1084,8 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
         lows, cheapest, sums = bounds(decision, price, epoch_len)
         return np.full(len(lows), -math.inf), cheapest, sums
 
-    def kernel_only(rows, prices, epoch_len):
-        assert epoch_len == 1
+    def kernel_only(rows, prices, epoch_len, kept):
+        assert epoch_len == 1 and kept is None
         prices = prices.tolist()
         return lambda k, anchor, prev: policies._frame_dp(
             rows[k:k + 1].tolist(), prices[k:k + 1], anchor, prev)
@@ -1295,6 +1368,15 @@ def test_config_rejects_unknown_keys():
             config_from_dict({"policy": {"name": "lm", key: 1.0}})
 
 
+@pytest.mark.parametrize("section", ([], "osp", None, 1.0))
+def test_a_config_section_that_is_no_object_is_refused(section):
+    # config_from_dict's own check, which a parsed file reaches without
+    # apply_overrides
+    with pytest.raises(ConfigError,
+                       match="^section 'policy' must be an object$"):
+        config_from_dict({"policy": section})
+
+
 def test_every_schema_key_sets_a_field_and_every_field_has_a_key():
     # so a field cannot be removed and leave its key behind, or be added
     # and not be reachable from a config file
@@ -1543,6 +1625,12 @@ def test_bound_constant():
     assert bound_constant_B(10, 20) == 250.0
     assert bound_constant_B(0, 0) == 0.0
     assert bound_constant_B(1, 1) == 1.0
+
+
+@pytest.mark.parametrize("costs", [(-1.0, 0.0), (0.0, -1e-300)])
+def test_bound_constant_refuses_a_negative_cost(costs):
+    with pytest.raises(ValueError, match="^costs must be nonnegative$"):
+        bound_constant_B(*costs)
 
 
 def test_verify_horizon_bound_mostly_holds():

@@ -404,6 +404,24 @@ def test_frame_objective_takes_a_whole_float_as_its_node():
     assert frame_objective(cfg, frame, [0]) == 1.0
 
 
+
+def test_frame_objective_rejects_a_sequence_of_another_length():
+    frame, cfg = FrameInput([[1.0, 4.0]] * 2, [1.0] * 2), PolicyConfig()
+    for seq in ([0], [0, 0, 0]):
+        with pytest.raises(ValueError,
+                           match="^sequence length must match frame length$"):
+            frame_objective(cfg, frame, seq)
+
+
+def test_lazy_migrate_rejects_a_negative_accumulator():
+    with pytest.raises(ValueError, match="^accumulator must be >= 0$"):
+        lm_decide(-0.5, [1.0, 2.0], 1.0, 0, 1)
+
+
+def test_the_horizon_oracle_needs_a_slot():
+    with pytest.raises(ValueError, match="^need at least one slot$"):
+        brute_force_horizon([], [], 0.1, 0)
+
 def reference_brute_force_frame(frame, cfg):
     """brute_force_frame as the loop over every sequence that it was
     before it enumerated them in numpy."""

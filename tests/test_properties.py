@@ -96,7 +96,7 @@ from edgeplacer.policies import (PRUNE_MIN_NODES, STAY_SLACK, FrameInput,
                                  PolicyConfig, _frame_dp, _stay_bounds,
                                  _undominated, brute_force_frame,
                                  frame_decide, frame_objective, frame_solver,
-                                 lm_decide, plm_decide)
+                                 kept_columns, lm_decide, plm_decide)
 from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
                                 _transition_counts, predict_epochs)
 
@@ -220,11 +220,11 @@ def test_frame_decide_prunes_as_the_reference(case):
 
 
 @st.composite
-def epoch_rows(draw):
-    """Decision rows of up to 12 nodes cut into epochs of up to 4 slots, the
+def epoch_rows(draw, min_nodes=1, max_nodes=12, min_len=1):
+    """Decision rows of 1 to 12 nodes cut into epochs of 1 to 4 slots, the
     last one possibly partial, with prices and an anchor >= 0 on the grid."""
-    n = draw(st.integers(1, 12))
-    epoch_len = draw(st.integers(1, 4))
+    n = draw(st.integers(min_nodes, max_nodes))
+    epoch_len = draw(st.integers(min_len, 4))
     horizon = draw(st.integers(1, 3 * epoch_len))
     value = st.integers(0, 3).map(float) if draw(st.booleans()) else quarters
     rows = draw(st.lists(st.lists(value, min_size=n, max_size=n),
@@ -253,6 +253,30 @@ def test_the_undominated_columns_decide_as_all_columns(case):
             assert [cols[i] for i in seq] == _frame_dp(frame.tolist(), price,
                                                        anchor, prev)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(epoch_rows(min_nodes=PRUNE_MIN_NODES, max_nodes=PRUNE_MIN_NODES + 4,
+                  min_len=2), st.lists(quarters, max_size=2))
+def test_the_unscaled_kept_columns_decide_at_every_v(case, anchors):
+    # The engine prunes the decision rows once, before the factor v, and
+    # every run on them reads that set at its own v. Grid rows tie often;
+    # at v = 0 every scaled entry is 0 and node 0 alone is undominated.
+    rows, epoch_len, prices, anchor = case
+    prices, kept = np.array(prices), kept_columns(rows, epoch_len)
+    for v in (0.0, 1e-300, 1.0, 2.5, 1e300):
+        scaled = rows * v
+        own = kept_columns(scaled, epoch_len)
+        assert len(own) == len(kept)
+        for shared, nodes in zip(kept, own):
+            assert set(nodes) <= set(shared)
+        solvers = [frame_solver(scaled, prices, epoch_len, columns)
+                   for columns in (kept, own, None)]
+        for k, a, prev in itertools.product(range(len(kept)),
+                                            [anchor, *anchors],
+                                            range(rows.shape[1])):
+            shared, pruned, full = (solve(k, a, prev) for solve in solvers)
+            assert shared == pruned == full
 
 def stay_certified(lows, cheapest, sums, epoch_len, k, anchor, prev):
     """The engine's stay certificate for epoch k (see STAY_SLACK)."""
