@@ -299,22 +299,23 @@ _last_inputs = None
 def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
                 spec: PredictorSpec):
     """(epoch_len, realized, price, predictions) of a run of policy, the
-    predictions being (accuracy, slots, guessed, kept).
+    predictions being (accuracy, slots, rows, kept).
 
     realized and price are the latency rows of the realized user nodes and
-    the move prices of the run's slots. The epochs decide from the decision
-    rows: realized with each wrongly predicted slot's row, slots[j],
-    replaced by its predicted node's row, guessed[j], all times v. kept is
-    policies.kept_columns of those rows before the factor v, which
-    frame_solver reads at every v, or None where the frame DP reads every
-    column (1-slot epochs or fewer than PRUNE_MIN_NODES nodes). accuracy is
-    RunRecord.prediction_accuracy. A table whose node count is not the
-    scenario's raises ValueError. realized and guessed are each checked
-    once, when built: a row that is not finite raises ConfigError
-    (_refuse_non_finite) and is not kept. No prediction and no realized row
-    depends on a decision, so they are kept, read-only, for the next run on
-    the pair: realized and price for any run, the predictions for a run of
-    the same epoch shape and predictor.
+    the move prices of the run's slots. rows are the unscaled decision
+    rows the epochs decide from: realized with each wrongly predicted
+    slot's row, slots[j], replaced by its predicted node's row, and
+    realized itself where no slot was. kept is policies.kept_columns of
+    rows, or None where the frame DP reads every column (1-slot epochs or
+    fewer than PRUNE_MIN_NODES nodes); frame_solver scales rows by v and
+    reads kept at every v. accuracy is RunRecord.prediction_accuracy. A
+    table whose node count is not the scenario's raises ValueError.
+    realized and the missed rows are each checked once, when built: a row
+    that is not finite raises ConfigError (_refuse_non_finite) and is not
+    kept. No prediction and no realized row depends on a decision, so they
+    are kept, read-only, for the next run on the pair: realized and price
+    for any run, the predictions for a run of the same epoch shape and
+    predictor.
     """
     global _last_inputs
     horizon = scn.horizon
@@ -364,16 +365,16 @@ def _run_inputs(scn: Scenario, table: SlotTable, policy: str,
         accuracy = tuple((hit.sum(axis=0)[:depths]
                           / attempts[:depths]).tolist())
         miss = made & ~hit
-        slots = target[miss]
-        with np.errstate(over="ignore", invalid="ignore"):
-            guessed = latency_rows(scn, table, slots, guesses[miss])[0]
-        _refuse_non_finite(guessed, slots, table)
+        slots, rows = target[miss], realized
         slots.setflags(write=False)
-        guessed.setflags(write=False)
-        unscaled = realized.copy()
-        unscaled[slots] = guessed
-        predicted = (accuracy, slots, guessed,
-                     kept_columns(unscaled, epoch_len))
+        if slots.size:
+            rows = realized.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows[slots] = latency_rows(scn, table, slots,
+                                           guesses[miss])[0]
+            _refuse_non_finite(rows[slots], slots, table)
+            rows.setflags(write=False)
+        predicted = accuracy, slots, rows, kept_columns(rows, epoch_len)
         _last_inputs = key, realized, price, shape, predicted
     return epoch_len, realized, price, predicted
 
@@ -431,20 +432,19 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
 
     The realized rows and the move prices come from _run_inputs, which
     checks them once and keeps them for the next runs on the same
-    (Scenario, SlotTable) pair, and so do the predictions and their rows
-    for the next runs of the same epoch shape and predictor: runs that
-    differ only in the policy, v, beta or the budget build the rows once,
-    and psp and pspwu predict once. With them comes each epoch's kept
-    columns, pruned once from the decision rows before the factor v, which
-    every psp and pspwu run on them reads at any v. Each frame-policy run
-    scales its own decision rows by v; lm and plm read the realized rows as
-    lists, made 256 at a time.
+    (Scenario, SlotTable) pair, and so do the predictions, their decision
+    rows and each epoch's kept columns for the next runs of the same epoch
+    shape and predictor: runs that differ only in the policy, v, beta or
+    the budget build the rows once, and psp and pspwu predict and prune
+    once. The decision rows are unscaled; frame_solver alone multiplies
+    them by v. lm and plm read the realized rows as lists, made 256 at a
+    time.
     """
     cfg = policy_cfg or PolicyConfig()
     spec = predictor or PredictorSpec()
     e_avg = scn.budget_avg
     horizon = scn.horizon
-    epoch_len, realized, price, (accuracy, slots, guessed, kept) = \
+    epoch_len, realized, price, (accuracy, slots, rows, kept) = \
         _run_inputs(scn, table, policy, spec)
     frame = policy in ("osp", "psp", "pspwu")  # osp: 1-slot frames
     # Three bounds rule out every overflow of a latency or cost sum; the
@@ -464,16 +464,13 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
             f"{table.unit_migration_cost[t]:g}, is too large for "
             f"{horizon} slots: the backlog or the weight times it could "
             "pass the float range")
-    if frame:
-        # The frame policies' decision rows, scaled by v once per run for
-        # the frame solver; realized stays unscaled for the accounting
-        with np.errstate(over="ignore"):
-            decision = realized * cfg.v
-            decision[slots] = guessed * cfg.v
-        if not math.isfinite(epoch_len * (float(decision.max()) + moves)):
-            raise ConfigError(
-                "a frame's latencies times policy.v sum past the float "
-                "range; lower policy.v or raise scenario.backhaul_mbps")
+    # The largest entry of the solver's rows * v: rounding is monotone and
+    # v >= 0, so fl(v * max) is the largest fl(v * x), inf on an overflow
+    if frame and not math.isfinite(
+            epoch_len * (cfg.v * float(rows.max()) + moves)):
+        raise ConfigError(
+            "a frame's latencies times policy.v sum past the float "
+            "range; lower policy.v or raise scenario.backhaul_mbps")
     if not math.isfinite(horizon * float(realized.max())):
         raise ConfigError("the run's latencies sum past the float range; "
                           "raise scenario.backhaul_mbps")
@@ -485,7 +482,7 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
     trace = table.trace
     prev = initial = trace[0]
     if frame:
-        solve = frame_solver(decision, price, epoch_len, kept)
+        solve = frame_solver(rows, cfg.v, price, epoch_len, kept)
         q = w = w_prev = 0.0
         placements, qs, ws = [], [], []  # q and w before each slot
         unpriced = iter(price.tolist())  # zip takes one price per placement
@@ -517,11 +514,11 @@ def simulate(scn: Scenario, table: SlotTable, policy: str,
             at, lm_acc = lm_decide(lm_acc, row, p, user, at)
             placements.append(at)
     else:  # plm, which reads the next slot's decision row unless it is last
-        missed = dict(zip(slots.tolist(), guessed.tolist()))
-        rows = _python_rows(realized)
-        placements, at, row = [], initial, next(rows)
+        missed = dict(zip(slots.tolist(), rows[slots].tolist()))
+        later = _python_rows(realized)
+        placements, at, row = [], initial, next(later)
         for t, (nxt, p, user) in enumerate(
-                zip(itertools.chain(rows, [None]), price.tolist(), trace), 1):
+                zip(itertools.chain(later, [None]), price.tolist(), trace), 1):
             at = plm_decide(row, missed.get(t, nxt), p, user, at)
             placements.append(at)
             row = nxt
@@ -670,8 +667,9 @@ def _materialize(config: ExperimentConfig):
     key = trace = None
     if config.trace_path is None:
         key = _material_key(config)
-        if _last_materialized is not None and _last_materialized[0] == key:
-            return _last_materialized[1]
+        entry = _last_materialized  # read once, as _run_inputs reads its own
+        if entry is not None and entry[0] == key:
+            return entry[1]
     # a miss lets the last pair, and the run inputs built on it, go before
     # the next is drawn, so that at most one is held at a time
     _last_materialized = _last_inputs = None

@@ -6,9 +6,9 @@ from node i) and per-slot move prices, never from the slot data behind them.
 The frame DP is the drift-plus-penalty rule for all three budget-aware
 policies: it commits a frame of placements at once by minimizing
 v * latency + anchor * move price over the (possibly predicted) frame rows.
-frame_solver is its one path, shortcuts included: the engine builds it once
-per run, frame_decide once per frame, and the columns it prunes to
-(kept_columns) the engine builds once for every run on the same rows. The
+frame_solver is its one path, shortcuts included, and alone scales rows by
+v: the engine builds it once per run, frame_decide once per frame, and the
+engine prunes its columns (kept_columns) once for every run on the rows. The
 reactive osp is a 1-slot frame anchored on the queue backlog, which
 frame_solver decides from the row's two smallest entries unless rounding
 ties them; psp is a longer frame anchored on the same backlog, and pspwu
@@ -121,9 +121,9 @@ def _sequence(value) -> bool:
 def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     """Whole-frame placements minimizing the frame objective anchored on
     q_anchor: the queue under osp (a 1-slot frame) and psp, the weight
-    under pspwu, or any finite anchor >= 0. frame_solver decides them on
-    the rows scaled by v, pruned, as the engine prunes, by the kept columns
-    of the unscaled rows. Node i scores v * latency[p][i] at position p,
+    under pspwu, or any finite anchor >= 0. frame_solver decides them
+    from the frame's rows, its kept columns and v, as it decides the
+    engine's epochs. Node i scores v * latency[p][i] at position p,
     plus anchor * move_price[p] if the service moves there, as
     frame_objective scores it. The result is the lexicographically smallest
     minimizer, as the brute-force oracle's tie-break. ValueError if v times
@@ -131,7 +131,7 @@ def frame_decide(cfg: PolicyConfig, frame: FrameInput) -> list[Placement]:
     """
     _check_scaled_sum(cfg, frame)
     latency, length = np.array(frame.latency, dtype=float), len(frame.latency)
-    solve = frame_solver(latency * cfg.v,
+    solve = frame_solver(latency, cfg.v,
                          np.array(frame.move_price, dtype=float), length,
                          kept_columns(latency, length))
     return solve(0, frame.q_anchor, frame.prev_placement)
@@ -208,13 +208,13 @@ def _frame_dp(rows, prices, anchor, prev) -> list[Placement]:
 #   would be a lower-index minimizer), so S holds it; no column before k
 #   ties it, as that node would be a lower-index minimizer too. So all
 #   three are the full DP's and k keeps its order against the current node.
-# The engine prunes once per set of decision rows before the factor v
-# (_run_inputs), and every run of psp or pspwu on them, at any v, reuses
-# that set. It is a superset of each run's own: rounding is monotone, so for
-# v >= 0, a <= b gives fl(v * a) <= fl(v * b), and a node dominated in the
-# unscaled rows is dominated, by the same node, in every scaled copy. Node
-# 0 is never dominated, which covers v = 0, where every scaled entry is 0
-# and node 0 is the only undominated node.
+# kept_columns prunes the rows frame_solver gets before it scales them by
+# v, once per set of decision rows (_run_inputs) for every psp and pspwu
+# run on them at any v. That set is a superset of the scaled copy's own:
+# rounding is monotone, so for v >= 0, a <= b gives fl(v * a) <= fl(v * b),
+# and a node dominated in the unscaled rows is dominated, by the same node,
+# in every scaled copy. Node 0 is never dominated, which covers v = 0,
+# where every scaled entry is 0 and node 0 is the only undominated node.
 # Below the constant the pre-pass and the sub-row gathers cost more than the
 # columns they save the DP (CHANGES.md has the measurement); 1-slot epochs
 # (osp) are decided without the DP, from each row's two smallest entries.
@@ -292,9 +292,9 @@ def kept_columns(rows, epoch_len: int):
     """The columns frame_solver's DP reads in each epoch of epoch_len slots
     of rows (H, N), >= 0: a tuple per epoch of its undominated nodes in
     index order (_undominated), or None where the DP reads every column,
-    in epochs of one slot or below PRUNE_MIN_NODES nodes. The rows may be
-    the decision rows or the same rows before the factor v >= 0; the sets
-    of the unscaled rows serve every v (see PRUNE_MIN_NODES).
+    in epochs of one slot or below PRUNE_MIN_NODES nodes. The rows are
+    frame_solver's before it scales them, and the sets serve every v (see
+    PRUNE_MIN_NODES).
     """
     if epoch_len < 2 or rows.shape[1] < PRUNE_MIN_NODES:
         return None
@@ -324,15 +324,15 @@ def _stay_bounds(decision, price, epoch_len: int):
     return lows, cheapest, sums
 
 
-def frame_solver(rows, prices, epoch_len: int, kept=None):
+def frame_solver(rows, v: float, prices, epoch_len: int, kept=None):
     """The one path of the frame DP: solve(k, anchor, prev) places epoch k,
     slots k * epoch_len to the next epoch's or the end, from node prev.
-    rows (H, N) are decision rows already scaled by v, prices (H,) the move
-    prices, all >= 0, and so is every anchor; prev is a node. kept is
-    kept_columns of rows, or of the same rows before the factor v, which
-    the engine builds once for every run on them; None reads every column.
-    An epoch takes the first way that applies, each bit for bit the DP's
-    sequence on all its columns:
+    It alone multiplies rows (H, N) by v into the decision rows; its
+    callers check that epoch_len * v * rows.max() is finite. rows, v, the
+    move prices (H,) and every anchor are >= 0; prev is a node. kept is
+    kept_columns(rows, epoch_len), built once for every run on the rows;
+    None reads every column. An epoch takes the first way that applies,
+    each bit for bit the DP's sequence on all its columns:
     - one slot: the node read off the row's two smallest entries, with no
       DP, unless the move term's rounding ties entries that the row orders
       (see the comment below);
@@ -345,7 +345,7 @@ def frame_solver(rows, prices, epoch_len: int, kept=None):
       PRUNE_MIN_NODES);
     - otherwise the DP on every column.
     """
-    horizon = len(rows)
+    horizon, rows = len(rows), rows * v
     if epoch_len == 1:
         # A 1-slot epoch k is decided from its row D = rows[k]: its minimum
         # lo, its first argmin f and lo2, the smallest entry at an index

@@ -581,10 +581,11 @@ def test_the_kept_columns_are_pruned_once_per_prediction_set(monkeypatch):
     run(base_config(policy="pspwu", policy_cfg=PolicyConfig(beta=0.65),
                     **wide))
     assert len(calls) == 1
-    _, realized, _, _, (_, slots, guessed, kept) = harness._last_inputs
+    _, realized, _, _, (_, slots, rows, kept) = harness._last_inputs
     unscaled = realized.copy()
-    unscaled[slots] = guessed
+    unscaled[slots] = rows[slots]
     assert slots.size and np.array_equal(calls[0], unscaled)
+    assert np.array_equal(rows, unscaled)
     assert kept == tuple(map(tuple, real(unscaled, 3)))
     calls.clear()
     harness._last_materialized = harness._last_inputs = None
@@ -596,6 +597,48 @@ def test_the_kept_columns_are_pruned_once_per_prediction_set(monkeypatch):
     for policy in POLICIES:
         run(base_config(policy=policy, node_count=6, predictor=spec))
     assert not calls
+
+
+def test_a_prediction_set_keeps_one_decision_matrix(monkeypatch):
+    # A set with no missed slot decides from realized itself: every set
+    # that predicts nothing, and psp with a perfect oracle
+    for policy, spec in [(policy, PredictorSpec()) for policy in
+                         ("osp", "am", "nm", "lm")] + [
+            ("psp", PredictorSpec(accuracies=(1.0, 1.0)))]:
+        run(base_config(policy=policy, predictor=spec))
+        _, realized, _, _, (_, slots, rows, _) = harness._last_inputs
+        assert slots.size == 0 and rows is realized, policy
+    # Otherwise its rows are, bit for bit, the latency rows of the decided
+    # users: the realized node, or a missed slot's predicted node
+    solved = []
+    monkeypatch.setattr(harness, "frame_solver", lambda rows, *args: (
+        solved.append(rows) or policies.frame_solver(rows, *args)))
+    spec = PredictorSpec(accuracies=(0.6, 0.6), rng_seed=3)
+    for policy, epoch_len, lookahead in (("plm", 1, 1), ("psp", 3, 2)):
+        config = base_config(policy=policy, predictor=spec)
+        run(config)
+        _, realized, _, _, predicted = harness._last_inputs
+        _, slots, rows, _ = predicted
+        scn, table = harness._materialize(config)
+        users = table.user_node[:scn.horizon]
+        guesses = predict_epochs(spec, users, lookahead, scn.node_count,
+                                 epoch_len)
+        target = (np.arange(0, scn.horizon, epoch_len)[:, None]
+                  + np.arange(1, lookahead + 1))
+        decided = users.copy()
+        decided[target[guesses >= 0]] = guesses[guesses >= 0]
+        want = latency_rows(scn, table, slice(0, scn.horizon), decided)[0]
+        assert slots.size and rows is not realized
+        assert rows.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+    # psp, pspwu and every point of a v sweep hand that one matrix to the
+    # frame solver, which scales it by their v
+    run(replace(config, policy="pspwu", policy_cfg=PolicyConfig(beta=0.65)))
+    sweep(replace(config, sweep_axis="v", sweep_values=(0.0, 5.0, 500.0)))
+    assert harness._last_inputs[4] is predicted
+    assert len(solved) == 5 and all(rows is got for got in solved)
+
 
 @pytest.mark.parametrize("count", (0, 1, 255, 256, 257, 600))
 def test_python_rows_are_the_arrays_rows(count):
@@ -631,15 +674,19 @@ def test_a_run_on_another_pair_builds_its_own_inputs(monkeypatch):
     monkeypatch.setattr(harness, "latency_rows", lambda *a: held.append(
         harness._last_inputs) or latency_rows(*a))
     want = simulate(scn, table, "psp")
-    # the realized rows are built first, then the missed rows
-    assert len(held) == 2 and held[0] is None and held[1][4] is None
+    # the realized rows are built, and no missed rows: at 2-slot frames
+    # every prediction named the realized node
+    assert held == [None]
+    assert harness._last_inputs[4][1].size == 0
     # a budget, a frame length or v reads the same realized rows
     entry = harness._last_inputs
     simulate(replace(scn, budget_avg=0.2), table, "psp")
     simulate(scn, table, "psp", PolicyConfig(v=3.0))
-    assert harness._last_inputs is entry and len(held) == 2
+    assert harness._last_inputs is entry and len(held) == 1
     simulate(replace(scn, frame_len=3), table, "psp")
-    assert len(held) == 3  # the new frame length's missed rows
+    # the new frame length's missed rows, built on the kept realized rows
+    assert len(held) == 2 and held[1][4] is None
+    assert harness._last_inputs[4][1].size
     assert harness._last_inputs[1] is entry[1]
     assert_same_record(simulate(scn, table, "psp"), want)
     faster = replace(scn, compute_capacity=scn.compute_capacity * 2)
@@ -1042,7 +1089,7 @@ def test_placement_outside_the_nodes_is_checked(monkeypatch, policy, node):
     # node -1 would read the last node's latency if it went unchecked. The
     # fault enters where the engine gets its placements, which every epoch
     # passes: osp's 1-slot epochs mostly never reach the kernel.
-    def faulty(rows, prices, epoch_len, kept):
+    def faulty(rows, v, prices, epoch_len, kept):
         return lambda k, anchor, prev: [node] * len(
             rows[k * epoch_len:(k + 1) * epoch_len])
 
@@ -1084,9 +1131,9 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
         lows, cheapest, sums = bounds(decision, price, epoch_len)
         return np.full(len(lows), -math.inf), cheapest, sums
 
-    def kernel_only(rows, prices, epoch_len, kept):
+    def kernel_only(rows, v, prices, epoch_len, kept):
         assert epoch_len == 1 and kept is None
-        prices = prices.tolist()
+        rows, prices = rows * v, prices.tolist()
         return lambda k, anchor, prev: policies._frame_dp(
             rows[k:k + 1].tolist(), prices[k:k + 1], anchor, prev)
 

@@ -172,7 +172,7 @@ def test_a_rounding_tie_sends_a_one_slot_epoch_to_the_kernel(monkeypatch):
                         lambda *args: calls.append(args) or kernel(*args))
     row, m = [2.0, 1.0, 2.0 ** 56], 2.0 ** 54
     assert 1.0 + m == 2.0 + m == m
-    solve = frame_solver(np.array([row]), np.array([1.0]), 1)
+    solve = frame_solver(np.array([row]), 1.0, np.array([1.0]), 1)
     assert solve(0, m, 2) == [0] and len(calls) == 1
     # without the tie (a smaller anchor) the rule moves to node 1 alone
     assert solve(0, 2.0 ** 50, 2) == [1] and len(calls) == 1

@@ -42,7 +42,10 @@
     summaries, or is rejected with ConfigError.
     On a library scenario with one link down to the smallest subnormal
     rate and an oracle of accuracy 0, 0.5 or 1, a run of any policy whose
-    ConfigError names policy.v does not name it at v = 0.
+    ConfigError names policy.v does not name it at v = 0. For finite rows
+    >= 0 and v in [0, 1e300], v times the largest entry equals the largest
+    entry of the rows times v, an overflow to inf included: the bound a
+    frame run checks without scaling its rows.
 (k) Every library entry point, fed a value of any kind in one scalar
     setting or in one entry of one numeric column or row, returns or
     raises ValueError, never another exception. Once a value type has
@@ -270,7 +273,7 @@ def test_the_unscaled_kept_columns_decide_at_every_v(case, anchors):
         assert len(own) == len(kept)
         for shared, nodes in zip(kept, own):
             assert set(nodes) <= set(shared)
-        solvers = [frame_solver(scaled, prices, epoch_len, columns)
+        solvers = [frame_solver(rows, v, prices, epoch_len, columns)
                    for columns in (kept, own, None)]
         for k, a, prev in itertools.product(range(len(kept)),
                                             [anchor, *anchors],
@@ -347,7 +350,7 @@ def test_a_one_slot_epoch_decides_as_the_kernel(case):
     # move terms of 0 or a few subnormals, which part only entries of 0, and
     # 1e17 rounds the moved entries together.
     rows, prices = case
-    solve = frame_solver(np.array(rows), np.array(prices), 1)
+    solve = frame_solver(np.array(rows), 1.0, np.array(prices), 1)
     for k, anchor, prev in itertools.product(
             range(len(rows)), (0.0, 5e-324, 0.25, 1.0, 2.5, 1e17),
             range(len(rows[0]))):
@@ -652,8 +655,9 @@ def test_an_accepted_config_decides_on_finite_rows(policy, seed, horizon, v,
             rec = run(config)
         except ConfigError:
             return
+    # the solver's decision rows are its rows times v
     rows = [row for call in solver.call_args_list
-            for row in call.args[0].tolist()]
+            for row in (call.args[0] * call.args[1]).tolist()]
     rows += [call.args[1] for call in lm.call_args_list]
     rows += [row for call in plm.call_args_list for row in call.args[:2]
              if row is not None]
@@ -690,6 +694,29 @@ def test_lowering_v_to_0_clears_a_v_error(policy, seed, rate, accuracy,
 
     if "policy.v" in error(v):
         assert "policy.v" not in error(0.0)
+
+
+finite_latencies = st.one_of(
+    st.sampled_from((0.0, 5e-324, 2.0 ** -1022, 1.0, 1e308)),
+    st.floats(0.0, 1e308))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+           st.lists(finite_latencies, min_size=n, max_size=n),
+           min_size=1, max_size=8)),
+       st.one_of(st.sampled_from((0.0, 5e-324, 1.0, 1e300)),
+                 st.floats(0.0, 1e300)))
+@example([[1e308, 0.0]], 1e300)  # the product overflows to inf
+@example([[5e-324, 0.0]], 0.5)  # and rounds to 0 below the subnormals
+def test_v_times_the_largest_entry_is_the_largest_scaled_entry(rows, v):
+    # simulate bounds the frame solver's rows * v by v * max(rows), with
+    # no scaled copy: rounding is monotone and v >= 0, so fl(v * max) is
+    # the largest fl(v * x)
+    cfg, rows = PolicyConfig(v=v), np.array(rows)
+    with np.errstate(over="ignore"):
+        scaled = float((rows * v).max())
+    assert cfg.v * float(rows.max()) == scaled
 
 
 # Values of every kind, bad and good: 10**400 is past the float range and
