@@ -12,8 +12,12 @@ engine prunes its columns (kept_columns) once for every run on the rows. The
 reactive osp is a 1-slot frame anchored on the queue backlog, which
 frame_solver decides from the row's two smallest entries unless rounding
 ties them; psp is a longer frame anchored on the same backlog, and pspwu
-anchors on the momentum-weighted surrogate instead. No anchor is negative: the engine's are q >= 0 and
-w >= q, which simulate checks at every slot, and FrameInput refuses one.
+anchors on the momentum-weighted surrogate instead. A longer epoch skips
+the DP where a certificate proves its sequence: a large anchor keeps it on
+prev (the stay certificate), and a small one lets it follow each slot's
+cheapest node (the follow certificate). No anchor is negative: the
+engine's are q >= 0 and w >= q, which simulate checks at every slot, and
+FrameInput refuses one.
 Benchmarks: always-migrate and never-migrate need no rule of their own (the
 engine follows the user or holds the initial node); lazy-migrate and
 predictive-lazy-migrate are step functions. Brute-force enumerators serve
@@ -257,6 +261,57 @@ PRUNE_MIN_NODES = 16
 # With a == 0 nothing is certified; moving can then be free.
 STAY_SLACK = 2.0 ** -50
 
+# An epoch of T slots follows g, each decision row's first argmin, and
+# frame_solver calls no kernel, when its follow certificate holds:
+#   anchor a < fl(N[p] / P[p]) at every slot p of the epoch,
+#   N[p] = fl(fl(lo2[p] - lo[p]) - x),  x = fl(fl(S' * C) + TINY),
+#   P[p] = fl(M[p] + M[p + 1]),  C = T * FOLLOW_SLACK,
+# with lo[p] and lo2[p] the smallest entry of decision row D[p] and its
+# smallest at an index other than g[p], S' a float sum of the epoch's lo2,
+# of exact sum S, and M[p] the price at p where g moves at p (g[-1] = prev,
+# M[T] = 0) and 0 elsewhere. Only M[0] depends on prev, and only on whether
+# prev == g[0], so _follow_bounds keeps two thresholds per epoch, the
+# minimum over p for each case; it pads a partial last epoch with slots of
+# infinite gap and no move, which bound nothing. The lemma, in reals: a
+# sequence c != g from prev differs from g on a nonempty set Z of slots,
+# pays at least gap[p] = lo2[p] - lo[p] more latency at each p in Z and
+# avoids at most g's moves at p and p + 1 for p in Z; so if at every slot
+# the gap, less g's move terms there and at the next slot, exceeds E >= 0,
+# c costs more than g by more than E. In floats, take u = 2**-53, TINY =
+# 2**-1022, eta = 2**-1075 and e = n u / (1 - n u) with n = 2T - 1.
+# - A sum or difference errs by at most u relative, subnormals included; a
+#   product y >= 0 rounds to at most (1 + u) y + eta (eta only below TINY).
+#   So a float sum of k <= 2T terms >= 0, bracketed in any way, is within
+#   (1 -+ e) of its exact sum. A quotient needs no bound: fl is monotone
+#   and fl(a) = a, so a < fl(y) gives a < y.
+# - The certificate so gives a * P[p] < N[p] in reals, and N[p] > 0 where
+#   P[p] == 0 (y / 0 is then inf; a NaN or -inf bound holds for no a, and
+#   a = 0 or -0.0 holds only where N > 0). g's move terms fl(a * price) at
+#   p and p + 1 sum to at most (1 + u) / (1 - u) a P[p] + 2 eta
+#   < r (gap' - x) + 2 eta, r = (1 + u)**2 / (1 - u), with gap' =
+#   fl(lo2 - lo) <= (1 + u) gap and x >= (1 - u)**(T + 1) C S + 2 eta.
+#   As gap <= lo2 <= S (two or more nodes; one node gives lo2 = inf and a
+#   NaN bound), the gap at p exceeds those move terms by more than c S,
+#   c = 2e / (1 - e), since (1 - u)**(T + 1) C >= c + 4.01 u >= c +
+#   r (1 + u) - 1 for any T below 2**40; T is at most the horizon or a
+#   frame's length.
+# - The kernel (see _frame_dp), on g[p - 1] at position p (prev at 0),
+#   takes the first smallest score. A node's score is the float sum of the
+#   terms of a completion that places it at p, and g[p]'s is at most the
+#   float sum of g's own, of exact sum X < S (1 - c) (lo plus g's move term
+#   is below lo2 - c S at every slot). Any other completion costs more
+#   than X + c S exactly, so at least (1 - e)(X + c S) > (1 + e) X in
+#   floats, as (1 - e) c = 2e. So g[p] scores below every other node, and
+#   the kernel follows g. g's partial sums are at most (1 + e) X < S, which
+#   the callers' range check keeps below the float range.
+# The inequality must be strict: at gap[p] == a (M[p] + M[p + 1]), with no
+# margin, a sequence that skips g's last move ties g, and the DP takes it
+# when it comes first, as on two slots with D = [[0, 5], [1, 0]], prices
+# [1, 1], a = 1 and prev 0: [0, 0] ties g = [0, 1]. With a == 0 moves are
+# free, and the certificate holds where every gap exceeds its margin.
+FOLLOW_SLACK = 2.0 ** -50
+TINY = 2.0 ** -1022
+
 
 def _undominated(decision, epoch_len: int) -> list:
     """Each epoch's undominated nodes, as lists in index order.
@@ -301,27 +356,74 @@ def kept_columns(rows, epoch_len: int):
     return tuple(map(tuple, _undominated(rows, epoch_len)))
 
 
-def _stay_bounds(decision, price, epoch_len: int):
-    """The stay certificate's inputs for every epoch k, as arrays: the sum
-    of its rows' minima, its smallest price and, in row k of an (epochs, N)
-    array, its column sums. frame_solver needs them for epochs of two or
-    more slots only: its rule for 1-slot epochs covers the certificate.
+def _row_minima(rows):
+    """(lo, lo2, first) of rows (H, N), as arrays: each row's smallest entry
+    lo, its first argmin first and lo2, its smallest entry at an index
+    other than first (inf on one node). min is exact, so lo is the row's
+    min() bit for bit.
     """
-    # decision.min(axis=1) walks a row of 6 entries per call of its inner
-    # loop, about 8x slower at N=6; a Fortran-order copy costs its size
-    mins = decision[:, 0].copy()
-    for column in decision.T[1:]:
-        np.minimum(mins, column, out=mins)
+    # rows.min(axis=1) walks a row of 6 entries per call of its inner loop,
+    # about 8x slower at N=6; a Fortran-order copy costs its size
+    lo, lo2 = rows[:, 0].copy(), np.full(len(rows), math.inf)
+    for column in rows.T[1:]:
+        np.minimum(lo2, np.maximum(lo, column), out=lo2)
+        np.minimum(lo, column, out=lo)
+    return lo, lo2, (rows == lo[:, None]).argmax(axis=1)
+
+
+def _stay_bounds(decision, lo, price, epoch_len: int):
+    """The stay certificate's inputs for every epoch k, as arrays: the sum
+    of its rows' minima lo, its smallest price and, in row k of an
+    (epochs, N) array, its column sums. frame_solver needs them for epochs
+    of two or more slots only: its rule for 1-slot epochs covers the
+    certificate.
+    """
     # every epoch's slot p at once, one numpy call per slot of an epoch
-    lows, cheapest, sums = (mins[::epoch_len].copy(),
+    lows, cheapest, sums = (lo[::epoch_len].copy(),
                             price[::epoch_len].copy(),
                             decision[::epoch_len].copy())
     for p in range(1, epoch_len):
         k = len(price[p::epoch_len])  # a partial last epoch lacks slot p
-        lows[:k] += mins[p::epoch_len]
+        lows[:k] += lo[p::epoch_len]
         np.minimum(cheapest[:k], price[p::epoch_len], out=cheapest[:k])
         sums[:k] += decision[p::epoch_len]
     return lows, cheapest, sums
+
+
+def _follow_bounds(lo, lo2, first, price, epoch_len: int):
+    """The follow certificate's anchor thresholds for every epoch k, as two
+    lists: same[k] for prev == first[k * epoch_len] and other[k] for any
+    other prev (see FOLLOW_SLACK). lo, lo2 and first are _row_minima's of
+    the decision rows. A fixed number of numpy calls for any epoch length.
+    """
+    horizon = len(lo)
+    size = -(-horizon // epoch_len) * epoch_len
+
+    def by_slot(x, fill, offset=0):
+        # (epoch_len, epochs), padded to whole epochs: row p is every
+        # epoch's slot p, so a sum or min over slots runs along epochs,
+        # which numpy does about 10x faster at T=3 than along slots
+        padded = np.full(size, fill)
+        padded[offset:horizon] = x
+        return padded.reshape(-1, epoch_len).T.copy()
+
+    tops = by_slot(lo2, 0.0)
+    gap = tops - by_slot(lo, -math.inf)  # inf on a padded slot
+    # m: the price where g moves inside its epoch; prev decides slot 0's
+    step = by_slot(np.where(first[1:] != first[:-1], price[1:], 0.0), 0.0, 1)
+    step[0] = 0.0
+    pair = step.copy()  # m[p] + m[p + 1], with m[T] = 0
+    pair[:-1] += step[1:]
+    # an overflow, a NaN (one node: inf - inf) or a division by 0
+    # certifies nothing it should not (see FOLLOW_SLACK), so numpy need
+    # not warn of it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        budget = gap - (tops.sum(axis=0) * (epoch_len * FOLLOW_SLACK) + TINY)
+        bound = budget / pair
+        moved = budget[0] / (pair[0] + price[::epoch_len])
+    later = bound[1:].min(axis=0)
+    return (np.minimum(later, bound[0]).tolist(),
+            np.minimum(later, moved).tolist())
 
 
 def frame_solver(rows, v: float, prices, epoch_len: int, kept=None):
@@ -340,6 +442,11 @@ def frame_solver(rows, v: float, prices, epoch_len: int, kept=None):
       (anchor times the smallest price, plus the sum of the rows' minima,
       exceeds prev's row sum by a rounding margin; see STAY_SLACK):
       [prev] * T, no DP;
+    - two or more slots and the follow certificate holds
+      (anchor is below the epoch's threshold for prev: each slot's lead of
+      its cheapest node over the next, less a rounding margin, exceeds
+      anchor times the prices of that node sequence's moves into and out
+      of the slot; see FOLLOW_SLACK): each slot's cheapest node, no DP;
     - two or more slots and a kept set: the DP on the epoch's kept columns
       plus prev's, prev as a column index, mapped back to nodes (see
       PRUNE_MIN_NODES);
@@ -368,12 +475,8 @@ def frame_solver(rows, v: float, prices, epoch_len: int, kept=None):
         # certificate holds for is one the rule keeps on prev
         # (L > R >= D[prev] with L = s), so these epochs need no
         # certificate.
-        lo, lo2 = rows[:, 0].copy(), np.full(horizon, math.inf)
-        for column in rows.T[1:]:
-            np.minimum(lo2, np.maximum(lo, column), out=lo2)
-            np.minimum(lo, column, out=lo)
-        first = (rows == lo[:, None]).argmax(axis=1).tolist()
-        lo, lo2, prices = lo.tolist(), lo2.tolist(), prices.tolist()
+        lo, lo2, first = (x.tolist() for x in _row_minima(rows))
+        prices = prices.tolist()
 
         def solve_slot(k: int, anchor: float,
                        prev: Placement) -> list[Placement]:
@@ -390,14 +493,19 @@ def frame_solver(rows, v: float, prices, epoch_len: int, kept=None):
                              prev)
 
         return solve_slot
-    lows, cheapest, sums = _stay_bounds(rows, prices, epoch_len)
-    prices, slack = prices.tolist(), 1.0 + epoch_len * STAY_SLACK
+    lo, lo2, first = _row_minima(rows)
+    lows, cheapest, sums = _stay_bounds(rows, lo, prices, epoch_len)
+    same, other = _follow_bounds(lo, lo2, first, prices, epoch_len)
+    first, prices = first.tolist(), prices.tolist()
+    slack = 1.0 + epoch_len * STAY_SLACK
 
     def solve(k: int, anchor: float, prev: Placement) -> list[Placement]:
         start, stop = k * epoch_len, (k + 1) * epoch_len  # stop may pass H
         if (anchor > 0 and anchor * cheapest.item(k) + lows.item(k)
                 > sums.item(k, prev) * slack):
             return [prev] * (min(stop, horizon) - start)
+        if anchor < (same if prev == first[start] else other)[k]:
+            return first[start:stop]
         if kept is None:
             return _frame_dp(rows[start:stop].tolist(), prices[start:stop],
                              anchor, prev)

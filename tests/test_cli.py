@@ -473,6 +473,24 @@ def test_verify_rejects_fewer_than_one_instance(capsys, monkeypatch, args,
     assert captured.out == ""
 
 
+def test_verify_prints_every_broken_horizon_bound(monkeypatch, capsys):
+    # A slack of -inf puts every limit at -inf, so every check fails; the
+    # suite describes each, and verify prints them on stderr and exits 4.
+    monkeypatch.setattr(harness, "HORIZON_SLACK", -math.inf)
+    passes, checks, failures = harness.verify_horizon_bound(seed=1,
+                                                            instances=2)
+    assert (passes, checks) == (0, 4)
+    assert [line.split(":")[0] for line in failures] == [
+        f"instance {i} v={v}" for i in range(2) for v in harness.HORIZON_V]
+    assert all(" > limit -inf" in line and float(
+        line.split("latency ")[1].split(" >")[0]) > 0 for line in failures)
+    assert main(["verify", "--instances", "2"]) == 4
+    captured = capsys.readouterr()
+    assert "0/40 horizon bound holds" in captured.out
+    _, _, failures = harness.verify_horizon_bound(seed=1)
+    assert captured.err == "".join(f"  {line}\n" for line in failures)
+
+
 def test_verify_command(tmp_path, capsys):
     assert main(["verify", "--seed", "1", "--instances", "10"]) == 0
     out = capsys.readouterr().out

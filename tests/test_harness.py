@@ -1103,15 +1103,20 @@ def test_placement_outside_the_nodes_is_checked(monkeypatch, policy, node):
 def test_a_column_outside_a_pruned_frame_is_checked(monkeypatch, past):
     # Past the crossover the kernel sees an epoch's undominated columns
     # only. Neither -1 nor the column after its last may become a node:
-    # nodes[-1] is the epoch's last undominated node.
+    # nodes[-1] is the epoch's last undominated node. The follow
+    # certificate, which would decide the first epoch, is switched off.
     n = policies.PRUNE_MIN_NODES
-    widths = []
+    widths, follow = [], policies._follow_bounds
 
     def kernel(rows, prices, anchor, prev):
         widths.append(len(rows[0]))
         return [len(rows[0]) if past else -1] * len(rows)
 
+    def no_follow(*args):
+        return tuple([-math.inf] * len(bound) for bound in follow(*args))
+
     monkeypatch.setattr(policies, "_frame_dp", kernel)
+    monkeypatch.setattr(policies, "_follow_bounds", no_follow)
     with pytest.raises(InvariantError, match=re.escape(
             f"slot 0: placement -1 is not a node in [0, {n})")):
         run(base_config(policy="psp", node_count=n))
@@ -1120,16 +1125,21 @@ def test_a_column_outside_a_pruned_frame_is_checked(monkeypatch, past):
 
 def test_the_stay_certificate_changes_no_run(monkeypatch):
     # Every run equals, bit for bit, the run whose every epoch goes to the
-    # frame DP. With frames of two slots or more the certificate is switched
-    # off by a row-minima sum of -inf, which makes no left side larger than
-    # the right; 1-slot epochs, which the solver decides by its own rule,
-    # are compared with a solver that calls the kernel on every epoch.
-    bounds, kernel, calls = policies._stay_bounds, policies._frame_dp, []
-    solver = harness.frame_solver
+    # frame DP, and so do the runs with either certificate alone. With
+    # frames of two slots or more the stay certificate is switched off by a
+    # row-minima sum of -inf, which makes no left side larger than the
+    # right, and the follow certificate by thresholds of -inf, which no
+    # anchor is below; 1-slot epochs, which the solver decides by its own
+    # rule, are compared with a solver that calls the kernel on every epoch.
+    stay, follow = policies._stay_bounds, policies._follow_bounds
+    kernel, calls, solver = policies._frame_dp, [], harness.frame_solver
 
-    def never(decision, price, epoch_len):
-        lows, cheapest, sums = bounds(decision, price, epoch_len)
+    def no_stay(*args):
+        lows, cheapest, sums = stay(*args)
         return np.full(len(lows), -math.inf), cheapest, sums
+
+    def no_follow(*args):
+        return tuple([-math.inf] * len(bound) for bound in follow(*args))
 
     def kernel_only(rows, v, prices, epoch_len, kept):
         assert epoch_len == 1 and kept is None
@@ -1141,9 +1151,15 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
         calls.append(None)
         return kernel(*args)
 
+    def simulated(stay_bounds, follow_bounds, *args):
+        monkeypatch.setattr(policies, "_stay_bounds", stay_bounds)
+        monkeypatch.setattr(policies, "_follow_bounds", follow_bounds)
+        calls.clear()
+        return simulate(*args)
+
     monkeypatch.setattr(policies, "_frame_dp", counted)
     spec = PredictorSpec(kind="moving_mode")  # wrong often enough
-    epochs = certified = 0
+    epochs = stayed = narrow = followed = 0
     for nodes, frame_len, budget in itertools.product(
             (3, 6, policies.PRUNE_MIN_NODES), (1, 3, 5),
             (0.0, 0.03, 0.167, 0.417)):
@@ -1155,23 +1171,26 @@ def test_the_stay_certificate_changes_no_run(monkeypatch):
             cases.append(("osp", 0.0))
         for (policy, beta), v in itertools.product(cases, (0.0, 1.0, 50.0,
                                                            900.0)):
-            cfg = PolicyConfig(v=v, beta=beta)
+            args = scn, table, policy, PolicyConfig(v=v, beta=beta), spec
             if frame_len == 1:
                 monkeypatch.setattr(harness, "frame_solver", kernel_only)
-            else:
-                monkeypatch.setattr(policies, "_stay_bounds", never)
-            calls.clear()
-            want = simulate(scn, table, policy, cfg, spec)
+            want = simulated(no_stay, no_follow, *args)
             run_epochs = len(calls)  # every epoch called the kernel
             assert run_epochs == len(range(0, scn.horizon, frame_len))
             monkeypatch.setattr(harness, "frame_solver", solver)
-            monkeypatch.setattr(policies, "_stay_bounds", bounds)
-            calls.clear()
-            got = simulate(scn, table, policy, cfg, spec)
+            if frame_len > 1:
+                assert_same_record(simulated(no_stay, follow, *args), want)
+                if nodes < policies.PRUNE_MIN_NODES:
+                    narrow += run_epochs
+                    followed += run_epochs - len(calls)
+                assert_same_record(simulated(stay, no_follow, *args), want)
+                stayed += run_epochs - len(calls)
+            assert_same_record(simulated(stay, follow, *args), want)
+            if frame_len == 1:  # the solver's own rule
+                stayed += run_epochs - len(calls)
             epochs += run_epochs
-            certified += run_epochs - len(calls)
-            assert_same_record(got, want)
-    assert certified > 0.2 * epochs
+    assert stayed > 0.2 * epochs, (stayed, epochs)
+    assert followed > 0.1 * narrow, (followed, narrow)
 
 
 @pytest.mark.parametrize("seed", (0, 41))
@@ -1595,8 +1614,8 @@ def test_verify_frame_oracles_check_the_stay_certificate(monkeypatch):
         calls.append(None)
         return kernel(*args)
 
-    def always(decision, price, epoch_len):
-        lows, cheapest, sums = bounds(decision, price, epoch_len)
+    def always(*args):
+        lows, cheapest, sums = bounds(*args)
         return np.full(len(lows), math.inf), cheapest, sums
 
     monkeypatch.setattr(policies, "_frame_dp", counted)
@@ -1610,16 +1629,22 @@ def test_verify_frame_oracles_check_the_stay_certificate(monkeypatch):
 def test_verify_reaches_every_solver_path(monkeypatch):
     # frame_solver decides an epoch by its 1-slot rule, by the kernel where
     # that rule leaves a 1-slot epoch to it, by the stay certificate, by the
-    # DP on undominated columns or by the DP on every column; verify checks
-    # a path against enumeration only where its suites reach it. A frame of
-    # two or more slots on PRUNE_MIN_NODES nodes or more is always pruned,
-    # so the full DP sees fewer nodes.
+    # follow certificate, by the DP on undominated columns or by the DP on
+    # every column; verify checks a path against enumeration only where its
+    # suites reach it. A frame of two or more slots on PRUNE_MIN_NODES nodes
+    # or more is always pruned, so the full DP sees fewer nodes. The stay
+    # certificate is tried first: a frame it leaves to the kernel once the
+    # follow certificate is switched off was decided by the follow one.
     kernel, decide = policies._frame_dp, harness.frame_decide
-    widths, paths = [], set()
+    follow, off, widths, paths = policies._follow_bounds, [], [], []
 
     def counted(rows, *args):
         widths.append(len(rows[0]))
         return kernel(rows, *args)
+
+    def switched(*args):
+        bounds = follow(*args)
+        return tuple([-math.inf] * len(b) for b in bounds) if off else bounds
 
     def spy(cfg, frame):
         widths.clear()
@@ -1627,26 +1652,35 @@ def test_verify_reaches_every_solver_path(monkeypatch):
         n, length = len(frame.latency[0]), len(frame.latency)
         wide = n >= PRUNE_MIN_NODES
         if length == 1:
-            paths.add("1-slot kernel" if widths else "1-slot rule")
+            paths.append("1-slot kernel" if widths else "1-slot rule")
         elif not widths:
-            paths.add("stay certificate")
+            off.append(None)
+            assert decide(cfg, frame) == seq
+            off.clear()
+            paths.append("follow certificate" if widths
+                         else "stay certificate")
         elif wide:
             assert len(widths) == 1 and widths[0] < n
-            paths.add("pruned DP")
+            paths.append("pruned DP")
         else:
             assert widths == [n]
-            paths.add("full DP")
+            paths.append("full DP")
         return seq
 
     monkeypatch.setattr(policies, "_frame_dp", counted)
+    monkeypatch.setattr(policies, "_follow_bounds", switched)
     monkeypatch.setattr(harness, "frame_decide", spy)
-    every = {"1-slot rule", "1-slot kernel", "stay certificate", "pruned DP",
-             "full DP"}
-    assert verify_frame_oracles(1, 200)[:2] == (200, 200)
-    assert paths == every
-    paths.clear()
-    assert verify_frame_oracles(2, 100)[:2] == (100, 100)
-    assert paths == every
+    every = {"1-slot rule", "1-slot kernel", "stay certificate",
+             "follow certificate", "pruned DP", "full DP"}
+    for seed, instances in ((1, 200), (2, 100)):
+        paths.clear()
+        assert verify_frame_oracles(seed, instances)[:2] == (instances,
+                                                             instances)
+        assert set(paths) == every
+        # the follow certificate decides a share of the multi-slot frames
+        # (45 of 147 at seed 1), which enumeration then checks
+        multi = [path for path in paths if not path.startswith("1-slot")]
+        assert multi.count("follow certificate") > 0.2 * len(multi)
 
 
 def test_both_frame_suites_draw_one_slot_frames(monkeypatch, capsys):

@@ -96,7 +96,7 @@ def test_no_run_imports_numpy_ma():
 
 
 def test_harness_uses_no_private_name_of_policies():
-    # the frame solver's kernel, pruning and stay certificate have one
+    # the frame solver's kernel, pruning and two certificates have one
     # home: the engine reaches them only through policies.frame_solver and
     # the pruning through policies.kept_columns
     package = Path(edgeplacer.__file__).parent

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +179,25 @@ def test_a_rounding_tie_sends_a_one_slot_epoch_to_the_kernel(monkeypatch):
     assert solve(0, 2.0 ** 50, 2) == [1] and len(calls) == 1
     frame = FrameInput([row], [1.0], m, 2)
     assert frame_decide(PolicyConfig(v=1.0), frame) == [0] == \
+        brute_force_frame(frame, PolicyConfig(v=1.0))[0]
+
+
+def test_a_rounding_tie_keeps_the_follow_certificate_off(monkeypatch):
+    # From node 0, g = [1, 1] is the exact minimizer: 2**53 - 1 + 0.5
+    # against 2**53 + 0.75 for [0, 0], and each slot's gap exceeds g's move
+    # terms (2**53 > 2**53 - 1 at slot 0, 0.25 > 0 at slot 1). But both
+    # sums round to 2**53, and the kernel keeps the lower [0, 0]. The
+    # rounding margin, a multiple of the epoch's second-smallest entries,
+    # leaves the epoch to the kernel.
+    rows, prices = [[2.0 ** 53, 0.0], [0.75, 0.5]], [2.0 ** 53 - 1] * 2
+    assert 2.0 ** 53 - 1 + 0.5 == 2.0 ** 53 + 0.75 == 2.0 ** 53
+    calls, kernel = [], policies._frame_dp
+    monkeypatch.setattr(policies, "_frame_dp",
+                        lambda *args: calls.append(args) or kernel(*args))
+    solve = frame_solver(np.array(rows), 1.0, np.array(prices), 2)
+    assert solve(0, 1.0, 0) == [0, 0] and len(calls) == 1
+    frame = FrameInput(rows, prices, 1.0, 0)
+    assert frame_decide(PolicyConfig(v=1.0), frame) == [0, 0] == \
         brute_force_frame(frame, PolicyConfig(v=1.0))[0]
 
 
@@ -366,6 +386,33 @@ def test_frame_rejects_a_v_whose_scaled_latencies_sum_past_the_float_range():
         assert frame_decide(replace(cfg, v=1e300), frame) == below
         assert math.isfinite(frame_objective(replace(cfg, v=1e300), frame,
                                              below))
+
+
+def test_the_follow_pre_pass_makes_a_fixed_number_of_numpy_calls():
+    # A 7000-slot frame (a whole long_horizon run as one psp frame) runs as
+    # many lines, and so makes as many numpy calls, as epochs of 2 or 3
+    # slots: no call per slot of an epoch.
+    def traced(function, *args):
+        events = []
+
+        def tracer(frame, event, arg):
+            events.append(event)
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            function(*args)
+        finally:
+            sys.settrace(None)
+        return len(events)
+
+    rng, follow = np.random.default_rng(3), []
+    for horizon, epoch_len in ((7, 2), (7000, 3), (7000, 7000)):
+        rows, prices = rng.random((horizon, 6)), rng.random(horizon)
+        lo, lo2, first = policies._row_minima(rows)
+        follow.append(traced(policies._follow_bounds, lo, lo2, first, prices,
+                             epoch_len))
+    assert follow[0] == follow[1] == follow[2] > 0
 
 
 def test_brute_force_frame_guard():

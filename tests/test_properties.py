@@ -59,6 +59,13 @@
 (j) On the same grid frames, for any anchor >= 0 and any prev, a frame
     whose stay certificate holds is one where the frame DP stays on prev;
     at equality, which the strict inequality leaves to the DP, it can move.
+    A frame whose follow certificate holds, for anchors 0, -0.0, the
+    smallest subnormal, quarters and 1e17, is one where the frame DP
+    follows each slot's first argmin, and at quarter anchors the
+    certificate holds exactly where its lemma's strict inequality does; at
+    equality the DP can take another sequence. On float rows times v up to
+    1e300, one node included, the solver decides as the kernel and numpy
+    warns of nothing.
 (l) On grid frames of up to 5 slots and 7 nodes, with anchors 0, -0.0,
     the smallest subnormal, quarters and 1e17, the kernel whose forward
     pass starts on prev returns, from every prev, the sequence of the
@@ -75,6 +82,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -96,10 +104,11 @@ from edgeplacer.harness import (PER_SLOT_HEADER, POLICIES, SUMMARY_HEADER,
                                 write_trace_csv)
 from edgeplacer.model import Scenario, SlotTable
 from edgeplacer.policies import (PRUNE_MIN_NODES, STAY_SLACK, FrameInput,
-                                 PolicyConfig, _frame_dp, _stay_bounds,
-                                 _undominated, brute_force_frame,
-                                 frame_decide, frame_objective, frame_solver,
-                                 kept_columns, lm_decide, plm_decide)
+                                 PolicyConfig, _follow_bounds, _frame_dp,
+                                 _row_minima, _stay_bounds, _undominated,
+                                 brute_force_frame, frame_decide,
+                                 frame_objective, frame_solver, kept_columns,
+                                 lm_decide, plm_decide)
 from edgeplacer.predict import (PREDICTOR_KINDS, PredictorSpec,
                                 _transition_counts, predict_epochs)
 
@@ -292,7 +301,8 @@ def stay_certified(lows, cheapest, sums, epoch_len, k, anchor, prev):
 @example((np.zeros((1, 2)), 1, [0.0], 1.0))  # a tie at equality, below
 def test_a_stay_certificate_leaves_the_frame_dp_on_prev(case):
     rows, epoch_len, prices, anchor = case
-    bounds = _stay_bounds(rows, np.array(prices), epoch_len)
+    bounds = _stay_bounds(rows, _row_minima(rows)[0],
+                          np.array(prices), epoch_len)
     starts = range(0, len(rows), epoch_len)
     # the pre-pass sums as the definition does
     # (grid sums are exact in any order)
@@ -312,7 +322,8 @@ def test_a_stay_certificate_leaves_the_frame_dp_on_prev(case):
 def test_at_equality_the_certificate_leaves_the_frame_to_the_dp(monkeypatch):
     # One slot: prev = 1, both nodes at 0 and a zero price, so both sides of
     # the certificate are 0 for any anchor, and the DP moves to node 0.
-    lows, cheapest, sums = _stay_bounds(np.zeros((1, 2)), np.zeros(1), 1)
+    lows, cheapest, sums = _stay_bounds(np.zeros((1, 2)), np.zeros(1),
+                                        np.zeros(1), 1)
     assert 1.0 * cheapest.item(0) + lows.item(0) == \
         sums.item(0, 1) * (1 + STAY_SLACK)
     assert _frame_dp([[0.0, 0.0]], [0.0], 1.0, 1) == [0]
@@ -326,6 +337,94 @@ def test_at_equality_the_certificate_leaves_the_frame_to_the_dp(monkeypatch):
                         users: (rows[slots], price[slots]))
     rec = simulate(scn, table, "osp", PolicyConfig(v=1.0))
     assert rec.placement.tolist() == [1, 0] and rec.q.tolist() == [0.0, 1.0]
+
+
+def follow_certified(rows, prices, epoch_len, anchor):
+    """(first, certified) of rows: each row's first argmin, as a list, and
+    certified(k, prev), whether the follow certificate holds for epoch k
+    from prev at anchor (see FOLLOW_SLACK)."""
+    lo, lo2, first = _row_minima(rows)
+    same, other = _follow_bounds(lo, lo2, first, np.array(prices), epoch_len)
+    first = first.tolist()
+    return first, lambda k, prev: anchor < (
+        same if prev == first[k * epoch_len] else other)[k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(epoch_rows(min_len=2))
+@example((np.array([[0.0, 5.0], [1.0, 0.0]]), 2, [1.0, 1.0], 1.0))  # below
+def test_a_follow_certificate_gives_the_frame_dps_sequence(case):
+    # Grid rows tie often, so many rows have no strict cheapest node; the
+    # anchor 5e-324 makes move terms of 0 or a few subnormals, -0.0 a -0.0
+    # move term and 1e17 rounds the moved entries together. With two or
+    # more nodes and a quarter anchor every term and gap is exact and a
+    # positive slack is at least 1/16, far above the rounding margin, so
+    # the certificate holds exactly where the lemma's strict inequality
+    # does.
+    rows, epoch_len, prices, anchor = case
+    n = rows.shape[1]
+    for a in (anchor, 0.0, -0.0, 5e-324, 0.25, 2.5, 1e17):
+        first, certified = follow_certified(rows, prices, epoch_len, a)
+        for k, start in enumerate(range(0, len(rows), epoch_len)):
+            stop = start + epoch_len
+            frame, price = rows[start:stop].tolist(), prices[start:stop]
+            g = first[start:stop]
+            gap = [sorted(row)[1] - min(row) for row in frame] if n > 1 else []
+            for prev in range(n):
+                if certified(k, prev):
+                    assert _frame_dp(frame, price, a, prev) == g
+                if gap and a * 4 == int(a * 4):
+                    m = [p if j != i else 0.0
+                         for p, i, j in zip(price, g, [prev] + g)] + [0.0]
+                    assert certified(k, prev) == all(
+                        gap[p] > a * (m[p] + m[p + 1])
+                        for p in range(len(frame)))
+
+
+def test_at_equality_the_follow_certificate_leaves_the_frame_to_the_dp(
+        monkeypatch):
+    # Two slots from node 0: g = [0, 1], and g's move at slot 1 costs
+    # exactly slot 1's gap at anchor 1, so [0, 0] ties g and, the lower
+    # sequence, wins. The strict test leaves the epoch to the DP there; at a
+    # lower anchor g wins and the certificate holds.
+    rows, prices = np.array([[0.0, 5.0], [1.0, 0.0]]), [1.0, 1.0]
+    assert _frame_dp(rows.tolist(), prices, 1.0, 0) == [0, 0]
+    calls, kernel = [], policies._frame_dp
+    monkeypatch.setattr(policies, "_frame_dp",
+                        lambda *args: calls.append(None) or kernel(*args))
+    solve = frame_solver(rows, 1.0, np.array(prices), 2)
+    assert solve(0, 1.0, 0) == [0, 0] and len(calls) == 1
+    assert solve(0, 0.5, 0) == [0, 1] and len(calls) == 1
+    first, certified = follow_certified(rows, prices, 2, 1.0)
+    assert first == [0, 1] and not certified(0, 0)
+    assert follow_certified(rows, prices, 2, 0.5)[1](0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n),
+             min_size=1, max_size=7),
+    st.sampled_from((0.0, 1e-300, 1.0, 50.0, 1e300)), st.integers(2, 4),
+    st.sampled_from((0.0, 0.5, 1e17)))))
+@example(([[0.25]] * 3, 1e300, 2, 0.5))  # one node: inf - inf, no warning
+@example(([[1.5, 0.0]] * 7, 1e300, 4, 1e17))
+def test_float_rows_follow_as_the_kernel_with_no_warning(case):
+    # Float rows up to 1.5e300 after the factor v: a sum of an epoch's
+    # entries stays finite, the margins are large and, with one node, NaN;
+    # numpy warns of no overflow, NaN or division by zero.
+    rows, v, epoch_len, anchor = case
+    rows = np.array(rows)
+    prices = np.linspace(0.0, 1.0, len(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solve = frame_solver(rows, v, prices, epoch_len)
+        scaled = (rows * v).tolist()
+        for k, start in enumerate(range(0, len(rows), epoch_len)):
+            stop = start + epoch_len
+            for prev in range(rows.shape[1]):
+                assert solve(k, anchor, prev) == _frame_dp(
+                    scaled[start:stop], prices[start:stop].tolist(), anchor,
+                    prev)
 
 
 @st.composite
